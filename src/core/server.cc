@@ -1,6 +1,7 @@
 #include "core/server.h"
 
 #include <algorithm>
+#include <optional>
 #include <string_view>
 #include <unordered_set>
 
@@ -509,8 +510,8 @@ webcache::HttpResponse QuaestorServer::FetchRecord(
   if (request.has_if_none_match && request.if_none_match == doc->version) {
     resp.not_modified = true;
     not_modified_.fetch_add(1, std::memory_order_relaxed);
-  } else if (auto memo = MemoLookup(request.key, doc->version,
-                                    ttl::ResultRepresentation::kObjectList)) {
+  } else if (auto memo = MemoLookup(request.key);
+             memo != nullptr && memo->etag == doc->version) {
     // Record bodies carry no TTLs, so a memoized body is valid whenever
     // the version still matches (degraded or not).
     resp.body = memo->body;
@@ -631,50 +632,109 @@ webcache::HttpResponse QuaestorServer::FetchQuery(
     if (evicted.has_value()) EvictQuery(*evicted);
   }
 
-  // Execute the (windowed) query.
-  std::vector<db::Document> docs;
-  {
-    obs::ScopedSpan db_span(tracer_, "db.execute");
-    docs = db_->Execute(query);
-  }
-
-  // Deadline re-check after the expensive step: if execution outlived the
-  // request, abandon before serialization/registration — the client has
-  // already stopped waiting, and the stale-serve path needs the slot more.
-  if (options_.admission.enabled &&
-      request.context.Expired(clock_->NowMicros())) {
-    deadline_exceeded_responses_.fetch_add(1, std::memory_order_relaxed);
-    webcache::HttpResponse late;
-    late.deadline_exceeded = true;
-    return late;
-  }
-
-  // Assemble the response. A representation switch changes the InvaliDB
-  // event mask, so the query is re-registered; outstanding copies of the
-  // old representation are conservatively flagged stale and purged (an
+  // Representation decision. A switch changes the InvaliDB event mask, so
+  // the query is re-registered; outstanding copies of the old
+  // representation are conservatively flagged stale and purged (an
   // object-list copy would otherwise miss `change` invalidations after a
   // switch to an id-list subscription).
   bool representation_switched = false;
+  std::optional<ttl::ResultRepresentation> representation;
+  auto decide_representation = [&](size_t result_size) {
+    representation =
+        DecideRepresentation(key, result_size, &representation_switched);
+    if (representation_switched && active_list_.IsRegistered(key)) {
+      // Barrier: buffered changes precede the deregistration in stream
+      // order; flushing after it would silently drop their notifications.
+      FlushChanges();
+      PipelineDeregisterQuery(key);
+      active_list_.SetRegistered(key, false);
+      MemoErase(key);
+      ebf_.ReportWrite(key);
+      PurgeEverywhere(key);
+    }
+  };
+
+  // Result reuse: the memo entry of the last execution stands in for a
+  // new one while the table's commit count still equals the entry's stamp
+  // (no write or index change has touched the table since). Execution is
+  // the fallback whenever that cannot be shown: a different stamp,
+  // degraded mode (bodies then embed capped TTLs, so there is no memo), a
+  // changed representation decision, or a pending InvaliDB registration,
+  // which needs the documents.
+  const bool memo_usable = !degraded();
+  std::shared_ptr<const MemoEntry> memo;
+  if (memo_usable && (!admitted || active_list_.IsRegistered(key))) {
+    memo = MemoLookup(key);
+    if (memo != nullptr &&
+        memo->commit_stamp.load(std::memory_order_acquire) ==
+            db_->CommitCount(query.table())) {
+      decide_representation(memo->member_keys.size());
+      if (representation_switched || *representation != memo->representation) {
+        memo = nullptr;
+      }
+    } else {
+      memo = nullptr;
+    }
+  }
+  const bool executed = memo == nullptr;
+
+  webcache::HttpResponse resp;
+  resp.ok = true;
+  std::vector<db::Document> docs;
+  uint64_t commit_stamp = 0;
   QueryResponse qr;
-  qr.representation =
-      DecideRepresentation(key, docs.size(), &representation_switched);
-  if (representation_switched && active_list_.IsRegistered(key)) {
-    // Barrier: buffered changes precede the deregistration in stream
-    // order; flushing after it would silently drop their notifications.
-    FlushChanges();
-    PipelineDeregisterQuery(key);
-    active_list_.SetRegistered(key, false);
-    MemoErase(key);
-    ebf_.ReportWrite(key);
-    PurgeEverywhere(key);
+  // Latest commit time among the members (before merging in removals).
+  Micros members_write_time = 0;
+  if (executed) {
+    {
+      obs::ScopedSpan db_span(tracer_, "db.execute");
+      docs = db_->Execute(query, &commit_stamp);
+    }
+    // Deadline re-check after the expensive step: if execution outlived
+    // the request, abandon before serialization/registration — the client
+    // has already stopped waiting, and the stale-serve path needs the slot
+    // more.
+    if (options_.admission.enabled &&
+        request.context.Expired(clock_->NowMicros())) {
+      deadline_exceeded_responses_.fetch_add(1, std::memory_order_relaxed);
+      webcache::HttpResponse late;
+      late.deadline_exceeded = true;
+      return late;
+    }
+    if (!representation.has_value()) decide_representation(docs.size());
+    qr.representation = *representation;
+    qr.ids.reserve(docs.size());
+    for (const db::Document& d : docs) {
+      qr.ids.push_back(d.Key());
+      members_write_time = std::max(members_write_time, d.write_time);
+    }
+    if (qr.representation == ttl::ResultRepresentation::kObjectList) {
+      // Ids and versions alone determine the object-list etag: fill them
+      // before the 304/memo decision so neither path copies document
+      // bodies.
+      qr.versions.reserve(docs.size());
+      for (const db::Document& d : docs) qr.versions.push_back(d.version);
+    }
+    resp.etag = qr.ComputeEtag();
+    // An execution that reproduces the memoized result refreshes the
+    // entry's stamp, so later fetches reuse it until the next commit.
+    if (memo_usable) {
+      memo = MemoLookup(key);
+      if (memo != nullptr && memo->etag == resp.etag &&
+          memo->representation == qr.representation &&
+          memo->members_write_time == members_write_time) {
+        memo->commit_stamp.store(commit_stamp, std::memory_order_release);
+      } else {
+        memo = nullptr;
+      }
+    }
+  } else {
+    resp.etag = memo->etag;
+    members_write_time = memo->members_write_time;
   }
-  std::vector<std::string> member_keys;
-  member_keys.reserve(docs.size());
-  for (const db::Document& d : docs) {
-    const std::string record_key = d.Key();
-    qr.ids.push_back(record_key);
-    member_keys.push_back(record_key);
-  }
+  const std::vector<std::string>& member_keys =
+      memo != nullptr ? memo->member_keys : qr.ids;
+
   Micros ttl = 0;
   if (admitted) {
     {
@@ -689,25 +749,11 @@ webcache::HttpResponse QuaestorServer::FetchQuery(
   } else {
     uncacheable_queries_.fetch_add(1, std::memory_order_relaxed);
   }
-  const bool object_list =
-      qr.representation == ttl::ResultRepresentation::kObjectList;
-  if (object_list) {
-    // Ids and versions alone determine the object-list etag: fill them
-    // before the 304/memo decision so neither path copies document bodies.
-    qr.versions.reserve(docs.size());
-    for (const db::Document& d : docs) qr.versions.push_back(d.version);
-  }
-
-  webcache::HttpResponse resp;
-  resp.ok = true;
-  resp.etag = qr.ComputeEtag();
   resp.ttl = ttl;
   // Last-Modified of a query result: the latest of its members' commit
   // times and the last InvaliDB-detected result change (covers removals,
   // whose commit is no longer visible among the members).
-  for (const db::Document& d : docs) {
-    resp.last_modified = std::max(resp.last_modified, d.write_time);
-  }
+  resp.last_modified = members_write_time;
   {
     std::lock_guard<std::mutex> lock(meta_mu_);
     auto it = query_meta_.find(key);
@@ -723,51 +769,46 @@ webcache::HttpResponse QuaestorServer::FetchQuery(
     // first served.
     resp.not_modified = true;
     not_modified_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    // Bodies embed per-record TTLs, so degraded mode (which caps them)
-    // must neither serve nor publish memo entries.
-    const bool memo_usable = !degraded();
-    std::shared_ptr<const MemoEntry> memo =
-        memo_usable ? MemoLookup(key, resp.etag, qr.representation) : nullptr;
-    if (memo != nullptr) {
-      resp.body = memo->body;
-      // Re-issue the memoized record TTLs: the embedded values are
-      // durations from receipt, so each serve hands out fresh copies the
-      // EBF must keep tracking (issued == tracked preserves ∆-atomicity).
-      if (!options_.fault_disable_ebf_read_tracking) {
-        for (const auto& [record_key, record_ttl] : memo->record_reads) {
-          ebf_.ReportRead(record_key, record_ttl);
-        }
+  } else if (memo != nullptr) {
+    resp.body = memo->body;
+    // Re-issue the memoized record TTLs: the embedded values are
+    // durations from receipt, so each serve hands out fresh copies the
+    // EBF must keep tracking (issued == tracked preserves ∆-atomicity).
+    if (!options_.fault_disable_ebf_read_tracking) {
+      for (size_t i = 0; i < memo->record_ttls.size(); ++i) {
+        ebf_.ReportRead(memo->member_keys[i], memo->record_ttls[i]);
       }
-      body_memo_hits_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      auto entry = std::make_shared<MemoEntry>();
-      if (object_list) {
-        qr.docs.reserve(docs.size());
-        qr.record_ttls.reserve(docs.size());
-        entry->record_reads.reserve(docs.size());
-        for (const db::Document& d : docs) {
-          qr.docs.push_back(d.body);
-          const Micros record_ttl =
-              CapTtl(options_.cache_records && cacheable_table
-                         ? ttl_estimator_.RecordTtl(d.Key())
-                         : 0);
-          qr.record_ttls.push_back(record_ttl);
-          entry->record_reads.emplace_back(d.Key(), record_ttl);
-          // The response implicitly issues per-record TTLs (results are
-          // inserted into caches as individual entries, §6.2).
-          if (!options_.fault_disable_ebf_read_tracking) {
-            ebf_.ReportRead(d.Key(), record_ttl);
-          }
-        }
-      }
-      entry->etag = resp.etag;
-      entry->representation = qr.representation;
-      qr.AppendJsonTo(&entry->body);
-      resp.body = entry->body;
-      if (memo_usable) MemoStore(key, std::move(entry));
-      body_memo_misses_.fetch_add(1, std::memory_order_relaxed);
     }
+    body_memo_hits_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    auto entry = std::make_shared<MemoEntry>();
+    if (qr.representation == ttl::ResultRepresentation::kObjectList) {
+      qr.docs.reserve(docs.size());
+      qr.record_ttls.reserve(docs.size());
+      for (size_t i = 0; i < docs.size(); ++i) {
+        qr.docs.push_back(docs[i].body);
+        const Micros record_ttl =
+            CapTtl(options_.cache_records && cacheable_table
+                       ? ttl_estimator_.RecordTtl(qr.ids[i])
+                       : 0);
+        qr.record_ttls.push_back(record_ttl);
+        // The response implicitly issues per-record TTLs (results are
+        // inserted into caches as individual entries, §6.2).
+        if (!options_.fault_disable_ebf_read_tracking) {
+          ebf_.ReportRead(qr.ids[i], record_ttl);
+        }
+      }
+      entry->record_ttls = qr.record_ttls;
+    }
+    entry->etag = resp.etag;
+    entry->representation = qr.representation;
+    entry->commit_stamp.store(commit_stamp, std::memory_order_relaxed);
+    entry->members_write_time = members_write_time;
+    entry->member_keys = qr.ids;
+    qr.AppendJsonTo(&entry->body);
+    resp.body = entry->body;
+    if (memo_usable) MemoStore(key, std::move(entry));
+    body_memo_misses_.fetch_add(1, std::memory_order_relaxed);
   }
 
   if (admitted) {
@@ -775,14 +816,19 @@ webcache::HttpResponse QuaestorServer::FetchQuery(
     // subsequent change within the TTL must be detected (Figure 7 step 2).
     if (!active_list_.IsRegistered(key)) {
       const invalidb::EventMask mask =
-          qr.representation == ttl::ResultRepresentation::kIdList
+          *representation == ttl::ResultRepresentation::kIdList
               ? invalidb::kEventsIdList
               : invalidb::kEventsObjectList;
-      std::vector<db::Document> registration_set = docs;
+      std::vector<db::Document> registration_set;
       if (!query.IsStateless()) {
         // Stateful queries register the unwindowed predicate set.
         db::Query base(query.table(), query.filter());
         registration_set = db_->Execute(base);
+      } else if (executed) {
+        registration_set = std::move(docs);
+      } else {
+        // Deregistered by a concurrent eviction since the reuse check.
+        registration_set = db_->Execute(query);
       }
       Status st;
       {
@@ -964,17 +1010,11 @@ ServerStats QuaestorServer::stats() const {
 }
 
 std::shared_ptr<const QuaestorServer::MemoEntry> QuaestorServer::MemoLookup(
-    const std::string& key, uint64_t etag,
-    ttl::ResultRepresentation representation) const {
+    const std::string& key) const {
   MemoShard& shard = body_memo_[Hash64(key) % kMemoShards];
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) return nullptr;
-  const auto& entry = it->second;
-  if (entry->etag != etag || entry->representation != representation) {
-    return nullptr;
-  }
-  return entry;
+  return it == shard.entries.end() ? nullptr : it->second;
 }
 
 void QuaestorServer::MemoStore(const std::string& key,

@@ -431,31 +431,42 @@ class QuaestorServer : public webcache::Origin {
   //
   // The serialized body of the last response per key, valid only at the
   // exact (etag, representation) it was built for. The etag check is the
-  // correctness guard — any result change bumps the etag, so a stale memo
-  // entry simply never matches (explicit erasure on invalidations is
-  // memory hygiene, not a safety requirement). Degraded mode bypasses the
-  // memo entirely: bodies embed record TTLs, which must honour the cap.
+  // correctness guard for bodies — any result change bumps the etag, so a
+  // stale memo entry simply never matches (explicit erasure on
+  // invalidations is memory hygiene, not a safety requirement). Query
+  // entries also carry the result itself, stamped with the table commit
+  // count it was computed at: while the count is unchanged, FetchQuery
+  // serves the entry without executing the query. Degraded mode bypasses
+  // the memo entirely: bodies embed record TTLs, which must honour the cap.
 
-  /// One memoized body. Immutable once published; hits share the pointer.
+  /// One memoized body. Immutable once published, except that an
+  /// execution reproducing the same result refreshes commit_stamp; hits
+  /// share the pointer.
   struct MemoEntry {
     uint64_t etag = 0;
     ttl::ResultRepresentation representation =
         ttl::ResultRepresentation::kObjectList;
     std::string body;
-    /// Per-record (key, ttl) issued inside this body (object-list query
-    /// results). Replayed into the EBF on every memo hit: the embedded
-    /// TTLs are durations from receipt, so each serve re-issues them.
-    std::vector<std::pair<std::string, Micros>> record_reads;
+    // Query results only.
+    /// Table commit count (db::Table::commit_count) the result is current
+    /// at.
+    mutable std::atomic<uint64_t> commit_stamp{0};
+    /// Member record keys in result order, and their latest write time.
+    std::vector<std::string> member_keys;
+    Micros members_write_time = 0;
+    /// Per-member TTLs issued inside this body (object-list results,
+    /// parallel to member_keys). Replayed into the EBF on every memo hit:
+    /// the embedded TTLs are durations from receipt, so each serve
+    /// re-issues them.
+    std::vector<Micros> record_ttls;
   };
   struct MemoShard {
     std::mutex mu;
     std::unordered_map<std::string, std::shared_ptr<const MemoEntry>> entries;
   };
 
-  /// Entry for `key` iff it matches `etag` and `representation`.
-  std::shared_ptr<const MemoEntry> MemoLookup(
-      const std::string& key, uint64_t etag,
-      ttl::ResultRepresentation representation) const;
+  /// The entry memoized for `key`, if any; callers check that it matches.
+  std::shared_ptr<const MemoEntry> MemoLookup(const std::string& key) const;
   void MemoStore(const std::string& key,
                  std::shared_ptr<const MemoEntry> entry) const;
   void MemoErase(const std::string& key) const;

@@ -81,11 +81,20 @@ Result<Document> Database::Get(const std::string& table,
   return t->Get(id);
 }
 
-std::vector<Document> Database::Execute(const Query& query) const {
+std::vector<Document> Database::Execute(const Query& query,
+                                        uint64_t* commit_stamp) const {
   queries_.fetch_add(1, std::memory_order_relaxed);
   Table* t = FindTable(query.table());
-  if (t == nullptr) return {};
-  return t->Execute(query);
+  if (t == nullptr) {
+    if (commit_stamp != nullptr) *commit_stamp = 0;
+    return {};
+  }
+  return t->Execute(query, commit_stamp);
+}
+
+uint64_t Database::CommitCount(const std::string& table) const {
+  Table* t = FindTable(table);
+  return t == nullptr ? 0 : t->commit_count();
 }
 
 void Database::AddChangeListener(ChangeListener listener) {

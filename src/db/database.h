@@ -63,7 +63,14 @@ class Database {
   Result<Document> Get(const std::string& table, const std::string& id) const;
 
   /// Executes a query against its table (empty result for missing tables).
-  std::vector<Document> Execute(const Query& query) const;
+  /// `commit_stamp`, if set, receives the table's commit count read with
+  /// the result (see Table::Execute).
+  std::vector<Document> Execute(const Query& query,
+                                uint64_t* commit_stamp = nullptr) const;
+
+  /// Table::commit_count() of `table`; 0 while the table does not exist
+  /// (its first mutation makes the count non-zero).
+  uint64_t CommitCount(const std::string& table) const;
 
   /// Registers a change listener. Not thread-safe with respect to
   /// concurrent writes; register listeners during setup.

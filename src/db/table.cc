@@ -62,11 +62,12 @@ void Table::CreateIndex(const std::string& path) {
     }
     for (const Value& k : keys) index.buckets[k].insert(id);
   }
+  CommitLocked();
 }
 
 void Table::DropIndex(const std::string& path) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  indexes_.erase(path);
+  if (indexes_.erase(path) > 0) CommitLocked();
 }
 
 bool Table::HasIndex(const std::string& path) const {
@@ -111,6 +112,7 @@ Result<Document> Table::Insert(const std::string& id, Value body, Micros now) {
   doc.body = std::move(body);
   docs_[id] = doc;
   AddToIndexesLocked(doc);
+  CommitLocked();
   return doc;
 }
 
@@ -132,6 +134,7 @@ Result<Document> Table::Upsert(const std::string& id, Value body, Micros now) {
   doc.body = std::move(body);
   docs_[id] = doc;
   AddToIndexesLocked(doc);
+  CommitLocked();
   return doc;
 }
 
@@ -149,6 +152,7 @@ Result<Document> Table::Apply(const std::string& id, const Update& update,
   RemoveFromIndexesLocked(it->second);
   docs_[id] = doc;
   AddToIndexesLocked(doc);
+  CommitLocked();
   return doc;
 }
 
@@ -163,6 +167,7 @@ Result<Document> Table::Delete(const std::string& id, Micros now) {
   doc.version++;
   doc.write_time = now;
   doc.deleted = true;
+  CommitLocked();
   return doc;
 }
 
@@ -279,9 +284,13 @@ bool Table::ExecuteTopKLocked(const Query& query,
   return true;
 }
 
-std::vector<Document> Table::Execute(const Query& query) const {
+std::vector<Document> Table::Execute(const Query& query,
+                                     uint64_t* commit_stamp) const {
   std::vector<Document> out;
   std::shared_lock<std::shared_mutex> lock(mu_);
+  if (commit_stamp != nullptr) {
+    *commit_stamp = commits_.load(std::memory_order_relaxed);
+  }
   std::vector<const Document*> matches;
 
   // Plan selection over the top-level conjuncts.

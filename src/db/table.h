@@ -64,8 +64,18 @@ class Table {
   /// Point lookup of the live version.
   Result<Document> Get(const std::string& id) const;
 
-  /// Executes a query: plan selection + filter + order/offset/limit.
-  std::vector<Document> Execute(const Query& query) const;
+  /// Executes a query: plan selection + filter + order/offset/limit. If
+  /// `commit_stamp` is set, it receives commit_count() as read under the
+  /// same lock as the result: the result is current for as long as
+  /// commit_count() still returns that value.
+  std::vector<Document> Execute(const Query& query,
+                                uint64_t* commit_stamp = nullptr) const;
+
+  /// Number of committed mutations (CRUD writes and index DDL) so far.
+  /// Lock-free; a query result stamped with this value is still current.
+  uint64_t commit_count() const {
+    return commits_.load(std::memory_order_acquire);
+  }
 
   /// Number of live (non-deleted) documents.
   size_t LiveCount() const;
@@ -111,6 +121,8 @@ class Table {
   static void IndexKeysFor(const Value& body, const std::string& path,
                            std::vector<Value>* out);
   void AddToIndexesLocked(const Document& doc);
+  /// Counts one committed mutation (caller holds the exclusive lock).
+  void CommitLocked() { commits_.fetch_add(1, std::memory_order_release); }
   void RemoveFromIndexesLocked(const Document& doc);
 
   /// Appends live matching docs via an eq/$in bucket plan. `conjunct` must
@@ -139,6 +151,8 @@ class Table {
   mutable std::shared_mutex mu_;
   std::unordered_map<std::string, Document> docs_;
   std::map<std::string, SecondaryIndex> indexes_;
+  /// Bumped under the exclusive lock by every committed mutation.
+  std::atomic<uint64_t> commits_{0};
   /// Per-plan counters, bumped relaxed under the shared lock.
   mutable std::atomic<uint64_t> eq_lookups_{0};
   mutable std::atomic<uint64_t> range_scans_{0};

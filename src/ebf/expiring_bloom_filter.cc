@@ -1,5 +1,6 @@
 #include "ebf/expiring_bloom_filter.h"
 
+#include <algorithm>
 #include <iterator>
 #include <memory>
 
@@ -23,13 +24,17 @@ void ExpiringBloomFilter::ReportRead(std::string_view key, Micros ttl) {
   std::lock_guard<std::mutex> lock(mu_);
   MaintainLocked(now);
   stats_.reads_reported++;
-  KeyState& st = keys_[std::string(key)];
   const Micros expire_at = now + ttl;
-  if (expire_at > st.expire_at) {
-    st.expire_at = expire_at;
-    // Track for cleanup of the keys_ map even if never invalidated.
-    deadlines_.push({expire_at, std::string(key)});
+  auto it = keys_.find(key);
+  if (it == keys_.end()) {
+    // A newly tracked key queues its single deadline (cleanup of keys_
+    // even if never invalidated).
+    it = keys_.emplace(std::string(key), KeyState{}).first;
+    deadlines_.push({expire_at, it->first});
   }
+  // Only the highest issued TTL matters; the queued deadline catches up
+  // when it comes due.
+  it->second.expire_at = std::max(it->second.expire_at, expire_at);
 }
 
 bool ExpiringBloomFilter::ReportWrite(std::string_view key) {
@@ -37,15 +42,12 @@ bool ExpiringBloomFilter::ReportWrite(std::string_view key) {
   std::lock_guard<std::mutex> lock(mu_);
   MaintainLocked(now);
   stats_.invalidations_reported++;
-  auto it = keys_.find(std::string(key));
+  auto it = keys_.find(key);
   if (it == keys_.end()) return false;  // no unexpired TTL issued
   KeyState& st = it->second;
   if (st.expire_at <= now) return st.in_filter;
   // Some cache may hold this key until st.expire_at: mark stale until then.
-  if (st.expire_at > st.stale_until) {
-    st.stale_until = st.expire_at;
-    deadlines_.push({st.stale_until, std::string(key)});
-  }
+  st.stale_until = std::max(st.stale_until, st.expire_at);
   if (!st.in_filter) {
     st.in_filter = true;
     stats_.keys_added++;
@@ -61,10 +63,7 @@ std::vector<std::string> ExpiringBloomFilter::FlagAllTracked() {
   MaintainLocked(now);
   for (auto& [key, st] : keys_) {
     if (st.expire_at <= now) continue;
-    if (st.expire_at > st.stale_until) {
-      st.stale_until = st.expire_at;
-      deadlines_.push({st.stale_until, key});
-    }
+    st.stale_until = std::max(st.stale_until, st.expire_at);
     if (!st.in_filter) {
       st.in_filter = true;
       stats_.keys_added++;
@@ -78,7 +77,7 @@ std::vector<std::string> ExpiringBloomFilter::FlagAllTracked() {
 
 bool ExpiringBloomFilter::IsStale(std::string_view key) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = keys_.find(std::string(key));
+  auto it = keys_.find(key);
   if (it == keys_.end()) return false;
   return it->second.in_filter &&
          it->second.stale_until > clock_->NowMicros();
@@ -103,21 +102,24 @@ void ExpiringBloomFilter::Maintain() {
 
 void ExpiringBloomFilter::MaintainLocked(Micros now) {
   while (!deadlines_.empty() && deadlines_.top().at <= now) {
-    Deadline d = deadlines_.top();
+    const std::string_view key = deadlines_.top().key;
     deadlines_.pop();
-    auto it = keys_.find(d.key);
-    if (it == keys_.end()) continue;
+    auto it = keys_.find(key);
     KeyState& st = it->second;
     if (st.in_filter && st.stale_until <= now) {
       // The highest TTL issued before the invalidation has expired: every
       // cache has dropped the stale copy; the key is fresh again.
       st.in_filter = false;
       stats_.keys_expired++;
-      counting_.Remove(d.key, [this](size_t pos) { flat_.ClearBit(pos); });
+      counting_.Remove(key, [this](size_t pos) { flat_.ClearBit(pos); });
     }
     if (!st.in_filter && st.expire_at <= now) {
       keys_.erase(it);  // no live TTLs and not stale: forget the key
+      continue;
     }
+    // Reads or a flag raised the key's times since this deadline was
+    // queued: re-queue it at the next one that matters.
+    deadlines_.push({st.in_filter ? st.stale_until : st.expire_at, it->first});
   }
 }
 
@@ -133,6 +135,11 @@ size_t ExpiringBloomFilter::StaleCount() const {
 size_t ExpiringBloomFilter::TrackedCount() const {
   std::lock_guard<std::mutex> lock(mu_);
   return keys_.size();
+}
+
+size_t ExpiringBloomFilter::QueuedDeadlines() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return deadlines_.size();
 }
 
 EbfStats ExpiringBloomFilter::stats() const {

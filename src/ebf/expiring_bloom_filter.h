@@ -2,6 +2,7 @@
 #define QUAESTOR_EBF_EXPIRING_BLOOM_FILTER_H_
 
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <queue>
 #include <string>
@@ -88,6 +89,10 @@ class ExpiringBloomFilter {
   /// Number of keys with tracked (unexpired) TTLs.
   size_t TrackedCount() const;
 
+  /// Number of expiration deadlines queued (at most TrackedCount(): one
+  /// per key, however many reads it served). Exposed for tests.
+  size_t QueuedDeadlines() const;
+
   EbfStats stats() const;
 
   const BloomParams& params() const { return params_; }
@@ -99,10 +104,21 @@ class ExpiringBloomFilter {
     bool in_filter = false;
   };
 
+  /// The one queued deadline of a tracked key. `key` views the keys_ node
+  /// (node keys are stable across rehashing); the key is erased only when
+  /// this, its sole deadline, is popped, so the view never dangles.
   struct Deadline {
     Micros at;
-    std::string key;
+    std::string_view key;
     bool operator>(const Deadline& other) const { return at > other.at; }
+  };
+
+  /// Transparent hash so lookups by string_view never allocate.
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view key) const {
+      return std::hash<std::string_view>{}(key);
+    }
   };
 
   void MaintainLocked(Micros now);
@@ -112,7 +128,11 @@ class ExpiringBloomFilter {
   mutable std::mutex mu_;
   CountingBloomFilter counting_;
   BloomFilter flat_;  // incrementally maintained
-  std::unordered_map<std::string, KeyState> keys_;
+  std::unordered_map<std::string, KeyState, KeyHash, std::equal_to<>> keys_;
+  /// Exactly one entry per key in keys_, due no later than the key's next
+  /// relevant time (stale_until while flagged, expire_at otherwise):
+  /// raising a key's times never queues, MaintainLocked re-queues the key
+  /// when its entry comes due early.
   std::priority_queue<Deadline, std::vector<Deadline>, std::greater<>>
       deadlines_;
   EbfStats stats_;

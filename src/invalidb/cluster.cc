@@ -129,10 +129,11 @@ void InvalidbCluster::SubmitToNode(Node& node, Task task) {
       in_flight_.fetch_sub(1, std::memory_order_relaxed);
     }
   } else {
-    // Synchronous mode executes in the caller; per-thread scratch keeps
-    // concurrent callers isolated. A sink that re-enters a synchronous
-    // cluster on the same thread (e.g. chained clusters) must not clobber
-    // the outer call's buffers, so reentrant calls get a local scratch.
+    // Synchronous mode executes in the caller, one caller at a time. A
+    // sink that re-enters a synchronous cluster on the same thread (e.g.
+    // chained clusters) must not clobber the outer call's buffers, so
+    // reentrant calls get a local scratch.
+    std::lock_guard<std::recursive_mutex> lock(sync_mu_);
     static thread_local NotifyScratch scratch;
     static thread_local bool scratch_busy = false;
     if (scratch_busy) {

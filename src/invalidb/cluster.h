@@ -348,6 +348,12 @@ class InvalidbCluster {
   /// held-cluster list, so sinks may call back into the cluster); Resize
   /// takes it exclusive for the cutover.
   mutable std::shared_mutex topology_mu_;
+  /// Synchronous mode: serializes task execution across calling threads
+  /// (a MatchingNode is not thread-safe; threaded mode gets the same from
+  /// one worker per node). Recursive because a sink may re-enter the
+  /// cluster on the same thread. Ordered after topology_mu_: every
+  /// submission holds it shared first.
+  std::recursive_mutex sync_mu_;
   /// Serializes concurrent Resize() calls ahead of the topology lock.
   std::mutex resize_mu_;
   std::vector<std::unique_ptr<Node>> nodes_;

@@ -1,6 +1,7 @@
 #include "net/http_client.h"
 
 #include <errno.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstdlib>
@@ -55,8 +56,10 @@ Result<HttpMessage> SyncHttpChannel::RoundTrip(const HttpMessage& request) {
     size_t written = 0;
     bool write_ok = true;
     while (written < wire.size()) {
-      const ssize_t n =
-          ::write(fd_, wire.data() + written, wire.size() - written);
+      // MSG_NOSIGNAL: a stale peer must fail the write (and trigger the
+      // redial below), not raise SIGPIPE.
+      const ssize_t n = ::send(fd_, wire.data() + written,
+                               wire.size() - written, MSG_NOSIGNAL);
       if (n > 0) {
         written += static_cast<size_t>(n);
         continue;

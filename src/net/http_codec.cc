@@ -268,6 +268,9 @@ WireResponse FromHttpMessage(const HttpMessage& msg) {
       r.body = msg.body;
       break;
     case 304:
+      // A revalidation answer is a success without a body, exactly as the
+      // in-process server reports it.
+      r.ok = true;
       r.not_modified = true;
       break;
     case 429:

@@ -94,8 +94,7 @@ void HttpFrontend::Close() {
 }
 
 uint64_t HttpFrontend::requests_served() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return requests_served_;
+  return requests_served_.load(std::memory_order_relaxed);
 }
 
 void HttpFrontend::HandleAccept(int fd) {
@@ -124,10 +123,7 @@ void HttpFrontend::HandleData(uint64_t conn_id) {
     if (rc == HttpDecode::kNeedMore) break;
     cursor += consumed;
     HttpMessage response = Dispatch(request);
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++requests_served_;
-    }
+    requests_served_.fetch_add(1, std::memory_order_relaxed);
     if (!conn->Send(EncodeHttpResponse(response))) {
       conn->Close();
       return;

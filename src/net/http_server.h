@@ -1,6 +1,7 @@
 #ifndef QUAESTOR_NET_HTTP_SERVER_H_
 #define QUAESTOR_NET_HTTP_SERVER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -56,8 +57,8 @@ class HttpFrontend {
   std::map<uint64_t, std::shared_ptr<TcpConnection>> conns_;
   uint64_t next_conn_id_ = 1;
 
-  mutable std::mutex stats_mu_;
-  uint64_t requests_served_ = 0;
+  /// Bumped on the loop thread, read from any thread.
+  std::atomic<uint64_t> requests_served_{0};
 };
 
 }  // namespace quaestor::net

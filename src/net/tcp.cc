@@ -108,15 +108,15 @@ bool TcpConnection::Send(std::string_view data) {
     // Nothing queued: try the socket directly.
     size_t written = 0;
     while (written < data.size()) {
-      const ssize_t n =
-          ::write(fd_, data.data() + written, data.size() - written);
+      const ssize_t n = ::send(fd_, data.data() + written,
+                               data.size() - written, MSG_NOSIGNAL);
       if (n > 0) {
         written += static_cast<size_t>(n);
         continue;
       }
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       if (errno == EINTR) continue;
-      Close();  // EPIPE / ECONNRESET
+      Close();  // EPIPE (MSG_NOSIGNAL: no SIGPIPE) / ECONNRESET
       return false;
     }
     if (written == data.size()) return true;
@@ -131,8 +131,8 @@ bool TcpConnection::Send(std::string_view data) {
 
 void TcpConnection::HandleWritable() {
   while (output_offset_ < output_.size()) {
-    const ssize_t n = ::write(fd_, output_.data() + output_offset_,
-                              output_.size() - output_offset_);
+    const ssize_t n = ::send(fd_, output_.data() + output_offset_,
+                             output_.size() - output_offset_, MSG_NOSIGNAL);
     if (n > 0) {
       output_offset_ += static_cast<size_t>(n);
       continue;

@@ -12,9 +12,14 @@
 //    FromJson(body).ComputeEtag() == resp.etag, whether it was freshly
 //    serialized or replayed from the body memo. A memo entry surviving
 //    its etag would fail this immediately.
+//  - Query-result reuse: each record has one writer storing increasing
+//    values, so a query fetch that starts after a write returned must
+//    show that value or a later one. A result reused across a commit
+//    (a broken table commit count / memo stamp handshake) fails this.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -276,6 +281,91 @@ TEST_F(ServerMemoStress, BodiesConsistentWithEtagsUnderWrites) {
   const core::ServerStats s = server_.stats();
   EXPECT_GT(s.body_memo_misses, 0u);
   EXPECT_GT(s.writes, 0u);
+}
+
+TEST_F(ServerMemoStress, ReusedQueryResultsNeverPredateAFinishedWrite) {
+  constexpr int kWriters = 2;
+  constexpr int kFetchers = 2;
+  constexpr int kWritesPerWriter = 1500;
+  // Last value each record's (single) writer has committed and returned.
+  std::array<std::atomic<int64_t>, 100> committed;
+  for (auto& c : committed) c.store(-1);
+  std::atomic<bool> done{false};
+  // Writers start once every fetcher is running, and yield after each
+  // write, so fetches interleave with commits.
+  std::atomic<int> fetchers_started{0};
+
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      while (fetchers_started.load() < kFetchers) std::this_thread::yield();
+      for (int i = 0; i < kWritesPerWriter; ++i) {
+        // Writer w owns records p(w), p(w + kWriters), ...
+        const int rec = (i * 7 % (100 / kWriters)) * kWriters + w;
+        const int64_t value = 1000 + i;
+        db::Update up;
+        up.Set("views", db::Value(value));
+        ASSERT_TRUE(
+            server_.Update("posts", "p" + std::to_string(rec), up).ok());
+        committed[rec].store(value, std::memory_order_release);
+        if (w == 0 && i % 200 == 100) {
+          // Index DDL also bumps the table's commit count.
+          database_.GetOrCreateTable("posts")->CreateIndex("views");
+          database_.GetOrCreateTable("posts")->DropIndex("views");
+        }
+        std::this_thread::yield();
+      }
+    });
+  }
+  for (int f = 0; f < kFetchers; ++f) {
+    threads.emplace_back([&, f] {
+      uint64_t x = f;
+      fetchers_started.fetch_add(1);
+      while (!done.load(std::memory_order_acquire)) {
+        const size_t g = (x++ * 2654435761u) % query_keys_.size();
+        // Snapshot what had committed before the fetch starts.
+        std::array<int64_t, 100> floor;
+        for (int r = 0; r < 100; ++r) {
+          floor[r] = committed[r].load(std::memory_order_acquire);
+        }
+        webcache::HttpRequest req;
+        req.key = query_keys_[g];
+        auto resp = server_.Fetch(req);
+        ASSERT_TRUE(resp.ok);
+        auto parsed = core::QueryResponse::FromJson(resp.body);
+        ASSERT_TRUE(parsed.ok()) << resp.body;
+        ASSERT_EQ(parsed->ComputeEtag(), resp.etag);
+        ASSERT_EQ(parsed->ids.size(), 10u);
+        for (size_t i = 0; i < parsed->ids.size(); ++i) {
+          const int rec = std::stoi(parsed->ids[i].substr(7));  // posts/p
+          const db::Value* views = parsed->docs[i].Find("views");
+          ASSERT_NE(views, nullptr);
+          const int64_t shown = views->as_int();
+          if (floor[rec] >= 0) {
+            ASSERT_GE(shown, floor[rec])
+                << parsed->ids[i] << " served from before a finished write";
+          }
+        }
+      }
+    });
+  }
+  for (int w = 0; w < kWriters; ++w) threads[w].join();
+  done.store(true, std::memory_order_release);
+  for (size_t i = kWriters; i < threads.size(); ++i) threads[i].join();
+
+  // Quiescent: one execution per query, then pure reuse.
+  for (const std::string& key : query_keys_) {
+    webcache::HttpRequest req;
+    req.key = key;
+    ASSERT_TRUE(server_.Fetch(req).ok);
+  }
+  const uint64_t executed = database_.stats().queries;
+  for (const std::string& key : query_keys_) {
+    webcache::HttpRequest req;
+    req.key = key;
+    ASSERT_TRUE(server_.Fetch(req).ok);
+  }
+  EXPECT_EQ(database_.stats().queries, executed);
 }
 
 TEST_F(ServerMemoStress, MemoizedBodiesByteIdenticalToFresh) {

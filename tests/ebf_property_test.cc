@@ -7,6 +7,9 @@
 //     in-process EBF under the same trace.
 //  3. The measured false-positive rate of the flat filter stays within 2x
 //     of the analytic bound across fill levels.
+//  4. The in-process EBF queues at most one expiration deadline per
+//     tracked key, however many reads the key serves.
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -75,6 +78,8 @@ TEST(EbfPropertyTest, NoFalseNegativesAndSharedAgreesWithInProcess) {
         stale += ebf.IsStale(key) ? 1 : 0;
       }
       ASSERT_EQ(ebf.StaleCount(), stale);
+      ASSERT_LE(ebf.QueuedDeadlines(), ebf.TrackedCount())
+          << "seed " << seed << " step " << step;
 
       // Snapshot every 25 steps (it is O(m)): anything exactly stale must
       // be in the flat filter — a false negative here would let a client
@@ -90,6 +95,92 @@ TEST(EbfPropertyTest, NoFalseNegativesAndSharedAgreesWithInProcess) {
       }
     }
   }
+}
+
+TEST(EbfPropertyTest, OneQueuedDeadlinePerKeyHoweverManyReads) {
+  SimulatedClock clock(0);
+  ExpiringBloomFilter ebf(&clock);
+  // Every read raises the key's expiry, so a per-read queue would hold
+  // one entry per read.
+  for (int i = 0; i < 10000; ++i) {
+    ebf.ReportRead("items/hot", SecondsToMicros(1.0) + i);
+  }
+  EXPECT_EQ(ebf.TrackedCount(), 1u);
+  EXPECT_EQ(ebf.QueuedDeadlines(), 1u);
+
+  // The early deadline re-queues at the raised expiry instead of
+  // forgetting the key.
+  clock.Advance(SecondsToMicros(1.0));
+  ebf.Maintain();
+  EXPECT_EQ(ebf.TrackedCount(), 1u);
+  EXPECT_EQ(ebf.QueuedDeadlines(), 1u);
+  clock.Advance(10000);
+  ebf.Maintain();
+  EXPECT_EQ(ebf.TrackedCount(), 0u);
+  EXPECT_EQ(ebf.QueuedDeadlines(), 0u);
+}
+
+TEST(EbfPropertyTest, StaleUntilHighestTtlIssuedBeforeTheWrite) {
+  SimulatedClock clock(0);
+  ExpiringBloomFilter ebf(&clock);
+  ebf.ReportRead("items/a", SecondsToMicros(1.0));
+  clock.Advance(SecondsToMicros(0.5));
+  ebf.ReportRead("items/a", SecondsToMicros(2.0));  // expires at 2.5 s
+  clock.Advance(SecondsToMicros(0.5));
+  EXPECT_TRUE(ebf.ReportWrite("items/a"));  // at 1.0 s
+  // A read after the write issues a fresh copy: it extends tracking but
+  // not the stale window.
+  clock.Advance(SecondsToMicros(0.2));
+  ebf.ReportRead("items/a", SecondsToMicros(10.0));  // expires at 11.2 s
+  EXPECT_EQ(ebf.QueuedDeadlines(), 1u);
+
+  clock.SetTime(2500000 - 1);
+  ebf.Maintain();
+  EXPECT_TRUE(ebf.IsStale("items/a"));
+  clock.SetTime(2500000);
+  ebf.Maintain();
+  EXPECT_FALSE(ebf.IsStale("items/a"));
+  EXPECT_FALSE(ebf.MaybeStale("items/a"));
+  EXPECT_EQ(ebf.TrackedCount(), 1u);
+  EXPECT_EQ(ebf.QueuedDeadlines(), 1u);
+
+  // A second write flags it again until the 11.2 s expiry.
+  EXPECT_TRUE(ebf.ReportWrite("items/a"));
+  clock.SetTime(11200000 - 1);
+  ebf.Maintain();
+  EXPECT_TRUE(ebf.IsStale("items/a"));
+  clock.SetTime(11200000);
+  ebf.Maintain();
+  EXPECT_FALSE(ebf.IsStale("items/a"));
+  EXPECT_EQ(ebf.TrackedCount(), 0u);
+  EXPECT_EQ(ebf.QueuedDeadlines(), 0u);
+}
+
+TEST(EbfPropertyTest, FlagAllTrackedFlagsUnexpiredKeysUntilTheirExpiry) {
+  SimulatedClock clock(0);
+  ExpiringBloomFilter ebf(&clock);
+  ebf.ReportRead("items/short", SecondsToMicros(1.0));
+  ebf.ReportRead("items/long", SecondsToMicros(3.0));
+  ebf.ReportRead("items/gone", SecondsToMicros(0.5));
+  clock.Advance(SecondsToMicros(0.5));
+
+  std::vector<std::string> flagged = ebf.FlagAllTracked();
+  std::sort(flagged.begin(), flagged.end());
+  EXPECT_EQ(flagged,
+            (std::vector<std::string>{"items/long", "items/short"}));
+  EXPECT_EQ(ebf.StaleCount(), 2u);
+  EXPECT_LE(ebf.QueuedDeadlines(), ebf.TrackedCount());
+
+  clock.SetTime(SecondsToMicros(1.0));
+  ebf.Maintain();
+  EXPECT_FALSE(ebf.IsStale("items/short"));
+  EXPECT_TRUE(ebf.IsStale("items/long"));
+  clock.SetTime(SecondsToMicros(3.0));
+  ebf.Maintain();
+  EXPECT_FALSE(ebf.IsStale("items/long"));
+  EXPECT_EQ(ebf.StaleCount(), 0u);
+  EXPECT_EQ(ebf.TrackedCount(), 0u);
+  EXPECT_EQ(ebf.QueuedDeadlines(), 0u);
 }
 
 TEST(EbfPropertyTest, PartitionedAggregateHasNoFalseNegatives) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -23,11 +24,15 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "core/server.h"
+#include "db/database.h"
 #include "invalidb/reliable_queue.h"
 #include "net/event_loop.h"
 #include "net/framing.h"
+#include "net/http_client.h"
 #include "net/http_codec.h"
 #include "net/queue_bridge.h"
+#include "net/service.h"
 #include "net/tcp.h"
 
 namespace quaestor::net {
@@ -143,6 +148,7 @@ TEST(HttpCodecTest, WireResponseRoundTripsEveryStatusShape) {
   }
   {
     WireResponse nm;
+    nm.http.ok = true;  // a 304 is a successful, bodyless answer
     nm.http.not_modified = true;
     nm.http.etag = 99;
     nm.http.ttl = kMicrosPerSecond;
@@ -305,6 +311,37 @@ TEST(HttpCodecTest, PipelinedAndTornMessagesDecodeIncrementally) {
   EXPECT_EQ(consumed + c2, wire.size());
 }
 
+TEST(HttpBackendTest, ConditionalFetchWithMatchingEtagIsOkAndNotModified) {
+  // The in-process server answers a matching If-None-Match with ok=true,
+  // not_modified=true; webcache::CacheHierarchy and the SDK rely on that
+  // shape, so the HTTP round trip must reproduce it.
+  SystemClock clock;
+  db::Database db(&clock);
+  core::QuaestorServer server(&clock, &db);
+  ASSERT_TRUE(server.Insert("t", "1", db::Value::FromJson(R"({"x":1})").value())
+                  .ok());
+  NetOptions nopts;
+  nopts.enabled = true;
+  NetServer net(&clock, &server, nopts);
+  ASSERT_TRUE(net.Start());
+
+  HttpBackend backend(net.http_port());
+  webcache::HttpRequest req;
+  req.key = "t/1";
+  const webcache::HttpResponse full = backend.Fetch(req);
+  ASSERT_TRUE(full.ok);
+  ASSERT_FALSE(full.not_modified);
+
+  req.has_if_none_match = true;
+  req.if_none_match = full.etag;
+  const webcache::HttpResponse revalidated = backend.Fetch(req);
+  EXPECT_TRUE(revalidated.ok);
+  EXPECT_TRUE(revalidated.not_modified);
+  EXPECT_TRUE(revalidated.body.empty());
+  EXPECT_EQ(revalidated.etag, full.etag);
+  net.Stop();
+}
+
 // ---------------------------------------------------------------------------
 // Event loop
 
@@ -380,6 +417,24 @@ TEST(TcpTest, EchoOverLoopbackEphemeralPort) {
     conns.clear();
     listener->Close();
   });
+  loop.Stop();
+}
+
+TEST(TcpTest, SendToClosedPeerFailsInsteadOfRaisingSigpipe) {
+  EventLoop loop;
+  ASSERT_TRUE(loop.Start());
+  int sv[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  bool sent = true;
+  // One loop-thread turn, so the hang-up cannot be noticed (and the
+  // connection closed) before the write hits the dead peer.
+  loop.RunInLoopSync([&] {
+    std::shared_ptr<TcpConnection> conn = TcpConnection::Adopt(&loop, sv[0]);
+    close(sv[1]);
+    sent = conn->Send("to nobody");
+    conn->Close();
+  });
+  EXPECT_FALSE(sent);
   loop.Stop();
 }
 

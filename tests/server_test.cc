@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -238,6 +240,256 @@ TEST_F(ServerTest, QueryEtagStableAcrossIdenticalResults) {
   req.if_none_match = r1.etag;
   auto r3 = server_->Fetch(req);
   EXPECT_TRUE(r3.not_modified);
+}
+
+// ---------------------------------------------------------------------------
+// Query-result reuse: a fetch whose table had no commit since the query's
+// last execution is served from the memo without executing it.
+// ---------------------------------------------------------------------------
+
+/// Parsed body of a query response (object-list): id → document.
+std::map<std::string, db::Value> Members(const webcache::HttpResponse& resp) {
+  auto qr = QueryResponse::FromJson(resp.body);
+  EXPECT_TRUE(qr.ok()) << resp.body;
+  std::map<std::string, db::Value> out;
+  if (!qr.ok()) return out;
+  for (size_t i = 0; i < qr->ids.size(); ++i) {
+    out[qr->ids[i]] = i < qr->docs.size() ? qr->docs[i] : db::Value();
+  }
+  return out;
+}
+
+TEST_F(ServerTest, QueryReuseSkipsExecutionWithoutInterveningWrite) {
+  MakeServer();
+  ASSERT_TRUE(server_->Insert("t", "1", Doc(R"({"g":1})")).ok());
+  ASSERT_TRUE(server_->Insert("t", "2", Doc(R"({"g":1})")).ok());
+  const db::Query q = Q("t", R"({"g":1})");
+  const auto first = GetQuery(q);
+  ASSERT_TRUE(first.ok);
+  const uint64_t executed = db_.stats().queries;
+
+  clock_.Advance(1 * kSecond);
+  const auto second = GetQuery(q);
+  EXPECT_EQ(db_.stats().queries, executed);
+  EXPECT_EQ(second.etag, first.etag);
+  EXPECT_EQ(second.body, first.body);
+  EXPECT_EQ(second.last_modified, first.last_modified);
+  EXPECT_GT(second.ttl, 0);
+
+  // A write to another table leaves this table's commit count alone.
+  ASSERT_TRUE(server_->Insert("u", "1", Doc(R"({"g":1})")).ok());
+  const auto third = GetQuery(q);
+  EXPECT_EQ(db_.stats().queries, executed);
+  EXPECT_EQ(third.etag, first.etag);
+
+  // Revalidation on a reused result is still a 304.
+  webcache::HttpRequest req;
+  req.key = q.NormalizedKey();
+  req.has_if_none_match = true;
+  req.if_none_match = first.etag;
+  EXPECT_TRUE(server_->Fetch(req).not_modified);
+  EXPECT_EQ(db_.stats().queries, executed);
+
+  // Reuse re-issues the member TTLs: the members stay tracked, so a later
+  // write still flags them.
+  db::Update u;
+  u.Set("x", db::Value(1));
+  ASSERT_TRUE(server_->Update("t", "2", u).ok());
+  EXPECT_TRUE(server_->ebf().IsStale("t/2"));
+}
+
+class QueryReuseTest : public ServerTest {
+ protected:
+  /// Applies one mutation of each kind and checks that the next fetch
+  /// reflects it. With `notifications_arrive` false the server runs
+  /// against an external pipeline that never answers, as a remote one
+  /// that has not answered yet: no notification erases the memo, so the
+  /// table commit count alone must force the re-execution.
+  void CheckEveryMutationKind(bool notifications_arrive);
+};
+
+void QueryReuseTest::CheckEveryMutationKind(bool notifications_arrive) {
+  MakeServer();
+  if (!notifications_arrive) {
+    QuaestorServer::ExternalPipeline silent;
+    silent.register_query = [](const db::Query&,
+                               const std::vector<db::Document>&,
+                               invalidb::EventMask) { return Status::OK(); };
+    silent.deregister_query = [](const std::string&) {};
+    silent.on_change = [](const db::ChangeEvent&) {};
+    silent.on_change_batch = [](std::vector<db::ChangeEvent>) {};
+    server_->SetExternalPipeline(std::move(silent));
+  }
+  ASSERT_TRUE(server_->Insert("t", "1", Doc(R"({"g":1})")).ok());
+  ASSERT_TRUE(server_->Insert("t", "2", Doc(R"({"g":1})")).ok());
+  ASSERT_TRUE(server_->Insert("t", "9", Doc(R"({"g":9})")).ok());
+  const db::Query q = Q("t", R"({"g":1})");
+  auto prev = GetQuery(q);
+  ASSERT_TRUE(prev.ok);
+
+  // Runs `mutate`, then fetches twice: the first fetch must execute and
+  // reflect the mutation, the second must reuse that result.
+  auto after = [&](const char* what, auto mutate) {
+    clock_.Advance(1 * kSecond);
+    mutate();
+    const Micros committed = clock_.NowMicros();
+    const uint64_t executed = db_.stats().queries;
+    auto resp = GetQuery(q);
+    EXPECT_TRUE(resp.ok) << what;
+    EXPECT_EQ(db_.stats().queries, executed + 1) << what;
+    auto again = GetQuery(q);
+    EXPECT_EQ(db_.stats().queries, executed + 1) << what;
+    EXPECT_EQ(again.etag, resp.etag) << what;
+    EXPECT_EQ(again.body, resp.body) << what;
+    return std::make_pair(resp, committed);
+  };
+
+  {  // An insert that joins the result.
+    auto [resp, t] = after("insert", [&] {
+      ASSERT_TRUE(server_->Insert("t", "3", Doc(R"({"g":1,"n":3})")).ok());
+    });
+    EXPECT_NE(resp.etag, prev.etag);
+    EXPECT_EQ(Members(resp).count("t/3"), 1u);
+    EXPECT_EQ(resp.last_modified, t);
+    prev = resp;
+  }
+  {  // An update of a member.
+    auto [resp, t] = after("member update", [&] {
+      db::Update u;
+      u.Set("x", db::Value(5));
+      ASSERT_TRUE(server_->Update("t", "1", u).ok());
+    });
+    EXPECT_NE(resp.etag, prev.etag);
+    const auto members = Members(resp);
+    ASSERT_EQ(members.count("t/1"), 1u);
+    ASSERT_NE(members.at("t/1").Find("x"), nullptr);
+    EXPECT_EQ(members.at("t/1").Find("x")->as_int(), 5);
+    EXPECT_EQ(resp.last_modified, t);
+    prev = resp;
+  }
+  {  // An update that leaves the result.
+    auto [resp, t] = after("leaving update", [&] {
+      db::Update u;
+      u.Set("g", db::Value(2));
+      ASSERT_TRUE(server_->Update("t", "2", u).ok());
+    });
+    EXPECT_NE(resp.etag, prev.etag);
+    EXPECT_EQ(Members(resp).count("t/2"), 0u);
+    // A removal's commit time reaches Last-Modified via its notification.
+    if (notifications_arrive) {
+      EXPECT_EQ(resp.last_modified, t);
+    }
+    prev = resp;
+  }
+  {  // A delete.
+    auto [resp, t] = after("delete", [&] {
+      ASSERT_TRUE(server_->Delete("t", "3").ok());
+    });
+    EXPECT_NE(resp.etag, prev.etag);
+    EXPECT_EQ(Members(resp).count("t/3"), 0u);
+    if (notifications_arrive) {
+      EXPECT_EQ(resp.last_modified, t);
+    }
+    prev = resp;
+  }
+  {  // A write to a non-member leaves the result as it was: the execution
+     // refreshes the stamp (checked by `after`) and keeps the etag.
+    auto [resp, t] = after("non-member update", [&] {
+      db::Update u;
+      u.Set("x", db::Value(1));
+      ASSERT_TRUE(server_->Update("t", "9", u).ok());
+    });
+    EXPECT_EQ(resp.etag, prev.etag);
+    EXPECT_EQ(resp.body, prev.body);
+    EXPECT_EQ(resp.last_modified, prev.last_modified);
+  }
+  {  // Index DDL executes again without changing the result.
+    auto [resp, t] = after("create index", [&] {
+      db_.GetOrCreateTable("t")->CreateIndex("g");
+    });
+    EXPECT_EQ(resp.etag, prev.etag);
+    EXPECT_EQ(resp.body, prev.body);
+  }
+  {
+    auto [resp, t] = after("drop index", [&] {
+      db_.GetOrCreateTable("t")->DropIndex("g");
+    });
+    EXPECT_EQ(resp.etag, prev.etag);
+    EXPECT_EQ(resp.body, prev.body);
+  }
+}
+
+TEST_F(QueryReuseTest, EveryMutationKindForcesExecution) {
+  CheckEveryMutationKind(/*notifications_arrive=*/true);
+}
+
+TEST_F(QueryReuseTest, CommitCountAloneForcesExecution) {
+  CheckEveryMutationKind(/*notifications_arrive=*/false);
+}
+
+TEST_F(ServerTest, QueryReuseFallsBackWhenDegraded) {
+  ServerOptions opts;
+  opts.degradation.enabled = true;
+  MakeServer(opts);
+  ASSERT_TRUE(server_->Insert("t", "1", Doc(R"({"g":1})")).ok());
+  const db::Query q = Q("t", R"({"g":1})");
+  const auto healthy = GetQuery(q);
+  server_->SetDegraded(true);
+  const uint64_t executed = db_.stats().queries;
+  const auto a = GetQuery(q);
+  const auto b = GetQuery(q);
+  EXPECT_EQ(db_.stats().queries, executed + 2);
+  EXPECT_EQ(a.etag, healthy.etag);
+  EXPECT_EQ(b.etag, healthy.etag);
+  EXPECT_LE(b.ttl, opts.degradation.degraded_ttl_cap);
+}
+
+TEST_F(ServerTest, QueryReuseFallsBackOnRepresentationSwitch) {
+  ServerOptions opts;
+  opts.representation = RepresentationPolicy::kAuto;
+  MakeServer(opts);
+  ASSERT_TRUE(server_->Insert("t", "1", Doc(R"({"g":1})")).ok());
+  const db::Query q = Q("t", R"({"g":1})");
+  auto resp = GetQuery(q);
+  ASSERT_EQ(QueryResponse::FromJson(resp.body)->representation,
+            ttl::ResultRepresentation::kObjectList);
+  // Frequent in-place member changes make id-lists the cheaper choice
+  // once the sticky decision is re-evaluated.
+  for (int i = 0; i < 20; ++i) {
+    db::Update u;
+    u.Set("x", db::Value(static_cast<int64_t>(i)));
+    ASSERT_TRUE(server_->Update("t", "1", u).ok());
+  }
+  resp = GetQuery(q);  // executes (the table changed); decision still sticky
+  ASSERT_EQ(QueryResponse::FromJson(resp.body)->representation,
+            ttl::ResultRepresentation::kObjectList);
+  const uint64_t executed = db_.stats().queries;
+  clock_.Advance(6 * kSecond);
+  resp = GetQuery(q);
+  EXPECT_EQ(QueryResponse::FromJson(resp.body)->representation,
+            ttl::ResultRepresentation::kIdList);
+  EXPECT_GT(db_.stats().queries, executed);
+  EXPECT_TRUE(server_->invalidb().IsRegistered(q.NormalizedKey()));
+}
+
+TEST_F(ServerTest, QueryReuseFallsBackAfterEviction) {
+  ServerOptions opts;
+  opts.query_capacity = 1;
+  MakeServer(opts);
+  ASSERT_TRUE(server_->Insert("t", "1", Doc(R"({"g":1})")).ok());
+  ASSERT_TRUE(server_->Insert("t", "2", Doc(R"({"g":2})")).ok());
+  const db::Query q1 = Q("t", R"({"g":1})");
+  const db::Query q2 = Q("t", R"({"g":2})");
+  (void)GetQuery(q1);
+  (void)GetQuery(q2);
+  (void)GetQuery(q2);
+  (void)GetQuery(q2);
+  ASSERT_FALSE(server_->invalidb().IsRegistered(q1.NormalizedKey()));
+  const uint64_t executed = db_.stats().queries;
+  const auto resp = GetQuery(q1);
+  EXPECT_TRUE(resp.ok);
+  EXPECT_GT(db_.stats().queries, executed);
+  EXPECT_EQ(Members(resp).count("t/1"), 1u);
 }
 
 TEST_F(ServerTest, QueryTtlFeedbackViaEwma) {
