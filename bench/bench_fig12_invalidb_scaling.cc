@@ -54,8 +54,10 @@ double MeasureNodeCapacity(size_t queries) {
   SystemClock* clock = SystemClock::Default();
   InvalidbOptions opts;  // 1×1 grid, synchronous
   uint64_t delivered = 0;
-  InvalidbCluster cluster(clock, opts,
-                          [&](const invalidb::Notification&) { delivered++; });
+  InvalidbCluster cluster(
+      clock, opts, [&](const std::vector<invalidb::Notification>& batch) {
+        delivered += batch.size();
+      });
   for (size_t g = 0; g < queries; ++g) {
     (void)cluster.RegisterQuery(GroupQuery(static_cast<int>(g)), {},
                                 invalidb::kEventsObjectList);
@@ -63,7 +65,7 @@ double MeasureNodeCapacity(size_t queries) {
   const auto start = std::chrono::steady_clock::now();
   constexpr int kEvents = 2000;
   for (int i = 0; i < kEvents; ++i) {
-    cluster.OnChange(MakeEvent(i, clock->NowMicros()));
+    cluster.OnChangeBatch({MakeEvent(i, clock->NowMicros())});
   }
   const auto end = std::chrono::steady_clock::now();
   const double seconds =
@@ -99,7 +101,7 @@ void Run() {
     grid_opts.query_partitions = n;
     grid_opts.object_partitions = 1;
     InvalidbCluster grid(clock, grid_opts,
-                         [](const invalidb::Notification&) {});
+                         [](const std::vector<invalidb::Notification>&) {});
     for (size_t g = 0; g < queries; ++g) {
       (void)grid.RegisterQuery(GroupQuery(static_cast<int>(g)), {},
                                invalidb::kEventsObjectList);
@@ -118,11 +120,11 @@ void Run() {
     t_opts.threaded = true;
     uint64_t delivered = 0;
     std::mutex mu;
-    InvalidbCluster threaded(clock, t_opts,
-                             [&](const invalidb::Notification&) {
-                               std::lock_guard<std::mutex> lock(mu);
-                               delivered++;
-                             });
+    InvalidbCluster threaded(
+        clock, t_opts, [&](const std::vector<invalidb::Notification>& batch) {
+          std::lock_guard<std::mutex> lock(mu);
+          delivered += batch.size();
+        });
     for (size_t g = 0; g < queries; ++g) {
       (void)threaded.RegisterQuery(GroupQuery(static_cast<int>(g)), {},
                                    invalidb::kEventsObjectList);
@@ -130,7 +132,7 @@ void Run() {
     threaded.Flush();
     constexpr int kEvents = 500;
     for (int i = 0; i < kEvents; ++i) {
-      threaded.OnChange(MakeEvent(i, clock->NowMicros()));
+      threaded.OnChangeBatch({MakeEvent(i, clock->NowMicros())});
     }
     threaded.Flush();
     const double p99 = threaded.LatencyHistogram().P99();
@@ -181,9 +183,10 @@ void RunElastic(const std::string& json_path) {
   InvalidbOptions opts;  // starts 1x1, threaded
   opts.threaded = true;
   std::atomic<uint64_t> delivered{0};
-  InvalidbCluster cluster(clock, opts, [&](const invalidb::Notification&) {
-    delivered.fetch_add(1, std::memory_order_relaxed);
-  });
+  InvalidbCluster cluster(
+      clock, opts, [&](const std::vector<invalidb::Notification>& batch) {
+        delivered.fetch_add(batch.size(), std::memory_order_relaxed);
+      });
   for (size_t g = 0; g < kQueries; ++g) {
     (void)cluster.RegisterQuery(GroupQuery(static_cast<int>(g)), {},
                                 invalidb::kEventsObjectList);
@@ -197,11 +200,11 @@ void RunElastic(const std::string& json_path) {
   Histogram pauses_before;
   for (const auto& [qp, op] : steps) {
     for (int i = 0; i < kEventsPerStep; ++i) {
-      cluster.OnChange(MakeEvent(event_id++, clock->NowMicros()));
+      cluster.OnChangeBatch({MakeEvent(event_id++, clock->NowMicros())});
     }
     const size_t reinstalled = cluster.Resize(qp, op);
     for (int i = 0; i < kEventsPerStep; ++i) {
-      cluster.OnChange(MakeEvent(event_id++, clock->NowMicros()));
+      cluster.OnChangeBatch({MakeEvent(event_id++, clock->NowMicros())});
     }
     cluster.Flush();
     const Histogram pauses = cluster.MigrationPauseHistogram();

@@ -196,8 +196,8 @@ void BM_JsonParse(benchmark::State& state) {
 }
 BENCHMARK(BM_JsonParse);
 
-// -- Transport wire-format costs (the batched write path ships every
-//    change event through these; see DESIGN.md §10) --
+// -- Transport wire-format costs (every change event crosses the wire
+//    inside a change_batch envelope; see DESIGN.md §10) --
 
 db::ChangeEvent SampleChange() {
   db::ChangeEvent ev;
@@ -213,47 +213,6 @@ db::ChangeEvent SampleChange() {
   ev.commit_time = 1234567;
   return ev;
 }
-
-// Reference implementation: build the equivalent spec as a db::Value tree
-// and serialize it. The delta vs BM_TransportEncodeChange is what the
-// single-pass append-into-one-buffer encoder saves per event.
-std::string EncodeChangeViaValueTree(const db::ChangeEvent& ev) {
-  db::Object after;
-  after["body"] = ev.after.body;
-  after["deleted"] = db::Value(ev.after.deleted);
-  after["id"] = db::Value(ev.after.id);
-  after["table"] = db::Value(ev.after.table);
-  after["version"] = db::Value(static_cast<int64_t>(ev.after.version));
-  after["write_time"] = db::Value(static_cast<int64_t>(ev.after.write_time));
-  db::Object spec;
-  spec["after"] = db::Value(std::move(after));
-  spec["commit_time"] = db::Value(static_cast<int64_t>(ev.commit_time));
-  spec["kind"] = db::Value(static_cast<int64_t>(ev.kind));
-  spec["op"] = db::Value("change");
-  return db::Value(std::move(spec)).ToJson();
-}
-
-void BM_TransportEncodeChange(benchmark::State& state) {
-  const db::ChangeEvent ev = SampleChange();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(invalidb::transport::EncodeChange(ev));
-  }
-  NoteItems(state, state.iterations());
-}
-BENCHMARK(BM_TransportEncodeChange);
-
-void BM_TransportEncodeChangeTreeReference(benchmark::State& state) {
-  const db::ChangeEvent ev = SampleChange();
-  if (EncodeChangeViaValueTree(ev) != invalidb::transport::EncodeChange(ev)) {
-    state.SkipWithError("tree reference diverged from single-pass encoder");
-    return;
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(EncodeChangeViaValueTree(ev));
-  }
-  NoteItems(state, state.iterations());
-}
-BENCHMARK(BM_TransportEncodeChangeTreeReference);
 
 void BM_TransportEncodeChangeBatch(benchmark::State& state) {
   const std::vector<db::ChangeEvent> events(

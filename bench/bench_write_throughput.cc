@@ -1,9 +1,9 @@
 // End-to-end write-path throughput over the message-queue transport:
 // change events flow remote → reliable queue → worker → cluster matching →
 // notifications → reliable queue → remote sink. Sweeps the batch size
-// (1 = batching disabled, the per-event reference) against two update
-// workloads over a 10,000-query indexed cluster and writes
-// BENCH_write.json so CI can gate on the batched speedup.
+// (1 = every change and every dispatch ships at once, the default)
+// against two update workloads over a 10,000-query indexed cluster and
+// writes BENCH_write.json so CI can gate on the batched speedup.
 //
 // Notification counts must be identical across batch sizes for the same
 // workload — batching changes the framing, never the matching output.
@@ -85,7 +85,6 @@ RunResult Run(size_t batch, size_t num_events, double match_rate) {
 
   TransportOptions topts;
   topts.reliable.enabled = true;
-  topts.batching.enabled = batch > 1;
   topts.batching.max_batch = batch;
   // Size- and barrier-triggered flushes only: the pump cadence, not the
   // wall clock, decides when partial batches ship.
@@ -95,15 +94,15 @@ RunResult Run(size_t batch, size_t num_events, double match_rate) {
   copts.query_partitions = 2;
   copts.object_partitions = 2;
   copts.threaded = true;  // the real-throughput mode: per-node workers
-  copts.batched_matching = batch > 1;
 
   uint64_t notifications = 0;
   InvalidbWorker worker(clock, &kv, "bench", copts, topts);
-  InvalidbRemote remote(clock, &kv, "bench",
-                        [&notifications](const invalidb::Notification&) {
-                          notifications++;
-                        },
-                        topts);
+  InvalidbRemote remote(
+      clock, &kv, "bench",
+      [&notifications](const std::vector<invalidb::Notification>& batch) {
+        notifications += batch.size();
+      },
+      topts);
 
   // Install the query set: one equality query per group, two members each.
   const Micros t0 = clock->NowMicros();
@@ -182,7 +181,8 @@ int main(int argc, char** argv) {
   const int repeats = argc > 3 ? std::atoi(argv[3]) : 3;
 
   const unsigned hw = std::thread::hardware_concurrency();
-  bench::PrintNote("hardware threads: " + std::to_string(hw));
+  bench::PrintNote("hardware threads: " + std::to_string(hw) +
+                   ", build type: " + QUAESTOR_BUILD_TYPE);
 
   db::Object workloads;
   bool all_match = true;
@@ -241,6 +241,7 @@ int main(int argc, char** argv) {
 
   db::Object root;
   root["benchmark"] = db::Value("write_throughput");
+  root["build_type"] = db::Value(QUAESTOR_BUILD_TYPE);
   root["hardware_threads"] = db::Value(static_cast<int64_t>(hw));
   root["events_per_config"] = db::Value(static_cast<int64_t>(num_events));
   db::Array batch_axis;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <string_view>
+#include <tuple>
 #include <unordered_set>
 
 #include "common/hash.h"
@@ -47,16 +48,9 @@ QuaestorServer::QuaestorServer(Clock* clock, db::Database* database,
       fault_rng_(options.fault_seed) {
   invalidb_ = std::make_unique<invalidb::InvalidbCluster>(
       clock, options.invalidb_options,
-      [this](const invalidb::Notification& n) { OnNotification(n); });
-  if (options_.write_batching.enabled) {
-    // Coalesced fan-out: each batched dispatch hands all of its
-    // notifications over in one call, so the memo-erase/EBF/purge pass
-    // runs once per distinct stale query.
-    invalidb_->SetBatchSink(
-        [this](const std::vector<invalidb::Notification>& batch) {
-          OnNotificationBatch(batch);
-        });
-  }
+      [this](const std::vector<invalidb::Notification>& batch) {
+        OnNotificationBatch(batch);
+      });
   db_->AddChangeListener([this](const db::ChangeEvent& ev) {
     // Fault gates: a hard pipeline outage swallows the whole change
     // stream; a lossy pipeline drops a seeded fraction of it. Either way
@@ -77,46 +71,12 @@ QuaestorServer::QuaestorServer(Clock* clock, db::Database* database,
         return;
       }
     }
-    if (options_.write_batching.enabled) {
-      BufferChange(ev);
-    } else {
-      PipelineOnChange(ev);
-    }
+    PipelineOnChange(ev);
   });
   transactions_ = std::make_unique<TransactionManager>(this);
 }
 
-QuaestorServer::~QuaestorServer() { FlushChanges(); }
-
-void QuaestorServer::BufferChange(const db::ChangeEvent& ev) {
-  std::vector<db::ChangeEvent> flush;
-  {
-    std::lock_guard<std::mutex> lock(write_batch_mu_);
-    if (write_batch_.empty()) write_batch_oldest_ = clock_->NowMicros();
-    write_batch_.push_back(ev);
-    const auto& wb = options_.write_batching;
-    if (write_batch_.size() < wb.max_batch &&
-        clock_->NowMicros() - write_batch_oldest_ < wb.flush_interval) {
-      return;
-    }
-    flush = std::move(write_batch_);
-    write_batch_.clear();
-  }
-  PipelineOnChangeBatch(std::move(flush));
-}
-
-size_t QuaestorServer::FlushChanges() {
-  if (!options_.write_batching.enabled) return 0;
-  std::vector<db::ChangeEvent> flush;
-  {
-    std::lock_guard<std::mutex> lock(write_batch_mu_);
-    flush = std::move(write_batch_);
-    write_batch_.clear();
-  }
-  const size_t flushed = flush.size();
-  if (!flush.empty()) PipelineOnChangeBatch(std::move(flush));
-  return flushed;
-}
+QuaestorServer::~QuaestorServer() = default;
 
 void QuaestorServer::SetExternalPipeline(ExternalPipeline pipeline) {
   external_pipeline_ = std::move(pipeline);
@@ -125,7 +85,6 @@ void QuaestorServer::SetExternalPipeline(ExternalPipeline pipeline) {
 
 void QuaestorServer::OnExternalNotifications(
     const std::vector<invalidb::Notification>& batch) {
-  if (batch.empty()) return;
   OnNotificationBatch(batch);
 }
 
@@ -151,15 +110,31 @@ void QuaestorServer::PipelineOnChange(const db::ChangeEvent& ev) {
     external_pipeline_.on_change(ev);
     return;
   }
-  invalidb_->OnChange(ev);
+  invalidb_->OnChangeBatch({ev});
 }
 
-void QuaestorServer::PipelineOnChangeBatch(std::vector<db::ChangeEvent> batch) {
-  if (has_external_pipeline_) {
-    external_pipeline_.on_change_batch(std::move(batch));
-    return;
+void QuaestorServer::ReregisterExternalQueries() {
+  // Held throughout, so no fetch registers, switches or evicts a query
+  // between the snapshot and its re-registration.
+  std::lock_guard<std::mutex> reg_lock(registration_mu_);
+  std::vector<std::tuple<std::string, db::Query, invalidb::EventMask>>
+      registered;
+  {
+    std::lock_guard<std::mutex> lock(meta_mu_);
+    for (const auto& [key, meta] : query_meta_) {
+      if (active_list_.IsRegistered(key)) {
+        registered.emplace_back(key, meta.query, meta.registered_events);
+      }
+    }
   }
-  invalidb_->OnChangeBatch(std::move(batch));
+  for (const auto& [key, query, events] : registered) {
+    // The same rebuild RestartNode performs locally: the matchers track
+    // the unwindowed predicate set, evaluated now.
+    PipelineDeregisterQuery(key);
+    (void)PipelineRegisterQuery(
+        query, db_->Execute(db::Query(query.table(), query.filter())),
+        events);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -169,8 +144,8 @@ void QuaestorServer::PipelineOnChangeBatch(std::vector<db::ChangeEvent> batch) {
 Status QuaestorServer::AdmitWrite(const RequestContext& ctx) {
   if (!options_.admission.enabled) return Status::OK();
   RequestContext eff = ctx;
-  // Writes default to the lowest class: clients retry them and write
-  // batching absorbs the backlog, so they are the first load to shed.
+  // Writes default to the lowest class: clients retry them, so they are
+  // the first load to shed.
   if (eff.priority == Priority::kNormal) eff.priority = Priority::kLow;
   Status st = admission_.Admit(clock_->NowMicros(), eff);
   if (st.IsResourceExhausted()) {
@@ -250,76 +225,19 @@ void QuaestorServer::OnRecordWrite(const db::Document& after) {
     ebf_.ReportRead(key, options_.write_response_ttl);
   }
   // Query invalidations are detected by InvaliDB via the change stream
-  // (wired in the constructor) and handled in OnNotification.
+  // (wired in the constructor) and handled in OnNotificationBatch.
 }
 
 // ---------------------------------------------------------------------------
 // Invalidation pipeline
 // ---------------------------------------------------------------------------
 
-void QuaestorServer::OnNotification(const invalidb::Notification& n) {
-  obs::ScopedSpan span(tracer_, "server.on_notification");
-  // Pipeline health: commit-to-processing lag of this notification, with
-  // hysteresis so a single slow message does not flap the mode — degrade
-  // past the budget, recover only once the lag is back under half of it.
-  const Micros lag = std::max<Micros>(0, clock_->NowMicros() - n.event_time);
-  last_notification_lag_.store(lag, std::memory_order_relaxed);
-  if (options_.degradation.enabled) {
-    const Micros budget = options_.degradation.staleness_budget;
-    if (lag > budget) {
-      lag_degraded_.store(true, std::memory_order_relaxed);
-    } else if (lag <= budget / 2) {
-      lag_degraded_.store(false, std::memory_order_relaxed);
-    }
-    RefreshDegradedState();
-  }
-  {
-    std::lock_guard<std::mutex> lock(meta_mu_);
-    auto it = query_meta_.find(n.query_key);
-    if (it != query_meta_.end()) {
-      it->second.last_result_change =
-          std::max(it->second.last_result_change, n.event_time);
-      switch (n.type) {
-        case invalidb::NotificationType::kAdd:
-          it->second.adds++;
-          break;
-        case invalidb::NotificationType::kRemove:
-          it->second.removes++;
-          break;
-        default:
-          it->second.changes++;
-      }
-    }
-  }
-  query_invalidations_.fetch_add(1, std::memory_order_relaxed);
-  // The cached result is stale: flag it in the EBF while issued TTLs are
-  // outstanding and purge CDNs (end-to-end example step 4, Figure 7);
-  // the memoized body died with the etag.
-  MemoErase(n.query_key);
-  ebf_.ReportWrite(n.query_key);
-  PurgeEverywhere(n.query_key);
-  // TTL feedback (Equation 2): the result's actual cache lifetime was the
-  // span between its last read and this invalidation.
-  const auto actual =
-      active_list_.OnInvalidation(n.query_key, n.event_time);
-  if (actual.has_value()) {
-    ttl_estimator_.OnQueryInvalidated(n.query_key, *actual);
-  }
-  capacity_.OnInvalidation(n.query_key);
-  std::vector<invalidb::NotificationSink> taps;
-  {
-    std::lock_guard<std::mutex> lock(purge_mu_);
-    taps = notification_taps_;
-  }
-  for (const auto& tap : taps) tap(n);
-}
-
 void QuaestorServer::OnNotificationBatch(
     const std::vector<invalidb::Notification>& batch) {
   if (batch.empty()) return;
   obs::ScopedSpan span(tracer_, "server.on_notification");
-  // Lag / hysteresis: record every notification's lag (the last one wins,
-  // matching per-event processing order), then refresh the mode once.
+  // Lag / hysteresis: record every notification's lag (the last one wins),
+  // then refresh the mode once.
   const Micros now = clock_->NowMicros();
   for (const invalidb::Notification& n : batch) {
     const Micros lag = std::max<Micros>(0, now - n.event_time);
@@ -642,16 +560,16 @@ webcache::HttpResponse QuaestorServer::FetchQuery(
   auto decide_representation = [&](size_t result_size) {
     representation =
         DecideRepresentation(key, result_size, &representation_switched);
-    if (representation_switched && active_list_.IsRegistered(key)) {
-      // Barrier: buffered changes precede the deregistration in stream
-      // order; flushing after it would silently drop their notifications.
-      FlushChanges();
+    if (!representation_switched) return;
+    {
+      std::lock_guard<std::mutex> reg_lock(registration_mu_);
+      if (!active_list_.IsRegistered(key)) return;
       PipelineDeregisterQuery(key);
       active_list_.SetRegistered(key, false);
-      MemoErase(key);
-      ebf_.ReportWrite(key);
-      PurgeEverywhere(key);
     }
+    MemoErase(key);
+    ebf_.ReportWrite(key);
+    PurgeEverywhere(key);
   };
 
   // Result reuse: the memo entry of the last execution stands in for a
@@ -814,33 +732,39 @@ webcache::HttpResponse QuaestorServer::FetchQuery(
   if (admitted) {
     // Register in InvaliDB before the response can be cached: every
     // subsequent change within the TTL must be detected (Figure 7 step 2).
+    // Checked again under registration_mu_, which orders registration
+    // against eviction, representation switches and recovery.
     if (!active_list_.IsRegistered(key)) {
-      const invalidb::EventMask mask =
-          *representation == ttl::ResultRepresentation::kIdList
-              ? invalidb::kEventsIdList
-              : invalidb::kEventsObjectList;
-      std::vector<db::Document> registration_set;
-      if (!query.IsStateless()) {
-        // Stateful queries register the unwindowed predicate set.
-        db::Query base(query.table(), query.filter());
-        registration_set = db_->Execute(base);
-      } else if (executed) {
-        registration_set = std::move(docs);
-      } else {
-        // Deregistered by a concurrent eviction since the reuse check.
-        registration_set = db_->Execute(query);
-      }
-      Status st;
-      {
-        obs::ScopedSpan reg_span(tracer_, "invalidb.register");
-        // Barrier: buffered changes committed before this registration's
-        // evaluation; flushed afterwards they would re-match against the
-        // fresh query as spurious post-activation stream events.
-        FlushChanges();
-        st = PipelineRegisterQuery(query, registration_set, mask);
-      }
-      if (st.ok() || st.IsAlreadyExists()) {
-        active_list_.SetRegistered(key, true);
+      std::lock_guard<std::mutex> reg_lock(registration_mu_);
+      if (!active_list_.IsRegistered(key)) {
+        const invalidb::EventMask mask =
+            *representation == ttl::ResultRepresentation::kIdList
+                ? invalidb::kEventsIdList
+                : invalidb::kEventsObjectList;
+        std::vector<db::Document> registration_set;
+        if (!query.IsStateless()) {
+          // Stateful queries register the unwindowed predicate set.
+          db::Query base(query.table(), query.filter());
+          registration_set = db_->Execute(base);
+        } else if (executed) {
+          registration_set = std::move(docs);
+        } else {
+          // Deregistered by a concurrent eviction since the reuse check.
+          registration_set = db_->Execute(query);
+        }
+        Status st;
+        {
+          obs::ScopedSpan reg_span(tracer_, "invalidb.register");
+          st = PipelineRegisterQuery(query, registration_set, mask);
+        }
+        if (st.ok() || st.IsAlreadyExists()) {
+          {
+            std::lock_guard<std::mutex> lock(meta_mu_);
+            auto it = query_meta_.find(key);
+            if (it != query_meta_.end()) it->second.registered_events = mask;
+          }
+          active_list_.SetRegistered(key, true);
+        }
       }
     }
     active_list_.OnRead(key, now, ttl);
@@ -856,9 +780,11 @@ void QuaestorServer::EvictQuery(const std::string& query_key) {
   // Stop maintaining the query. Outstanding cached copies can no longer be
   // invalidated, so conservatively mark the key stale for as long as any
   // issued TTL is unexpired and purge CDNs now.
-  FlushChanges();  // barrier: pre-eviction changes must match while registered
-  PipelineDeregisterQuery(query_key);
-  active_list_.SetRegistered(query_key, false);
+  {
+    std::lock_guard<std::mutex> reg_lock(registration_mu_);
+    PipelineDeregisterQuery(query_key);
+    active_list_.SetRegistered(query_key, false);
+  }
   MemoErase(query_key);
   ebf_.ReportWrite(query_key);
   PurgeEverywhere(query_key);
@@ -924,26 +850,28 @@ void QuaestorServer::SetDegraded(bool degraded) {
 }
 
 void QuaestorServer::SetPipelineDown(bool down) {
-  // Barrier either way: events buffered before the outage boundary belong
-  // to the healthy stream and must be matched on the pre-outage state.
-  FlushChanges();
   if (pipeline_down_.exchange(down, std::memory_order_acq_rel) == down) {
     return;
   }
   if (!down) {
     // Recovery. The matchers missed every change committed during the
-    // outage, so their membership state is untrustworthy: crash-restart
-    // each node against the authoritative database (the same path a
-    // single-node failover takes), then conservatively invalidate every
-    // key with an outstanding TTL — copies cached during the outage may
-    // be stale.
-    const size_t nodes = invalidb_->NumNodes();
-    for (size_t i = 0; i < nodes; ++i) {
-      invalidb_->KillNode(i);
-      invalidb_->RestartNode(
-          i, [this](const db::Query& q) { return db_->Execute(q); });
+    // outage, so their membership state is untrustworthy: rebuild it from
+    // the authoritative database — crash-restart each local node (the
+    // same path a single-node failover takes), or re-register every query
+    // on an external pipeline, whose matchers the local cluster does not
+    // reach — then conservatively invalidate every key with an
+    // outstanding TTL: copies cached during the outage may be stale.
+    if (has_external_pipeline_) {
+      ReregisterExternalQueries();
+    } else {
+      const size_t nodes = invalidb_->NumNodes();
+      for (size_t i = 0; i < nodes; ++i) {
+        invalidb_->KillNode(i);
+        invalidb_->RestartNode(
+            i, [this](const db::Query& q) { return db_->Execute(q); });
+      }
+      invalidb_->Flush();
     }
-    invalidb_->Flush();
     FlagAllCachedCopies();
     lag_degraded_.store(false, std::memory_order_relaxed);
     last_notification_lag_.store(0, std::memory_order_relaxed);
@@ -958,9 +886,6 @@ size_t QuaestorServer::ResizeInvalidb(size_t new_query_partitions,
   // for responses issued during it (flags outstanding long-TTL copies).
   resizing_.store(true, std::memory_order_relaxed);
   RefreshDegradedState();
-  // Barrier: buffered changes must drain onto the old grid before the
-  // cutover evaluates every query against the authoritative database.
-  FlushChanges();
   const size_t reinstalled = invalidb_->Resize(
       new_query_partitions, new_object_partitions,
       [this](const db::Query& q) { return db_->Execute(q); });
@@ -1049,8 +974,6 @@ void QuaestorServer::ExportMetrics(obs::MetricsRegistry* registry) const {
   invalidb_->stats().ExportTo(registry);
   registry->GetTimer("invalidb_notification_latency_ms")
       ->MergeHistogram(invalidb_->LatencyHistogram());
-  registry->GetTimer("invalidb_events_per_batch")
-      ->MergeHistogram(invalidb_->EventsPerBatchHistogram());
 }
 
 }  // namespace quaestor::core

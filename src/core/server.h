@@ -83,18 +83,6 @@ struct ServerOptions {
   double fault_change_loss_rate = 0.0;
   uint64_t fault_seed = 0x5eed;
 
-  /// Write-path batching: buffer committed change events and ship them to
-  /// InvaliDB as one OnChangeBatch per flush (size- or age-triggered)
-  /// instead of one OnChange per write. Notification output is identical
-  /// to the per-event path; registrations/deregistrations/resizes flush
-  /// the buffer first (barrier) so stream order is preserved.
-  struct WriteBatchingOptions {
-    bool enabled = false;
-    size_t max_batch = 64;
-    Micros flush_interval = 1 * kMicrosPerMilli;
-  };
-  WriteBatchingOptions write_batching;
-
   /// Graceful degradation (the paper's Δ argument, §3.1): when the
   /// invalidation pipeline is down, lagging, or has dead matching nodes,
   /// the server caps every issued TTL so expiration alone bounds
@@ -184,7 +172,7 @@ class QuaestorServer : public webcache::Origin {
   /// schemas (schemas()) are enforced before commit. The 3-argument
   /// forms run as the internal root principal. The optional context
   /// carries a deadline/priority; under overload, writes admit at kLow
-  /// priority (clients retry them, write batching absorbs them) and a
+  /// priority (clients retry them) and a
   /// shed write returns kResourceExhausted without committing.
   Result<db::Document> Insert(const Credentials& who,
                               const std::string& table, const std::string& id,
@@ -253,7 +241,6 @@ class QuaestorServer : public webcache::Origin {
         register_query;
     std::function<void(const std::string& query_key)> deregister_query;
     std::function<void(const db::ChangeEvent& event)> on_change;
-    std::function<void(std::vector<db::ChangeEvent> batch)> on_change_batch;
   };
   void SetExternalPipeline(ExternalPipeline pipeline);
 
@@ -276,10 +263,12 @@ class QuaestorServer : public webcache::Origin {
 
   /// Hard pipeline outage: while down, change events are dropped before
   /// InvaliDB (counted in change_events_dropped) and the server degrades.
-  /// On recovery every matching node is crash-restarted against the
-  /// authoritative database, and all registered query keys are flagged in
-  /// the EBF and purged from CDNs — copies cached during the outage can
-  /// be arbitrarily stale, as can the matcher state.
+  /// On recovery the matcher state is rebuilt against the authoritative
+  /// database — every local matching node is crash-restarted, or, with an
+  /// external pipeline, every registered query is deregistered and
+  /// registered again with a fresh evaluation — and all registered query
+  /// keys are flagged in the EBF and purged from CDNs: copies cached
+  /// during the outage can be arbitrarily stale, as can the matcher state.
   void SetPipelineDown(bool down);
 
   /// Fault injection: while set, Fetch answers 503-style (ok=false,
@@ -300,12 +289,6 @@ class QuaestorServer : public webcache::Origin {
 
   /// Heartbeat/health-check endpoint.
   PipelineHealth pipeline_health() const;
-
-  /// Ships the buffered change batch to InvaliDB now (no-op unless write
-  /// batching is enabled). Returns how many events were flushed. Called
-  /// implicitly before any InvaliDB control operation and on destruction;
-  /// exposed for deterministic tests and simulation ticks.
-  size_t FlushChanges();
 
   // -- Introspection --
 
@@ -361,6 +344,9 @@ class QuaestorServer : public webcache::Origin {
     ttl::ResultRepresentation chosen_representation =
         ttl::ResultRepresentation::kObjectList;
     Micros representation_chosen_at = 0;
+    /// Event mask of the query's InvaliDB registration; outage recovery
+    /// on an external pipeline registers the query again with it.
+    invalidb::EventMask registered_events = invalidb::kEventsObjectList;
   };
 
   static constexpr Micros kRepresentationDecisionInterval =
@@ -377,27 +363,25 @@ class QuaestorServer : public webcache::Origin {
   webcache::HttpResponse FetchQuery(const webcache::HttpRequest& request,
                                     const db::Query& query);
 
-  /// Handles one InvaliDB notification (query result became stale).
-  void OnNotification(const invalidb::Notification& n);
-
-  /// Batch form: one coalesced delivery from InvaliDB's batch sink. Side
-  /// effects match per-notification handling, except that the memo-erase /
-  /// EBF-flag / CDN-purge pass runs once per distinct query key.
+  /// Handles one delivery of InvaliDB notifications (query results became
+  /// stale) — from the local cluster's sink or an external pipeline. The
+  /// memo-erase / EBF-flag / CDN-purge pass runs once per distinct query
+  /// key; counters, TTL feedback and taps see every notification.
   void OnNotificationBatch(const std::vector<invalidb::Notification>& batch);
-
-  /// Appends one change event to the write batch, flushing when the batch
-  /// fills or the oldest buffered event ages out.
-  void BufferChange(const db::ChangeEvent& ev);
 
   /// Data-path dispatch: the external pipeline when one is installed,
   /// the in-process cluster otherwise. Every data-path use of invalidb_
-  /// goes through these four; control-plane uses stay direct.
+  /// goes through these three; control-plane uses stay direct.
   Status PipelineRegisterQuery(const db::Query& query,
                                const std::vector<db::Document>& initial,
                                invalidb::EventMask events);
   void PipelineDeregisterQuery(const std::string& query_key);
   void PipelineOnChange(const db::ChangeEvent& ev);
-  void PipelineOnChangeBatch(std::vector<db::ChangeEvent> batch);
+
+  /// Outage recovery on an external pipeline: deregisters every registered
+  /// query and registers it again with a fresh evaluation, so the remote
+  /// matchers forget membership that changed while the stream was cut.
+  void ReregisterExternalQueries();
 
   /// Applies side effects of a committed record write.
   void OnRecordWrite(const db::Document& after);
@@ -488,19 +472,18 @@ class QuaestorServer : public webcache::Origin {
   db::SchemaRegistry schemas_;
   AccessController auth_;
 
+  /// Serializes every InvaliDB registration decision: first
+  /// registration, deregistration on eviction or representation switch,
+  /// and recovery's re-registration. A key's pipeline registration then
+  /// always matches its QueryMeta::registered_events. Taken before
+  /// meta_mu_; the notification path never takes it.
+  std::mutex registration_mu_;
   mutable std::mutex meta_mu_;
   std::unordered_map<std::string, QueryMeta> query_meta_;
 
   mutable std::mutex purge_mu_;
   std::vector<PurgeTarget> purge_targets_;
   std::vector<invalidb::NotificationSink> notification_taps_;
-
-  /// Write-path batch buffer (guarded by write_batch_mu_; the flush call
-  /// into InvaliDB happens outside the lock — a notification tap may
-  /// perform a write that re-enters BufferChange).
-  std::mutex write_batch_mu_;
-  std::vector<db::ChangeEvent> write_batch_;
-  Micros write_batch_oldest_ = 0;
 
   static constexpr size_t kMemoShards = 16;
   mutable std::array<MemoShard, kMemoShards> body_memo_;

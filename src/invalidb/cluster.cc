@@ -61,9 +61,6 @@ void ClusterStats::ExportTo(obs::MetricsRegistry* registry,
   registry->Count("invalidb_residual_candidates", labels,
                   residual_candidates);
   registry->Count("invalidb_change_batches", labels, change_batches);
-  registry->Count("invalidb_batch_events", labels, batch_events);
-  registry->Count("invalidb_notifications_coalesced", labels,
-                  notifications_coalesced);
   registry->Count("rebalance_resizes", labels, rebalance_resizes);
   registry->Count("rebalance_queries_reinstalled", labels,
                   rebalance_queries_reinstalled);
@@ -76,7 +73,7 @@ void ClusterStats::ExportTo(obs::MetricsRegistry* registry,
 }
 
 InvalidbCluster::InvalidbCluster(Clock* clock, InvalidbOptions options,
-                                 NotificationSink sink)
+                                 NotificationBatchSink sink)
     : clock_(clock), options_(options), sink_(std::move(sink)) {
   if (options_.query_partitions == 0) options_.query_partitions = 1;
   if (options_.object_partitions == 0) options_.object_partitions = 1;
@@ -157,6 +154,10 @@ void InvalidbCluster::WorkerLoop(Node* node) {
       flush_cv_.notify_all();
     }
   };
+  const auto is_single_event = [](const Task& task) {
+    const auto* batch = std::get_if<ChangeBatchTask>(&task);
+    return batch != nullptr && batch->events->size() == 1;
+  };
   for (;;) {
     std::optional<Task> task = node->queue->Pop();
     if (!task.has_value()) return;
@@ -167,27 +168,28 @@ void InvalidbCluster::WorkerLoop(Node* node) {
     node->queue->TryPopAll(&drained);
     size_t i = 0;
     while (i < drained.size()) {
-      if (options_.batched_matching && i + 1 < drained.size() &&
-          std::get_if<ChangeTask>(&drained[i]) != nullptr &&
-          std::get_if<ChangeTask>(&drained[i + 1]) != nullptr) {
-        // Coalesce a run of per-event change tasks into one batch: one
-        // match pass and one dispatch instead of one each per event.
+      size_t end = i + 1;
+      if (is_single_event(drained[i])) {
+        while (end < drained.size() && is_single_event(drained[end])) ++end;
+      }
+      if (end - i > 1) {
+        // Coalesce a run of queued one-event change tasks (a caller
+        // submitting event by event) into one batch: one match pass and
+        // one dispatch instead of one each. The slices are shared with
+        // other columns, so the run copies its events. Larger slices
+        // already amortize that overhead and run as they are, uncopied.
         auto run = std::make_shared<std::vector<db::ChangeEvent>>();
-        while (i < drained.size()) {
-          auto* change = std::get_if<ChangeTask>(&drained[i]);
-          if (change == nullptr) break;
-          run->push_back(std::move(change->event));
-          ++i;
+        run->reserve(end - i);
+        for (size_t j = i; j < end; ++j) {
+          run->push_back(std::get<ChangeBatchTask>(drained[j]).events->front());
         }
-        const int64_t executed = static_cast<int64_t>(run->size());
         Task coalesced(ChangeBatchTask{std::move(run)});
         ExecuteTask(*node, coalesced, scratch);
-        retire(executed);
       } else {
         ExecuteTask(*node, drained[i], scratch);
-        ++i;
-        retire(1);
       }
+      retire(static_cast<int64_t>(end - i));
+      i = end;
     }
   }
 }
@@ -218,8 +220,8 @@ void InvalidbCluster::ExecuteTask(Node& node, Task& task,
   }
   if (!node.alive.load(std::memory_order_acquire)) {
     // A crashed node loses everything sent to it until its restart. A
-    // coalesced batch counts once per event it carries, so drop
-    // accounting is identical to the per-event path.
+    // change batch counts once per event it carries, so drop accounting
+    // does not depend on batch boundaries.
     const auto* dead_batch = std::get_if<ChangeBatchTask>(&task);
     std::lock_guard<std::mutex> lock(sink_mu_);
     stats_.tasks_dropped_dead +=
@@ -238,17 +240,6 @@ void InvalidbCluster::ExecuteTask(Node& node, Task& task,
     }
   } else if (auto* dereg = std::get_if<DeregisterTask>(&task)) {
     node.matcher.RemoveQuery(dereg->key);
-  } else if (auto* change = std::get_if<ChangeTask>(&task)) {
-    const MatchingNode::MatchStats ms =
-        node.matcher.Match(change->event, &scratch.raw);
-    {
-      std::lock_guard<std::mutex> lock(sink_mu_);
-      stats_.match_checks += ms.checked;
-      stats_.match_checks_naive += ms.installed;
-      stats_.index_candidates += ms.index_candidates;
-      stats_.residual_candidates += ms.residual_candidates;
-    }
-    if (!scratch.raw.empty()) Dispatch(scratch, change->event.after);
   } else if (auto* batch = std::get_if<ChangeBatchTask>(&task)) {
     scratch.batch_raw.clear();
     const MatchingNode::MatchStats ms = node.matcher.MatchBatch(
@@ -299,27 +290,18 @@ void InvalidbCluster::Deliver(NotifyScratch& scratch) {
   std::vector<Notification>& deliverable = scratch.deliverable;
   if (deliverable.empty()) return;
   const Micros now = clock_->NowMicros();
-  bool coalesce;
   {
     std::lock_guard<std::mutex> lock(sink_mu_);
     for (const Notification& n : deliverable) {
       latency_.Record(MicrosToMillis(now - n.event_time));
-      stats_.notifications_delivered++;
     }
-    coalesce = static_cast<bool>(batch_sink_);
-    if (coalesce) stats_.notifications_coalesced += deliverable.size() - 1;
+    stats_.notifications_delivered += deliverable.size();
   }
   // Fan out without holding sink_mu_: the sink may do real work (encode +
   // reliable send). Per-record order is safe — a record always hashes to
   // one row, whose worker delivers sequentially; cross-record order for a
   // query was never specified.
-  if (coalesce) {
-    // Coalesced fan-out: one envelope per dispatch instead of one call
-    // per notification. Order within the batch is commit order.
-    batch_sink_(deliverable);
-  } else {
-    for (const Notification& n : deliverable) sink_(n);
-  }
+  sink_(deliverable);
   deliverable.clear();
 }
 
@@ -436,38 +418,8 @@ size_t InvalidbCluster::RegisteredCount() const {
   return subscriptions_.size();
 }
 
-void InvalidbCluster::OnChange(const db::ChangeEvent& event) {
-  TopologyReadGuard topology(&topology_mu_, this);
-  {
-    std::lock_guard<std::mutex> lock(replay_mu_);
-    replay_buffer_.push_back(event);
-    while (replay_buffer_.size() > options_.replay_buffer_size) {
-      replay_buffer_.pop_front();
-    }
-    Micros prev = last_ingested_commit_.load(std::memory_order_relaxed);
-    while (prev < event.commit_time &&
-           !last_ingested_commit_.compare_exchange_weak(
-               prev, event.commit_time, std::memory_order_relaxed)) {
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(sink_mu_);
-    stats_.changes_ingested++;
-  }
-  const size_t row = RowOf(event.after.id);
-  for (size_t col = 0; col < options_.query_partitions; ++col) {
-    Submit(col, row, Task(ChangeTask{event}));
-  }
-}
-
 void InvalidbCluster::OnChangeBatch(std::vector<db::ChangeEvent> events) {
   if (events.empty()) return;
-  if (!options_.batched_matching) {
-    // Reference path: unbatch at the ingest boundary; everything downstream
-    // is the per-event pipeline.
-    for (const db::ChangeEvent& event : events) OnChange(event);
-    return;
-  }
   TopologyReadGuard topology(&topology_mu_, this);
   {
     std::lock_guard<std::mutex> lock(replay_mu_);
@@ -487,8 +439,6 @@ void InvalidbCluster::OnChangeBatch(std::vector<db::ChangeEvent> events) {
     std::lock_guard<std::mutex> lock(sink_mu_);
     stats_.changes_ingested += events.size();
     stats_.change_batches++;
-    stats_.batch_events += events.size();
-    events_per_batch_.Record(static_cast<double>(events.size()));
   }
   // Group by object-partition row, preserving commit order within each row
   // (events for different records are only ordered per record, and one
@@ -825,16 +775,6 @@ size_t InvalidbCluster::NumNodes() const {
 Histogram InvalidbCluster::LatencyHistogram() const {
   std::lock_guard<std::mutex> lock(sink_mu_);
   return latency_;
-}
-
-Histogram InvalidbCluster::EventsPerBatchHistogram() const {
-  std::lock_guard<std::mutex> lock(sink_mu_);
-  return events_per_batch_;
-}
-
-void InvalidbCluster::SetBatchSink(NotificationBatchSink sink) {
-  std::lock_guard<std::mutex> lock(sink_mu_);
-  batch_sink_ = std::move(sink);
 }
 
 std::vector<size_t> InvalidbCluster::QueriesPerNode() const {

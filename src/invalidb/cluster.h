@@ -50,14 +50,6 @@ struct InvalidbOptions {
   /// selects the brute-force every-query-per-event path (reference /
   /// comparison benchmarks).
   bool indexed_matching = true;
-  /// If true (default), OnChangeBatch() ships one task per (row, column)
-  /// and nodes match whole batches (one index probe per distinct
-  /// after-image shape, one dispatch pass per batch), and threaded
-  /// workers drain their task queue in a single lock acquisition,
-  /// coalescing runs of per-event change tasks. False degrades
-  /// OnChangeBatch to a per-event OnChange loop (the reference path —
-  /// notification output is byte-identical either way).
-  bool batched_matching = true;
 };
 
 /// Health snapshot of one matching node (heartbeat API).
@@ -87,12 +79,8 @@ struct ClusterStats {
   uint64_t index_candidates = 0;
   /// Candidates from the residual (non-indexable) query lists.
   uint64_t residual_candidates = 0;
-  /// Write-path batching: ingest batches accepted by OnChangeBatch, the
-  /// events they carried, and notifications handed to the batch sink
-  /// beyond the first of each delivery (the per-call saving).
+  /// Ingest batches accepted by OnChangeBatch.
   uint64_t change_batches = 0;
-  uint64_t batch_events = 0;
-  uint64_t notifications_coalesced = 0;
   /// Elastic scale-out accounting (live Resize()).
   uint64_t rebalance_resizes = 0;
   uint64_t rebalance_queries_reinstalled = 0;
@@ -111,10 +99,11 @@ struct ClusterStats {
 /// change stream, and emits invalidation notifications in real time.
 class InvalidbCluster {
  public:
-  /// `sink` receives every subscribed notification. In threaded mode it is
-  /// invoked from worker threads (calls are serialized by the cluster).
+  /// `sink` receives the subscribed notifications of each matching
+  /// dispatch in one call (commit order within the call). In threaded mode
+  /// it is invoked from worker threads, concurrently across nodes.
   InvalidbCluster(Clock* clock, InvalidbOptions options,
-                  NotificationSink sink);
+                  NotificationBatchSink sink);
   ~InvalidbCluster();
 
   InvalidbCluster(const InvalidbCluster&) = delete;
@@ -139,25 +128,12 @@ class InvalidbCluster {
   bool IsRegistered(const std::string& query_key) const;
   size_t RegisteredCount() const;
 
-  /// Ingests one change-stream event (the record after-image, §4.1).
-  void OnChange(const db::ChangeEvent& event);
-
-  /// Ingests a contiguous slice of the change stream (commit order) as
-  /// one unit: one topology/replay/stats pass and one task per occupied
-  /// (row, column) instead of per event. Per-node notification output is
-  /// byte-identical to calling OnChange once per event.
+  /// Ingests a contiguous slice of the change stream (record after-images
+  /// in commit order, §4.1) — the only way a change enters the cluster; a
+  /// single event is a batch of one. One topology/replay/stats pass and
+  /// one task per occupied (row, column); each node matches its slice in
+  /// one MatchBatch pass, so batch boundaries change no notification.
   void OnChangeBatch(std::vector<db::ChangeEvent> events);
-
-  /// Batch delivery: when set, each dispatch hands every notification it
-  /// produced to this sink in one call instead of one sink_ call each
-  /// (latency/stats accounting is unchanged; notifications_coalesced
-  /// counts the saved calls). Install before traffic starts.
-  using NotificationBatchSink =
-      std::function<void(const std::vector<Notification>&)>;
-  void SetBatchSink(NotificationBatchSink sink);
-
-  /// Events per ingested batch (OnChangeBatch calls only).
-  Histogram EventsPerBatchHistogram() const;
 
   // -- Node failover --
 
@@ -260,9 +236,6 @@ class InvalidbCluster {
   struct DeregisterTask {
     std::string key;
   };
-  struct ChangeTask {
-    db::ChangeEvent event;
-  };
   /// A row-grouped slice of one ingest batch, matched in one MatchBatch
   /// pass (events stay in commit order). The slice is immutable and
   /// shared across the row's column tasks, so fanning a batch out to N
@@ -277,8 +250,8 @@ class InvalidbCluster {
   struct RestartTask {
     std::vector<RegisterTask> installs;
   };
-  using Task = std::variant<RegisterTask, DeregisterTask, ChangeTask,
-                            ChangeBatchTask, KillTask, RestartTask>;
+  using Task = std::variant<RegisterTask, DeregisterTask, ChangeBatchTask,
+                            KillTask, RestartTask>;
 
   struct Node {
     explicit Node(bool indexed) : matcher(indexed) {}
@@ -291,7 +264,7 @@ class InvalidbCluster {
   };
 
   /// Per-thread reusable notification buffers (hot-path allocation churn:
-  /// one Match plus one Dispatch per change event per node).
+  /// one MatchBatch plus one dispatch per change task per node).
   struct NotifyScratch {
     std::vector<Notification> raw;
     std::vector<Notification> deliverable;
@@ -320,7 +293,8 @@ class InvalidbCluster {
   void Submit(size_t column, size_t row, Task task);
   void SubmitToNode(Node& node, Task task);
   /// Consumes `scratch.raw` (notifications are moved out, vector is left
-  /// cleared) and delivers the subscribed subset to the sink.
+  /// cleared) and delivers the subscribed subset to the sink. Used by the
+  /// single-query MatchSingle replays of registration, restart and resize.
   void Dispatch(NotifyScratch& scratch, const db::Document& after_image);
   /// Batch form: consumes `scratch.batch_raw` using the per-event slice
   /// boundaries in `offsets` (each slice is translated against its own
@@ -332,7 +306,8 @@ class InvalidbCluster {
   /// (for stateful queries) the sorted layer into scratch.deliverable.
   void Translate(Notification& n, const db::Document& after_image,
                  NotifyScratch& scratch);
-  /// Delivers scratch.deliverable under one sink_mu_ acquisition.
+  /// Accounts scratch.deliverable under one sink_mu_ acquisition, then
+  /// hands it to the sink in one call.
   void Deliver(NotifyScratch& scratch);
   void WorkerLoop(Node* node);
 
@@ -340,7 +315,7 @@ class InvalidbCluster {
   /// Grid shape; query_partitions/object_partitions mutate only under an
   /// exclusive topology_mu_ (Resize cutover).
   InvalidbOptions options_;
-  NotificationSink sink_;
+  NotificationBatchSink sink_;
   obs::Tracer* tracer_ = nullptr;
   /// Protects nodes_ and the partition counts in options_ against a
   /// concurrent Resize(). Every public operation that routes to or reads
@@ -364,18 +339,16 @@ class InvalidbCluster {
 
   mutable std::mutex replay_mu_;
   std::deque<db::ChangeEvent> replay_buffer_;
-  /// Highest commit_time ever ingested through OnChange. Resize() uses it
-  /// to lower-bound its eval_time: every drained event is already matched
-  /// and delivered, so it must never re-enter via the replay buffer even
-  /// when the wall clock lags the stream's commit timestamps.
+  /// Highest commit_time ever ingested. Resize() uses it to lower-bound
+  /// its eval_time: every drained event is already matched and delivered,
+  /// so it must never re-enter via the replay buffer even when the wall
+  /// clock lags the stream's commit timestamps.
   std::atomic<Micros> last_ingested_commit_{0};
 
   mutable std::mutex sink_mu_;
   Histogram latency_;  // guarded by sink_mu_
   Histogram migration_pause_;  // guarded by sink_mu_ (ms per Resize)
-  Histogram events_per_batch_;  // guarded by sink_mu_ (OnChangeBatch)
   ClusterStats stats_;  // guarded by sink_mu_
-  NotificationBatchSink batch_sink_;  // guarded by sink_mu_
 
   std::atomic<int64_t> in_flight_{0};
   std::mutex flush_mu_;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "common/clock.h"
 #include "db/document.h"
@@ -64,6 +65,11 @@ struct Notification {
 };
 
 using NotificationSink = std::function<void(const Notification&)>;
+
+/// Receives the notifications of one delivery (one matching dispatch, one
+/// decoded notify_batch envelope) in a single call, in emission order.
+using NotificationBatchSink =
+    std::function<void(const std::vector<Notification>&)>;
 
 }  // namespace quaestor::invalidb
 

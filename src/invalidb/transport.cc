@@ -265,19 +265,6 @@ Result<db::ChangeEvent> DecodeChangeEvent(const Value& spec) {
   return ev;
 }
 
-std::string EncodeChange(const db::ChangeEvent& event) {
-  std::string out;
-  out.reserve(160);
-  out += "{\"after\":";
-  AppendDocumentSpec(&out, event.after);
-  out += ",\"commit_time\":";
-  out += std::to_string(static_cast<int64_t>(event.commit_time));
-  out += ",\"kind\":";
-  out += std::to_string(static_cast<int64_t>(event.kind));
-  out += ",\"op\":\"change\"}";
-  return out;
-}
-
 std::string EncodeChangeBatch(const std::vector<db::ChangeEvent>& events) {
   std::string out;
   out.reserve(32 + 160 * events.size());
@@ -360,13 +347,6 @@ std::string EncodeResize(size_t query_partitions, size_t object_partitions) {
   return out;
 }
 
-std::string EncodeNotification(const Notification& n) {
-  std::string out;
-  out.reserve(96 + n.query_key.size() + n.record_id.size());
-  AppendNotificationSpec(&out, n);
-  return out;
-}
-
 std::string EncodeNotificationBatch(const std::vector<Notification>& batch) {
   std::string out;
   out.reserve(40 + 96 * batch.size());
@@ -398,12 +378,6 @@ Result<Notification> DecodeNotification(const Value& msg) {
     n.new_index = v->as_int();
   }
   return n;
-}
-
-Result<Notification> DecodeNotification(const std::string& message) {
-  auto parsed = Value::FromJson(message);
-  if (!parsed.ok()) return parsed.status();
-  return DecodeNotification(parsed.value());
 }
 
 Result<std::vector<Notification>> DecodeNotificationBatch(const Value& msg) {
@@ -439,11 +413,43 @@ Result<std::vector<Notification>> DecodeNotificationBatch(
 }  // namespace transport
 
 // ---------------------------------------------------------------------------
+// StagedEnvelope
+// ---------------------------------------------------------------------------
+
+size_t StagedEnvelope::Ship(std::atomic<uint64_t>* reason, size_t min_count,
+                            Micros min_age) {
+  std::string payload;
+  size_t count = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (count_ == 0 || count_ < min_count ||
+        (min_age > 0 && clock_->NowMicros() - oldest_ < min_age)) {
+      return 0;
+    }
+    payload = std::move(json_);
+    count = count_;
+    json_.clear();
+    count_ = 0;
+  }
+  (*reason)++;
+  payload += suffix_;
+  sender_->Send(std::move(payload));
+  batches_sent_++;
+  batch_events_ += count;
+  return count;
+}
+
+size_t StagedEnvelope::size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return count_;
+}
+
+// ---------------------------------------------------------------------------
 // InvalidbRemote
 // ---------------------------------------------------------------------------
 
 InvalidbRemote::InvalidbRemote(Clock* clock, kv::KvStore* kv,
-                               std::string prefix, NotificationSink sink,
+                               std::string prefix, NotificationBatchSink sink,
                                TransportOptions options)
     : clock_(clock),
       kv_(kv),
@@ -452,61 +458,18 @@ InvalidbRemote::InvalidbRemote(Clock* clock, kv::KvStore* kv,
       notifications_queue_(prefix + ":notifications"),
       sink_(std::move(sink)),
       req_sender_(clock, kv, requests_queue_, "quaestor", options.reliable),
-      notif_receiver_(kv, notifications_queue_, options.reliable) {}
+      notif_receiver_(kv, notifications_queue_, options.reliable),
+      staged_(clock, &req_sender_, "{\"events\":[",
+              "],\"op\":\"change_batch\"}") {}
 
 InvalidbRemote::~InvalidbRemote() {
   StopPolling();
   FlushChanges();
 }
 
-void InvalidbRemote::SendEncodedBatch(std::string payload, size_t count) {
-  payload += "],\"op\":\"change_batch\"}";
-  req_sender_.Send(payload);
-  batches_sent_++;
-  batch_events_ += count;
-}
+void InvalidbRemote::FlushChanges() { staged_.Ship(&flushes_manual_, 1); }
 
-void InvalidbRemote::FlushWithReason(std::atomic<uint64_t>* reason) {
-  if (!options_.batching.enabled) return;
-  std::string payload;
-  size_t count = 0;
-  {
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    if (batch_count_ == 0) return;
-    payload = std::move(batch_json_);
-    count = batch_count_;
-    batch_json_.clear();
-    batch_count_ = 0;
-  }
-  (*reason)++;
-  SendEncodedBatch(std::move(payload), count);
-}
-
-void InvalidbRemote::FlushChanges() { FlushWithReason(&flushes_manual_); }
-
-void InvalidbRemote::MaybeFlushByAge() {
-  if (!options_.batching.enabled) return;
-  std::string payload;
-  size_t count = 0;
-  {
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    if (batch_count_ == 0 ||
-        clock_->NowMicros() - batch_oldest_ < options_.batching.flush_interval) {
-      return;
-    }
-    payload = std::move(batch_json_);
-    count = batch_count_;
-    batch_json_.clear();
-    batch_count_ = 0;
-  }
-  flushes_interval_++;
-  SendEncodedBatch(std::move(payload), count);
-}
-
-size_t InvalidbRemote::buffered_changes() const {
-  std::lock_guard<std::mutex> lock(batch_mu_);
-  return batch_count_;
-}
+size_t InvalidbRemote::buffered_changes() const { return staged_.size(); }
 
 void InvalidbRemote::RegisterQuery(
     const db::Query& query, const std::vector<db::Document>& initial_result,
@@ -514,94 +477,43 @@ void InvalidbRemote::RegisterQuery(
   // Barrier: a change buffered before this call must be matched before the
   // registration installs (otherwise the worker would replay it against
   // the fresh query as a spurious post-activation event).
-  FlushWithReason(&flushes_barrier_);
+  staged_.Ship(&flushes_barrier_, 1);
   req_sender_.Send(transport::EncodeRegister(query, initial_result, events,
                                              evaluated_at));
 }
 
 void InvalidbRemote::DeregisterQuery(const std::string& query_key) {
-  FlushWithReason(&flushes_barrier_);
+  staged_.Ship(&flushes_barrier_, 1);
   req_sender_.Send(transport::EncodeDeregister(query_key));
 }
 
 void InvalidbRemote::OnChange(const db::ChangeEvent& event) {
-  if (!options_.batching.enabled) {
-    req_sender_.Send(transport::EncodeChange(event));
-    return;
-  }
-  std::string payload;
-  size_t count = 0;
-  {
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    if (batch_count_ == 0) {
-      batch_oldest_ = clock_->NowMicros();
-      batch_json_ = "{\"events\":[";
-    } else {
-      batch_json_ += ',';
-    }
-    transport::AppendChangeEventSpec(&batch_json_, event);
-    if (++batch_count_ >= options_.batching.max_batch) {
-      payload = std::move(batch_json_);
-      count = batch_count_;
-      batch_json_.clear();
-      batch_count_ = 0;
-    }
-  }
-  if (count > 0) {
-    flushes_size_++;
-    SendEncodedBatch(std::move(payload), count);
-  }
+  staged_.Append(std::span(&event, 1), transport::AppendChangeEventSpec);
+  staged_.Ship(&flushes_size_, options_.batching.max_batch);
 }
 
 void InvalidbRemote::Resize(size_t query_partitions,
                             size_t object_partitions) {
-  FlushWithReason(&flushes_barrier_);
+  staged_.Ship(&flushes_barrier_, 1);
   req_sender_.Send(
       transport::EncodeResize(query_partitions, object_partitions));
 }
 
 size_t InvalidbRemote::HandleWire(const std::string& payload) {
-  // Batch fast path: canonical notify_batch envelopes are by far the
-  // hottest payload, and only they start with this prefix. The string
-  // overload scans the canonical form in a single pass and falls back to
-  // the generic (Value-parsing, op-checked) decoder on any deviation.
-  if (payload.compare(0, 18, "{\"notifications\":[") == 0) {
-    auto batch = transport::DecodeNotificationBatch(payload);
-    if (!batch.ok()) {
-      decode_errors_++;
-      return 0;
-    }
-    for (const Notification& n : batch.value()) sink_(n);
-    return batch.value().size();
-  }
-  auto parsed = db::Value::FromJson(payload);
-  if (!parsed.ok() || !parsed->is_object()) {
+  // Canonical notify_batch envelopes decode in one scanning pass; anything
+  // else goes through the generic, op-checked decoder, which rejects every
+  // payload that is not a notify_batch.
+  auto batch = transport::DecodeNotificationBatch(payload);
+  if (!batch.ok()) {
     decode_errors_++;
     return 0;
   }
-  const db::Value& msg = parsed.value();
-  const db::Value* op = msg.Find("op");
-  if (op != nullptr && op->is_string() &&
-      op->as_string() == "notify_batch") {
-    auto batch = transport::DecodeNotificationBatch(msg);
-    if (!batch.ok()) {
-      decode_errors_++;
-      return 0;
-    }
-    for (const Notification& n : batch.value()) sink_(n);
-    return batch.value().size();
-  }
-  auto n = transport::DecodeNotification(msg);
-  if (!n.ok()) {
-    decode_errors_++;
-    return 0;
-  }
-  sink_(n.value());
-  return 1;
+  if (!batch->empty()) sink_(batch.value());
+  return batch->size();
 }
 
 void InvalidbRemote::Tick() {
-  MaybeFlushByAge();
+  staged_.Ship(&flushes_interval_, 1, options_.batching.flush_interval);
   req_sender_.Tick();
 }
 
@@ -636,8 +548,8 @@ TransportStats InvalidbRemote::stats() const {
   s.decode_errors = decode_errors_.load();
   s.duplicates_dropped = notif_receiver_.duplicates_dropped();
   s.redeliveries = req_sender_.redeliveries();
-  s.batches_sent = batches_sent_.load();
-  s.batch_events = batch_events_.load();
+  s.batches_sent = staged_.batches_sent();
+  s.batch_events = staged_.batch_events();
   s.flushes_size = flushes_size_.load();
   s.flushes_interval = flushes_interval_.load();
   s.flushes_barrier = flushes_barrier_.load();
@@ -669,23 +581,16 @@ InvalidbWorker::InvalidbWorker(Clock* clock, kv::KvStore* kv,
       notifications_queue_(prefix + ":notifications"),
       req_receiver_(kv, requests_queue_, transport_options.reliable),
       notif_sender_(clock, kv, notifications_queue_, "invalidb",
-                    WorkerReliable(transport_options.reliable)) {
+                    WorkerReliable(transport_options.reliable)),
+      staged_(clock, &notif_sender_, "{\"notifications\":[",
+              "],\"op\":\"notify_batch\"}") {
+  // Each dispatch's notifications join the staged notify_batch envelope,
+  // which ships at max_batch or at the end of the pump cycle.
   cluster_ = std::make_unique<InvalidbCluster>(
-      clock, options, [this](const Notification& n) {
-        if (options_.batching.enabled) {
-          BufferNotifications(&n, 1);
-        } else {
-          notif_sender_.Send(transport::EncodeNotification(n));
-        }
+      clock, options, [this](const std::vector<Notification>& batch) {
+        staged_.Append(batch, transport::AppendNotificationSpec);
+        staged_.Ship(&flushes_size_, options_.batching.max_batch);
       });
-  if (options_.batching.enabled) {
-    // Coalesced fan-out: the cluster hands each dispatch's notifications
-    // over in one call; they accumulate into one notify_batch envelope
-    // per pump cycle (or per max_batch overflow).
-    cluster_->SetBatchSink([this](const std::vector<Notification>& batch) {
-      BufferNotifications(batch.data(), batch.size());
-    });
-  }
 }
 
 InvalidbWorker::~InvalidbWorker() {
@@ -694,63 +599,14 @@ InvalidbWorker::~InvalidbWorker() {
   FlushNotifications();
 }
 
-void InvalidbWorker::SendEncodedNotifications(std::string payload,
-                                              size_t count) {
-  payload += "],\"op\":\"notify_batch\"}";
-  notif_sender_.Send(payload);
-  batches_sent_++;
-  batch_events_ += count;
-}
-
-void InvalidbWorker::BufferNotifications(const Notification* data,
-                                         size_t count) {
-  std::string payload;
-  size_t flushed = 0;
-  {
-    std::lock_guard<std::mutex> lock(notif_mu_);
-    for (size_t i = 0; i < count; ++i) {
-      if (notif_count_ == 0) {
-        notif_json_ = "{\"notifications\":[";
-      } else {
-        notif_json_ += ',';
-      }
-      transport::AppendNotificationSpec(&notif_json_, data[i]);
-      ++notif_count_;
-    }
-    if (notif_count_ >= options_.batching.max_batch) {
-      payload = std::move(notif_json_);
-      flushed = notif_count_;
-      notif_json_.clear();
-      notif_count_ = 0;
-    }
-  }
-  if (flushed > 0) {
-    flushes_size_++;
-    SendEncodedNotifications(std::move(payload), flushed);
-  }
-}
-
 size_t InvalidbWorker::FlushNotifications() {
-  if (!options_.batching.enabled) return 0;
-  std::string payload;
-  size_t flushed = 0;
-  {
-    std::lock_guard<std::mutex> lock(notif_mu_);
-    if (notif_count_ == 0) return 0;
-    payload = std::move(notif_json_);
-    flushed = notif_count_;
-    notif_json_.clear();
-    notif_count_ = 0;
-  }
-  flushes_manual_++;
-  SendEncodedNotifications(std::move(payload), flushed);
-  return flushed;
+  return staged_.Ship(&flushes_manual_, 1);
 }
 
 void InvalidbWorker::HandleMessage(const std::string& message) {
-  // Batch fast path (see InvalidbRemote::HandleWire): only change_batch
-  // envelopes start with this prefix, and the canonical form decodes in
-  // one pass with no Value tree for the batch skeleton.
+  // Batch fast path: only change_batch envelopes start with this prefix,
+  // and the canonical form decodes in one pass with no Value tree for the
+  // batch skeleton.
   if (message.compare(0, 11, "{\"events\":[") == 0) {
     auto events = transport::DecodeChangeBatch(message);
     if (!events.ok()) {
@@ -807,13 +663,6 @@ void InvalidbWorker::HandleMessage(const std::string& message) {
       return;
     }
     cluster_->DeregisterQuery(key->as_string());
-  } else if (op->as_string() == "change") {
-    auto ev = transport::DecodeChangeEvent(msg);
-    if (!ev.ok()) {
-      decode_errors_++;
-      return;
-    }
-    cluster_->OnChange(ev.value());
   } else if (op->as_string() == "change_batch") {
     auto events = transport::DecodeChangeBatch(msg);
     if (!events.ok()) {
@@ -875,8 +724,8 @@ TransportStats InvalidbWorker::stats() const {
   s.decode_errors = decode_errors_.load();
   s.duplicates_dropped = req_receiver_.duplicates_dropped();
   s.redeliveries = notif_sender_.redeliveries();
-  s.batches_sent = batches_sent_.load();
-  s.batch_events = batch_events_.load();
+  s.batches_sent = staged_.batches_sent();
+  s.batch_events = staged_.batch_events();
   s.flushes_size = flushes_size_.load();
   s.flushes_manual = flushes_manual_.load();
   return s;

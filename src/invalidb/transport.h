@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,7 +35,8 @@ namespace transport {
 /// Serialized message builders / parsers (exposed for tests). All
 /// encoders emit canonical JSON in a single append pass — keys in sorted
 /// order, byte-identical to serializing the equivalent db::Value tree.
-std::string EncodeChange(const db::ChangeEvent& event);
+/// Change events and notifications only travel inside batch envelopes.
+///
 /// One envelope carrying a commit-ordered slice of the change stream:
 /// {"events":[<event spec>...],"op":"change_batch"}.
 std::string EncodeChangeBatch(const std::vector<db::ChangeEvent>& events);
@@ -43,7 +45,6 @@ std::string EncodeRegister(const db::Query& query,
                            EventMask events, Micros evaluated_at);
 std::string EncodeDeregister(const std::string& query_key);
 std::string EncodeResize(size_t query_partitions, size_t object_partitions);
-std::string EncodeNotification(const Notification& n);
 /// One envelope carrying every notification of one dispatch:
 /// {"notifications":[<notification spec>...],"op":"notify_batch"}.
 std::string EncodeNotificationBatch(const std::vector<Notification>& batch);
@@ -54,8 +55,7 @@ std::string EncodeNotificationBatch(const std::vector<Notification>& batch);
 /// buffered events), so the flush just closes the envelope and sends.
 void AppendChangeEventSpec(std::string* out, const db::ChangeEvent& event);
 void AppendNotificationSpec(std::string* out, const Notification& n);
-Result<Notification> DecodeNotification(const std::string& message);
-/// Parse-once overload for callers that already hold the decoded Value.
+/// Decodes one notification spec (the inner element of a notify_batch).
 Result<Notification> DecodeNotification(const db::Value& msg);
 
 /// Decodes a document spec (internal wire format; exposed for tests).
@@ -76,15 +76,15 @@ Result<std::vector<Notification>> DecodeNotificationBatch(
 
 }  // namespace transport
 
-/// Write-path batching knobs: when enabled, change events buffer at the
-/// sending endpoint and ship as one change_batch envelope per flush, and
-/// the worker coalesces each dispatch's notifications into one
-/// notify_batch envelope. Notification *content* is byte-identical to the
-/// per-event wire format; only the framing changes.
+/// Write-path batching: change events stage at the sending endpoint and
+/// ship as one change_batch envelope per flush, and the worker ships each
+/// dispatch's notifications inside a notify_batch envelope. The default
+/// (1) sends every change at once and every dispatch at once; larger
+/// values trade latency for fewer, bigger envelopes.
 struct BatchOptions {
-  bool enabled = false;
-  /// Flush as soon as this many events are buffered.
-  size_t max_batch = 64;
+  /// Flush as soon as this many events (notifications, at the worker) are
+  /// staged.
+  size_t max_batch = 1;
   /// Flush once the oldest buffered event is this old (checked in Tick /
   /// DrainNotifications — manual-pump callers control the cadence).
   Micros flush_interval = 1 * kMicrosPerMilli;
@@ -125,13 +125,68 @@ struct TransportStats {
                 const obs::Labels& labels = {}) const;
 };
 
+/// One endpoint's outgoing batch, staged as pre-encoded envelope bytes:
+/// the open `prefix` plus one spec per item, so no staged event is deep
+/// copied. Ship closes the envelope with `suffix` and sends it as one
+/// message. Thread-safe: callers append from any thread while a pump
+/// ships.
+class StagedEnvelope {
+ public:
+  StagedEnvelope(Clock* clock, ReliableSender* sender, std::string prefix,
+                 std::string suffix)
+      : clock_(clock),
+        sender_(sender),
+        prefix_(std::move(prefix)),
+        suffix_(std::move(suffix)) {}
+
+  /// Appends one spec per item with `append_spec`, under one lock.
+  template <typename Range, typename AppendSpec>
+  void Append(const Range& items, AppendSpec append_spec) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& item : items) {
+      if (count_ == 0) {
+        oldest_ = clock_->NowMicros();
+        json_ = prefix_;
+      } else {
+        json_ += ',';
+      }
+      append_spec(&json_, item);
+      ++count_;
+    }
+  }
+
+  /// Ships the staged envelope if it holds at least `min_count` items (at
+  /// least one) and its oldest is at least `min_age` old, counting the
+  /// flush under `reason`. Returns how many items shipped.
+  size_t Ship(std::atomic<uint64_t>* reason, size_t min_count,
+              Micros min_age = 0);
+
+  /// Items staged and not yet shipped.
+  size_t size() const;
+  uint64_t batches_sent() const { return batches_sent_.load(); }
+  uint64_t batch_events() const { return batch_events_.load(); }
+
+ private:
+  Clock* clock_;
+  ReliableSender* sender_;
+  const std::string prefix_;
+  const std::string suffix_;
+  mutable std::mutex mu_;
+  std::string json_;
+  size_t count_ = 0;
+  /// NowMicros when the staged run started.
+  Micros oldest_ = 0;
+  std::atomic<uint64_t> batches_sent_{0};
+  std::atomic<uint64_t> batch_events_{0};
+};
+
 /// The Quaestor-side stub: mirrors InvalidbCluster's interface but ships
 /// every call through the KV queues; a background (or manually pumped)
-/// poller delivers notifications to the sink.
+/// poller hands each decoded notify_batch envelope to the sink.
 class InvalidbRemote {
  public:
   InvalidbRemote(Clock* clock, kv::KvStore* kv, std::string prefix,
-                 NotificationSink sink,
+                 NotificationBatchSink sink,
                  TransportOptions options = TransportOptions());
   ~InvalidbRemote();
 
@@ -151,9 +206,9 @@ class InvalidbRemote {
   /// matched on the old grid and everything after on the new one.
   void Resize(size_t query_partitions, size_t object_partitions);
 
-  /// Ships the buffered change batch now (no-op when batching is off or
-  /// the buffer is empty). Register/Deregister/Resize flush implicitly —
-  /// a buffered change must never be reordered after a control request.
+  /// Ships the buffered change batch now (no-op when the buffer is empty).
+  /// Register/Deregister/Resize flush implicitly — a buffered change must
+  /// never be reordered after a control request.
   void FlushChanges();
 
   /// Delivers all currently queued notifications to the sink (manual
@@ -190,28 +245,17 @@ class InvalidbRemote {
 
  private:
   size_t HandleWire(const std::string& payload);
-  void SendEncodedBatch(std::string payload, size_t count);
-  void FlushWithReason(std::atomic<uint64_t>* reason);
-  void MaybeFlushByAge();
 
   Clock* clock_;
   kv::KvStore* kv_;
   TransportOptions options_;
   std::string requests_queue_;
   std::string notifications_queue_;
-  NotificationSink sink_;
+  NotificationBatchSink sink_;
   ReliableSender req_sender_;
   ReliableReceiver notif_receiver_;
-
-  /// Ingest batch staged as pre-encoded envelope bytes (guarded by
-  /// batch_mu_): the open "{"events":[" prefix plus one spec per buffered
-  /// event. batch_oldest_ is the NowMicros when the run started.
-  mutable std::mutex batch_mu_;
-  std::string batch_json_;
-  size_t batch_count_ = 0;
-  Micros batch_oldest_ = 0;
-  std::atomic<uint64_t> batches_sent_{0};
-  std::atomic<uint64_t> batch_events_{0};
+  /// The change_batch envelope being staged.
+  StagedEnvelope staged_;
   std::atomic<uint64_t> flushes_size_{0};
   std::atomic<uint64_t> flushes_interval_{0};
   std::atomic<uint64_t> flushes_barrier_{0};
@@ -240,8 +284,8 @@ class InvalidbWorker {
   /// flushes buffered notifications at the end of the pump.
   size_t ProcessPending();
 
-  /// Ships the buffered notification batch now (no-op when batching is
-  /// off or nothing is buffered). Returns how many notifications shipped.
+  /// Ships the buffered notification batch now (no-op when nothing is
+  /// buffered). Returns how many notifications shipped.
   size_t FlushNotifications();
 
   /// Pumps the reliable machinery without processing requests.
@@ -257,8 +301,6 @@ class InvalidbWorker {
 
  private:
   void HandleMessage(const std::string& message);
-  void BufferNotifications(const Notification* data, size_t count);
-  void SendEncodedNotifications(std::string payload, size_t count);
 
   kv::KvStore* kv_;
   TransportOptions options_;
@@ -266,18 +308,12 @@ class InvalidbWorker {
   std::string notifications_queue_;
   ReliableReceiver req_receiver_;
   ReliableSender notif_sender_;
+  /// The notify_batch envelope being staged. Fed by the cluster's batch
+  /// sink from worker threads; shipped by the sink and the pump.
+  StagedEnvelope staged_;
   std::unique_ptr<InvalidbCluster> cluster_;
   std::atomic<bool> running_{false};
   std::atomic<uint64_t> decode_errors_{0};
-
-  /// Outbound notification batch staged as pre-encoded envelope bytes
-  /// (guarded by notif_mu_). Fed by the cluster's batch sink from worker
-  /// threads; drained by the pump.
-  std::mutex notif_mu_;
-  std::string notif_json_;
-  size_t notif_count_ = 0;
-  std::atomic<uint64_t> batches_sent_{0};
-  std::atomic<uint64_t> batch_events_{0};
   std::atomic<uint64_t> flushes_size_{0};
   std::atomic<uint64_t> flushes_manual_{0};
 

@@ -50,8 +50,8 @@ bool NetServer::Start() {
 
     remote_ = std::make_unique<invalidb::InvalidbRemote>(
         clock_, bridged_kv_.get(), p,
-        [this](const invalidb::Notification& n) {
-          server_->OnExternalNotifications({n});
+        [this](const std::vector<invalidb::Notification>& batch) {
+          server_->OnExternalNotifications(batch);
         },
         options_.transport);
     invalidb::InvalidbRemote* remote = remote_.get();
@@ -67,9 +67,6 @@ bool NetServer::Start() {
     };
     pipeline.on_change = [remote](const db::ChangeEvent& ev) {
       remote->OnChange(ev);
-    };
-    pipeline.on_change_batch = [remote](std::vector<db::ChangeEvent> batch) {
-      for (const db::ChangeEvent& ev : batch) remote->OnChange(ev);
     };
     server_->SetExternalPipeline(std::move(pipeline));
   }

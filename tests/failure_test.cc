@@ -6,6 +6,7 @@
 #include <atomic>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "check/oracle.h"
 #include "client/client.h"
@@ -50,7 +51,9 @@ TEST(FailureTest, ThreadedClusterWithTinyQueuesBackpressures) {
   std::atomic<int> delivered{0};
   invalidb::InvalidbCluster cluster(
       SystemClock::Default(), opts,
-      [&](const invalidb::Notification&) { delivered++; });
+      [&](const std::vector<invalidb::Notification>& batch) {
+        delivered += batch.size();
+      });
   db::Query q = Q("t", R"({"n":{"$gte":0}})");
   ASSERT_TRUE(cluster.RegisterQuery(q, {}, invalidb::kEventsAll).ok());
   cluster.Flush();
@@ -61,7 +64,7 @@ TEST(FailureTest, ThreadedClusterWithTinyQueuesBackpressures) {
     ev.after.table = "t";
     ev.after.id = "d" + std::to_string(i);
     ev.after.body = Doc(R"({"n":1})");
-    cluster.OnChange(ev);
+    cluster.OnChangeBatch({ev});
   }
   cluster.Flush();
   EXPECT_EQ(delivered.load(), kEvents);
@@ -73,7 +76,9 @@ TEST(FailureTest, DeregisterWhileEventsInFlight) {
   std::atomic<int> delivered{0};
   invalidb::InvalidbCluster cluster(
       SystemClock::Default(), opts,
-      [&](const invalidb::Notification&) { delivered++; });
+      [&](const std::vector<invalidb::Notification>& batch) {
+        delivered += batch.size();
+      });
   db::Query q = Q("t", R"({"n":{"$gte":0}})");
   ASSERT_TRUE(cluster.RegisterQuery(q, {}, invalidb::kEventsAll).ok());
   std::thread producer([&] {
@@ -83,7 +88,7 @@ TEST(FailureTest, DeregisterWhileEventsInFlight) {
       ev.after.table = "t";
       ev.after.id = "d" + std::to_string(i);
       ev.after.body = Doc(R"({"n":1})");
-      cluster.OnChange(ev);
+      cluster.OnChangeBatch({ev});
     }
   });
   cluster.DeregisterQuery(q.NormalizedKey());
@@ -100,7 +105,9 @@ TEST(FailureTest, ConcurrentRegistrationsAndChanges) {
   std::atomic<int> delivered{0};
   invalidb::InvalidbCluster cluster(
       SystemClock::Default(), opts,
-      [&](const invalidb::Notification&) { delivered++; });
+      [&](const std::vector<invalidb::Notification>& batch) {
+        delivered += batch.size();
+      });
   std::thread registrar([&] {
     for (int i = 0; i < 50; ++i) {
       db::Query q = Q("t", ("{\"g\":" + std::to_string(i) + "}").c_str());
@@ -115,7 +122,7 @@ TEST(FailureTest, ConcurrentRegistrationsAndChanges) {
       ev.after.id = "d" + std::to_string(i % 10);
       ev.after.body =
           Doc(("{\"g\":" + std::to_string(i % 50) + "}").c_str());
-      cluster.OnChange(ev);
+      cluster.OnChangeBatch({ev});
     }
   });
   registrar.join();
@@ -130,7 +137,7 @@ TEST(FailureTest, ConcurrentRegistrationsAndChanges) {
   ev.after.table = "t";
   ev.after.id = "final";
   ev.after.body = Doc(R"({"g":0})");
-  cluster.OnChange(ev);
+  cluster.OnChangeBatch({ev});
   cluster.Flush();
   EXPECT_GT(delivered.load(), 0);
 }
@@ -392,8 +399,10 @@ std::vector<std::string> RunTransportScript(SimulatedClock* clock,
   std::vector<std::string> sequence;
   invalidb::InvalidbRemote remote(
       clock, kv, "chaos",
-      [&](const invalidb::Notification& n) {
-        sequence.push_back(NotificationSignature(n));
+      [&](const std::vector<invalidb::Notification>& batch) {
+        for (const invalidb::Notification& n : batch) {
+          sequence.push_back(NotificationSignature(n));
+        }
       },
       topts);
   invalidb::InvalidbWorker worker(clock, kv, "chaos",
@@ -474,10 +483,11 @@ TEST(ChaosTest, SameSeedSameSchedule) {
 TEST(ChaosTest, PollerCrashAndRestartLosesNothing) {
   kv::KvStore kv(SystemClock::Default());
   std::atomic<int> count{0};
-  invalidb::InvalidbRemote remote(SystemClock::Default(), &kv, "pc",
-                                  [&](const invalidb::Notification&) {
-                                    count++;
-                                  });
+  invalidb::InvalidbRemote remote(
+      SystemClock::Default(), &kv, "pc",
+      [&](const std::vector<invalidb::Notification>& batch) {
+        count += batch.size();
+      });
   invalidb::InvalidbWorker worker(SystemClock::Default(), &kv, "pc");
 
   db::Query q = Q("posts", R"({"g":{"$gte":1}})");
@@ -509,7 +519,9 @@ TEST(ChaosTest, NodeKillRestartRebuildsMatchingState) {
   std::vector<invalidb::Notification> received;
   invalidb::InvalidbCluster cluster(
       &clock, invalidb::InvalidbOptions(),
-      [&](const invalidb::Notification& n) { received.push_back(n); });
+      [&](const std::vector<invalidb::Notification>& batch) {
+        received.insert(received.end(), batch.begin(), batch.end());
+      });
   db::Query q = Q("posts", R"({"g":{"$gte":1}})");
   ASSERT_TRUE(cluster.RegisterQuery(q, {}, invalidb::kEventsAll).ok());
 
@@ -519,7 +531,7 @@ TEST(ChaosTest, NodeKillRestartRebuildsMatchingState) {
     ASSERT_TRUE(r.ok());
   };
   db.AddChangeListener(
-      [&](const db::ChangeEvent& ev) { cluster.OnChange(ev); });
+      [&](const db::ChangeEvent& ev) { cluster.OnChangeBatch({ev}); });
 
   commit("d1", 1);
   ASSERT_EQ(received.size(), 1u);
@@ -594,7 +606,14 @@ TEST(ChaosTest, OracleWidensBoundWhileDegradedOnly) {
             check::Invariant::kDeltaAtomicity);
 }
 
-TEST(ChaosTest, PipelineOutageDegradedCachingStaysWithinBudget) {
+// Outage → degraded serving → recovery, checked end to end by the oracle.
+// With `external_pipeline` the data path runs through a second cluster
+// wired like a remote one (SetExternalPipeline + OnExternalNotifications),
+// so recovery must rebuild matchers the server's own cluster never sees.
+// A record joins the query during the outage (its change event is lost)
+// and leaves after recovery: only a matcher rebuilt from the database
+// knows it was a member and reports the removal.
+void RunPipelineOutage(bool external_pipeline) {
   SimulatedClock clock(0);
   db::Database db(&clock);
   core::ServerOptions sopts;
@@ -602,6 +621,29 @@ TEST(ChaosTest, PipelineOutageDegradedCachingStaysWithinBudget) {
   sopts.degradation.staleness_budget = 5 * kMicrosPerSecond;
   sopts.degradation.degraded_ttl_cap = 500 * kMicrosPerMilli;
   core::QuaestorServer server(&clock, &db, sopts);
+
+  std::unique_ptr<invalidb::InvalidbCluster> remote_cluster;
+  if (external_pipeline) {
+    remote_cluster = std::make_unique<invalidb::InvalidbCluster>(
+        &clock, invalidb::InvalidbOptions(),
+        [&server](const std::vector<invalidb::Notification>& batch) {
+          server.OnExternalNotifications(batch);
+        });
+    invalidb::InvalidbCluster* cluster = remote_cluster.get();
+    core::QuaestorServer::ExternalPipeline pipeline;
+    pipeline.register_query = [cluster](const db::Query& query,
+                                        const std::vector<db::Document>& init,
+                                        invalidb::EventMask events) {
+      return cluster->RegisterQuery(query, init, events);
+    };
+    pipeline.deregister_query = [cluster](const std::string& key) {
+      cluster->DeregisterQuery(key);
+    };
+    pipeline.on_change = [cluster](const db::ChangeEvent& ev) {
+      cluster->OnChangeBatch({ev});
+    };
+    server.SetExternalPipeline(std::move(pipeline));
+  }
 
   check::OracleOptions oopts;
   oopts.delta = SecondsToMicros(1.0);
@@ -640,6 +682,9 @@ TEST(ChaosTest, PipelineOutageDegradedCachingStaysWithinBudget) {
             .Update("posts", "d1",
                     db::Update().Set("g", db::Value(int64_t{2 + i})))
             .ok());
+    if (i == 5) {
+      ASSERT_TRUE(server.Insert("posts", "d2", Doc(R"({"g":1})")).ok());
+    }
     step(300 * kMicrosPerMilli);
   }
   EXPECT_TRUE(oracle.violations().empty())
@@ -653,6 +698,20 @@ TEST(ChaosTest, PipelineOutageDegradedCachingStaysWithinBudget) {
   server.SetPipelineDown(false);
   oracle.SetDegraded(false);
   clock.Advance(sopts.degradation.staleness_budget + kMicrosPerSecond);
+  // Outlive every TTL issued before the recovery, and with them the
+  // recovery's conservative EBF flags, which would otherwise force the
+  // revalidations that mask a missed notification.
+  clock.Advance(sopts.ttl_options.max_ttl);
+  step(10 * kMicrosPerMilli);  // re-caches the result, d2 included
+  // d2 leaves the result. A matcher that missed its join during the
+  // outage sees a non-member stay a non-member and stays silent, so the
+  // copy cached above would be served stale past Δ.
+  ASSERT_TRUE(server.Update("posts", "d2",
+                            db::Update().Set("g", db::Value(int64_t{0})))
+                  .ok());
+  for (int i = 0; i < 5; ++i) step(300 * kMicrosPerMilli);
+  EXPECT_TRUE(oracle.violations().empty())
+      << oracle.violations()[0].ToString();
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(
         server
@@ -664,6 +723,14 @@ TEST(ChaosTest, PipelineOutageDegradedCachingStaysWithinBudget) {
   EXPECT_TRUE(oracle.violations().empty())
       << oracle.violations()[0].ToString();
   EXPECT_FALSE(server.degraded());
+}
+
+TEST(ChaosTest, PipelineOutageDegradedCachingStaysWithinBudget) {
+  RunPipelineOutage(/*external_pipeline=*/false);
+}
+
+TEST(ChaosTest, PipelineOutageOnExternalPipelineStaysWithinBudget) {
+  RunPipelineOutage(/*external_pipeline=*/true);
 }
 
 // ---------------------------------------------------------------------------

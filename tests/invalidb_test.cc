@@ -276,9 +276,10 @@ class ClusterTest : public ::testing::Test {
   void MakeCluster(InvalidbOptions options) {
     options.threaded = false;
     cluster_ = std::make_unique<InvalidbCluster>(
-        &clock_, options, [this](const Notification& n) {
+        &clock_, options, [this](const std::vector<Notification>& batch) {
           std::lock_guard<std::mutex> lock(mu_);
-          notifications_.push_back(n);
+          notifications_.insert(notifications_.end(), batch.begin(),
+                                batch.end());
         });
   }
 
@@ -300,7 +301,7 @@ TEST_F(ClusterTest, SingleNodeEndToEnd) {
   db::Query q = Q("posts", R"({"g":1})");
   ASSERT_TRUE(cluster_->RegisterQuery(q, {}, kEventsObjectList).ok());
   EXPECT_TRUE(cluster_->IsRegistered(q.NormalizedKey()));
-  cluster_->OnChange(Change("posts", "p1", R"({"g":1})", 5));
+  cluster_->OnChangeBatch({Change("posts", "p1", R"({"g":1})", 5)});
   auto ns = TakeNotifications();
   ASSERT_EQ(ns.size(), 1u);
   EXPECT_EQ(ns[0].type, NotificationType::kAdd);
@@ -322,10 +323,10 @@ TEST_F(ClusterTest, SubscriptionMaskFiltersChangeEvents) {
   db::Document init = MakeDoc("p1", R"({"g":1})");
   ASSERT_TRUE(cluster_->RegisterQuery(q, {init}, kEventsIdList).ok());
   // In-place change: filtered.
-  cluster_->OnChange(Change("posts", "p1", R"({"g":1,"views":5})"));
+  cluster_->OnChangeBatch({Change("posts", "p1", R"({"g":1,"views":5})")});
   EXPECT_TRUE(TakeNotifications().empty());
   // Membership change: delivered.
-  cluster_->OnChange(Change("posts", "p1", R"({"g":2})"));
+  cluster_->OnChangeBatch({Change("posts", "p1", R"({"g":2})")});
   auto ns = TakeNotifications();
   ASSERT_EQ(ns.size(), 1u);
   EXPECT_EQ(ns[0].type, NotificationType::kRemove);
@@ -337,7 +338,7 @@ TEST_F(ClusterTest, DeregisteredQueryIsSilent) {
   ASSERT_TRUE(cluster_->RegisterQuery(q, {}, kEventsAll).ok());
   cluster_->DeregisterQuery(q.NormalizedKey());
   EXPECT_FALSE(cluster_->IsRegistered(q.NormalizedKey()));
-  cluster_->OnChange(Change("posts", "p1", R"({"g":1})"));
+  cluster_->OnChangeBatch({Change("posts", "p1", R"({"g":1})")});
   EXPECT_TRUE(TakeNotifications().empty());
 }
 
@@ -360,8 +361,8 @@ TEST_F(ClusterTest, GridPartitioningDeliversExactlyOnce) {
     keys.push_back(q.NormalizedKey());
   }
   for (int i = 0; i < 20; ++i) {
-    cluster_->OnChange(Change("posts", ("p" + std::to_string(i)).c_str(),
-                              R"({"n":0})"));
+    cluster_->OnChangeBatch(
+        {Change("posts", ("p" + std::to_string(i)).c_str(), R"({"n":0})")});
   }
   auto ns = TakeNotifications();
   EXPECT_EQ(ns.size(), 10u * 20u);
@@ -377,7 +378,7 @@ TEST_F(ClusterTest, ReplayClosesActivationRace) {
   db::Query q = Q("posts", R"({"g":1})");
   // The write arrives BEFORE the query is activated (between Quaestor's
   // initial evaluation and installation) — replay must catch it.
-  cluster_->OnChange(Change("posts", "p1", R"({"g":1})", 3));
+  cluster_->OnChangeBatch({Change("posts", "p1", R"({"g":1})", 3)});
   ASSERT_TRUE(cluster_->RegisterQuery(q, {}, kEventsAll).ok());
   auto ns = TakeNotifications();
   ASSERT_EQ(ns.size(), 1u);
@@ -390,7 +391,7 @@ TEST_F(ClusterTest, ReplayDoesNotDuplicateInitialResult) {
   db::Query q = Q("posts", R"({"g":1})");
   // The initial evaluation already saw p1 (it is in the initial result);
   // replaying the same after-image must yield change, not add.
-  cluster_->OnChange(Change("posts", "p1", R"({"g":1})", 3));
+  cluster_->OnChangeBatch({Change("posts", "p1", R"({"g":1})", 3)});
   db::Document init = MakeDoc("p1", R"({"g":1})");
   ASSERT_TRUE(cluster_->RegisterQuery(q, {init}, kEventsAll).ok());
   auto ns = TakeNotifications();
@@ -409,7 +410,7 @@ TEST_F(ClusterTest, StatefulQueryEmitsWindowEvents) {
   EXPECT_EQ(cluster_->SortedWindow(q.NormalizedKey()),
             (std::vector<std::string>{"a", "b"}));
   // A new high scorer enters the window.
-  cluster_->OnChange(Change("posts", "d", R"({"score":99})"));
+  cluster_->OnChangeBatch({Change("posts", "d", R"({"score":99})")});
   auto ns = TakeNotifications();
   // remove b, add d at index 0, changeIndex a (0 → 1).
   ASSERT_EQ(ns.size(), 3u);
@@ -431,7 +432,7 @@ TEST_F(ClusterTest, StatefulChangeIndexFiltered) {
                                     MakeDoc("b", R"({"score":20})")};
   // Subscribe without changeIndex.
   ASSERT_TRUE(cluster_->RegisterQuery(q, init, kEventsIdList).ok());
-  cluster_->OnChange(Change("posts", "b", R"({"score":50})"));
+  cluster_->OnChangeBatch({Change("posts", "b", R"({"score":50})")});
   // The reorder yields only changeIndex events → filtered out.
   EXPECT_TRUE(TakeNotifications().empty());
 }
@@ -442,15 +443,15 @@ TEST_F(ClusterTest, StatsCountMatchChecks) {
   ASSERT_TRUE(cluster_->RegisterQuery(q, {}, kEventsAll).ok());
   // Non-candidate changes: the query index rules them out without a single
   // predicate evaluation, while the pre-index cost shows up as "naive".
-  cluster_->OnChange(Change("posts", "p1", R"({"g":9})"));
-  cluster_->OnChange(Change("posts", "p2", R"({"g":9})"));
+  cluster_->OnChangeBatch({Change("posts", "p1", R"({"g":9})")});
+  cluster_->OnChangeBatch({Change("posts", "p2", R"({"g":9})")});
   ClusterStats stats = cluster_->stats();
   EXPECT_EQ(stats.changes_ingested, 2u);
   EXPECT_EQ(stats.match_checks, 0u);
   EXPECT_EQ(stats.match_checks_naive, 2u);
   EXPECT_EQ(stats.notifications_delivered, 0u);
   // A matching change is a candidate and gets evaluated.
-  cluster_->OnChange(Change("posts", "p3", R"({"g":1})"));
+  cluster_->OnChangeBatch({Change("posts", "p3", R"({"g":1})")});
   stats = cluster_->stats();
   EXPECT_EQ(stats.match_checks, 1u);
   EXPECT_EQ(stats.match_checks_naive, 3u);
@@ -464,8 +465,8 @@ TEST_F(ClusterTest, BruteForceModeMatchesEveryQuery) {
   MakeCluster(opts);
   db::Query q = Q("posts", R"({"g":1})");
   ASSERT_TRUE(cluster_->RegisterQuery(q, {}, kEventsAll).ok());
-  cluster_->OnChange(Change("posts", "p1", R"({"g":9})"));
-  cluster_->OnChange(Change("posts", "p2", R"({"g":1})"));
+  cluster_->OnChangeBatch({Change("posts", "p1", R"({"g":9})")});
+  cluster_->OnChangeBatch({Change("posts", "p2", R"({"g":1})")});
   const ClusterStats stats = cluster_->stats();
   EXPECT_EQ(stats.match_checks, 2u);
   EXPECT_EQ(stats.match_checks_naive, 2u);
@@ -484,14 +485,16 @@ TEST(ClusterThreadedTest, DeliversAllNotifications) {
   opts.threaded = true;
   std::atomic<int> count{0};
   InvalidbCluster cluster(clock, opts,
-                          [&](const Notification&) { count++; });
+                          [&](const std::vector<Notification>& batch) {
+                            count += batch.size();
+                          });
   db::Query q = Q("posts", R"({"g":{"$gte":0}})");
   ASSERT_TRUE(cluster.RegisterQuery(q, {}, kEventsAll).ok());
   cluster.Flush();
   constexpr int kChanges = 500;
   for (int i = 0; i < kChanges; ++i) {
-    cluster.OnChange(Change("posts", ("p" + std::to_string(i)).c_str(),
-                            R"({"g":1})"));
+    cluster.OnChangeBatch(
+        {Change("posts", ("p" + std::to_string(i)).c_str(), R"({"g":1})")});
   }
   cluster.Flush();
   EXPECT_EQ(count.load(), kChanges);
@@ -506,11 +509,13 @@ TEST(ClusterThreadedTest, ShutdownWithPendingWorkIsClean) {
   opts.threaded = true;
   std::atomic<int> count{0};
   auto cluster = std::make_unique<InvalidbCluster>(
-      clock, opts, [&](const Notification&) { count++; });
+      clock, opts, [&](const std::vector<Notification>& batch) {
+                     count += batch.size();
+                   });
   db::Query q = Q("posts", R"({"g":1})");
   ASSERT_TRUE(cluster->RegisterQuery(q, {}, kEventsAll).ok());
   for (int i = 0; i < 100; ++i) {
-    cluster->OnChange(Change("posts", "p", R"({"g":1})"));
+    cluster->OnChangeBatch({Change("posts", "p", R"({"g":1})")});
   }
   cluster.reset();  // must not hang or crash
   SUCCEED();
@@ -536,7 +541,9 @@ TEST(ClusterRoutingTest, ObjectPartitionRowsShareQueryState) {
   opts.object_partitions = 4;
   std::vector<Notification> ns;
   InvalidbCluster cluster(&clock, opts,
-                          [&](const Notification& n) { ns.push_back(n); });
+                          [&](const std::vector<Notification>& batch) {
+                            ns.insert(ns.end(), batch.begin(), batch.end());
+                          });
   db::Query q = db::Query::ParseJson("t", R"({"g":1})").value();
   ASSERT_TRUE(cluster.RegisterQuery(q, {}, kEventsAll).ok());
 
@@ -547,7 +554,7 @@ TEST(ClusterRoutingTest, ObjectPartitionRowsShareQueryState) {
     ev.after.table = "t";
     ev.after.id = "d" + std::to_string(i);
     ev.after.body = db::Value::FromJson(R"({"g":1})").value();
-    cluster.OnChange(ev);
+    cluster.OnChangeBatch({ev});
   }
   for (int i = 0; i < 40; ++i) {
     db::ChangeEvent ev;
@@ -555,7 +562,7 @@ TEST(ClusterRoutingTest, ObjectPartitionRowsShareQueryState) {
     ev.after.table = "t";
     ev.after.id = "d" + std::to_string(i);
     ev.after.body = db::Value::FromJson(R"({"g":2})").value();
-    cluster.OnChange(ev);
+    cluster.OnChangeBatch({ev});
   }
   ASSERT_EQ(ns.size(), 80u);
   for (size_t i = 0; i < 40; ++i) {
@@ -579,7 +586,9 @@ TEST(ClusterRoutingTest, ReplayBufferIsBounded) {
   opts.replay_buffer_size = 4;
   std::vector<Notification> ns;
   InvalidbCluster cluster(&clock, opts,
-                          [&](const Notification& n) { ns.push_back(n); });
+                          [&](const std::vector<Notification>& batch) {
+                            ns.insert(ns.end(), batch.begin(), batch.end());
+                          });
   // 10 events before any query exists; only the last 4 are replayable.
   for (int i = 0; i < 10; ++i) {
     db::ChangeEvent ev;
@@ -588,7 +597,7 @@ TEST(ClusterRoutingTest, ReplayBufferIsBounded) {
     ev.after.id = "d" + std::to_string(i);
     ev.after.body = db::Value::FromJson(R"({"g":1})").value();
     ev.commit_time = 100 + i;  // all in the "future" wrt evaluated_at=0
-    cluster.OnChange(ev);
+    cluster.OnChangeBatch({ev});
   }
   db::Query q = db::Query::ParseJson("t", R"({"g":1})").value();
   ASSERT_TRUE(cluster.RegisterQuery(q, {}, kEventsAll, /*evaluated_at=*/0)
@@ -602,18 +611,20 @@ TEST(ClusterRoutingTest, ReplaySkipsEventsBeforeEvaluation) {
   InvalidbOptions opts;
   std::vector<Notification> ns;
   InvalidbCluster cluster(&clock, opts,
-                          [&](const Notification& n) { ns.push_back(n); });
+                          [&](const std::vector<Notification>& batch) {
+                            ns.insert(ns.end(), batch.begin(), batch.end());
+                          });
   db::ChangeEvent before;
   before.kind = db::WriteKind::kUpdate;
   before.after.table = "t";
   before.after.id = "old";
   before.after.body = db::Value::FromJson(R"({"g":1})").value();
   before.commit_time = 500;  // before the evaluation snapshot
-  cluster.OnChange(before);
+  cluster.OnChangeBatch({before});
   db::ChangeEvent after = before;
   after.after.id = "new";
   after.commit_time = 900;  // after the evaluation snapshot
-  cluster.OnChange(after);
+  cluster.OnChangeBatch({after});
 
   db::Query q = db::Query::ParseJson("t", R"({"g":1})").value();
   ASSERT_TRUE(cluster.RegisterQuery(q, {}, kEventsAll, /*evaluated_at=*/600)
@@ -632,10 +643,12 @@ TEST(ClusterResizeTest, HandoffCarriesMembershipToNewShape) {
   InvalidbOptions opts;  // 1x1
   std::vector<Notification> ns;
   InvalidbCluster cluster(&clock, opts,
-                          [&](const Notification& n) { ns.push_back(n); });
+                          [&](const std::vector<Notification>& batch) {
+                            ns.insert(ns.end(), batch.begin(), batch.end());
+                          });
   db::Query q = Q("t", R"({"g":1})");
   ASSERT_TRUE(cluster.RegisterQuery(q, {}, kEventsAll).ok());
-  cluster.OnChange(Change("t", "a", R"({"g":1})", 10));
+  cluster.OnChangeBatch({Change("t", "a", R"({"g":1})", 10)});
   ASSERT_EQ(ns.size(), 1u);
   EXPECT_EQ(ns[0].type, NotificationType::kAdd);
 
@@ -645,7 +658,7 @@ TEST(ClusterResizeTest, HandoffCarriesMembershipToNewShape) {
 
   // Membership carried over: leaving the result emits a remove, not a
   // spurious re-add.
-  cluster.OnChange(Change("t", "a", R"({"g":2})", 20));
+  cluster.OnChangeBatch({Change("t", "a", R"({"g":2})", 20)});
   ASSERT_EQ(ns.size(), 2u);
   EXPECT_EQ(ns[1].type, NotificationType::kRemove);
   EXPECT_EQ(cluster.stats().rebalance_resizes, 1u);
@@ -657,7 +670,8 @@ TEST(ClusterResizeTest, ZeroPartitionsClampToOne) {
   InvalidbOptions opts;
   opts.query_partitions = 2;
   opts.object_partitions = 2;
-  InvalidbCluster cluster(&clock, opts, [](const Notification&) {});
+  InvalidbCluster cluster(&clock, opts,
+                          [](const std::vector<Notification>&) {});
   EXPECT_EQ(cluster.Resize(0, 0), 0u);
   EXPECT_EQ(cluster.NumNodes(), 1u);
 }
@@ -669,10 +683,12 @@ TEST(ClusterResizeTest, DrainedEventsNeverReplayEvenIfClockLags) {
   InvalidbOptions opts;
   std::vector<Notification> ns;
   InvalidbCluster cluster(&clock, opts,
-                          [&](const Notification& n) { ns.push_back(n); });
+                          [&](const std::vector<Notification>& batch) {
+                            ns.insert(ns.end(), batch.begin(), batch.end());
+                          });
   db::Query q = Q("t", R"({"g":1})");
   ASSERT_TRUE(cluster.RegisterQuery(q, {}, kEventsAll).ok());
-  cluster.OnChange(Change("t", "a", R"({"g":1})", /*at=*/1000000));
+  cluster.OnChangeBatch({Change("t", "a", R"({"g":1})", /*at=*/1000000)});
   ASSERT_EQ(ns.size(), 1u);
   EXPECT_EQ(cluster.Resize(2, 2), 1u);
   EXPECT_EQ(ns.size(), 1u) << "drained event replayed as a duplicate";
@@ -681,7 +697,8 @@ TEST(ClusterResizeTest, DrainedEventsNeverReplayEvenIfClockLags) {
 TEST(ClusterResizeTest, MigrationPauseIsRecorded) {
   SimulatedClock clock(0);
   InvalidbOptions opts;
-  InvalidbCluster cluster(&clock, opts, [](const Notification&) {});
+  InvalidbCluster cluster(&clock, opts,
+                          [](const std::vector<Notification>&) {});
   EXPECT_EQ(cluster.MigrationPauseHistogram().count(), 0u);
   cluster.Resize(2, 1);
   cluster.Resize(1, 2);

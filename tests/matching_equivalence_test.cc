@@ -248,9 +248,10 @@ TEST(MatchingEquivalenceTest, ClusterResizeMidUpdatesMatchesBruteForce) {
   InvalidbOptions opts;
   opts.query_partitions = 2;
   opts.object_partitions = 2;
-  InvalidbCluster cluster(&clock, opts, [&](const Notification& n) {
-    got.push_back(n);
-  });
+  InvalidbCluster cluster(&clock, opts,
+                          [&](const std::vector<Notification>& batch) {
+                            got.insert(got.end(), batch.begin(), batch.end());
+                          });
   MatchingNode brute(/*use_index=*/false);
 
   // Stateless queries only: the sorted layer is covered by
@@ -304,7 +305,7 @@ TEST(MatchingEquivalenceTest, ClusterResizeMidUpdatesMatchesBruteForce) {
       ev.after.body = RandomDoc(rng);
       live[id] = ev.after.body;
     }
-    cluster.OnChange(ev);
+    cluster.OnChangeBatch({ev});
     brute.Match(ev, &want);
   }
 
@@ -434,7 +435,7 @@ TEST(MatchingEquivalenceTest, TopKPlanExecutesIdenticallyToScan) {
 }
 
 // ---------------------------------------------------------------------------
-// Write-path batching: batched ingest == the per-event pipeline
+// Batch boundaries change no notification
 // ---------------------------------------------------------------------------
 
 // Canonical signature for byte-for-byte multiset comparison (event_time
@@ -511,24 +512,45 @@ BatchWorkload MakeBatchWorkload(uint64_t seed, int num_queries,
   return w;
 }
 
-/// Feeds the stream in `batch`-sized slices through OnChangeBatch
-/// (batch == 1 is the per-event reference path) and returns the sorted
-/// notification multiset. `resize_at` >= 0 repartitions the live cluster
-/// to 3x2 at the first batch boundary past that event index — zero
-/// loss/duplication is the Resize() contract, so the exact boundary may
-/// differ between batch sizes without changing the multiset.
+/// The independent reference: one brute-force MatchingNode fed the
+/// workload event by event. With stateless queries subscribed to every
+/// event type the cluster delivers exactly the raw match output, so this
+/// is the sorted multiset every batch size must reproduce.
+std::vector<std::string> BruteForceSigs(const BatchWorkload& w) {
+  MatchingNode brute(/*use_index=*/false);
+  for (size_t i = 0; i < w.queries.size(); ++i) {
+    std::vector<std::string> ids;
+    for (const Document& doc : w.initial[i]) ids.push_back(doc.id);
+    brute.AddQuery(w.queries[i], w.queries[i].NormalizedKey(),
+                   std::move(ids));
+  }
+  std::vector<Notification> raw;
+  for (const ChangeEvent& ev : w.stream) brute.Match(ev, &raw);
+  std::vector<std::string> sigs;
+  for (const Notification& n : raw) sigs.push_back(Sig(n));
+  std::sort(sigs.begin(), sigs.end());
+  return sigs;
+}
+
+/// Feeds the stream in `batch`-sized slices through OnChangeBatch and
+/// returns the sorted notification multiset. `resize_at` >= 0
+/// repartitions the live cluster to 3x2 at the first batch boundary past
+/// that event index — zero loss/duplication is the Resize() contract, so
+/// the exact boundary may differ between batch sizes without changing the
+/// multiset.
 std::vector<std::string> RunBatchedCluster(const BatchWorkload& w,
-                                           size_t batch, int resize_at,
-                                           ClusterStats* stats_out) {
+                                           size_t batch, int resize_at) {
   SimulatedClock clock(0);
   std::vector<std::string> sigs;
   InvalidbOptions opts;
   opts.query_partitions = 2;
   opts.object_partitions = 2;
-  opts.batched_matching = batch > 1;
-  InvalidbCluster cluster(&clock, opts, [&](const Notification& n) {
-    sigs.push_back(Sig(n));
-  });
+  InvalidbCluster cluster(&clock, opts,
+                          [&](const std::vector<Notification>& batch) {
+                            for (const Notification& n : batch) {
+                              sigs.push_back(Sig(n));
+                            }
+                          });
   for (size_t i = 0; i < w.queries.size(); ++i) {
     EXPECT_TRUE(
         cluster.RegisterQuery(w.queries[i], w.initial[i], kEventsAll).ok());
@@ -540,47 +562,30 @@ std::vector<std::string> RunBatchedCluster(const BatchWorkload& w,
       resized = true;
     }
     const size_t end = std::min(i + batch, w.stream.size());
-    if (batch == 1) {
-      cluster.OnChange(w.stream[i]);
-    } else {
-      cluster.OnChangeBatch(std::vector<ChangeEvent>(
-          w.stream.begin() + i, w.stream.begin() + end));
-    }
+    cluster.OnChangeBatch(std::vector<ChangeEvent>(w.stream.begin() + i,
+                                                   w.stream.begin() + end));
   }
-  if (stats_out != nullptr) *stats_out = cluster.stats();
   std::sort(sigs.begin(), sigs.end());
   return sigs;
 }
 
-TEST(MatchingEquivalenceTest, BatchedClusterByteIdenticalAcross20Seeds) {
+TEST(MatchingEquivalenceTest, BatchedClusterMatchesBruteForceAcross20Seeds) {
   constexpr int kEvents = 160;
   size_t nonvacuous = 0;
   for (uint64_t seed = 0; seed < 20; ++seed) {
     const BatchWorkload w = MakeBatchWorkload(seed, /*num_queries=*/40,
                                               /*num_records=*/24, kEvents);
-    const std::vector<std::string> expected =
-        RunBatchedCluster(w, /*batch=*/1, /*resize_at=*/-1, nullptr);
+    const std::vector<std::string> expected = BruteForceSigs(w);
     if (expected.size() > kEvents) ++nonvacuous;
-    for (const size_t batch : {size_t{7}, size_t{64}}) {
-      ClusterStats stats;
-      EXPECT_EQ(RunBatchedCluster(w, batch, /*resize_at=*/-1, &stats),
-                expected)
+    for (const size_t batch : {size_t{1}, size_t{7}, size_t{64}}) {
+      EXPECT_EQ(RunBatchedCluster(w, batch, /*resize_at=*/-1), expected)
           << "seed " << seed << " batch " << batch;
-      // The batched path actually ran (not silently unbatched).
-      EXPECT_GT(stats.change_batches, 0u) << "seed " << seed;
-      EXPECT_EQ(stats.batch_events, static_cast<uint64_t>(kEvents))
-          << "seed " << seed;
+      // Mid-stream resize: the repartition lands between two batches —
+      // the multiset must not notice, wherever the boundary falls.
+      EXPECT_EQ(RunBatchedCluster(w, batch, /*resize_at=*/kEvents / 2),
+                expected)
+          << "seed " << seed << " batch " << batch << " with resize";
     }
-    // Mid-stream resize: the repartition lands between two batches of the
-    // batched run and between two events of the reference — the multiset
-    // must not notice either way.
-    const std::vector<std::string> expected_rz =
-        RunBatchedCluster(w, /*batch=*/1, /*resize_at=*/kEvents / 2, nullptr);
-    EXPECT_EQ(expected_rz, expected) << "seed " << seed;
-    EXPECT_EQ(
-        RunBatchedCluster(w, /*batch=*/64, /*resize_at=*/kEvents / 2, nullptr),
-        expected)
-        << "seed " << seed;
   }
   // Anti-vacuity: most seeds must emit more notifications than events.
   EXPECT_GT(nonvacuous, 15u);
@@ -590,8 +595,8 @@ TEST(MatchingEquivalenceTest, BatchedClusterByteIdenticalAcross20Seeds) {
 // cross-row commit interleaving — which the per-record ordering contract
 // never promised — can reach the (order-sensitive) sorted layer in a
 // different order. With a single object partition the grouping is the
-// identity and the full stateful pipeline must be byte-identical,
-// new_index and changeIndex moves included.
+// identity and the full stateful pipeline must be byte-identical across
+// batch sizes, new_index and changeIndex moves included.
 TEST(MatchingEquivalenceTest, BatchedSortedLayerSingleRowByteIdentical) {
   Rng rng(0x50fa);
   BatchWorkload w;
@@ -621,21 +626,21 @@ TEST(MatchingEquivalenceTest, BatchedSortedLayerSingleRowByteIdentical) {
     InvalidbOptions opts;
     opts.query_partitions = 2;
     opts.object_partitions = 1;  // one row: batches keep global order
-    opts.batched_matching = batch > 1;
-    InvalidbCluster cluster(&clock, opts, [&](const Notification& n) {
-      sigs.push_back(Sig(n));
-      if (n.type == NotificationType::kChangeIndex) ++index_moves;
-    });
+    InvalidbCluster cluster(&clock, opts,
+                            [&](const std::vector<Notification>& batch) {
+                              for (const Notification& n : batch) {
+                                sigs.push_back(Sig(n));
+                                if (n.type == NotificationType::kChangeIndex) {
+                                  ++index_moves;
+                                }
+                              }
+                            });
     EXPECT_TRUE(
         cluster.RegisterQuery(w.queries[0], w.initial[0], kEventsAll).ok());
     for (size_t i = 0; i < w.stream.size(); i += batch) {
       const size_t end = std::min(i + batch, w.stream.size());
-      if (batch == 1) {
-        cluster.OnChange(w.stream[i]);
-      } else {
-        cluster.OnChangeBatch(std::vector<ChangeEvent>(
-            w.stream.begin() + i, w.stream.begin() + end));
-      }
+      cluster.OnChangeBatch(std::vector<ChangeEvent>(w.stream.begin() + i,
+                                                     w.stream.begin() + end));
     }
     EXPECT_GT(index_moves, 10u);  // the window actually reshuffled
     return sigs;  // NOT sorted: single row, order must match exactly
@@ -652,10 +657,9 @@ TEST(MatchingEquivalenceTest, BatchedSortedLayerSingleRowByteIdentical) {
 // ---------------------------------------------------------------------------
 
 /// Ships the workload through a remote/worker pair over `kv` with
-/// batching at `batch` (1 = batching off), pumping until the pipeline
-/// drains. Returns the sorted notification multiset as seen by the
-/// remote's sink — i.e. after batch encode, the reliable layer, the
-/// faulty channel, and batch decode.
+/// max_batch = `batch`, pumping until the pipeline drains. Returns the
+/// sorted notification multiset as seen by the remote's sink — i.e. after
+/// batch encode, the reliable layer, the faulty channel, and batch decode.
 std::vector<std::string> RunBatchedTransport(const BatchWorkload& w,
                                              size_t batch, SimulatedClock* clock,
                                              kv::KvStore* kv,
@@ -663,16 +667,17 @@ std::vector<std::string> RunBatchedTransport(const BatchWorkload& w,
   TransportOptions topts;
   topts.reliable.enabled = true;
   topts.reliable.seed = 0xba7c ^ batch;
-  topts.batching.enabled = batch > 1;
   topts.batching.max_batch = batch;
   std::vector<std::string> sigs;
   InvalidbOptions copts;
   copts.query_partitions = 2;
   copts.object_partitions = 2;
-  copts.batched_matching = batch > 1;
   InvalidbRemote remote(
       clock, kv, "bt",
-      [&](const Notification& n) { sigs.push_back(Sig(n)); }, topts);
+      [&](const std::vector<Notification>& batch) {
+        for (const Notification& n : batch) sigs.push_back(Sig(n));
+      },
+      topts);
   InvalidbWorker worker(clock, kv, "bt", copts, topts);
 
   for (size_t i = 0; i < w.queries.size(); ++i) {
@@ -696,18 +701,13 @@ std::vector<std::string> RunBatchedTransport(const BatchWorkload& w,
         (faulty == nullptr || faulty->held_count() == 0);
     if (drained && round > 4) break;
   }
-  if (batch > 1) {
-    // The batched framing was actually on the wire.
-    EXPECT_GT(remote.stats().batches_sent, 0u);
-    EXPECT_GT(worker.stats().batches_sent, 0u);
-  }
   EXPECT_EQ(remote.decode_errors(), 0u);
   EXPECT_EQ(worker.decode_errors(), 0u);
   std::sort(sigs.begin(), sigs.end());
   return sigs;
 }
 
-TEST(MatchingEquivalenceTest, BatchedTransportByteIdenticalAcross20Seeds) {
+TEST(MatchingEquivalenceTest, BatchedTransportMatchesBruteForceAcross20Seeds) {
   constexpr int kEvents = 48;
   fault::FaultProfile profile;
   profile.drop_rate = 0.10;
@@ -718,12 +718,15 @@ TEST(MatchingEquivalenceTest, BatchedTransportByteIdenticalAcross20Seeds) {
     const BatchWorkload w = MakeBatchWorkload(seed, /*num_queries=*/30,
                                               /*num_records=*/16, kEvents);
 
-    // Reference: batching off, perfect channel.
+    const std::vector<std::string> expected = BruteForceSigs(w);
+    ASSERT_GT(expected.size(), 10u) << "seed " << seed;
+    // A perfect channel first, then every batch size over a faulty one.
     SimulatedClock ref_clock(0);
     kv::KvStore ref_kv(&ref_clock);
-    const std::vector<std::string> expected =
-        RunBatchedTransport(w, /*batch=*/1, &ref_clock, &ref_kv, nullptr);
-    ASSERT_GT(expected.size(), 10u) << "seed " << seed;
+    EXPECT_EQ(
+        RunBatchedTransport(w, /*batch=*/1, &ref_clock, &ref_kv, nullptr),
+        expected)
+        << "seed " << seed;
 
     // Every batch size must survive a 10% drop/dup/reorder channel with
     // the exact multiset: the reliable layer guards whole envelopes, so a

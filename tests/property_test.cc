@@ -188,13 +188,15 @@ TEST(PropertyTest, InvalidbTracksGroundTruthUnderRandomTrace) {
   opts.query_partitions = 2;
   opts.object_partitions = 2;
   invalidb::InvalidbCluster cluster(
-      &clock, opts, [&](const invalidb::Notification& n) {
-        if (n.type == invalidb::NotificationType::kAdd) {
-          EXPECT_TRUE(tracked[n.query_key].insert(n.record_id).second)
-              << "duplicate add for " << n.record_id;
-        } else if (n.type == invalidb::NotificationType::kRemove) {
-          EXPECT_EQ(tracked[n.query_key].erase(n.record_id), 1u)
-              << "remove of non-member " << n.record_id;
+      &clock, opts, [&](const std::vector<invalidb::Notification>& batch) {
+        for (const invalidb::Notification& n : batch) {
+          if (n.type == invalidb::NotificationType::kAdd) {
+            EXPECT_TRUE(tracked[n.query_key].insert(n.record_id).second)
+                << "duplicate add for " << n.record_id;
+          } else if (n.type == invalidb::NotificationType::kRemove) {
+            EXPECT_EQ(tracked[n.query_key].erase(n.record_id), 1u)
+                << "remove of non-member " << n.record_id;
+          }
         }
       });
   for (const db::Query& q : queries) {
@@ -220,7 +222,7 @@ TEST(PropertyTest, InvalidbTracksGroundTruthUnderRandomTrace) {
       ev.kind = db::WriteKind::kUpdate;
       ev.after = doc.value();
     }
-    cluster.OnChange(ev);
+    cluster.OnChangeBatch({ev});
 
     if (step % 10 == 9) {
       for (const db::Query& q : queries) {
@@ -245,8 +247,8 @@ TEST(PropertyTest, SortedWindowTracksGroundTruth) {
   db::Query q = db::Query::ParseJson("t", R"({"score":{"$gte":0}})").value();
   q.SetOrderBy({{"score", false}}).SetLimit(3).SetOffset(1);
 
-  invalidb::InvalidbCluster cluster(&clock, {},
-                                    [](const invalidb::Notification&) {});
+  invalidb::InvalidbCluster cluster(
+      &clock, {}, [](const std::vector<invalidb::Notification>&) {});
   ASSERT_TRUE(cluster.RegisterQuery(q, {}, invalidb::kEventsAll).ok());
 
   for (int step = 0; step < 300; ++step) {
@@ -270,7 +272,7 @@ TEST(PropertyTest, SortedWindowTracksGroundTruth) {
       ev.kind = db::WriteKind::kUpdate;
       ev.after = doc.value();
     }
-    cluster.OnChange(ev);
+    cluster.OnChangeBatch({ev});
 
     std::vector<std::string> truth;
     for (const db::Document& d : table.Execute(q)) truth.push_back(d.id);

@@ -109,8 +109,9 @@ std::vector<std::string> RunResizingCluster(
     invalidb::InvalidbOptions opts, SimulatedClock* clock) {
   std::vector<std::string> sigs;
   invalidb::InvalidbCluster cluster(
-      clock, opts,
-      [&](const invalidb::Notification& n) { sigs.push_back(Sig(n)); });
+      clock, opts, [&](const std::vector<invalidb::Notification>& batch) {
+        for (const invalidb::Notification& n : batch) sigs.push_back(Sig(n));
+      });
   for (const db::Query& q : TestQueries()) {
     EXPECT_TRUE(cluster.RegisterQuery(q, {}, invalidb::kEventsAll).ok());
   }
@@ -121,7 +122,7 @@ std::vector<std::string> RunResizingCluster(
                      schedule[next].object_partitions);
       next++;
     }
-    cluster.OnChange(stream[i]);
+    cluster.OnChangeBatch({stream[i]});
   }
   while (next < schedule.size()) {
     cluster.Resize(schedule[next].query_partitions,
@@ -180,7 +181,9 @@ std::vector<std::string> RunTransportResizeScript(
   std::vector<std::string> sigs;
   invalidb::InvalidbRemote remote(
       clock, kv, "rz",
-      [&](const invalidb::Notification& n) { sigs.push_back(Sig(n)); },
+      [&](const std::vector<invalidb::Notification>& batch) {
+        for (const invalidb::Notification& n : batch) sigs.push_back(Sig(n));
+      },
       topts);
   invalidb::InvalidbWorker worker(clock, kv, "rz", worker_opts, topts);
 
@@ -278,7 +281,9 @@ TEST(RebalanceTest, EvaluatorResizeRecoversStateLostToDeadNodes) {
   opts.object_partitions = 2;
   invalidb::InvalidbCluster cluster(
       &clock, opts,
-      [&](const invalidb::Notification& n) { received.push_back(n); });
+      [&](const std::vector<invalidb::Notification>& batch) {
+        received.insert(received.end(), batch.begin(), batch.end());
+      });
   db::Query q = Q("posts", R"({"g":{"$gte":1}})");
   ASSERT_TRUE(cluster.RegisterQuery(q, {}, invalidb::kEventsAll).ok());
 
@@ -287,8 +292,7 @@ TEST(RebalanceTest, EvaluatorResizeRecoversStateLostToDeadNodes) {
         "posts", id, Doc(("{\"g\":" + std::to_string(g) + "}").c_str()));
     ASSERT_TRUE(r.ok());
     clock.Advance(kMicrosPerMilli);
-    cluster.OnChange(
-        Change(id, g, /*score=*/0, r.value().write_time));
+    cluster.OnChangeBatch({Change(id, g, /*score=*/0, r.value().write_time)});
   };
 
   for (int i = 0; i < 8; ++i) commit("d" + std::to_string(i), 1);
@@ -449,7 +453,9 @@ TEST(RebalanceTest, ThreadedResizeUnderLoadLosesAndDuplicatesNothing) {
   std::atomic<uint64_t> delivered{0};
   invalidb::InvalidbCluster cluster(
       SystemClock::Default(), opts,
-      [&](const invalidb::Notification&) { delivered++; });
+      [&](const std::vector<invalidb::Notification>& batch) {
+        delivered += batch.size();
+      });
   db::Query q = Q("t", R"({"n":{"$gte":0}})");
   ASSERT_TRUE(cluster.RegisterQuery(q, {}, invalidb::kEventsAll).ok());
   cluster.Flush();
@@ -477,7 +483,7 @@ TEST(RebalanceTest, ThreadedResizeUnderLoadLosesAndDuplicatesNothing) {
       ev.after.table = "t";
       ev.after.id = "d" + std::to_string(i % 50);
       ev.after.body = Doc(R"({"n":1})");
-      cluster.OnChange(ev);
+      cluster.OnChangeBatch({ev});
     }
   });
 
@@ -517,11 +523,13 @@ TEST(RebalanceTest, SameShapeResizeRebuildsInPlace) {
   opts.object_partitions = 2;
   invalidb::InvalidbCluster cluster(
       &clock, opts,
-      [&](const invalidb::Notification& n) { received.push_back(n); });
+      [&](const std::vector<invalidb::Notification>& batch) {
+        received.insert(received.end(), batch.begin(), batch.end());
+      });
   db::Query q = Q("posts", R"({"g":1})");
   ASSERT_TRUE(cluster.RegisterQuery(q, {}, invalidb::kEventsAll).ok());
   clock.Advance(kMicrosPerMilli);
-  cluster.OnChange(Change("d1", 1, 0, clock.NowMicros()));
+  cluster.OnChangeBatch({Change("d1", 1, 0, clock.NowMicros())});
   ASSERT_EQ(received.size(), 1u);
 
   EXPECT_EQ(cluster.Resize(2, 2), 1u);
@@ -530,7 +538,7 @@ TEST(RebalanceTest, SameShapeResizeRebuildsInPlace) {
 
   // Membership survived the rebuild: an in-place update is a kChange.
   clock.Advance(kMicrosPerMilli);
-  cluster.OnChange(Change("d1", 1, 1, clock.NowMicros()));
+  cluster.OnChangeBatch({Change("d1", 1, 1, clock.NowMicros())});
   ASSERT_EQ(received.size(), 2u);
   EXPECT_EQ(received.back().type, invalidb::NotificationType::kChange);
 }

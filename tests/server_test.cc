@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <utility>
@@ -317,7 +318,6 @@ void QueryReuseTest::CheckEveryMutationKind(bool notifications_arrive) {
                                invalidb::EventMask) { return Status::OK(); };
     silent.deregister_query = [](const std::string&) {};
     silent.on_change = [](const db::ChangeEvent&) {};
-    silent.on_change_batch = [](std::vector<db::ChangeEvent>) {};
     server_->SetExternalPipeline(std::move(silent));
   }
   ASSERT_TRUE(server_->Insert("t", "1", Doc(R"({"g":1})")).ok());
@@ -610,143 +610,52 @@ TEST_F(ServerTest, DeleteInvalidatesQueriesAndRecord) {
   EXPECT_TRUE(server_->ebf().IsStale(q.NormalizedKey()));
 }
 
-// Write batching must be invisible in output: the same write script run
-// with batching off and on (both size- and age-triggered flushes) yields
-// the same notification multiset, the same EBF flags, the same purges,
-// and the same invalidation count.
-TEST_F(ServerTest, WriteBatchingMatchesPerEventPath) {
-  auto sig = [](const invalidb::Notification& n) {
-    return n.query_key + "|" + n.record_id + "|" +
-           std::to_string(static_cast<int>(n.type)) + "|" +
-           std::to_string(n.new_index);
-  };
-  struct RunResult {
-    std::vector<std::string> notifications;  // sorted sigs
-    std::vector<std::string> purged;         // sorted + deduped: batching
-                                             // coalesces same-key purges
-                                             // within a flush by design
-    size_t purge_calls = 0;
-    std::vector<std::string> stale_keys;  // sorted
-    uint64_t invalidations = 0;
-  };
-  auto run = [&](ServerOptions opts) {
-    SimulatedClock clock(0);
-    db::Database db(&clock);
-    QuaestorServer server(&clock, &db, opts);
-    RunResult r;
-    server.AddPurgeTarget(
-        [&](const std::string& key) { r.purged.push_back(key); });
-    server.AddNotificationTap([&](const invalidb::Notification& n) {
-      r.notifications.push_back(sig(n));
-    });
-    std::vector<db::Query> queries;
-    for (int g = 0; g < 4; ++g) {
-      queries.push_back(
-          Q("t", ("{\"g\":" + std::to_string(g) + "}").c_str()));
-    }
-    for (int i = 0; i < 20; ++i) {
-      EXPECT_TRUE(server
-                      .Insert("t", "r" + std::to_string(i),
-                              Doc(("{\"g\":" + std::to_string(i % 4) + "}")
-                                      .c_str()))
-                      .ok());
-    }
-    for (const db::Query& q : queries) {
-      server.RegisterQueryShape(q);
-      webcache::HttpRequest req;
-      req.key = q.NormalizedKey();
-      EXPECT_TRUE(server.Fetch(req).ok);
-    }
-    clock.Advance(1 * kSecond);
-    r.purged.clear();
-    // Deterministic churn: group moves (add+remove pairs), no-op groups
-    // (g=4 matches nothing), deletes, and clock advances that trigger
-    // age-based flushes mid-script when batching is on.
-    for (int i = 0; i < 40; ++i) {
-      const std::string id = "r" + std::to_string((i * 7) % 20);
-      if (i % 9 == 8) {
-        (void)server.Delete("t", id);  // may already be deleted: fine
-      } else {
-        db::Update u;
-        u.Set("g", db::Value((i * 3) % 5));
-        (void)server.Update("t", id, u);
-      }
-      if (i % 11 == 10) clock.Advance(2 * kMicrosPerMilli);
-    }
-    server.FlushChanges();
-    for (const db::Query& q : queries) {
-      if (server.ebf().IsStale(q.NormalizedKey())) {
-        r.stale_keys.push_back(q.NormalizedKey());
-      }
-    }
-    r.invalidations = server.stats().query_invalidations;
-    std::sort(r.notifications.begin(), r.notifications.end());
-    r.purge_calls = r.purged.size();
-    std::sort(r.purged.begin(), r.purged.end());
-    r.purged.erase(std::unique(r.purged.begin(), r.purged.end()),
-                   r.purged.end());
-    return r;
-  };
-
-  ServerOptions off;
-  const RunResult reference = run(off);
-  ASSERT_GT(reference.notifications.size(), 10u);
-  ASSERT_FALSE(reference.stale_keys.empty());
-
-  for (size_t max_batch : {4u, 64u}) {
-    ServerOptions on;
-    on.write_batching.enabled = true;
-    on.write_batching.max_batch = max_batch;
-    const RunResult batched = run(on);
-    EXPECT_EQ(batched.notifications, reference.notifications)
-        << "max_batch=" << max_batch;
-    EXPECT_EQ(batched.purged, reference.purged) << "max_batch=" << max_batch;
-    // Coalescing may only ever reduce purge traffic, never add to it.
-    EXPECT_LE(batched.purge_calls, reference.purge_calls);
-    EXPECT_EQ(batched.stale_keys, reference.stale_keys);
-    EXPECT_EQ(batched.invalidations, reference.invalidations);
-  }
-}
-
-// With batching on, a single write sits in the buffer (no notification,
-// no EBF flag) until a flush: explicitly, by size, or by age.
-TEST_F(ServerTest, WriteBatchingDefersUntilFlush) {
-  ServerOptions opts;
-  opts.write_batching.enabled = true;
-  opts.write_batching.max_batch = 64;
-  opts.write_batching.flush_interval = 1 * kMicrosPerMilli;
-  MakeServer(opts);
+// One notification delivery that names a query key twice runs the stale-
+// key pass once per distinct key, while counters, TTL feedback and taps
+// still see every notification.
+TEST_F(ServerTest, NotificationBatchCoalescesPerDistinctKey) {
+  MakeServer();
   std::vector<invalidb::Notification> taps;
   server_->AddNotificationTap(
       [&](const invalidb::Notification& n) { taps.push_back(n); });
   ASSERT_TRUE(server_->Insert("t", "1", Doc(R"({"g":1})")).ok());
-  server_->FlushChanges();
-  db::Query q = Q("t", R"({"g":1})");
-  (void)GetQuery(q);
+  ASSERT_TRUE(server_->Insert("t", "2", Doc(R"({"g":2})")).ok());
+  const std::string a = Q("t", R"({"g":1})").NormalizedKey();
+  const std::string b = Q("t", R"({"g":2})").NormalizedKey();
+  ASSERT_TRUE(GetQuery(Q("t", R"({"g":1})")).ok);
+  ASSERT_TRUE(GetQuery(Q("t", R"({"g":2})")).ok);
   clock_.Advance(1 * kSecond);
+  purged_.clear();
+  const uint64_t invalidations_before = server_->stats().query_invalidations;
+  const uint64_t flags_before =
+      server_->ebf().AggregateStats().invalidations_reported;
 
-  db::Update u;
-  u.Set("g", db::Value(2));
-  ASSERT_TRUE(server_->Update("t", "1", u).ok());
-  EXPECT_TRUE(taps.empty());  // buffered, not yet matched
-  EXPECT_FALSE(server_->ebf().IsStale(q.NormalizedKey()));
+  const auto notification = [&](const std::string& key,
+                                const std::string& id) {
+    invalidb::Notification n;
+    n.type = invalidb::NotificationType::kChange;
+    n.query_key = key;
+    n.record_id = id;
+    n.event_time = clock_.NowMicros();
+    return n;
+  };
+  server_->OnExternalNotifications(
+      {notification(a, "1"), notification(a, "3"), notification(b, "2")});
 
-  EXPECT_EQ(server_->FlushChanges(), 1u);
-  ASSERT_EQ(taps.size(), 1u);
-  EXPECT_EQ(taps[0].type, invalidb::NotificationType::kRemove);
-  EXPECT_TRUE(server_->ebf().IsStale(q.NormalizedKey()));
-
-  // Age-triggered: a write whose buffer has an over-age oldest event
-  // flushes inline.
-  db::Update back;
-  back.Set("g", db::Value(1));
-  ASSERT_TRUE(server_->Update("t", "1", back).ok());
-  clock_.Advance(2 * kMicrosPerMilli);
-  db::Update again;
-  again.Set("g", db::Value(3));
-  ASSERT_TRUE(server_->Update("t", "1", again).ok());
-  EXPECT_EQ(taps.size(), 3u);  // both buffered events delivered
-  EXPECT_EQ(server_->FlushChanges(), 0u);
+  EXPECT_EQ(std::count(purged_.begin(), purged_.end(), a), 1);
+  EXPECT_EQ(std::count(purged_.begin(), purged_.end(), b), 1);
+  EXPECT_EQ(purged_.size(), 2u);
+  EXPECT_EQ(server_->ebf().AggregateStats().invalidations_reported -
+                flags_before,
+            2u);
+  EXPECT_TRUE(server_->ebf().IsStale(a));
+  EXPECT_TRUE(server_->ebf().IsStale(b));
+  EXPECT_EQ(server_->stats().query_invalidations - invalidations_before, 3u);
+  ASSERT_EQ(taps.size(), 3u);
+  EXPECT_EQ(taps[0].query_key, a);
+  EXPECT_EQ(taps[1].query_key, a);
+  EXPECT_EQ(taps[1].record_id, "3");
+  EXPECT_EQ(taps[2].query_key, b);
 }
 
 // ---------------------------------------------------------------------------

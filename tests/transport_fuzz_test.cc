@@ -42,7 +42,6 @@ std::string RandomBytes(Rng* rng, size_t max_len) {
 
 // Feeds one message into every decoder; none may crash.
 void ExerciseDecoders(const std::string& message) {
-  (void)transport::DecodeNotification(message).ok();
   (void)transport::DecodeChangeBatch(message).ok();
   (void)transport::DecodeNotificationBatch(message).ok();
   (void)reliable::Decode(message).ok();
@@ -51,6 +50,8 @@ void ExerciseDecoders(const std::string& message) {
   if (parsed.ok()) {
     (void)db::Query::FromSpec(parsed.value()).ok();
     (void)transport::DecodeDocument(parsed.value()).ok();
+    (void)transport::DecodeChangeEvent(parsed.value()).ok();
+    (void)transport::DecodeNotification(parsed.value()).ok();
   }
 }
 
@@ -70,7 +71,7 @@ std::vector<std::string> ValidWireMessages() {
   n.record_id = "d7";
   n.event_time = 12345;
   n.new_index = 3;
-  msgs.push_back(transport::EncodeNotification(n));
+  msgs.push_back(transport::EncodeNotificationBatch({n}));
 
   db::ChangeEvent ev;
   ev.kind = db::WriteKind::kUpdate;
@@ -78,7 +79,7 @@ std::vector<std::string> ValidWireMessages() {
   ev.after.id = "p1";
   ev.after.body = Doc(R"({"g":1,"tags":["a","b"]})");
   ev.commit_time = 99;
-  msgs.push_back(transport::EncodeChange(ev));
+  msgs.push_back(transport::EncodeChangeBatch({ev}));
 
   db::Query q = Q("posts", R"({"g":{"$gte":1},"x":"y"})");
   q.SetOrderBy({{"score", false}}).SetLimit(3);
@@ -196,7 +197,10 @@ TEST(TransportFuzzTest, WorkerDropsTornBatchesWhole) {
   std::vector<Notification> received;
   InvalidbWorker worker(&clock, &kv, "tb");
   InvalidbRemote remote(&clock, &kv, "tb",
-                        [&](const Notification& n) { received.push_back(n); });
+                        [&](const std::vector<Notification>& batch) {
+                          received.insert(received.end(), batch.begin(),
+                                          batch.end());
+                        });
   db::Query q = Q("posts", R"({"g":1})");
   kv.QueuePush("tb:requests", transport::EncodeRegister(q, {}, kEventsAll, 0));
 
@@ -241,7 +245,10 @@ TEST(TransportFuzzTest, RemoteSurvivesGarbageOnItsNotificationQueue) {
   kv::KvStore kv(&clock);
   std::vector<Notification> received;
   InvalidbRemote remote(&clock, &kv, "fz",
-                        [&](const Notification& n) { received.push_back(n); });
+                        [&](const std::vector<Notification>& batch) {
+                          received.insert(received.end(), batch.begin(),
+                                          batch.end());
+                        });
 
   Rng rng(0xdead);
   for (int i = 0; i < 300; ++i) {
@@ -251,7 +258,7 @@ TEST(TransportFuzzTest, RemoteSurvivesGarbageOnItsNotificationQueue) {
   n.type = NotificationType::kAdd;
   n.query_key = "k";
   n.record_id = "r";
-  kv.QueuePush("fz:notifications", transport::EncodeNotification(n));
+  kv.QueuePush("fz:notifications", transport::EncodeNotificationBatch({n}));
   remote.DrainNotifications();
   ASSERT_EQ(received.size(), 1u);
   EXPECT_EQ(received[0].record_id, "r");

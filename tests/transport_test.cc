@@ -82,27 +82,22 @@ TEST(QuerySpecTest, RejectsMalformed) {
 // Message encode/decode
 // ---------------------------------------------------------------------------
 
-TEST(TransportCodecTest, NotificationRoundTrip) {
-  Notification n;
-  n.type = NotificationType::kChangeIndex;
-  n.query_key = "q:t?a $eq 1";
-  n.record_id = "d7";
-  n.event_time = 12345;
-  n.new_index = 3;
-  auto back = transport::DecodeNotification(transport::EncodeNotification(n));
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->type, n.type);
-  EXPECT_EQ(back->query_key, n.query_key);
-  EXPECT_EQ(back->record_id, n.record_id);
-  EXPECT_EQ(back->event_time, n.event_time);
-  EXPECT_EQ(back->new_index, n.new_index);
-}
-
 TEST(TransportCodecTest, DecodeRejectsGarbage) {
-  EXPECT_FALSE(transport::DecodeNotification(std::string("not json")).ok());
-  EXPECT_FALSE(transport::DecodeNotification(std::string("{}")).ok());
   EXPECT_FALSE(
-      transport::DecodeNotification(std::string(R"({"type":"x"})")).ok());
+      transport::DecodeNotificationBatch(std::string("not json")).ok());
+  EXPECT_FALSE(transport::DecodeNotificationBatch(std::string("{}")).ok());
+  // A bare notification spec is no envelope.
+  EXPECT_FALSE(transport::DecodeNotificationBatch(
+                   std::string(R"({"event_time":1,"new_index":-1,)"
+                               R"("query_key":"k","record_id":"r",)"
+                               R"("type":0})"))
+                   .ok());
+  // A well-formed envelope whose element is a malformed spec (valid JSON,
+  // bad field) runs the generic fallback and the per-element decoder.
+  EXPECT_FALSE(transport::DecodeNotificationBatch(
+                   std::string(R"({"notifications":[{"type":"x"}],)"
+                               R"("op":"notify_batch"})"))
+                   .ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -120,54 +115,30 @@ std::string Canonicalize(const std::string& json) {
   return v->ToJson();
 }
 
-TEST(TransportGoldenTest, ChangeEncodingBytes) {
-  db::ChangeEvent ev;
-  ev.kind = db::WriteKind::kUpdate;
-  ev.after.table = "posts";
-  ev.after.id = "p\"1\\x";  // escaping is part of the golden surface
-  ev.after.version = 7;
-  ev.after.write_time = 42;
-  ev.after.body = Doc(R"({"z":[1,null],"a":"x"})");  // sorted on encode
-  ev.commit_time = 43;
-  const std::string got = transport::EncodeChange(ev);
-  EXPECT_EQ(got,
+TEST(TransportGoldenTest, BatchEnvelopeBytes) {
+  db::ChangeEvent update;
+  update.kind = db::WriteKind::kUpdate;
+  update.after.table = "posts";
+  update.after.id = "p\"1\\x";  // escaping is part of the golden surface
+  update.after.version = 7;
+  update.after.write_time = 42;
+  update.after.body = Doc(R"({"z":[1,null],"a":"x"})");  // sorted on encode
+  update.commit_time = 43;
+  db::ChangeEvent del;
+  del.kind = db::WriteKind::kDelete;
+  del.after.table = "t";
+  del.after.id = "d1";
+  del.after.deleted = true;
+  del.after.body = Doc(R"({"g":1})");
+  del.after.write_time = 5;
+  del.commit_time = 6;
+  const std::string batch = transport::EncodeChangeBatch({update, del});
+  EXPECT_EQ(batch,
+            "{\"events\":["
             "{\"after\":{\"body\":{\"a\":\"x\",\"z\":[1,null]},"
             "\"deleted\":false,\"id\":\"p\\\"1\\\\x\",\"table\":\"posts\","
             "\"version\":7,\"write_time\":42},\"commit_time\":43,"
-            "\"kind\":1,\"op\":\"change\"}");
-  EXPECT_EQ(got, Canonicalize(got));
-}
-
-TEST(TransportGoldenTest, NotificationEncodingBytes) {
-  Notification n;
-  n.type = NotificationType::kChangeIndex;
-  n.query_key = "q:t?a $eq 1";
-  n.record_id = "d7";
-  n.event_time = 12345;
-  n.new_index = 3;
-  const std::string got = transport::EncodeNotification(n);
-  EXPECT_EQ(got,
-            "{\"event_time\":12345,\"new_index\":3,"
-            "\"query_key\":\"q:t?a $eq 1\","
-            "\"record_id\":\"d7\",\"type\":3}");
-  EXPECT_EQ(got, Canonicalize(got));
-}
-
-TEST(TransportGoldenTest, BatchEnvelopeBytes) {
-  db::ChangeEvent ev;
-  ev.kind = db::WriteKind::kDelete;
-  ev.after.table = "t";
-  ev.after.id = "d1";
-  ev.after.deleted = true;
-  ev.after.body = Doc(R"({"g":1})");
-  ev.after.write_time = 5;
-  ev.commit_time = 6;
-  const std::string batch = transport::EncodeChangeBatch({ev, ev});
-  EXPECT_EQ(batch,
-            "{\"events\":["
-            "{\"after\":{\"body\":{\"g\":1},\"deleted\":true,\"id\":\"d1\","
-            "\"table\":\"t\",\"version\":0,\"write_time\":5},"
-            "\"commit_time\":6,\"kind\":2},"
+            "\"kind\":1},"
             "{\"after\":{\"body\":{\"g\":1},\"deleted\":true,\"id\":\"d1\","
             "\"table\":\"t\",\"version\":0,\"write_time\":5},"
             "\"commit_time\":6,\"kind\":2}"
@@ -176,15 +147,23 @@ TEST(TransportGoldenTest, BatchEnvelopeBytes) {
   EXPECT_EQ(transport::EncodeChangeBatch({}),
             "{\"events\":[],\"op\":\"change_batch\"}");
 
-  Notification n;
-  n.type = NotificationType::kAdd;
-  n.query_key = "k";
-  n.record_id = "r";
-  n.event_time = 9;
-  const std::string nb = transport::EncodeNotificationBatch({n});
+  Notification add;
+  add.type = NotificationType::kAdd;
+  add.query_key = "k";
+  add.record_id = "r";
+  add.event_time = 9;
+  Notification move;
+  move.type = NotificationType::kChangeIndex;
+  move.query_key = "q:t?a $eq 1";
+  move.record_id = "d7";
+  move.event_time = 12345;
+  move.new_index = 3;
+  const std::string nb = transport::EncodeNotificationBatch({add, move});
   EXPECT_EQ(nb,
             "{\"notifications\":[{\"event_time\":9,\"new_index\":-1,"
-            "\"query_key\":\"k\",\"record_id\":\"r\",\"type\":0}],"
+            "\"query_key\":\"k\",\"record_id\":\"r\",\"type\":0},"
+            "{\"event_time\":12345,\"new_index\":3,"
+            "\"query_key\":\"q:t?a $eq 1\",\"record_id\":\"d7\",\"type\":3}],"
             "\"op\":\"notify_batch\"}");
   EXPECT_EQ(nb, Canonicalize(nb));
 }
@@ -237,7 +216,7 @@ TEST(TransportCodecTest, ChangeBatchRoundTrip) {
 
 TEST(TransportCodecTest, NotificationBatchRoundTrip) {
   std::vector<Notification> batch;
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 4; ++i) {  // every type, kChangeIndex included
     Notification n;
     n.type = static_cast<NotificationType>(i);
     n.query_key = "q\"" + std::to_string(i);
@@ -306,7 +285,9 @@ class TransportTest : public ::testing::Test {
       : clock_(0),
         kv_(&clock_),
         remote_(&clock_, &kv_, "invalidb",
-                [this](const Notification& n) { received_.push_back(n); }),
+                [this](const std::vector<Notification>& batch) {
+                  received_.insert(received_.end(), batch.begin(), batch.end());
+                }),
         worker_(&clock_, &kv_, "invalidb") {}
 
   SimulatedClock clock_;
@@ -381,15 +362,31 @@ TEST_F(TransportTest, MalformedMessagesCountedAndSkipped) {
   kv_.QueuePush("invalidb:requests", R"({"op":"register"})");
   db::Query q = Q("posts", R"({"g":1})");
   remote_.RegisterQuery(q, {}, kEventsAll);
-  EXPECT_EQ(worker_.ProcessPending(), 4u);
-  EXPECT_EQ(worker_.decode_errors(), 3u);
+  // The retired per-event forms: a lone change request that would match
+  // the query, and a bare notification spec. Changes and notifications
+  // only travel inside batch envelopes, so both are decode errors.
+  kv_.QueuePush("invalidb:requests",
+                R"({"after":{"body":{"g":1},"deleted":false,"id":"p1",)"
+                R"("table":"posts","version":1,"write_time":5},)"
+                R"("commit_time":5,"kind":1,"op":"change"})");
+  kv_.QueuePush("invalidb:notifications",
+                R"({"event_time":5,"new_index":-1,"query_key":"k",)"
+                R"("record_id":"p1","type":0})");
+  EXPECT_EQ(worker_.ProcessPending(), 5u);
+  EXPECT_EQ(worker_.decode_errors(), 4u);
   EXPECT_TRUE(worker_.cluster().IsRegistered(q.NormalizedKey()));
+  EXPECT_EQ(worker_.cluster().stats().changes_ingested, 0u);
+  EXPECT_EQ(remote_.DrainNotifications(), 0u);
+  EXPECT_EQ(remote_.decode_errors(), 1u);
+  EXPECT_TRUE(received_.empty());
 }
 
 TEST_F(TransportTest, BackgroundThreadsDeliver) {
   std::atomic<int> count{0};
   InvalidbRemote remote(SystemClock::Default(), &kv_, "bg",
-                        [&](const Notification&) { count++; });
+                        [&](const std::vector<Notification>& batch) {
+                          count += batch.size();
+                        });
   InvalidbWorker worker(SystemClock::Default(), &kv_, "bg");
   worker.Start();
   remote.StartPolling();
@@ -418,7 +415,6 @@ class BatchedTransportTest : public ::testing::Test {
   static TransportOptions Topts() {
     TransportOptions topts;
     topts.reliable.enabled = true;
-    topts.batching.enabled = true;
     topts.batching.max_batch = 4;
     topts.batching.flush_interval = 5 * kMicrosPerMilli;
     return topts;
@@ -436,7 +432,9 @@ class BatchedTransportTest : public ::testing::Test {
       : clock_(0),
         kv_(&clock_),
         remote_(&clock_, &kv_, "bt",
-                [this](const Notification& n) { received_.push_back(n); },
+                [this](const std::vector<Notification>& batch) {
+                  received_.insert(received_.end(), batch.begin(), batch.end());
+                },
                 Topts()),
         worker_(&clock_, &kv_, "bt", Copts(), Topts()) {}
 
@@ -537,7 +535,6 @@ TEST_F(BatchedTransportTest, NotificationsCoalesceIntoOneEnvelope) {
     EXPECT_EQ(n.record_id, "p1");
     EXPECT_EQ(n.event_time, 9);
   }
-  EXPECT_EQ(worker_.cluster().stats().notifications_coalesced, 2u);
 }
 
 TEST_F(BatchedTransportTest, StatsExportCoversBatchingCounters) {
