@@ -52,7 +52,7 @@ struct FaultStats {
 /// A seeded source of fault decisions: every randomized choice in the
 /// fault layer flows through one injector so a chaos schedule replays
 /// exactly from its seed. Thread-safe (the faulty KV store is shared
-/// between the remote's poller and the worker's consumer threads).
+/// between the threads pumping the remote and the worker).
 class FaultInjector {
  public:
   explicit FaultInjector(uint64_t seed, FaultProfile profile = FaultProfile())

@@ -24,7 +24,7 @@ namespace quaestor::fault {
 /// a delayed message is released once its due time passes, a reordered
 /// message after 1–3 subsequent pushes to the same queue overtake it.
 /// Releases are checked at every queue operation, so any pumping loop
-/// (DrainNotifications / ProcessPending / the poller threads) eventually
+/// (DrainNotifications / ProcessPending, from any thread) eventually
 /// delivers them. FlushHeld() force-releases everything (test teardown).
 class FaultyKvStore : public kv::KvStore {
  public:

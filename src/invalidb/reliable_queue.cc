@@ -8,6 +8,17 @@
 
 namespace quaestor::invalidb {
 
+QueueSend KvQueueSend(kv::KvStore* kv) {
+  return [kv](const std::string& queue, std::string message) {
+    kv->QueuePush(queue, std::move(message));
+  };
+}
+
+void DrainKvQueue(kv::KvStore* kv, const std::string& queue,
+                  const std::function<void(const std::string&)>& receive) {
+  while (auto msg = kv->QueueTryPop(queue)) receive(*msg);
+}
+
 namespace reliable {
 
 namespace {
@@ -106,11 +117,11 @@ Result<Envelope> DecodeAck(const std::string& message) {
 // ReliableSender
 // ---------------------------------------------------------------------------
 
-ReliableSender::ReliableSender(Clock* clock, kv::KvStore* kv,
+ReliableSender::ReliableSender(Clock* clock, QueueSend send,
                                std::string queue, std::string sender_id,
                                ReliableOptions options)
     : clock_(clock),
-      kv_(kv),
+      send_(std::move(send)),
       queue_(std::move(queue)),
       ack_queue_(queue_ + ":acks"),
       sender_id_(std::move(sender_id)),
@@ -126,7 +137,7 @@ Micros ReliableSender::JitteredLocked(Micros backoff) {
 
 Status ReliableSender::Send(std::string payload) {
   if (!options_.enabled) {
-    kv_->QueuePush(queue_, std::move(payload));
+    send_(queue_, std::move(payload));
     return Status::OK();
   }
   std::string wire;
@@ -146,26 +157,22 @@ Status ReliableSender::Send(std::string payload) {
     deadlines_.insert(p.next_retransmit);
     unacked_.emplace(seq, std::move(p));
   }
-  kv_->QueuePush(queue_, std::move(wire));
+  send_(queue_, std::move(wire));
   return Status::OK();
 }
 
-void ReliableSender::ProcessAcks() {
-  for (;;) {
-    auto msg = kv_->QueueTryPop(ack_queue_);
-    if (!msg.has_value()) return;
-    auto ack = reliable::DecodeAck(*msg);
-    if (!ack.ok() || ack->sender != sender_id_) continue;
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = unacked_.find(ack->seq);
-    if (it == unacked_.end()) continue;
-    // Retire the acked message's retransmit deadline with it — if it held
-    // the earliest deadline, the idle-tick early-out must see the next
-    // one, not a stale minimum.
-    auto dl = deadlines_.find(it->second.next_retransmit);
-    if (dl != deadlines_.end()) deadlines_.erase(dl);
-    unacked_.erase(it);
-  }
+void ReliableSender::OnAck(const std::string& message) {
+  auto ack = reliable::DecodeAck(message);
+  if (!ack.ok() || ack->sender != sender_id_) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = unacked_.find(ack->seq);
+  if (it == unacked_.end()) return;
+  // Retire the acked message's retransmit deadline with it — if it held
+  // the earliest deadline, the idle-tick early-out must see the next
+  // one, not a stale minimum.
+  auto dl = deadlines_.find(it->second.next_retransmit);
+  if (dl != deadlines_.end()) deadlines_.erase(dl);
+  unacked_.erase(it);
 }
 
 size_t ReliableSender::RetransmitDue() {
@@ -188,7 +195,7 @@ size_t ReliableSender::RetransmitDue() {
       redeliveries_++;
     }
   }
-  for (std::string& m : resend) kv_->QueuePush(queue_, std::move(m));
+  for (std::string& m : resend) send_(queue_, std::move(m));
   return resend.size();
 }
 
@@ -216,12 +223,8 @@ uint64_t ReliableSender::retransmit_scans() const {
 // ReliableReceiver
 // ---------------------------------------------------------------------------
 
-ReliableReceiver::ReliableReceiver(kv::KvStore* kv, std::string queue,
-                                   ReliableOptions options)
-    : kv_(kv),
-      queue_(std::move(queue)),
-      ack_queue_(queue_ + ":acks"),
-      options_(options) {}
+ReliableReceiver::ReliableReceiver(QueueSend send, std::string queue)
+    : send_(std::move(send)), ack_queue_(std::move(queue) + ":acks") {}
 
 size_t ReliableReceiver::Accept(const std::string& message,
                                 const Handler& handler) {
@@ -239,7 +242,7 @@ size_t ReliableReceiver::Accept(const std::string& message,
   }
   // Ack unconditionally — the sender may be retransmitting because the
   // first ack was lost.
-  kv_->QueuePush(ack_queue_, reliable::EncodeAck(env->sender, env->seq));
+  send_(ack_queue_, reliable::EncodeAck(env->sender, env->seq));
 
   std::vector<std::string> deliverable;
   {
@@ -262,24 +265,6 @@ size_t ReliableReceiver::Accept(const std::string& message,
   }
   for (const std::string& p : deliverable) handler(p);
   return deliverable.size();
-}
-
-size_t ReliableReceiver::Poll(const Handler& handler) {
-  size_t delivered = 0;
-  for (;;) {
-    auto msg = kv_->QueueTryPop(queue_);
-    if (!msg.has_value()) return delivered;
-    delivered += Accept(*msg, handler);
-  }
-}
-
-size_t ReliableReceiver::PollBlocking(Micros timeout_micros,
-                                      const Handler& handler) {
-  auto msg = kv_->QueuePop(queue_, timeout_micros);
-  if (!msg.has_value()) return 0;
-  size_t delivered = Accept(*msg, handler);
-  delivered += Poll(handler);
-  return delivered;
 }
 
 uint64_t ReliableReceiver::duplicates_dropped() const {

@@ -38,6 +38,18 @@ struct ReliableOptions {
   size_t max_inflight = 0;
 };
 
+/// Ships `message` on the named queue: pushes onto a kv::KvStore queue
+/// (KvQueueSend) or, over sockets, sends one frame.
+using QueueSend =
+    std::function<void(const std::string& queue, std::string message)>;
+
+QueueSend KvQueueSend(kv::KvStore* kv);
+
+/// The in-process medium's pump: pops every message queued on `queue` and
+/// hands it to `receive`.
+void DrainKvQueue(kv::KvStore* kv, const std::string& queue,
+                  const std::function<void(const std::string&)>& receive);
+
 /// Wire helpers for the sequence-numbered envelope (exposed for tests and
 /// the transport fuzzer). An envelope wraps an opaque payload string:
 ///   {"rs": sender, "rn": seq, "rc": checksum, "rp": payload}
@@ -65,11 +77,11 @@ Result<Envelope> DecodeAck(const std::string& message);  // payload unused
 
 /// The sending half: stamps every payload with a per-sender sequence
 /// number, keeps it buffered until acked, and retransmits with
-/// exponential backoff + seeded jitter. Thread-safe (the transport's
-/// background threads tick senders while callers send).
+/// exponential backoff + seeded jitter. Thread-safe (a pump or loop timer
+/// ticks the sender while callers send and acks arrive).
 class ReliableSender {
  public:
-  ReliableSender(Clock* clock, kv::KvStore* kv, std::string queue,
+  ReliableSender(Clock* clock, QueueSend send, std::string queue,
                  std::string sender_id, ReliableOptions options);
 
   ReliableSender(const ReliableSender&) = delete;
@@ -81,8 +93,9 @@ class ReliableSender {
   /// more onto the queue only feeds the retransmit storm.
   Status Send(std::string payload);
 
-  /// Drains the ack queue and forgets acked messages.
-  void ProcessAcks();
+  /// Takes one message from the ack queue ("<queue>:acks") and forgets
+  /// the message it acks. Foreign or malformed acks are ignored.
+  void OnAck(const std::string& message);
 
   /// Retransmits every message whose ack deadline passed. Returns how
   /// many were re-sent. Early-outs without touching the unacked map when
@@ -90,12 +103,13 @@ class ReliableSender {
   /// recomputed after each real scan), so idle ticks are O(1).
   size_t RetransmitDue();
 
-  /// ProcessAcks + RetransmitDue (call from any pump loop).
+  /// RetransmitDue when the reliable layer is on (call from any pump loop
+  /// or timer).
   void Tick() {
-    if (!options_.enabled) return;
-    ProcessAcks();
-    RetransmitDue();
+    if (options_.enabled) RetransmitDue();
   }
+
+  const std::string& ack_queue() const { return ack_queue_; }
 
   size_t unacked() const;
   uint64_t redeliveries() const;
@@ -116,7 +130,7 @@ class ReliableSender {
   Micros JitteredLocked(Micros backoff);
 
   Clock* clock_;
-  kv::KvStore* kv_;
+  QueueSend send_;
   std::string queue_;
   std::string ack_queue_;
   std::string sender_id_;
@@ -149,37 +163,29 @@ class ReliableReceiver {
  public:
   using Handler = std::function<void(const std::string& payload)>;
 
-  ReliableReceiver(kv::KvStore* kv, std::string queue,
-                   ReliableOptions options);
+  /// Acks leave through `send` on "<queue>:acks".
+  ReliableReceiver(QueueSend send, std::string queue);
 
   ReliableReceiver(const ReliableReceiver&) = delete;
   ReliableReceiver& operator=(const ReliableReceiver&) = delete;
 
-  /// Drains the queue, invoking `handler` for every deliverable payload.
-  /// Returns how many payloads reached the handler.
-  size_t Poll(const Handler& handler);
-
-  /// Blocking variant: waits up to `timeout_micros` for the first
-  /// message, then drains the rest non-blocking.
-  size_t PollBlocking(Micros timeout_micros, const Handler& handler);
+  /// Processes one message that arrived on the queue, invoking `handler`
+  /// for every payload it makes deliverable (none, one, or a released
+  /// run of parked ones). Returns how many payloads reached the handler.
+  size_t Accept(const std::string& message, const Handler& handler);
 
   uint64_t duplicates_dropped() const;
   /// Out-of-order payloads currently parked waiting for a gap to fill.
   size_t pending() const;
 
  private:
-  /// Processes one raw queue message; returns payloads delivered.
-  size_t Accept(const std::string& message, const Handler& handler);
-
   struct SenderState {
     uint64_t floor = 0;  // highest contiguously delivered seq
     std::map<uint64_t, std::string> pending;
   };
 
-  kv::KvStore* kv_;
-  std::string queue_;
+  QueueSend send_;
   std::string ack_queue_;
-  ReliableOptions options_;
 
   mutable std::mutex mu_;
   std::unordered_map<std::string, SenderState> senders_;

@@ -445,31 +445,87 @@ size_t StagedEnvelope::size() const {
 }
 
 // ---------------------------------------------------------------------------
+// TransportEndpoint
+// ---------------------------------------------------------------------------
+
+TransportEndpoint::TransportEndpoint(Clock* clock, TransportMedium medium,
+                                     TransportOptions options,
+                                     std::string outgoing,
+                                     std::string incoming,
+                                     std::string sender_id,
+                                     ReliableOptions reliable,
+                                     std::string envelope_open,
+                                     std::string envelope_close)
+    : kv_(medium.kv),
+      options_(options),
+      incoming_(std::move(incoming)),
+      sender_(clock, medium.send, std::move(outgoing), std::move(sender_id),
+              reliable),
+      receiver_(medium.send, incoming_),
+      staged_(clock, &sender_, std::move(envelope_open),
+              std::move(envelope_close)) {}
+
+size_t TransportEndpoint::Receive(const std::string& queue,
+                                  const std::string& message) {
+  if (queue == sender_.ack_queue()) {
+    sender_.OnAck(message);
+    return 0;
+  }
+  if (queue != incoming_) return 0;
+  size_t handled = 0;
+  receiver_.Accept(message, [this, &handled](const std::string& p) {
+    handled += Handle(p);
+  });
+  return handled;
+}
+
+void TransportEndpoint::TickSender() {
+  if (kv_ != nullptr && options_.reliable.enabled) {
+    DrainKvQueue(kv_, sender_.ack_queue(), [this](const std::string& m) {
+      sender_.OnAck(m);
+    });
+  }
+  sender_.Tick();
+}
+
+size_t TransportEndpoint::DrainIncoming() {
+  size_t handled = 0;
+  DrainKvQueue(kv_, incoming_, [this, &handled](const std::string& m) {
+    handled += Receive(incoming_, m);
+  });
+  return handled;
+}
+
+TransportStats TransportEndpoint::stats() const {
+  TransportStats s;
+  s.decode_errors = decode_errors_.load();
+  s.duplicates_dropped = receiver_.duplicates_dropped();
+  s.redeliveries = sender_.redeliveries();
+  s.batches_sent = staged_.batches_sent();
+  s.batch_events = staged_.batch_events();
+  s.flushes_size = flushes_size_.load();
+  s.flushes_interval = flushes_interval_.load();
+  s.flushes_barrier = flushes_barrier_.load();
+  s.flushes_manual = flushes_manual_.load();
+  return s;
+}
+
+// ---------------------------------------------------------------------------
 // InvalidbRemote
 // ---------------------------------------------------------------------------
 
-InvalidbRemote::InvalidbRemote(Clock* clock, kv::KvStore* kv,
+InvalidbRemote::InvalidbRemote(Clock* clock, TransportMedium medium,
                                std::string prefix, NotificationBatchSink sink,
                                TransportOptions options)
-    : clock_(clock),
-      kv_(kv),
-      options_(options),
-      requests_queue_(prefix + ":requests"),
-      notifications_queue_(prefix + ":notifications"),
-      sink_(std::move(sink)),
-      req_sender_(clock, kv, requests_queue_, "quaestor", options.reliable),
-      notif_receiver_(kv, notifications_queue_, options.reliable),
-      staged_(clock, &req_sender_, "{\"events\":[",
-              "],\"op\":\"change_batch\"}") {}
+    : TransportEndpoint(clock, std::move(medium), options,
+                        prefix + ":requests", prefix + ":notifications",
+                        "quaestor", options.reliable, "{\"events\":[",
+                        "],\"op\":\"change_batch\"}"),
+      sink_(std::move(sink)) {}
 
-InvalidbRemote::~InvalidbRemote() {
-  StopPolling();
-  FlushChanges();
-}
+InvalidbRemote::~InvalidbRemote() { FlushChanges(); }
 
 void InvalidbRemote::FlushChanges() { staged_.Ship(&flushes_manual_, 1); }
-
-size_t InvalidbRemote::buffered_changes() const { return staged_.size(); }
 
 void InvalidbRemote::RegisterQuery(
     const db::Query& query, const std::vector<db::Document>& initial_result,
@@ -478,13 +534,13 @@ void InvalidbRemote::RegisterQuery(
   // registration installs (otherwise the worker would replay it against
   // the fresh query as a spurious post-activation event).
   staged_.Ship(&flushes_barrier_, 1);
-  req_sender_.Send(transport::EncodeRegister(query, initial_result, events,
-                                             evaluated_at));
+  sender_.Send(transport::EncodeRegister(query, initial_result, events,
+                                         evaluated_at));
 }
 
 void InvalidbRemote::DeregisterQuery(const std::string& query_key) {
   staged_.Ship(&flushes_barrier_, 1);
-  req_sender_.Send(transport::EncodeDeregister(query_key));
+  sender_.Send(transport::EncodeDeregister(query_key));
 }
 
 void InvalidbRemote::OnChange(const db::ChangeEvent& event) {
@@ -495,11 +551,10 @@ void InvalidbRemote::OnChange(const db::ChangeEvent& event) {
 void InvalidbRemote::Resize(size_t query_partitions,
                             size_t object_partitions) {
   staged_.Ship(&flushes_barrier_, 1);
-  req_sender_.Send(
-      transport::EncodeResize(query_partitions, object_partitions));
+  sender_.Send(transport::EncodeResize(query_partitions, object_partitions));
 }
 
-size_t InvalidbRemote::HandleWire(const std::string& payload) {
+size_t InvalidbRemote::Handle(const std::string& payload) {
   // Canonical notify_batch envelopes decode in one scanning pass; anything
   // else goes through the generic, op-checked decoder, which rejects every
   // payload that is not a notify_batch.
@@ -514,47 +569,12 @@ size_t InvalidbRemote::HandleWire(const std::string& payload) {
 
 void InvalidbRemote::Tick() {
   staged_.Ship(&flushes_interval_, 1, options_.batching.flush_interval);
-  req_sender_.Tick();
+  TickSender();
 }
 
 size_t InvalidbRemote::DrainNotifications() {
   Tick();
-  size_t delivered = 0;
-  notif_receiver_.Poll([this, &delivered](const std::string& payload) {
-    delivered += HandleWire(payload);
-  });
-  return delivered;
-}
-
-void InvalidbRemote::StartPolling() {
-  if (polling_.exchange(true)) return;
-  poller_ = std::thread([this] {
-    while (polling_.load()) {
-      Tick();
-      notif_receiver_.PollBlocking(
-          /*timeout_micros=*/10 * kMicrosPerMilli,
-          [this](const std::string& payload) { HandleWire(payload); });
-    }
-  });
-}
-
-void InvalidbRemote::StopPolling() {
-  if (!polling_.exchange(false)) return;
-  if (poller_.joinable()) poller_.join();
-}
-
-TransportStats InvalidbRemote::stats() const {
-  TransportStats s;
-  s.decode_errors = decode_errors_.load();
-  s.duplicates_dropped = notif_receiver_.duplicates_dropped();
-  s.redeliveries = req_sender_.redeliveries();
-  s.batches_sent = staged_.batches_sent();
-  s.batch_events = staged_.batch_events();
-  s.flushes_size = flushes_size_.load();
-  s.flushes_interval = flushes_interval_.load();
-  s.flushes_barrier = flushes_barrier_.load();
-  s.flushes_manual = flushes_manual_.load();
-  return s;
+  return DrainIncoming();
 }
 
 // ---------------------------------------------------------------------------
@@ -572,20 +592,17 @@ ReliableOptions WorkerReliable(ReliableOptions base) {
 
 }  // namespace
 
-InvalidbWorker::InvalidbWorker(Clock* clock, kv::KvStore* kv,
+InvalidbWorker::InvalidbWorker(Clock* clock, TransportMedium medium,
                                std::string prefix, InvalidbOptions options,
                                TransportOptions transport_options)
-    : kv_(kv),
-      options_(transport_options),
-      requests_queue_(prefix + ":requests"),
-      notifications_queue_(prefix + ":notifications"),
-      req_receiver_(kv, requests_queue_, transport_options.reliable),
-      notif_sender_(clock, kv, notifications_queue_, "invalidb",
-                    WorkerReliable(transport_options.reliable)),
-      staged_(clock, &notif_sender_, "{\"notifications\":[",
-              "],\"op\":\"notify_batch\"}") {
+    : TransportEndpoint(clock, std::move(medium), transport_options,
+                        prefix + ":notifications", prefix + ":requests",
+                        "invalidb", WorkerReliable(transport_options.reliable),
+                        "{\"notifications\":[",
+                        "],\"op\":\"notify_batch\"}") {
   // Each dispatch's notifications join the staged notify_batch envelope,
-  // which ships at max_batch or at the end of the pump cycle.
+  // which ships at max_batch or at the end of the pump cycle. The cluster
+  // calls in from its worker threads in threaded mode.
   cluster_ = std::make_unique<InvalidbCluster>(
       clock, options, [this](const std::vector<Notification>& batch) {
         staged_.Append(batch, transport::AppendNotificationSpec);
@@ -594,7 +611,6 @@ InvalidbWorker::InvalidbWorker(Clock* clock, kv::KvStore* kv,
 }
 
 InvalidbWorker::~InvalidbWorker() {
-  Stop();
   cluster_->Flush();
   FlushNotifications();
 }
@@ -688,47 +704,12 @@ void InvalidbWorker::HandleMessage(const std::string& message) {
   }
 }
 
-void InvalidbWorker::Tick() { notif_sender_.Tick(); }
-
 size_t InvalidbWorker::ProcessPending() {
   Tick();
-  const size_t handled = req_receiver_.Poll(
-      [this](const std::string& payload) { HandleMessage(payload); });
+  const size_t handled = DrainIncoming();
   cluster_->Flush();
   FlushNotifications();
   return handled;
-}
-
-void InvalidbWorker::Start() {
-  if (running_.exchange(true)) return;
-  consumer_ = std::thread([this] {
-    while (running_.load()) {
-      Tick();
-      req_receiver_.PollBlocking(
-          /*timeout_micros=*/10 * kMicrosPerMilli,
-          [this](const std::string& payload) { HandleMessage(payload); });
-      FlushNotifications();
-    }
-  });
-}
-
-void InvalidbWorker::Stop() {
-  if (!running_.exchange(false)) return;
-  if (consumer_.joinable()) consumer_.join();
-  cluster_->Flush();
-  FlushNotifications();
-}
-
-TransportStats InvalidbWorker::stats() const {
-  TransportStats s;
-  s.decode_errors = decode_errors_.load();
-  s.duplicates_dropped = req_receiver_.duplicates_dropped();
-  s.redeliveries = notif_sender_.redeliveries();
-  s.batches_sent = staged_.batches_sent();
-  s.batch_events = staged_.batch_events();
-  s.flushes_size = flushes_size_.load();
-  s.flushes_manual = flushes_manual_.load();
-  return s;
 }
 
 }  // namespace quaestor::invalidb

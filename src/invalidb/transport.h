@@ -6,7 +6,6 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/clock.h"
@@ -180,18 +179,80 @@ class StagedEnvelope {
   std::atomic<uint64_t> batch_events_{0};
 };
 
-/// The Quaestor-side stub: mirrors InvalidbCluster's interface but ships
-/// every call through the KV queues; a background (or manually pumped)
-/// poller hands each decoded notify_batch envelope to the sink.
-class InvalidbRemote {
+/// Where a transport endpoint's messages travel. The in-process medium is
+/// a kv::KvStore: sends push onto its queues and the endpoint's pumps pop
+/// them. Any other medium is just its send function, and it calls the
+/// endpoint's Receive for every arrival (src/net does so on its event-loop
+/// threads).
+struct TransportMedium {
+  TransportMedium(kv::KvStore* store) : kv(store), send(KvQueueSend(store)) {}
+  TransportMedium(QueueSend fn) : send(std::move(fn)) {}
+
+  kv::KvStore* kv = nullptr;
+  QueueSend send;
+};
+
+/// What InvalidbRemote and InvalidbWorker share: a reliable sender behind
+/// a staged batch envelope on the outgoing queue, a reliable receiver on
+/// the incoming one, one receive path for everything that arrives, and
+/// the in-process medium's pumps.
+class TransportEndpoint {
  public:
-  InvalidbRemote(Clock* clock, kv::KvStore* kv, std::string prefix,
+  TransportEndpoint(const TransportEndpoint&) = delete;
+  TransportEndpoint& operator=(const TransportEndpoint&) = delete;
+
+  /// The receive path for one message that arrived on `queue`: an ack
+  /// retires one of this endpoint's sends; a message on the incoming
+  /// queue goes through the reliable receiver's decode, ack, dedup and
+  /// reorder step to the endpoint's handler. Returns how many
+  /// notifications (remote) or requests (worker) were handled.
+  size_t Receive(const std::string& queue, const std::string& message);
+
+  uint64_t decode_errors() const { return decode_errors_.load(); }
+  TransportStats stats() const;
+
+ protected:
+  TransportEndpoint(Clock* clock, TransportMedium medium,
+                    TransportOptions options, std::string outgoing,
+                    std::string incoming, std::string sender_id,
+                    ReliableOptions reliable, std::string envelope_open,
+                    std::string envelope_close);
+  ~TransportEndpoint() = default;
+
+  /// Handles one delivered payload; returns what Receive counts for it.
+  virtual size_t Handle(const std::string& payload) = 0;
+
+  /// Retransmits what is due; on the in-process medium it first takes in
+  /// the queued acks.
+  void TickSender();
+
+  /// In-process medium: pops the incoming queue into Receive. Returns
+  /// what Receive counted.
+  size_t DrainIncoming();
+
+  kv::KvStore* const kv_;
+  const TransportOptions options_;
+  const std::string incoming_;
+  ReliableSender sender_;
+  ReliableReceiver receiver_;
+  /// The outgoing batch envelope being staged.
+  StagedEnvelope staged_;
+  std::atomic<uint64_t> decode_errors_{0};
+  std::atomic<uint64_t> flushes_size_{0};
+  std::atomic<uint64_t> flushes_interval_{0};
+  std::atomic<uint64_t> flushes_barrier_{0};
+  std::atomic<uint64_t> flushes_manual_{0};
+};
+
+/// The Quaestor-side stub: mirrors InvalidbCluster's interface but ships
+/// every call through the request queue, and hands every notify_batch
+/// envelope that Receive takes in to the sink.
+class InvalidbRemote : public TransportEndpoint {
+ public:
+  InvalidbRemote(Clock* clock, TransportMedium medium, std::string prefix,
                  NotificationBatchSink sink,
                  TransportOptions options = TransportOptions());
   ~InvalidbRemote();
-
-  InvalidbRemote(const InvalidbRemote&) = delete;
-  InvalidbRemote& operator=(const InvalidbRemote&) = delete;
 
   void RegisterQuery(const db::Query& query,
                      const std::vector<db::Document>& initial_result,
@@ -217,66 +278,31 @@ class InvalidbRemote {
   size_t DrainNotifications();
 
   /// Pumps the reliable machinery (and the batch age-out) without
-  /// draining notifications.
+  /// draining notifications. Any medium.
   void Tick();
 
-  /// Starts/stops a background notification poller thread. Stop/Start
-  /// also models a poller crash + restart: queued notifications survive
-  /// in the KV queue and are delivered after the restart.
-  void StartPolling();
-  void StopPolling();
-
-  bool polling() const { return polling_.load(); }
-
-  const std::string& requests_queue() const { return requests_queue_; }
-  const std::string& notifications_queue() const {
-    return notifications_queue_;
-  }
-
   /// Request messages awaiting a worker ack (0 when reliability is off).
-  size_t unacked_requests() const { return req_sender_.unacked(); }
+  size_t unacked_requests() const { return sender_.unacked(); }
   /// Out-of-order notifications parked until their gap fills.
-  size_t pending_notifications() const { return notif_receiver_.pending(); }
+  size_t pending_notifications() const { return receiver_.pending(); }
   /// Change events currently buffered awaiting a flush.
-  size_t buffered_changes() const;
-
-  uint64_t decode_errors() const { return decode_errors_.load(); }
-  TransportStats stats() const;
+  size_t buffered_changes() const { return staged_.size(); }
 
  private:
-  size_t HandleWire(const std::string& payload);
+  size_t Handle(const std::string& payload) override;
 
-  Clock* clock_;
-  kv::KvStore* kv_;
-  TransportOptions options_;
-  std::string requests_queue_;
-  std::string notifications_queue_;
   NotificationBatchSink sink_;
-  ReliableSender req_sender_;
-  ReliableReceiver notif_receiver_;
-  /// The change_batch envelope being staged.
-  StagedEnvelope staged_;
-  std::atomic<uint64_t> flushes_size_{0};
-  std::atomic<uint64_t> flushes_interval_{0};
-  std::atomic<uint64_t> flushes_barrier_{0};
-  std::atomic<uint64_t> flushes_manual_{0};
-
-  std::atomic<uint64_t> decode_errors_{0};
-  std::atomic<bool> polling_{false};
-  std::thread poller_;
 };
 
 /// The InvaliDB-side worker: owns a cluster, consumes the request queue,
-/// and publishes notifications back.
-class InvalidbWorker {
+/// and publishes notifications back. Notifications stage until max_batch
+/// or the end of a pump cycle (FlushNotifications).
+class InvalidbWorker : public TransportEndpoint {
  public:
-  InvalidbWorker(Clock* clock, kv::KvStore* kv, std::string prefix,
+  InvalidbWorker(Clock* clock, TransportMedium medium, std::string prefix,
                  InvalidbOptions options = InvalidbOptions(),
                  TransportOptions transport_options = TransportOptions());
   ~InvalidbWorker();
-
-  InvalidbWorker(const InvalidbWorker&) = delete;
-  InvalidbWorker& operator=(const InvalidbWorker&) = delete;
 
   /// Processes all currently queued requests (manual pump). Returns how
   /// many messages were handled; malformed messages are counted in
@@ -288,36 +314,21 @@ class InvalidbWorker {
   /// buffered). Returns how many notifications shipped.
   size_t FlushNotifications();
 
-  /// Pumps the reliable machinery without processing requests.
-  void Tick();
-
-  /// Starts/stops a background consumer thread.
-  void Start();
-  void Stop();
+  /// Pumps the reliable machinery without processing requests. Any
+  /// medium.
+  void Tick() { TickSender(); }
 
   InvalidbCluster& cluster() { return *cluster_; }
-  uint64_t decode_errors() const { return decode_errors_.load(); }
-  TransportStats stats() const;
 
  private:
+  /// Every request counts as handled, a malformed one included.
+  size_t Handle(const std::string& message) override {
+    HandleMessage(message);
+    return 1;
+  }
   void HandleMessage(const std::string& message);
 
-  kv::KvStore* kv_;
-  TransportOptions options_;
-  std::string requests_queue_;
-  std::string notifications_queue_;
-  ReliableReceiver req_receiver_;
-  ReliableSender notif_sender_;
-  /// The notify_batch envelope being staged. Fed by the cluster's batch
-  /// sink from worker threads; shipped by the sink and the pump.
-  StagedEnvelope staged_;
   std::unique_ptr<InvalidbCluster> cluster_;
-  std::atomic<bool> running_{false};
-  std::atomic<uint64_t> decode_errors_{0};
-  std::atomic<uint64_t> flushes_size_{0};
-  std::atomic<uint64_t> flushes_manual_{0};
-
-  std::thread consumer_;
 };
 
 }  // namespace quaestor::invalidb

@@ -69,6 +69,7 @@ void EventLoop::RunInLoop(std::function<void()> fn) {
     fn();
     return;
   }
+  cross_thread_posts_.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mu_);
     pending_.push_back(std::move(fn));
@@ -103,7 +104,9 @@ EventLoop::TimerId EventLoop::AddTimer(int64_t delay_us,
     id = next_timer_id_++;
     timers_.emplace(deadline, std::make_pair(id, std::move(fn)));
   }
-  Wake();  // the loop may be sleeping past the new deadline
+  // The loop may be sleeping past the new deadline; on the loop thread it
+  // recomputes its wait before sleeping again.
+  if (!InLoopThread()) Wake();
   return id;
 }
 

@@ -59,6 +59,13 @@ class EventLoop {
 
   bool InLoopThread() const;
 
+  /// Tasks posted from other threads: RunInLoop / RunInLoopSync calls
+  /// made off the loop thread while it runs. Each is one cross-thread
+  /// hand-off (a wake-up of this loop by another thread).
+  uint64_t cross_thread_posts() const {
+    return cross_thread_posts_.load(std::memory_order_relaxed);
+  }
+
   /// CLOCK_MONOTONIC in microseconds — the loop's timer base.
   static int64_t MonotonicNow();
 
@@ -72,6 +79,7 @@ class EventLoop {
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
   std::atomic<bool> running_{false};
+  std::atomic<uint64_t> cross_thread_posts_{0};
   std::thread thread_;
 
   std::mutex mu_;

@@ -101,18 +101,22 @@ void FrameHub::Send(const std::string& channel, const std::string& payload,
                     uint8_t priority) {
   std::string wire = EncodeFrame(Frame{priority, channel, payload});
   loop_->RunInLoop([this, channel, wire = std::move(wire), priority] {
-    for (auto& [id, peer] : peers_) {
+    for (auto it = peers_.begin(); it != peers_.end();) {
+      const Peer& peer = (it++)->second;
       if (!MatchesAny(peer.prefixes, channel)) continue;
+      // A failed send closes the connection, whose on_close erases the
+      // peer: hold the connection, and the loop has stepped past it.
+      std::shared_ptr<TcpConnection> conn = peer.conn;
       // Backpressure: past the soft limit only critical/high classes
       // still queue; the hard limit (enforced in TcpConnection::Send)
       // sheds everything.
-      if (peer.conn->write_buffered() >= soft_limit_ && priority > 1) {
+      if (conn->write_buffered() >= soft_limit_ && priority > 1) {
         std::lock_guard<std::mutex> lock(stats_mu_);
         ++frames_shed_;
         ++frames_shed_low_priority_;
         continue;
       }
-      if (!peer.conn->Send(wire)) {
+      if (!conn->Send(wire)) {
         std::lock_guard<std::mutex> lock(stats_mu_);
         ++frames_shed_;
       }

@@ -1,80 +1,25 @@
 #ifndef QUAESTOR_NET_QUEUE_BRIDGE_H_
 #define QUAESTOR_NET_QUEUE_BRIDGE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "kv/kv_store.h"
 #include "net/framing.h"
 #include "net/tcp.h"
 
 namespace quaestor::net {
 
-/// KvStore whose queue *pushes* go out over a frame connection instead
-/// of into local memory, while pops stay local. Each endpoint of a
-/// bridged queue pair owns one BridgedKvStore: its sends leave on the
-/// wire exactly once, and frames arriving from the peer are fed back in
-/// via Deliver(), which enqueues into the local (base-class) queue for
-/// the usual QueuePop/QueueTryPop consumers (ReliableQueue, transport).
-class BridgedKvStore : public kv::KvStore {
- public:
-  /// send(queue, payload, priority) ships one message; it may shed.
-  using SendFn =
-      std::function<void(const std::string&, const std::string&, uint8_t)>;
-
-  BridgedKvStore(Clock* clock, SendFn send)
-      : kv::KvStore(clock), send_(std::move(send)) {}
-
-  void QueuePush(const std::string& queue, std::string message) override {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++pushes_sent_;
-    }
-    send_(queue, message, PriorityFor(queue));
-  }
-
-  /// Feeds a frame received from the peer into the local queue.
-  void Deliver(const std::string& queue, std::string message) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++deliveries_;
-    }
-    kv::KvStore::QueuePush(queue, std::move(message));
-  }
-
-  /// Marks a queue's frames with a wire priority (default kNormal).
-  void set_queue_priority(const std::string& queue, uint8_t priority) {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_priority_[queue] = priority;
-  }
-
-  uint64_t pushes_sent() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return pushes_sent_;
-  }
-  uint64_t deliveries() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return deliveries_;
-  }
-
- private:
-  uint8_t PriorityFor(const std::string& queue) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = queue_priority_.find(queue);
-    return it == queue_priority_.end() ? uint8_t{2} : it->second;
-  }
-
-  SendFn send_;
-  mutable std::mutex mu_;
-  std::unordered_map<std::string, uint8_t> queue_priority_;
-  uint64_t pushes_sent_ = 0;
-  uint64_t deliveries_ = 0;
+/// Frames an InvaliDB transport endpoint received from its peer, each
+/// handed straight to its receive path on the loop thread that read it.
+struct FrameDeliveries {
+  std::atomic<uint64_t> count{0};
+  uint64_t deliveries() const { return count.load(); }
 };
 
 /// Server side of the frame protocol: accepts connections, tracks which

@@ -1,5 +1,6 @@
 #include "net/service.h"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -10,6 +11,24 @@ namespace {
 constexpr uint8_t kPriCritical = 0;
 constexpr uint8_t kPriHigh = 1;
 constexpr uint8_t kPriNormal = 2;
+
+/// How often an endpoint's loop calls its Tick: retransmits need 10 ms;
+/// a batch age-out needs about one flush_interval.
+Micros TickPeriod(const invalidb::BatchOptions& b) {
+  constexpr Micros kTick = 10 * kMicrosPerMilli;
+  return b.max_batch <= 1 ? kTick
+                          : std::clamp<Micros>(b.flush_interval, 250, kTick);
+}
+
+/// Runs `tick` on `loop` every `period_us` until the loop stops.
+void TickEvery(EventLoop* loop, int64_t period_us,
+               std::function<void()> tick) {
+  loop->AddTimer(period_us,
+                 [loop, period_us, tick = std::move(tick)]() mutable {
+                   tick();
+                   TickEvery(loop, period_us, std::move(tick));
+                 });
+}
 
 }  // namespace
 
@@ -32,29 +51,28 @@ bool NetServer::Start() {
   if (options_.remote_invalidb) {
     const std::string& p = options_.invalidb_prefix;
     FrameHub* hub = hub_.get();
-    bridged_kv_ = std::make_unique<BridgedKvStore>(
-        clock_, [hub](const std::string& queue, const std::string& payload,
-                      uint8_t priority) { hub->Send(queue, payload, priority); });
-    // Origin-side sends: registrations/changes are the data path
-    // (critical); acks for incoming notifications are high.
-    bridged_kv_->set_queue_priority(p + ":requests", kPriCritical);
-    bridged_kv_->set_queue_priority(p + ":notifications:acks", kPriHigh);
-    // Frames arriving from workers feed the local queue pair the remote
-    // stub consumes.
-    BridgedKvStore* bridged = bridged_kv_.get();
-    const auto deliver = [bridged](const Frame& frame) {
-      bridged->Deliver(frame.channel, frame.payload);
-    };
-    hub_->Subscribe(p + ":notifications", deliver);
-    hub_->Subscribe(p + ":requests:acks", deliver);
-
+    const std::string requests = p + ":requests";
     remote_ = std::make_unique<invalidb::InvalidbRemote>(
-        clock_, bridged_kv_.get(), p,
+        clock_,
+        // Origin-side sends: registrations/changes are the data path
+        // (critical); acks for incoming notifications are high.
+        invalidb::QueueSend([hub, requests](const std::string& queue,
+                                            std::string message) {
+          hub->Send(queue, message,
+                    queue == requests ? kPriCritical : kPriHigh);
+        }),
+        p,
         [this](const std::vector<invalidb::Notification>& batch) {
           server_->OnExternalNotifications(batch);
         },
         options_.transport);
     invalidb::InvalidbRemote* remote = remote_.get();
+    const auto deliver = [this, remote](const Frame& frame) {
+      deliveries_.count++;
+      remote->Receive(frame.channel, frame.payload);
+    };
+    hub_->Subscribe(p + ":notifications", deliver);
+    hub_->Subscribe(p + ":requests:acks", deliver);
     core::QuaestorServer::ExternalPipeline pipeline;
     pipeline.register_query = [remote](const db::Query& query,
                                        const std::vector<db::Document>& init,
@@ -79,7 +97,11 @@ bool NetServer::Start() {
 
   if (!hub_->Listen(options_.frame_port)) return false;
   if (!http_->Listen(options_.http_port)) return false;
-  if (remote_) remote_->StartPolling();
+  if (remote_) {
+    invalidb::InvalidbRemote* remote = remote_.get();
+    TickEvery(&loop_, TickPeriod(options_.transport.batching),
+              [remote] { remote->Tick(); });
+  }
   started_ = true;
   return true;
 }
@@ -90,7 +112,6 @@ void NetServer::Stop() {
     return;
   }
   started_ = false;
-  if (remote_) remote_->StopPolling();
   if (http_) http_->Close();
   if (hub_) hub_->Close();
   loop_.Stop();
@@ -119,26 +140,35 @@ bool NetWorker::Start() {
   client_ = std::make_unique<FrameClient>(
       &loop_, frame_port_, options_.reconnect_backoff);
   FrameClient* client = client_.get();
-  bridged_kv_ = std::make_unique<BridgedKvStore>(
+  const std::string notifications = p + ":notifications";
+  worker_ = std::make_unique<invalidb::InvalidbWorker>(
       clock_,
-      [client](const std::string& queue, const std::string& payload,
-               uint8_t priority) { client->Send(queue, payload, priority); });
-  // Worker-side sends: notifications are the sheddable class under
-  // backpressure (the reliable sender retransmits them); request acks
-  // stay high so the origin's sender retires state promptly.
-  bridged_kv_->set_queue_priority(p + ":notifications", kPriNormal);
-  bridged_kv_->set_queue_priority(p + ":requests:acks", kPriHigh);
-  BridgedKvStore* bridged = bridged_kv_.get();
-  const auto deliver = [bridged](const Frame& frame) {
-    bridged->Deliver(frame.channel, frame.payload);
+      // Worker-side sends: notifications are the sheddable class under
+      // backpressure (the reliable sender retransmits them); request acks
+      // stay high so the origin's sender retires state promptly.
+      invalidb::QueueSend([client, notifications](const std::string& queue,
+                                                  std::string message) {
+        client->Send(queue, message,
+                     queue == notifications ? kPriNormal : kPriHigh);
+      }),
+      p, cluster_options_, options_.transport);
+  invalidb::InvalidbWorker* worker = worker_.get();
+  // Each request frame is one pump cycle on the loop thread: receive and
+  // match, then ship the notifications it produced.
+  const auto deliver = [this, worker](const Frame& frame) {
+    deliveries_.count++;
+    if (worker->Receive(frame.channel, frame.payload) > 0) {
+      worker->FlushNotifications();
+    }
   };
   client_->Subscribe(p + ":requests", deliver);
   client_->Subscribe(p + ":notifications:acks", deliver);
+  TickEvery(&loop_, TickPeriod(options_.transport.batching), [worker] {
+    worker->Tick();
+    worker->FlushNotifications();
+  });
+  // Frames may arrive as soon as the client connects: the worker exists.
   client_->Connect();
-
-  worker_ = std::make_unique<invalidb::InvalidbWorker>(
-      clock_, bridged_kv_.get(), p, cluster_options_, options_.transport);
-  worker_->Start();
   started_ = true;
   return true;
 }
@@ -149,8 +179,11 @@ void NetWorker::Stop() {
     return;
   }
   started_ = false;
-  if (worker_) worker_->Stop();
-  if (client_) client_->Close();
+  loop_.RunInLoopSync([this] {
+    worker_->cluster().Flush();
+    worker_->FlushNotifications();
+  });
+  client_->Close();
   loop_.Stop();
 }
 

@@ -37,7 +37,9 @@ struct NetOptions {
 
 /// Serving-side bundle: event loop + HTTP front-end + frame hub, and —
 /// when remote_invalidb is on — the InvalidbRemote stub wired into the
-/// server's ExternalPipeline with its queues bridged over the hub.
+/// server's ExternalPipeline with its queues carried by the hub. Frames
+/// from workers run its receive path (notification handling and purge
+/// fan-out included) on the loop thread; a loop timer ticks it.
 class NetServer {
  public:
   NetServer(Clock* clock, core::QuaestorServer* server, NetOptions options);
@@ -49,6 +51,8 @@ class NetServer {
   /// Starts the loop and binds both listeners. False if anything failed
   /// (loop/listeners are torn down on failure paths by the dtor).
   bool Start();
+  /// Closes the listeners and the hub (sync barriers) and stops the loop:
+  /// afterwards no frame or tick reaches the remote.
   void Stop();
 
   uint16_t http_port() const;
@@ -58,7 +62,8 @@ class NetServer {
   FrameHub* hub() { return hub_.get(); }
   HttpFrontend* http() { return http_.get(); }
   invalidb::InvalidbRemote* remote() { return remote_.get(); }
-  BridgedKvStore* bridged_kv() { return bridged_kv_.get(); }
+  /// Frames delivered to the remote; perfbench reads it by this name.
+  FrameDeliveries* bridged_kv() { return &deliveries_; }
 
  private:
   Clock* clock_;
@@ -67,14 +72,14 @@ class NetServer {
   EventLoop loop_;
   std::unique_ptr<FrameHub> hub_;
   std::unique_ptr<HttpFrontend> http_;
-  std::unique_ptr<BridgedKvStore> bridged_kv_;
+  FrameDeliveries deliveries_;
   std::unique_ptr<invalidb::InvalidbRemote> remote_;
   bool started_ = false;
 };
 
 /// Matching-cluster side: a FrameClient dialed into a NetServer's frame
-/// hub, a bridged KV store, and the existing InvalidbWorker consuming
-/// the bridged request queue exactly as it would a local one.
+/// hub and an InvalidbWorker whose receive path, matching included, runs
+/// on the client's loop thread; a loop timer ticks it.
 class NetWorker {
  public:
   NetWorker(Clock* clock, uint16_t frame_port, NetOptions options,
@@ -86,10 +91,15 @@ class NetWorker {
   NetWorker& operator=(const NetWorker&) = delete;
 
   bool Start();
+  /// Ships the notifications the cluster still holds, closes the client
+  /// (a sync barrier) and stops the loop: afterwards no frame or tick
+  /// reaches the worker.
   void Stop();
 
+  EventLoop* loop() { return &loop_; }
   FrameClient* frame_client() { return client_.get(); }
-  BridgedKvStore* bridged_kv() { return bridged_kv_.get(); }
+  /// Frames delivered to the worker; perfbench reads it by this name.
+  FrameDeliveries* bridged_kv() { return &deliveries_; }
   invalidb::InvalidbWorker* worker() { return worker_.get(); }
 
  private:
@@ -99,7 +109,7 @@ class NetWorker {
   const uint16_t frame_port_;
   EventLoop loop_;
   std::unique_ptr<FrameClient> client_;
-  std::unique_ptr<BridgedKvStore> bridged_kv_;
+  FrameDeliveries deliveries_;
   std::unique_ptr<invalidb::InvalidbWorker> worker_;
   bool started_ = false;
 };

@@ -490,26 +490,43 @@ TEST(ChaosTest, PollerCrashAndRestartLosesNothing) {
       });
   invalidb::InvalidbWorker worker(SystemClock::Default(), &kv, "pc");
 
+  // A background poller pumps the remote until stopped (a crash).
+  std::atomic<bool> polling{false};
+  std::thread poller;
+  const auto start_polling = [&] {
+    polling = true;
+    poller = std::thread([&] {
+      while (polling.load()) {
+        remote.DrainNotifications();
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  };
+  const auto stop_polling = [&] {
+    polling = false;
+    poller.join();
+  };
+
   db::Query q = Q("posts", R"({"g":{"$gte":1}})");
   remote.RegisterQuery(q, {}, invalidb::kEventsAll);
-  remote.StartPolling();
+  start_polling();
   for (int i = 0; i < 10; ++i) {
     remote.OnChange(ChaosChange("a" + std::to_string(i), 1, 0));
   }
   worker.ProcessPending();
   // Crash the poller; notifications produced while it is down stay queued.
-  remote.StopPolling();
-  EXPECT_FALSE(remote.polling());
+  stop_polling();
   for (int i = 0; i < 10; ++i) {
     remote.OnChange(ChaosChange("b" + std::to_string(i), 1, 0));
   }
   worker.ProcessPending();
+  EXPECT_GE(kv.QueueLen("pc:notifications"), 10u);
   // Restart: the backlog drains.
-  remote.StartPolling();
+  start_polling();
   for (int spin = 0; spin < 1000 && count.load() < 20; ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  remote.StopPolling();
+  stop_polling();
   EXPECT_EQ(count.load(), 20);
 }
 

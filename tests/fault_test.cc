@@ -188,6 +188,27 @@ invalidb::ReliableOptions Reliable(uint64_t seed = 9) {
   return r;
 }
 
+// The in-process medium's pumps for one sender/receiver pair on "q".
+size_t Poll(kv::KvStore* kv, invalidb::ReliableReceiver* receiver,
+            const invalidb::ReliableReceiver::Handler& handler) {
+  size_t delivered = 0;
+  invalidb::DrainKvQueue(kv, "q", [&](const std::string& m) {
+    delivered += receiver->Accept(m, handler);
+  });
+  return delivered;
+}
+
+void TakeAcks(kv::KvStore* kv, invalidb::ReliableSender* sender) {
+  invalidb::DrainKvQueue(kv, sender->ack_queue(),
+                         [&](const std::string& m) { sender->OnAck(m); });
+}
+
+// Takes in the queued acks, then retransmits whatever is due.
+void Pump(kv::KvStore* kv, invalidb::ReliableSender* sender) {
+  TakeAcks(kv, sender);
+  sender->Tick();
+}
+
 TEST(ReliableQueueTest, EnvelopeRoundTripAndCorruptionDetected) {
   const std::string wire = invalidb::reliable::Encode("s1", 7, "payload");
   auto env = invalidb::reliable::Decode(wire);
@@ -210,16 +231,17 @@ TEST(ReliableQueueTest, EnvelopeRoundTripAndCorruptionDetected) {
 TEST(ReliableQueueTest, InOrderDeliveryWithAcks) {
   SimulatedClock clock(0);
   kv::KvStore kv(&clock);
-  invalidb::ReliableSender sender(&clock, &kv, "q", "s", Reliable());
-  invalidb::ReliableReceiver receiver(&kv, "q", Reliable());
+  invalidb::ReliableSender sender(&clock, invalidb::KvQueueSend(&kv), "q",
+                                  "s", Reliable());
+  invalidb::ReliableReceiver receiver(invalidb::KvQueueSend(&kv), "q");
   sender.Send("m1");
   sender.Send("m2");
   sender.Send("m3");
   EXPECT_EQ(sender.unacked(), 3u);
   std::vector<std::string> got;
-  receiver.Poll([&](const std::string& p) { got.push_back(p); });
+  Poll(&kv, &receiver, [&](const std::string& p) { got.push_back(p); });
   EXPECT_EQ(got, (std::vector<std::string>{"m1", "m2", "m3"}));
-  sender.Tick();  // consume acks
+  Pump(&kv, &sender);  // consume acks
   EXPECT_EQ(sender.unacked(), 0u);
   EXPECT_EQ(sender.redeliveries(), 0u);
 }
@@ -227,17 +249,17 @@ TEST(ReliableQueueTest, InOrderDeliveryWithAcks) {
 TEST(ReliableQueueTest, DuplicatesDroppedReordersBuffered) {
   SimulatedClock clock(0);
   kv::KvStore kv(&clock);
-  invalidb::ReliableReceiver receiver(&kv, "q", Reliable());
+  invalidb::ReliableReceiver receiver(invalidb::KvQueueSend(&kv), "q");
   // Deliver seq 2 before seq 1, then seq 1 twice.
   kv.QueuePush("q", invalidb::reliable::Encode("s", 2, "b"));
   std::vector<std::string> got;
   const auto h = [&](const std::string& p) { got.push_back(p); };
-  receiver.Poll(h);
+  Poll(&kv, &receiver, h);
   EXPECT_TRUE(got.empty());  // gap: parked
   EXPECT_EQ(receiver.pending(), 1u);
   kv.QueuePush("q", invalidb::reliable::Encode("s", 1, "a"));
   kv.QueuePush("q", invalidb::reliable::Encode("s", 1, "a"));
-  receiver.Poll(h);
+  Poll(&kv, &receiver, h);
   EXPECT_EQ(got, (std::vector<std::string>{"a", "b"}));
   EXPECT_EQ(receiver.duplicates_dropped(), 1u);
   EXPECT_EQ(receiver.pending(), 0u);
@@ -249,21 +271,22 @@ TEST(ReliableQueueTest, LostMessageRetransmittedUntilAcked) {
   SimulatedClock clock(0);
   kv::KvStore kv(&clock);
   invalidb::ReliableOptions opts = Reliable();
-  invalidb::ReliableSender sender(&clock, &kv, "q", "s", opts);
-  invalidb::ReliableReceiver receiver(&kv, "q", opts);
+  invalidb::ReliableSender sender(&clock, invalidb::KvQueueSend(&kv), "q",
+                                  "s", opts);
+  invalidb::ReliableReceiver receiver(invalidb::KvQueueSend(&kv), "q");
   sender.Send("precious");
   // The channel eats the message.
   ASSERT_TRUE(kv.QueueTryPop("q").has_value());
-  sender.Tick();
+  Pump(&kv, &sender);
   EXPECT_EQ(sender.unacked(), 1u);
   // Past the (jittered) retransmit deadline the sender re-sends.
   clock.Advance(opts.retransmit_timeout * 2);
-  sender.Tick();
+  Pump(&kv, &sender);
   EXPECT_GE(sender.redeliveries(), 1u);
   std::vector<std::string> got;
-  receiver.Poll([&](const std::string& p) { got.push_back(p); });
+  Poll(&kv, &receiver, [&](const std::string& p) { got.push_back(p); });
   EXPECT_EQ(got, (std::vector<std::string>{"precious"}));
-  sender.Tick();
+  Pump(&kv, &sender);
   EXPECT_EQ(sender.unacked(), 0u);
 }
 
@@ -271,8 +294,9 @@ TEST(ReliableQueueTest, CorruptedEnvelopeNotAckedThenRecovered) {
   SimulatedClock clock(0);
   kv::KvStore kv(&clock);
   invalidb::ReliableOptions opts = Reliable();
-  invalidb::ReliableSender sender(&clock, &kv, "q", "s", opts);
-  invalidb::ReliableReceiver receiver(&kv, "q", opts);
+  invalidb::ReliableSender sender(&clock, invalidb::KvQueueSend(&kv), "q",
+                                  "s", opts);
+  invalidb::ReliableReceiver receiver(invalidb::KvQueueSend(&kv), "q");
   sender.Send("fragile");
   // Corrupt the in-flight envelope's payload (the checksum must catch it).
   std::string wire = kv.QueueTryPop("q").value();
@@ -281,15 +305,15 @@ TEST(ReliableQueueTest, CorruptedEnvelopeNotAckedThenRecovered) {
   wire[pos] ^= 0x20;
   kv.QueuePush("q", wire);
   std::vector<std::string> got;
-  receiver.Poll([&](const std::string& p) { got.push_back(p); });
+  Poll(&kv, &receiver, [&](const std::string& p) { got.push_back(p); });
   EXPECT_TRUE(got.empty());        // rejected
   EXPECT_EQ(kv.QueueLen("q:acks"), 0u);  // and NOT acked
   // The sender's retransmission delivers the intact copy.
   clock.Advance(opts.retransmit_timeout * 2);
-  sender.Tick();
-  receiver.Poll([&](const std::string& p) { got.push_back(p); });
+  Pump(&kv, &sender);
+  Poll(&kv, &receiver, [&](const std::string& p) { got.push_back(p); });
   EXPECT_EQ(got, (std::vector<std::string>{"fragile"}));
-  sender.Tick();
+  Pump(&kv, &sender);
   EXPECT_EQ(sender.unacked(), 0u);
 }
 
@@ -302,7 +326,8 @@ TEST(ReliableQueueTest, TickSkipsRetransmitScanUntilDeadline) {
   kv::KvStore kv(&clock);
   invalidb::ReliableOptions opts = Reliable();
   opts.jitter = 0.0;
-  invalidb::ReliableSender sender(&clock, &kv, "q", "s", opts);
+  invalidb::ReliableSender sender(&clock, invalidb::KvQueueSend(&kv), "q",
+                                  "s", opts);
   for (int i = 0; i < 50; ++i) sender.Send("m" + std::to_string(i));
   ASSERT_EQ(sender.unacked(), 50u);
 
@@ -310,7 +335,7 @@ TEST(ReliableQueueTest, TickSkipsRetransmitScanUntilDeadline) {
   const uint64_t scans_before = sender.retransmit_scans();
   for (int i = 0; i < 1000; ++i) {
     clock.Advance(opts.retransmit_timeout / 2000);
-    sender.Tick();
+    Pump(&kv, &sender);
   }
   EXPECT_EQ(sender.retransmit_scans(), scans_before);
   EXPECT_EQ(sender.redeliveries(), 0u);
@@ -318,23 +343,23 @@ TEST(ReliableQueueTest, TickSkipsRetransmitScanUntilDeadline) {
   // Cross the deadline: exactly one scan retransmits everything due,
   // then the early-out holds again until the next (backed-off) deadline.
   clock.Advance(opts.retransmit_timeout);
-  sender.Tick();
+  Pump(&kv, &sender);
   EXPECT_EQ(sender.retransmit_scans(), scans_before + 1);
   EXPECT_EQ(sender.redeliveries(), 50u);
-  for (int i = 0; i < 100; ++i) sender.Tick();
+  for (int i = 0; i < 100; ++i) Pump(&kv, &sender);
   EXPECT_EQ(sender.retransmit_scans(), scans_before + 1);
 
   // Acks clear the queue and retire the deadlines with the messages: an
   // idle sender never scans again — not even one lazy-expiry scan.
   std::vector<std::string> got;
-  invalidb::ReliableReceiver receiver(&kv, "q", opts);
-  receiver.Poll([&](const std::string& p) { got.push_back(p); });
+  invalidb::ReliableReceiver receiver(invalidb::KvQueueSend(&kv), "q");
+  Poll(&kv, &receiver, [&](const std::string& p) { got.push_back(p); });
   EXPECT_EQ(got.size(), 50u);
-  sender.Tick();  // consume acks
+  Pump(&kv, &sender);  // consume acks
   ASSERT_EQ(sender.unacked(), 0u);
   const uint64_t idle_scans = sender.retransmit_scans();
   clock.Advance(opts.max_backoff * 8);
-  for (int i = 0; i < 100; ++i) sender.Tick();
+  for (int i = 0; i < 100; ++i) Pump(&kv, &sender);
   EXPECT_EQ(sender.retransmit_scans(), idle_scans);
   EXPECT_EQ(sender.redeliveries(), 50u);  // nothing re-sent after acks
 }
@@ -349,8 +374,9 @@ TEST(ReliableQueueTest, AckRetiresEarliestDeadlineWithoutScan) {
   kv::KvStore kv(&clock);
   invalidb::ReliableOptions opts = Reliable();
   opts.jitter = 0.0;
-  invalidb::ReliableSender sender(&clock, &kv, "q", "s", opts);
-  invalidb::ReliableReceiver receiver(&kv, "q", opts);
+  invalidb::ReliableSender sender(&clock, invalidb::KvQueueSend(&kv), "q",
+                                  "s", opts);
+  invalidb::ReliableReceiver receiver(invalidb::KvQueueSend(&kv), "q");
 
   sender.Send("m1");  // deadline: t0 + timeout
   clock.Advance(opts.retransmit_timeout / 2);
@@ -359,8 +385,8 @@ TEST(ReliableQueueTest, AckRetiresEarliestDeadlineWithoutScan) {
   const std::string m1_wire = kv.QueueTryPop("q").value();
   ASSERT_TRUE(kv.QueueTryPop("q").has_value());
   kv.QueuePush("q", m1_wire);
-  receiver.Poll([](const std::string&) {});
-  sender.ProcessAcks();
+  Poll(&kv, &receiver, [](const std::string&) {});
+  TakeAcks(&kv, &sender);
   ASSERT_EQ(sender.unacked(), 1u);  // only m2 remains
 
   // Between m1's retired deadline and m2's live one nothing is due, so
@@ -368,13 +394,13 @@ TEST(ReliableQueueTest, AckRetiresEarliestDeadlineWithoutScan) {
   // earliest-deadline tracking stale.
   const uint64_t scans = sender.retransmit_scans();
   clock.Advance(3 * opts.retransmit_timeout / 4);  // t0 + 1.25 * timeout
-  sender.Tick();
+  Pump(&kv, &sender);
   EXPECT_EQ(sender.retransmit_scans(), scans);
   EXPECT_EQ(sender.redeliveries(), 0u);
 
   // m2's own deadline still fires on time.
   clock.Advance(opts.retransmit_timeout / 2);  // t0 + 1.75 * timeout
-  sender.Tick();
+  Pump(&kv, &sender);
   EXPECT_EQ(sender.retransmit_scans(), scans + 1);
   EXPECT_EQ(sender.redeliveries(), 1u);
 }
@@ -384,13 +410,14 @@ TEST(ReliableQueueTest, ExponentialBackoffCapped) {
   kv::KvStore kv(&clock);
   invalidb::ReliableOptions opts = Reliable();
   opts.jitter = 0.0;
-  invalidb::ReliableSender sender(&clock, &kv, "q", "s", opts);
+  invalidb::ReliableSender sender(&clock, invalidb::KvQueueSend(&kv), "q",
+                                  "s", opts);
   sender.Send("x");
   (void)kv.QueueTryPop("q");
   uint64_t redeliveries = 0;
   for (int i = 0; i < 12; ++i) {
     clock.Advance(opts.max_backoff);
-    sender.Tick();
+    Pump(&kv, &sender);
     (void)kv.QueueTryPop("q");  // channel keeps eating them
     EXPECT_GE(sender.redeliveries(), redeliveries);
     redeliveries = sender.redeliveries();
@@ -405,7 +432,8 @@ TEST(ReliableQueueTest, MaxInflightWindowRejectsNewSends) {
   kv::KvStore kv(&clock);
   invalidb::ReliableOptions opts = Reliable();
   opts.max_inflight = 3;
-  invalidb::ReliableSender sender(&clock, &kv, "q", "s", opts);
+  invalidb::ReliableSender sender(&clock, invalidb::KvQueueSend(&kv), "q",
+                                  "s", opts);
   EXPECT_TRUE(sender.Send("a").ok());
   EXPECT_TRUE(sender.Send("b").ok());
   EXPECT_TRUE(sender.Send("c").ok());
@@ -415,9 +443,9 @@ TEST(ReliableQueueTest, MaxInflightWindowRejectsNewSends) {
   EXPECT_EQ(kv.QueueLen("q"), 3u);  // the rejected payload never hit the wire
 
   // Acks open the window again.
-  invalidb::ReliableReceiver receiver(&kv, "q", opts);
-  receiver.Poll([](const std::string&) {});
-  sender.Tick();
+  invalidb::ReliableReceiver receiver(invalidb::KvQueueSend(&kv), "q");
+  Poll(&kv, &receiver, [](const std::string&) {});
+  Pump(&kv, &sender);
   EXPECT_EQ(sender.unacked(), 0u);
   EXPECT_TRUE(sender.Send("d").ok());
 

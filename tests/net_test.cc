@@ -693,54 +693,46 @@ TEST_F(FrameFixture, SendWhileDisconnectedShedsInsteadOfBuffering) {
 
 TEST_F(FrameFixture, ConnectionResetDuringBatchedNotifyRedeliversExactlyOnce) {
   SystemClock clock;
-  FrameHub hub(&loop_, 256u << 10, 1u << 20);
-
-  // Receiver (origin side): frames arriving on the notifications queue
-  // feed the local KV queue the ReliableReceiver drains; its acks go
-  // back out over the hub.
-  BridgedKvStore recv_kv(&clock, [&](const std::string& queue,
-                                     const std::string& payload,
-                                     uint8_t priority) {
-    hub.Send(queue, payload, priority);
-  });
-  hub.Subscribe("notif", [&](const Frame& f) {
-    recv_kv.Deliver(f.channel, f.payload);
-  });
-  ASSERT_TRUE(hub.Listen(0));
-  const uint16_t port = hub.port();
-
-  // Sender (worker side): pushes leave over the frame client; acks come
-  // back via the subscription.
-  EventLoop worker_loop;
-  ASSERT_TRUE(worker_loop.Start());
-  FrameClient client(&worker_loop, port, 5 * kMicrosPerMilli);
-  BridgedKvStore send_kv(&clock, [&](const std::string& queue,
-                                     const std::string& payload,
-                                     uint8_t priority) {
-    client.Send(queue, payload, priority);
-  });
-  client.Subscribe("notif:acks", [&](const Frame& f) {
-    send_kv.Deliver(f.channel, f.payload);
-  });
-  client.Connect();
-  ASSERT_TRUE(WaitFor([&] { return hub.connections() == 1; }));
-
   invalidb::ReliableOptions ropts;
   ropts.enabled = true;
   ropts.retransmit_timeout = 30 * kMicrosPerMilli;
   ropts.max_backoff = 200 * kMicrosPerMilli;
-  invalidb::ReliableSender sender(&clock, &send_kv, "notif", "w1", ropts);
-  invalidb::ReliableReceiver receiver(&recv_kv, "notif", ropts);
+  FrameHub hub(&loop_, 256u << 10, 1u << 20);
 
+  // Receiver (origin side): frames arriving on the notifications queue
+  // go straight into its receive path on the hub's loop thread; its acks
+  // go back out over the hub.
+  invalidb::ReliableReceiver receiver(
+      [&](const std::string& queue, std::string message) {
+        hub.Send(queue, message, 1);
+      },
+      "notif");
   std::mutex mu;
   std::vector<std::string> delivered;
-  const auto pump = [&] {
-    sender.Tick();
-    receiver.Poll([&](const std::string& payload) {
+  hub.Subscribe("notif", [&](const Frame& f) {
+    receiver.Accept(f.payload, [&](const std::string& payload) {
       std::lock_guard<std::mutex> lock(mu);
       delivered.push_back(payload);
     });
-  };
+  });
+  ASSERT_TRUE(hub.Listen(0));
+  const uint16_t port = hub.port();
+
+  // Sender (worker side): sends leave over the frame client; acks come
+  // back via the subscription, on the client's loop thread.
+  EventLoop worker_loop;
+  ASSERT_TRUE(worker_loop.Start());
+  FrameClient client(&worker_loop, port, 5 * kMicrosPerMilli);
+  invalidb::ReliableSender sender(
+      &clock,
+      [&](const std::string& queue, std::string message) {
+        client.Send(queue, message, 2);
+      },
+      "notif", "w1", ropts);
+  client.Subscribe("notif:acks",
+                   [&](const Frame& f) { sender.OnAck(f.payload); });
+  client.Connect();
+  ASSERT_TRUE(WaitFor([&] { return hub.connections() == 1; }));
 
   // First half of the batch flows normally.
   for (int i = 0; i < 10; ++i) {
@@ -761,14 +753,14 @@ TEST_F(FrameFixture, ConnectionResetDuringBatchedNotifyRedeliversExactlyOnce) {
   // through twice. Every notification arrives exactly once.
   ASSERT_TRUE(WaitFor(
       [&] {
-        pump();
+        sender.Tick();
         std::lock_guard<std::mutex> lock(mu);
         return delivered.size() >= 20;
       },
       15000));
   // Let any trailing retransmits land, then assert exactly-once.
   for (int i = 0; i < 10; ++i) {
-    pump();
+    sender.Tick();
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   std::lock_guard<std::mutex> lock(mu);

@@ -388,8 +388,20 @@ TEST_F(TransportTest, BackgroundThreadsDeliver) {
                           count += batch.size();
                         });
   InvalidbWorker worker(SystemClock::Default(), &kv_, "bg");
-  worker.Start();
-  remote.StartPolling();
+  // Each endpoint pumped by its own thread while this one sends.
+  std::atomic<bool> running{true};
+  std::thread consumer([&] {
+    while (running.load()) {
+      worker.ProcessPending();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  std::thread poller([&] {
+    while (running.load()) {
+      remote.DrainNotifications();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
 
   db::Query q = Q("posts", R"({"g":{"$gte":0}})");
   remote.RegisterQuery(q, {}, kEventsAll);
@@ -401,8 +413,9 @@ TEST_F(TransportTest, BackgroundThreadsDeliver) {
   for (int spin = 0; spin < 500 && count.load() < 50; ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  remote.StopPolling();
-  worker.Stop();
+  running = false;
+  consumer.join();
+  poller.join();
   EXPECT_EQ(count.load(), 50);
 }
 
