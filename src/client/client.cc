@@ -194,7 +194,7 @@ webcache::FetchMode QuaestorClient::DecideModeTablePartitioned(
   const webcache::FetchMode reval = options_.revalidate_at_cdn
                                         ? webcache::FetchMode::kRevalidateAtCdn
                                         : webcache::FetchMode::kRevalidate;
-  const std::string table = ebf::PartitionedEbf::TableOfKey(key);
+  const std::string table(ebf::PartitionedEbf::TableOfKey(key));
   const Micros now = clock_->NowMicros();
   auto it = table_ebfs_.find(table);
   if (it == table_ebfs_.end()) {

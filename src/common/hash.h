@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string_view>
 
 namespace quaestor {
@@ -22,6 +23,16 @@ uint64_t Hash64(uint64_t x, uint64_t seed = 0);
 /// standard Kirsch-Mitzenmacher double-hashing scheme
 /// (g_i = h1 + i * h2 mod m). Writes positions into `out[0..k)`.
 void BloomPositions(std::string_view key, size_t k, size_t m, size_t* out);
+
+/// Transparent std::string hash for unordered containers keyed by
+/// std::string (with std::equal_to<>): lookups by string_view never
+/// allocate.
+struct StringViewHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view key) const {
+    return std::hash<std::string_view>{}(key);
+  }
+};
 
 }  // namespace quaestor
 

@@ -408,12 +408,13 @@ webcache::HttpResponse QuaestorServer::FetchRecord(
     return resp;  // 403
   }
   const bool cacheable_table = auth_.ReadIsPublic(table);
-  auto doc = db_->Get(table, id);
-  if (!doc.ok()) return resp;  // 404
+  // Version and commit time only: 304s and memo hits need no document.
+  auto current = db_->GetVersion(table, id);
+  if (!current.ok()) return resp;  // 404
 
   resp.ok = true;
-  resp.etag = doc->version;
-  resp.last_modified = doc->write_time;
+  resp.etag = current->version;
+  resp.last_modified = current->write_time;
   {
     obs::ScopedSpan ttl_span(tracer_, "ttl.estimate");
     resp.ttl = options_.cache_records && cacheable_table
@@ -425,16 +426,23 @@ webcache::HttpResponse QuaestorServer::FetchRecord(
   if (resp.ttl != uncapped_ttl) {
     degraded_reads_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (request.has_if_none_match && request.if_none_match == doc->version) {
+  if (request.has_if_none_match && request.if_none_match == resp.etag) {
     resp.not_modified = true;
     not_modified_.fetch_add(1, std::memory_order_relaxed);
   } else if (auto memo = MemoLookup(request.key);
-             memo != nullptr && memo->etag == doc->version) {
+             memo != nullptr && memo->etag == resp.etag) {
     // Record bodies carry no TTLs, so a memoized body is valid whenever
     // the version still matches (degraded or not).
     resp.body = memo->body;
     body_memo_hits_.fetch_add(1, std::memory_order_relaxed);
   } else {
+    // A write may have landed since the version lookup: etag, commit
+    // time, body and memo entry all come from this one copy, so they
+    // always describe the same version.
+    auto doc = db_->Get(table, id);
+    if (!doc.ok()) return webcache::HttpResponse{};  // deleted since: 404
+    resp.etag = doc->version;
+    resp.last_modified = doc->write_time;
     auto entry = std::make_shared<MemoEntry>();
     entry->etag = doc->version;
     doc->body.AppendJson(&entry->body);
@@ -692,10 +700,11 @@ webcache::HttpResponse QuaestorServer::FetchQuery(
     // Re-issue the memoized record TTLs: the embedded values are
     // durations from receipt, so each serve hands out fresh copies the
     // EBF must keep tracking (issued == tracked preserves ∆-atomicity).
-    if (!options_.fault_disable_ebf_read_tracking) {
-      for (size_t i = 0; i < memo->record_ttls.size(); ++i) {
-        ebf_.ReportRead(memo->member_keys[i], memo->record_ttls[i]);
-      }
+    // Object-list entries only (id lists embed no TTLs); every member
+    // belongs to the query's table, so one call covers them all.
+    if (!options_.fault_disable_ebf_read_tracking &&
+        !memo->record_ttls.empty()) {
+      ebf_.ReportReads(query.table(), memo->member_keys, memo->record_ttls);
     }
     body_memo_hits_.fetch_add(1, std::memory_order_relaxed);
   } else {

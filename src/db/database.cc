@@ -81,6 +81,14 @@ Result<Document> Database::Get(const std::string& table,
   return t->Get(id);
 }
 
+Result<DocumentVersion> Database::GetVersion(const std::string& table,
+                                             const std::string& id) const {
+  reads_.fetch_add(1, std::memory_order_relaxed);
+  Table* t = FindTable(table);
+  if (t == nullptr) return Status::NotFound(table + "/" + id);
+  return t->GetVersion(id);
+}
+
 std::vector<Document> Database::Execute(const Query& query,
                                         uint64_t* commit_stamp) const {
   queries_.fetch_add(1, std::memory_order_relaxed);

@@ -61,6 +61,9 @@ class Database {
                          const Update& update);
   Result<Document> Delete(const std::string& table, const std::string& id);
   Result<Document> Get(const std::string& table, const std::string& id) const;
+  /// Table::GetVersion of `table`; counts as a read like Get.
+  Result<DocumentVersion> GetVersion(const std::string& table,
+                                     const std::string& id) const;
 
   /// Executes a query against its table (empty result for missing tables).
   /// `commit_stamp`, if set, receives the table's commit count read with

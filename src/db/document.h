@@ -29,6 +29,13 @@ struct Document {
   std::string ToJson() const { return body.ToJson(); }
 };
 
+/// What a point lookup reports without copying the document: the live
+/// version (the record's ETag) and its commit time.
+struct DocumentVersion {
+  uint64_t version = 0;
+  Micros write_time = 0;
+};
+
 /// Kinds of write operations flowing through the change stream.
 enum class WriteKind { kInsert, kUpdate, kDelete };
 

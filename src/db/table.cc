@@ -180,6 +180,15 @@ Result<Document> Table::Get(const std::string& id) const {
   return it->second;
 }
 
+Result<DocumentVersion> Table::GetVersion(const std::string& id) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  auto it = docs_.find(id);
+  if (it == docs_.end() || it->second.deleted) {
+    return Status::NotFound(name_ + "/" + id);
+  }
+  return DocumentVersion{it->second.version, it->second.write_time};
+}
+
 void Table::ExecuteEqLocked(const Query& query, const Predicate& conjunct,
                             std::vector<const Document*>* out) const {
   const SecondaryIndex& index = indexes_.at(conjunct.path);

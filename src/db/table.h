@@ -64,6 +64,10 @@ class Table {
   /// Point lookup of the live version.
   Result<Document> Get(const std::string& id) const;
 
+  /// Point lookup of the live version's number and commit time under the
+  /// shared lock, without copying the document.
+  Result<DocumentVersion> GetVersion(const std::string& id) const;
+
   /// Executes a query: plan selection + filter + order/offset/limit. If
   /// `commit_stamp` is set, it receives commit_count() as read under the
   /// same lock as the result: the result is current for as long as

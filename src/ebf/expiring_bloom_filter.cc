@@ -23,8 +23,23 @@ void ExpiringBloomFilter::ReportRead(std::string_view key, Micros ttl) {
   const Micros now = clock_->NowMicros();
   std::lock_guard<std::mutex> lock(mu_);
   MaintainLocked(now);
+  TrackReadLocked(key, now + ttl);
+}
+
+void ExpiringBloomFilter::ReportReads(const std::vector<std::string>& keys,
+                                      const std::vector<Micros>& ttls) {
+  const Micros now = clock_->NowMicros();
+  std::lock_guard<std::mutex> lock(mu_);
+  MaintainLocked(now);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (ttls[i] <= 0) continue;  // uncacheable member: nothing to track
+    TrackReadLocked(keys[i], now + ttls[i]);
+  }
+}
+
+void ExpiringBloomFilter::TrackReadLocked(std::string_view key,
+                                          Micros expire_at) {
   stats_.reads_reported++;
-  const Micros expire_at = now + ttl;
   auto it = keys_.find(key);
   if (it == keys_.end()) {
     // A newly tracked key queues its single deadline (cleanup of keys_
@@ -147,28 +162,28 @@ EbfStats ExpiringBloomFilter::stats() const {
   return stats_;
 }
 
-ExpiringBloomFilter* PartitionedEbf::Partition(const std::string& table) {
+ExpiringBloomFilter* PartitionedEbf::Partition(std::string_view table) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = partitions_.find(table);
   if (it == partitions_.end()) {
     it = partitions_
-             .emplace(table,
+             .emplace(std::string(table),
                       std::make_unique<ExpiringBloomFilter>(clock_, params_))
              .first;
   }
   return it->second.get();
 }
 
-std::string PartitionedEbf::TableOfKey(std::string_view key) {
+std::string_view PartitionedEbf::TableOfKey(std::string_view key) {
   // Record keys look like "table/id"; query keys like "q:table?...".
   std::string_view rest = key;
   if (rest.starts_with("q:")) {
     rest.remove_prefix(2);
     const size_t q = rest.find('?');
-    return std::string(rest.substr(0, q));
+    return rest.substr(0, q);
   }
   const size_t slash = rest.find('/');
-  return std::string(rest.substr(0, slash));
+  return rest.substr(0, slash);
 }
 
 ExpiringBloomFilter* PartitionedEbf::PartitionForKey(std::string_view key) {
@@ -177,6 +192,12 @@ ExpiringBloomFilter* PartitionedEbf::PartitionForKey(std::string_view key) {
 
 void PartitionedEbf::ReportRead(std::string_view key, Micros ttl) {
   PartitionForKey(key)->ReportRead(key, ttl);
+}
+
+void PartitionedEbf::ReportReads(std::string_view table,
+                                 const std::vector<std::string>& keys,
+                                 const std::vector<Micros>& ttls) {
+  Partition(table)->ReportReads(keys, ttls);
 }
 
 bool PartitionedEbf::ReportWrite(std::string_view key) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/hash.h"
 #include "ebf/bloom_filter.h"
 #include "obs/metrics.h"
 
@@ -53,6 +54,11 @@ class ExpiringBloomFilter {
   /// Reports that a cacheable read/query response for `key` was served
   /// with time-to-live `ttl` (µs). Extends the tracked maximum expiration.
   void ReportRead(std::string_view key, Micros ttl);
+
+  /// ReportRead for each `keys[i]` with `ttls[i]` (equal sizes), under one
+  /// lock and one clock read.
+  void ReportReads(const std::vector<std::string>& keys,
+                   const std::vector<Micros>& ttls);
 
   /// Reports a write/invalidation of `key`. If any previously issued TTL
   /// is still unexpired, the key becomes potentially stale: it is added to
@@ -113,22 +119,17 @@ class ExpiringBloomFilter {
     bool operator>(const Deadline& other) const { return at > other.at; }
   };
 
-  /// Transparent hash so lookups by string_view never allocate.
-  struct KeyHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view key) const {
-      return std::hash<std::string_view>{}(key);
-    }
-  };
-
   void MaintainLocked(Micros now);
+  /// Raises `key`'s tracked expiry to `expire_at` (a served ttl > 0).
+  void TrackReadLocked(std::string_view key, Micros expire_at);
 
   Clock* clock_;
   BloomParams params_;
   mutable std::mutex mu_;
   CountingBloomFilter counting_;
   BloomFilter flat_;  // incrementally maintained
-  std::unordered_map<std::string, KeyState, KeyHash, std::equal_to<>> keys_;
+  std::unordered_map<std::string, KeyState, StringViewHash, std::equal_to<>>
+      keys_;
   /// Exactly one entry per key in keys_, due no later than the key's next
   /// relevant time (stale_until while flagged, expire_at otherwise):
   /// raising a key's times never queues, MaintainLocked re-queues the key
@@ -148,12 +149,17 @@ class PartitionedEbf {
       : clock_(clock), params_(params) {}
 
   /// Returns the partition for a table, creating it on first use.
-  ExpiringBloomFilter* Partition(const std::string& table);
+  ExpiringBloomFilter* Partition(std::string_view table);
 
   /// Partition for a prefixed key ("table/id" or "q:table?...").
   ExpiringBloomFilter* PartitionForKey(std::string_view key);
 
   void ReportRead(std::string_view key, Micros ttl);
+  /// ExpiringBloomFilter::ReportReads on `table`'s partition: every key
+  /// must belong to `table` (the members of one query result do).
+  void ReportReads(std::string_view table,
+                   const std::vector<std::string>& keys,
+                   const std::vector<Micros>& ttls);
   bool ReportWrite(std::string_view key);
   bool IsStale(std::string_view key);
 
@@ -171,15 +177,16 @@ class PartitionedEbf {
 
   /// The table a cache key belongs to ("table/id" → table,
   /// "q:table?..." → table) — also the partition routing rule clients use
-  /// when loading table-specific EBFs (§3.3).
-  static std::string TableOfKey(std::string_view key);
+  /// when loading table-specific EBFs (§3.3). Views into `key`.
+  static std::string_view TableOfKey(std::string_view key);
 
  private:
 
   Clock* clock_;
   BloomParams params_;
   mutable std::mutex mu_;
-  std::unordered_map<std::string, std::unique_ptr<ExpiringBloomFilter>>
+  std::unordered_map<std::string, std::unique_ptr<ExpiringBloomFilter>,
+                     StringViewHash, std::equal_to<>>
       partitions_;
 };
 

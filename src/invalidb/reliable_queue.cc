@@ -56,6 +56,13 @@ std::string Encode(const std::string& sender, uint64_t seq,
 }
 
 Result<Envelope> Decode(const std::string& message) {
+  // An envelope needs an "rp" key, spelled literally or with a \u escape.
+  // Raw messages (every change and notify batch while reliability is
+  // off) mostly carry neither, and skip the parse.
+  if (message.find("\"rp\"") == std::string::npos &&
+      message.find("\\u") == std::string::npos) {
+    return Status::NotFound("not an envelope");
+  }
   auto parsed = db::Value::FromJson(message);
   if (!parsed.ok() || !parsed->is_object()) {
     return Status::NotFound("not an envelope");

@@ -2,6 +2,7 @@
 
 #include <time.h>
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
@@ -73,12 +74,20 @@ void ParseTarget(HttpMessage* msg) {
   }
 }
 
+/// Longest header block (all header lines up to the blank line) a
+/// message may have. Without a bound, a peer that never ends its headers
+/// grows the connection's input forever, and each arrival re-parses it.
+constexpr size_t kMaxHeaderBlock = 64u << 10;
+
 /// Shared header+body machinery: `in` positioned at the first header
 /// line (start-line already consumed at offset `pos`).
 HttpDecode DecodeRest(std::string_view in, size_t pos, HttpMessage* msg,
                       size_t* consumed) {
+  const size_t headers_start = pos;
   for (;;) {
     const size_t eol = in.find(kCrlf, pos);
+    const size_t block_end = eol == std::string_view::npos ? in.size() : eol;
+    if (block_end - headers_start > kMaxHeaderBlock) return HttpDecode::kError;
     if (eol == std::string_view::npos) return HttpDecode::kNeedMore;
     if (eol == pos) {  // blank line: end of headers
       pos += 2;
@@ -120,13 +129,46 @@ void AppendHeaders(std::string* out, const HttpMessage& msg) {
   out->append(msg.body);
 }
 
-std::string HttpDate(Micros micros) {
-  const time_t secs = static_cast<time_t>(micros / kMicrosPerSecond);
-  struct tm tm_utc;
-  gmtime_r(&secs, &tm_utc);
-  char buf[64];
-  strftime(buf, sizeof(buf), "%a, %d %b %Y %H:%M:%S GMT", &tm_utc);
-  return buf;
+std::string_view ReasonPhrase(int status) {
+  switch (status) {
+    case 200: return "OK";
+    case 304: return "Not Modified";
+    case 400: return "Bad Request";
+    case 403: return "Forbidden";
+    case 404: return "Not Found";
+    case 429: return "Too Many Requests";
+    case 503: return "Service Unavailable";
+    case 504: return "Gateway Timeout";
+    default: return "Unknown";
+  }
+}
+
+template <typename Int>
+void AppendInt(std::string* out, Int value) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), value);
+  out->append(buf, res.ptr);
+}
+
+/// Appends the HTTP-date of `micros`. Formats at most once per distinct
+/// second per thread: consecutive responses mostly share one.
+void AppendHttpDate(std::string* out, Micros micros) {
+  struct Formatted {
+    int64_t secs = -1;
+    char text[64] = {};
+    size_t len = 0;
+  };
+  thread_local Formatted cached;
+  const int64_t secs = micros / kMicrosPerSecond;
+  if (secs != cached.secs) {
+    const time_t t = static_cast<time_t>(secs);
+    struct tm tm_utc;
+    gmtime_r(&t, &tm_utc);
+    cached.len = strftime(cached.text, sizeof(cached.text),
+                          "%a, %d %b %Y %H:%M:%S GMT", &tm_utc);
+    cached.secs = secs;
+  }
+  out->append(cached.text, cached.len);
 }
 
 int64_t ParseI64(const std::string& s) {
@@ -205,58 +247,72 @@ std::string EncodeHttpRequest(const HttpMessage& msg) {
 }
 
 std::string EncodeHttpResponse(const HttpMessage& msg) {
-  static const std::map<int, std::string_view> kReasons = {
-      {200, "OK"},           {304, "Not Modified"},
-      {400, "Bad Request"},  {403, "Forbidden"},
-      {404, "Not Found"},    {429, "Too Many Requests"},
-      {503, "Service Unavailable"}, {504, "Gateway Timeout"},
-  };
   std::string out = "HTTP/1.1 ";
   out.append(std::to_string(msg.status));
   out.push_back(' ');
-  auto it = kReasons.find(msg.status);
-  out.append(it == kReasons.end() ? "Unknown" : it->second);
+  out.append(ReasonPhrase(msg.status));
   out.append(kCrlf);
   AppendHeaders(&out, msg);
   return out;
 }
 
-HttpMessage ToHttpMessage(const WireResponse& response) {
+void AppendFetchResponse(const WireResponse& response, std::string* out) {
   const webcache::HttpResponse& r = response.http;
-  HttpMessage msg;
+  int status = 404;
   if (r.not_modified) {
-    msg.status = 304;
+    status = 304;
   } else if (r.ok) {
-    msg.status = 200;
-    msg.body = r.body;
+    status = 200;
   } else if (r.deadline_exceeded) {
-    msg.status = 504;
+    status = 504;
   } else if (r.shed) {
-    msg.status = 429;
+    status = 429;
   } else if (r.unavailable) {
-    msg.status = 503;
-  } else {
-    msg.status = 404;
+    status = 503;
   }
-  if (msg.status == 200 || msg.status == 304) {
-    msg.headers["etag"] = "\"" + std::to_string(r.etag) + "\"";
+  out->append("HTTP/1.1 ");
+  AppendInt(out, status);
+  out->push_back(' ');
+  out->append(ReasonPhrase(status));
+  out->append(kCrlf);
+  // Header names in sorted order, as an HttpMessage's std::map emits them.
+  const bool caching = status == 200 || status == 304;
+  if (caching) {
     if (r.ttl > 0) {
-      msg.headers["cache-control"] =
-          "max-age=" + std::to_string(r.ttl / kMicrosPerSecond);
+      out->append("cache-control: max-age=");
+      AppendInt(out, r.ttl / kMicrosPerSecond);
+      out->append(kCrlf);
     } else {
-      msg.headers["cache-control"] = "no-store";
+      out->append("cache-control: no-store\r\n");
     }
-    msg.headers["x-ttl-us"] = std::to_string(r.ttl);
+    out->append("etag: \"");
+    AppendInt(out, r.etag);
+    out->append("\"\r\n");
     if (r.last_modified > 0) {
-      msg.headers["last-modified"] = HttpDate(r.last_modified);
+      out->append("last-modified: ");
+      AppendHttpDate(out, r.last_modified);
+      out->append(kCrlf);
     }
-    msg.headers["x-last-modified-us"] = std::to_string(r.last_modified);
+    out->append("x-last-modified-us: ");
+    AppendInt(out, r.last_modified);
+    out->append(kCrlf);
   }
   if (response.served_stale_on_shed) {
-    msg.headers["x-served-stale-on-shed"] = "1";
-    msg.headers["x-stale-age-us"] = std::to_string(response.stale_entry_age);
+    out->append("x-served-stale-on-shed: 1\r\nx-stale-age-us: ");
+    AppendInt(out, response.stale_entry_age);
+    out->append(kCrlf);
   }
-  return msg;
+  if (caching) {
+    out->append("x-ttl-us: ");
+    AppendInt(out, r.ttl);
+    out->append(kCrlf);
+  }
+  const std::string_view body =
+      status == 200 ? std::string_view(r.body) : std::string_view();
+  out->append("content-length: ");
+  AppendInt(out, body.size());
+  out->append("\r\n\r\n");
+  out->append(body);
 }
 
 WireResponse FromHttpMessage(const HttpMessage& msg) {

@@ -51,13 +51,18 @@ struct WireResponse {
   Micros stale_entry_age = 0;
 };
 
-/// Maps a domain response onto HTTP/1.1 status + caching headers:
+/// Appends the HTTP/1.1 encoding of a domain response to `out` in one
+/// pass, with no intermediate HttpMessage. Status:
 ///   304 not_modified · 200 ok · 504 deadline_exceeded · 429 shed ·
 ///   503 unavailable · 404 otherwise.
-/// Cache-Control carries floor(ttl) in seconds (no-store when ttl==0);
-/// X-TTL-Us / X-Last-Modified-Us preserve exact microseconds so the
-/// round trip is lossless; Last-Modified is the standard HTTP-date.
-HttpMessage ToHttpMessage(const WireResponse& response);
+/// 200 and 304 carry the caching headers: Cache-Control with floor(ttl)
+/// in seconds (no-store when ttl==0); X-TTL-Us / X-Last-Modified-Us keep
+/// exact microseconds so the round trip is lossless; Last-Modified is the
+/// standard HTTP-date. Stale-on-shed answers add X-Served-Stale-On-Shed /
+/// X-Stale-Age-Us. Only a 200 carries the body. Headers are lowercase
+/// and sorted by name, then content-length: the bytes EncodeHttpResponse
+/// produces for the same status, headers and body.
+void AppendFetchResponse(const WireResponse& response, std::string* out);
 WireResponse FromHttpMessage(const HttpMessage& msg);
 
 /// GET /fetch with key/If-None-Match/Authorization/X-Deadline-Us (absolute

@@ -111,6 +111,7 @@ void HttpFrontend::HandleData(uint64_t conn_id) {
   std::shared_ptr<TcpConnection> conn = it->second;
   size_t cursor = 0;
   std::string& input = conn->input();
+  std::string response;  // reused by pipelined requests
   for (;;) {
     HttpMessage request;
     size_t consumed = 0;
@@ -122,9 +123,10 @@ void HttpFrontend::HandleData(uint64_t conn_id) {
     }
     if (rc == HttpDecode::kNeedMore) break;
     cursor += consumed;
-    HttpMessage response = Dispatch(request);
+    response.clear();
+    Dispatch(request, &response);
     requests_served_.fetch_add(1, std::memory_order_relaxed);
-    if (!conn->Send(EncodeHttpResponse(response))) {
+    if (!conn->Send(response)) {
       conn->Close();
       return;
     }
@@ -132,36 +134,37 @@ void HttpFrontend::HandleData(uint64_t conn_id) {
   input.erase(0, cursor);
 }
 
-HttpMessage HttpFrontend::Dispatch(const HttpMessage& request) {
+void HttpFrontend::Dispatch(const HttpMessage& request, std::string* out) {
   if (request.method == "GET" && request.path == "/fetch") {
-    return HandleFetch(request);
-  }
-  if (request.method == "GET" && request.path == "/ebf") {
-    return HandleEbf(request);
-  }
-  if (request.method == "POST" && request.path == "/query-shape") {
-    return HandleQueryShape(request);
-  }
-  if (request.method == "POST" && request.path == "/write") {
-    return HandleWrite(request);
+    HandleFetch(request, out);
+    return;
   }
   HttpMessage msg;
-  msg.status = 404;
-  msg.body = "unknown route";
-  return msg;
+  if (request.method == "GET" && request.path == "/ebf") {
+    msg = HandleEbf(request);
+  } else if (request.method == "POST" && request.path == "/query-shape") {
+    msg = HandleQueryShape(request);
+  } else if (request.method == "POST" && request.path == "/write") {
+    msg = HandleWrite(request);
+  } else {
+    msg.status = 404;
+    msg.body = "unknown route";
+  }
+  out->append(EncodeHttpResponse(msg));
 }
 
-HttpMessage HttpFrontend::HandleFetch(const HttpMessage& request) {
+void HttpFrontend::HandleFetch(const HttpMessage& request, std::string* out) {
   const webcache::HttpRequest req = FetchRequestFromHttpMessage(request);
   if (req.key.empty()) {
     HttpMessage msg;
     msg.status = 400;
     msg.body = "missing key";
-    return msg;
+    out->append(EncodeHttpResponse(msg));
+    return;
   }
   WireResponse wire;
   wire.http = server_->Fetch(req);
-  return ToHttpMessage(wire);
+  AppendFetchResponse(wire, out);
 }
 
 HttpMessage HttpFrontend::HandleEbf(const HttpMessage& request) {

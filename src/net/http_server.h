@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 
 #include "core/server.h"
 #include "net/event_loop.h"
@@ -43,8 +44,9 @@ class HttpFrontend {
  private:
   void HandleAccept(int fd);
   void HandleData(uint64_t conn_id);
-  HttpMessage Dispatch(const HttpMessage& request);
-  HttpMessage HandleFetch(const HttpMessage& request);
+  /// Appends the encoded response to `request` to `out`.
+  void Dispatch(const HttpMessage& request, std::string* out);
+  void HandleFetch(const HttpMessage& request, std::string* out);
   HttpMessage HandleEbf(const HttpMessage& request);
   HttpMessage HandleQueryShape(const HttpMessage& request);
   HttpMessage HandleWrite(const HttpMessage& request);

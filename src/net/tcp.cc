@@ -85,6 +85,10 @@ void TcpConnection::HandleReadable() {
     const ssize_t n = ::read(fd_, buf, sizeof(buf));
     if (n > 0) {
       input_.append(buf, static_cast<size_t>(n));
+      // A short read drained the socket for now. Epoll is level-triggered,
+      // so later bytes and EOF are reported again; reading on would only
+      // earn an EAGAIN.
+      if (static_cast<size_t>(n) < sizeof(buf)) break;
       continue;
     }
     if (n == 0) {  // peer closed

@@ -17,7 +17,12 @@ void WriteRateEstimator::RecordWrite(std::string_view key) {
 double WriteRateEstimator::RateOf(std::string_view key) const {
   const Micros now = clock_->NowMicros();
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = samples_.find(std::string(key));
+  return RateLocked(key, now);
+}
+
+double WriteRateEstimator::RateLocked(std::string_view key,
+                                      Micros now) const {
+  auto it = samples_.find(key);
   if (it == samples_.end()) return 0.0;
   const std::deque<Micros>& s = it->second;
   // Count samples within the window (entries are pruned lazily on write,
@@ -44,8 +49,10 @@ double WriteRateEstimator::RateOf(std::string_view key) const {
 }
 
 double WriteRateEstimator::SumRate(const std::vector<std::string>& keys) const {
+  const Micros now = clock_->NowMicros();
+  std::lock_guard<std::mutex> lock(mu_);
   double sum = 0.0;
-  for (const std::string& k : keys) sum += RateOf(k);
+  for (const std::string& k : keys) sum += RateLocked(k, now);
   return sum;
 }
 
@@ -74,7 +81,7 @@ Micros TtlEstimator::QueryTtl(
     const std::vector<std::string>& result_record_keys) const {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = query_ewma_.find(std::string(query_key));
+    auto it = query_ewma_.find(query_key);
     if (it != query_ewma_.end()) {
       return Clamp(static_cast<Micros>(it->second));
     }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/hash.h"
 
 namespace quaestor::ttl {
 
@@ -54,16 +56,22 @@ class WriteRateEstimator {
   double RateOf(std::string_view key) const;
 
   /// Sum of rates over a set of keys: λ_min of the minimum-of-exponentials
-  /// distribution for a query result (§4.2).
+  /// distribution for a query result (§4.2). One lock and one clock read
+  /// for the whole set.
   double SumRate(const std::vector<std::string>& keys) const;
 
   size_t TrackedKeys() const;
 
  private:
+  /// RateOf at time `now`; the caller holds mu_.
+  double RateLocked(std::string_view key, Micros now) const;
+
   Clock* clock_;
   TtlOptions options_;
   mutable std::mutex mu_;
-  std::unordered_map<std::string, std::deque<Micros>> samples_;
+  std::unordered_map<std::string, std::deque<Micros>, StringViewHash,
+                     std::equal_to<>>
+      samples_;
 };
 
 /// Converts arrival rates into TTLs and maintains per-query EWMA-refined
@@ -117,7 +125,8 @@ class TtlEstimator {
   TtlOptions options_;
   WriteRateEstimator write_rates_;
   mutable std::mutex mu_;
-  std::unordered_map<std::string, double> query_ewma_;  // key → ttl (µs)
+  std::unordered_map<std::string, double, StringViewHash, std::equal_to<>>
+      query_ewma_;  // key → ttl (µs)
 };
 
 }  // namespace quaestor::ttl

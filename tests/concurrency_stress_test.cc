@@ -12,6 +12,9 @@
 //    FromJson(body).ComputeEtag() == resp.etag, whether it was freshly
 //    serialized or replayed from the body memo. A memo entry surviving
 //    its etag would fail this immediately.
+//  - Record fetches: each 200's etag, body and last_modified belong to
+//    one committed version, even when a write lands between the version
+//    lookup and the document copy.
 //  - Query-result reuse: each record has one writer storing increasing
 //    values, so a query fetch that starts after a write returned must
 //    show that value or a later one. A result reused across a commit
@@ -22,6 +25,8 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -366,6 +371,78 @@ TEST_F(ServerMemoStress, ReusedQueryResultsNeverPredateAFinishedWrite) {
     ASSERT_TRUE(server_.Fetch(req).ok);
   }
   EXPECT_EQ(database_.stats().queries, executed);
+}
+
+TEST_F(ServerMemoStress, RecordFetchPairsEtagBodyAndTimeOfOneVersion) {
+  // A record fetch looks up the version first and copies the document
+  // only on a memo miss; a write can land in between. Every 200 must
+  // still carry the body committed at its etag's version and that
+  // version's commit time as last_modified.
+  constexpr int kWriters = 2;
+  constexpr int kFetchers = 2;
+  constexpr int kWritesPerWriter = 6000;
+  const std::string id = "p0";
+  std::mutex committed_mu;
+  // version -> (body JSON, write time), for every version of the record.
+  std::map<uint64_t, std::pair<std::string, Micros>> committed;
+  {
+    auto doc = database_.Get("posts", id);
+    ASSERT_TRUE(doc.ok());
+    committed[doc->version] = {doc->body.ToJson(), doc->write_time};
+  }
+  struct Served {
+    uint64_t etag;
+    std::string body;
+    Micros last_modified;
+  };
+  std::vector<std::vector<Served>> served(kFetchers);
+  std::atomic<bool> done{false};
+  std::atomic<int> fetchers_started{0};
+
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      while (fetchers_started.load() < kFetchers) std::this_thread::yield();
+      for (int i = 0; i < kWritesPerWriter; ++i) {
+        db::Update up;
+        up.Set("views", db::Value(static_cast<int64_t>(w * 100000 + i)));
+        auto doc = server_.Update("posts", id, up);
+        ASSERT_TRUE(doc.ok());
+        std::lock_guard<std::mutex> lock(committed_mu);
+        committed[doc->version] = {doc->body.ToJson(), doc->write_time};
+      }
+    });
+  }
+  for (int f = 0; f < kFetchers; ++f) {
+    threads.emplace_back([&, f] {
+      fetchers_started.fetch_add(1);
+      while (!done.load(std::memory_order_acquire)) {
+        webcache::HttpRequest req;  // no If-None-Match: always a body
+        req.key = "posts/" + id;
+        auto resp = server_.Fetch(req);
+        ASSERT_TRUE(resp.ok);
+        ASSERT_FALSE(resp.not_modified);
+        served[f].push_back({resp.etag, resp.body, resp.last_modified});
+      }
+    });
+  }
+  for (int w = 0; w < kWriters; ++w) threads[w].join();
+  done.store(true, std::memory_order_release);
+  for (size_t i = kWriters; i < threads.size(); ++i) threads[i].join();
+
+  size_t checked = 0;
+  for (const std::vector<Served>& list : served) {
+    for (const Served& s : list) {
+      auto it = committed.find(s.etag);
+      ASSERT_NE(it, committed.end()) << "etag " << s.etag << " never committed";
+      ASSERT_EQ(s.body, it->second.first) << "body of another version";
+      ASSERT_EQ(s.last_modified, it->second.second)
+          << "commit time of another version";
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u);
+  EXPECT_GT(server_.stats().body_memo_misses, 1u);
 }
 
 TEST_F(ServerMemoStress, MemoizedBodiesByteIdenticalToFresh) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "common/clock.h"
 #include "ebf/expiring_bloom_filter.h"
@@ -236,6 +237,34 @@ TEST(PartitionedEbfTest, QueryKeysShareTablePartitionWithRecords) {
   ebf.ReportRead("q:posts?group $eq 1", 10 * kSecond);
   ebf.ReportRead("posts/1", 10 * kSecond);
   EXPECT_EQ(ebf.PartitionCount(), 1u);
+}
+
+TEST(PartitionedEbfTest, ReportReadsMatchesOneReportReadPerKey) {
+  // The batched replay keeps ReportRead's rules per key: ttl <= 0 is
+  // skipped, the highest expiry wins, one deadline per new key.
+  SimulatedClock clock(0);
+  PartitionedEbf batched(&clock);
+  PartitionedEbf single(&clock);
+  const std::vector<std::string> keys = {"posts/1", "posts/2", "posts/3",
+                                         "posts/1"};
+  const std::vector<Micros> ttls = {5 * kSecond, 0, -1, 9 * kSecond};
+  batched.ReportReads("posts", keys, ttls);
+  for (size_t i = 0; i < keys.size(); ++i) single.ReportRead(keys[i], ttls[i]);
+  for (PartitionedEbf* ebf : {&batched, &single}) {
+    ExpiringBloomFilter* part = ebf->Partition("posts");
+    EXPECT_EQ(ebf->PartitionCount(), 1u);
+    EXPECT_EQ(part->TrackedCount(), 1u);  // posts/1 only
+    EXPECT_EQ(part->QueuedDeadlines(), 1u);
+    EXPECT_EQ(part->stats().reads_reported, 2u);
+    clock.Advance(7 * kSecond);  // past the 5 s read, inside the 9 s one
+    EXPECT_TRUE(ebf->ReportWrite("posts/1"));
+    EXPECT_FALSE(ebf->ReportWrite("posts/2"));
+    clock.Advance(3 * kSecond);  // past 9 s: clean again
+    part->Maintain();
+    EXPECT_FALSE(ebf->IsStale("posts/1"));
+    EXPECT_EQ(part->TrackedCount(), 0u);
+    clock.SetTime(0);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <functional>
@@ -31,6 +33,7 @@
 #include "net/framing.h"
 #include "net/http_client.h"
 #include "net/http_codec.h"
+#include "net/http_server.h"
 #include "net/queue_bridge.h"
 #include "net/service.h"
 #include "net/tcp.h"
@@ -127,6 +130,22 @@ TEST(FramingTest, OversizedAndMalformedHeadersAreErrors) {
 // ---------------------------------------------------------------------------
 // HTTP codec
 
+std::string EncodeFetch(const WireResponse& response) {
+  std::string out;
+  AppendFetchResponse(response, &out);
+  return out;
+}
+
+/// The fetch response as a client parses it off the wire.
+HttpMessage DecodedFetch(const WireResponse& response) {
+  const std::string wire = EncodeFetch(response);
+  HttpMessage msg;
+  size_t consumed = 0;
+  EXPECT_EQ(DecodeHttpResponse(wire, &msg, &consumed), HttpDecode::kComplete);
+  EXPECT_EQ(consumed, wire.size());
+  return msg;
+}
+
 TEST(HttpCodecTest, WireResponseRoundTripsEveryStatusShape) {
   std::vector<WireResponse> cases;
   {
@@ -182,7 +201,7 @@ TEST(HttpCodecTest, WireResponseRoundTripsEveryStatusShape) {
 
   for (size_t i = 0; i < cases.size(); ++i) {
     const WireResponse& in = cases[i];
-    const std::string wire = EncodeHttpResponse(ToHttpMessage(in));
+    const std::string wire = EncodeFetch(in);
     HttpMessage msg;
     size_t consumed = 0;
     ASSERT_EQ(DecodeHttpResponse(wire, &msg, &consumed), HttpDecode::kComplete)
@@ -215,7 +234,7 @@ TEST(HttpCodecTest, ResponseHeadersCarryStandardCachingSemantics) {
   r.http.body = "body";
   r.http.etag = 42;
   r.http.ttl = 2500 * kMicrosPerMilli;
-  const HttpMessage msg = ToHttpMessage(r);
+  const HttpMessage msg = DecodedFetch(r);
   EXPECT_EQ(msg.status, 200);
   EXPECT_EQ(msg.headers.at("etag"), "\"42\"");
   // floor(2.5s) — real HTTP caches honour whole seconds.
@@ -224,21 +243,21 @@ TEST(HttpCodecTest, ResponseHeadersCarryStandardCachingSemantics) {
   WireResponse uncacheable;
   uncacheable.http.ok = true;
   uncacheable.http.ttl = 0;
-  EXPECT_EQ(ToHttpMessage(uncacheable).headers.at("cache-control"),
+  EXPECT_EQ(DecodedFetch(uncacheable).headers.at("cache-control"),
             "no-store");
 
   WireResponse nm;
   nm.http.not_modified = true;
-  EXPECT_EQ(ToHttpMessage(nm).status, 304);
+  EXPECT_EQ(DecodedFetch(nm).status, 304);
   WireResponse shed;
   shed.http.shed = true;
-  EXPECT_EQ(ToHttpMessage(shed).status, 429);
+  EXPECT_EQ(DecodedFetch(shed).status, 429);
   WireResponse un;
   un.http.unavailable = true;
-  EXPECT_EQ(ToHttpMessage(un).status, 503);
+  EXPECT_EQ(DecodedFetch(un).status, 503);
   WireResponse dl;
   dl.http.deadline_exceeded = true;
-  EXPECT_EQ(ToHttpMessage(dl).status, 504);
+  EXPECT_EQ(DecodedFetch(dl).status, 504);
 }
 
 TEST(HttpCodecTest, FetchRequestRoundTripsConditionalAndContextHeaders) {
@@ -289,8 +308,7 @@ TEST(HttpCodecTest, PipelinedAndTornMessagesDecodeIncrementally) {
   b.http.ok = true;
   b.http.body = "second";
   b.http.etag = 2;
-  const std::string wire =
-      EncodeHttpResponse(ToHttpMessage(a)) + EncodeHttpResponse(ToHttpMessage(b));
+  const std::string wire = EncodeFetch(a) + EncodeFetch(b);
 
   // Feed a torn prefix: body cut mid-way must return kNeedMore.
   HttpMessage partial;
@@ -309,6 +327,201 @@ TEST(HttpCodecTest, PipelinedAndTornMessagesDecodeIncrementally) {
             HttpDecode::kComplete);
   EXPECT_EQ(m2.body, "second");
   EXPECT_EQ(consumed + c2, wire.size());
+}
+
+TEST(HttpCodecTest, FetchResponsesMatchTheMessageEncoderByteForByte) {
+  // Golden bytes: what the HttpMessage route (fill a header map, then
+  // EncodeHttpResponse) produced for each fetch response shape before
+  // AppendFetchResponse replaced it. Clients and caches see no change.
+  struct Golden {
+    const char* name;
+    WireResponse response;
+    std::string bytes;
+  };
+  std::vector<Golden> cases;
+  {
+    WireResponse r;
+    r.http.ok = true;
+    r.http.body = R"({"title":"hello"})";
+    r.http.etag = 42;
+    r.http.ttl = 2500000;
+    r.http.last_modified = 1700000000123456;
+    cases.push_back({"200 with ttl and last_modified", r,
+                     "HTTP/1.1 200 OK\r\n"
+                     "cache-control: max-age=2\r\n"
+                     "etag: \"42\"\r\n"
+                     "last-modified: Tue, 14 Nov 2023 22:13:20 GMT\r\n"
+                     "x-last-modified-us: 1700000000123456\r\n"
+                     "x-ttl-us: 2500000\r\n"
+                     "content-length: 17\r\n"
+                     "\r\n"
+                     R"({"title":"hello"})"});
+  }
+  {
+    WireResponse r;
+    r.http.ok = true;
+    r.http.body = "[]";
+    r.http.etag = 7;
+    cases.push_back({"200 without ttl or last_modified", r,
+                     "HTTP/1.1 200 OK\r\n"
+                     "cache-control: no-store\r\n"
+                     "etag: \"7\"\r\n"
+                     "x-last-modified-us: 0\r\n"
+                     "x-ttl-us: 0\r\n"
+                     "content-length: 2\r\n"
+                     "\r\n"
+                     "[]"});
+  }
+  {
+    WireResponse r;
+    r.http.ok = true;
+    r.http.body = "x";
+    r.http.etag = 5;
+    r.http.ttl = 999999;  // under a second: max-age=0
+    r.http.last_modified = 86400000000;
+    r.served_stale_on_shed = true;
+    r.stale_entry_age = 77;
+    cases.push_back({"200 served stale on shed", r,
+                     "HTTP/1.1 200 OK\r\n"
+                     "cache-control: max-age=0\r\n"
+                     "etag: \"5\"\r\n"
+                     "last-modified: Fri, 02 Jan 1970 00:00:00 GMT\r\n"
+                     "x-last-modified-us: 86400000000\r\n"
+                     "x-served-stale-on-shed: 1\r\n"
+                     "x-stale-age-us: 77\r\n"
+                     "x-ttl-us: 999999\r\n"
+                     "content-length: 1\r\n"
+                     "\r\n"
+                     "x"});
+  }
+  {
+    WireResponse r;
+    r.http.ok = true;
+    r.http.not_modified = true;
+    r.http.body = "never sent";
+    r.http.etag = 9;
+    r.http.ttl = 60000000;
+    r.http.last_modified = 1000001;
+    cases.push_back({"304", r,
+                     "HTTP/1.1 304 Not Modified\r\n"
+                     "cache-control: max-age=60\r\n"
+                     "etag: \"9\"\r\n"
+                     "last-modified: Thu, 01 Jan 1970 00:00:01 GMT\r\n"
+                     "x-last-modified-us: 1000001\r\n"
+                     "x-ttl-us: 60000000\r\n"
+                     "content-length: 0\r\n"
+                     "\r\n"});
+  }
+  {
+    WireResponse r;
+    r.http.body = "never sent";
+    cases.push_back({"404", r,
+                     "HTTP/1.1 404 Not Found\r\n"
+                     "content-length: 0\r\n"
+                     "\r\n"});
+  }
+  {
+    WireResponse r;
+    r.http.shed = true;
+    r.served_stale_on_shed = true;
+    r.stale_entry_age = 1234;
+    cases.push_back({"429 with stale-on-shed headers", r,
+                     "HTTP/1.1 429 Too Many Requests\r\n"
+                     "x-served-stale-on-shed: 1\r\n"
+                     "x-stale-age-us: 1234\r\n"
+                     "content-length: 0\r\n"
+                     "\r\n"});
+  }
+  {
+    WireResponse r;
+    r.http.unavailable = true;
+    cases.push_back({"503", r,
+                     "HTTP/1.1 503 Service Unavailable\r\n"
+                     "content-length: 0\r\n"
+                     "\r\n"});
+  }
+  {
+    WireResponse r;
+    r.http.deadline_exceeded = true;
+    cases.push_back({"504", r,
+                     "HTTP/1.1 504 Gateway Timeout\r\n"
+                     "content-length: 0\r\n"
+                     "\r\n"});
+  }
+  for (const Golden& g : cases) {
+    EXPECT_EQ(EncodeFetch(g.response), g.bytes) << g.name;
+    // Twice more: the second and third encodings of a date reuse the
+    // formatted second, and a different second in between must not leak.
+    WireResponse other = g.response;
+    other.http.last_modified += 3 * kMicrosPerSecond;
+    (void)EncodeFetch(other);
+    EXPECT_EQ(EncodeFetch(g.response), g.bytes) << g.name << " (again)";
+    // Appends after what the buffer already holds.
+    std::string buffer = "prefix";
+    AppendFetchResponse(g.response, &buffer);
+    EXPECT_EQ(buffer, "prefix" + g.bytes) << g.name;
+  }
+}
+
+TEST(HttpCodecTest, EndlessHeaderBlockIsAnError) {
+  // A request line, then header lines that never reach the blank line:
+  // the decoder must give up instead of asking for more forever.
+  std::string wire = "GET /fetch?key=t%2F1 HTTP/1.1\r\n";
+  while (wire.size() < (1u << 20)) wire += "x-filler: 0123456789abcdef\r\n";
+  HttpMessage msg;
+  size_t consumed = 0;
+  EXPECT_EQ(DecodeHttpRequest(wire, &msg, &consumed), HttpDecode::kError);
+  EXPECT_EQ(DecodeHttpResponse("HTTP/1.1 200 OK\r\n" + wire.substr(31), &msg,
+                               &consumed),
+            HttpDecode::kError);
+  // A large but bounded header block still decodes.
+  std::string ok = "GET /fetch?key=t%2F1 HTTP/1.1\r\n";
+  while (ok.size() < (32u << 10)) ok += "x-filler: 0123456789abcdef\r\n";
+  ok += "\r\n";
+  ASSERT_EQ(DecodeHttpRequest(ok, &msg, &consumed), HttpDecode::kComplete);
+  EXPECT_EQ(consumed, ok.size());
+  EXPECT_EQ(msg.path, "/fetch");
+}
+
+TEST(HttpFrontendTest, ClosesAConnectionWhoseHeadersNeverEnd) {
+  SystemClock clock;
+  db::Database db(&clock);
+  core::QuaestorServer server(&clock, &db);
+  EventLoop loop;
+  ASSERT_TRUE(loop.Start());
+  HttpFrontend frontend(&loop, &server);
+  ASSERT_TRUE(frontend.Listen(0));
+
+  const int fd = DialLoopbackBlocking(frontend.port());
+  ASSERT_GE(fd, 0);
+  timeval timeout{};
+  timeout.tv_sec = 5;
+  ASSERT_EQ(setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)),
+            0);
+  ASSERT_EQ(setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout)),
+            0);
+  std::string wire = "GET /fetch?key=t%2F1 HTTP/1.1\r\n";
+  while (wire.size() < (1u << 20)) wire += "x-filler: 0123456789abcdef\r\n";
+  // The front-end may close mid-stream; a failed send just ends the push.
+  size_t sent = 0;
+  while (sent < wire.size()) {
+    const ssize_t n = send(fd, wire.data() + sent, wire.size() - sent,
+                           MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<size_t>(n);
+  }
+  // Closed means EOF or a reset, never a read that times out.
+  char buf[256];
+  ssize_t n = 0;
+  do {
+    n = read(fd, buf, sizeof(buf));
+  } while (n > 0);
+  const int read_errno = errno;
+  EXPECT_TRUE(n == 0 || read_errno == ECONNRESET)
+      << "connection still open: " << std::strerror(read_errno);
+  close(fd);
+  frontend.Close();
+  loop.Stop();
 }
 
 TEST(HttpBackendTest, ConditionalFetchWithMatchingEtagIsOkAndNotModified) {

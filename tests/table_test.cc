@@ -36,6 +36,30 @@ TEST(TableTest, InsertGetRoundTrip) {
   EXPECT_EQ(got->body.Find("title")->as_string(), "hello");
 }
 
+TEST(TableTest, GetVersionReportsVersionAndTimeWithoutTheBody) {
+  Table t("posts");
+  ASSERT_TRUE(t.Insert("p1", Doc(R"({"n":1})"), 100).ok());
+  Update u;
+  u.Inc("n", Value(1));
+  ASSERT_TRUE(t.Apply("p1", u, 250).ok());
+  auto got = t.GetVersion("p1");
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->version, 2u);
+  EXPECT_EQ(got->write_time, 250);
+  EXPECT_TRUE(t.GetVersion("missing").status().IsNotFound());
+  ASSERT_TRUE(t.Delete("p1", 300).ok());
+  EXPECT_TRUE(t.GetVersion("p1").status().IsNotFound());  // tombstone
+
+  Database db(SystemClock::Default());
+  EXPECT_TRUE(db.GetVersion("nope", "x").status().IsNotFound());
+  auto ins = db.Insert("posts", "a", Doc("{}"));
+  ASSERT_TRUE(ins.ok());
+  auto via_db = db.GetVersion("posts", "a");
+  ASSERT_TRUE(via_db.ok());
+  EXPECT_EQ(via_db->version, ins->version);
+  EXPECT_EQ(via_db->write_time, ins->write_time);
+}
+
 TEST(TableTest, InsertDuplicateFails) {
   Table t("posts");
   ASSERT_TRUE(t.Insert("p1", Doc("{}"), 1).ok());

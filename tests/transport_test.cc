@@ -3,11 +3,13 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/clock.h"
 #include "db/query.h"
+#include "invalidb/reliable_queue.h"
 #include "invalidb/transport.h"
 #include "kv/kv_store.h"
 
@@ -253,6 +255,58 @@ TEST(TransportCodecTest, NonCanonicalBatchDecodesViaFallback) {
   auto back = transport::DecodeChangeBatch(reordered);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   ExpectSameEvents(back.value(), events);
+}
+
+// reliable::Decode skips the JSON parse when a message cannot carry an
+// "rp" key. Envelopes spelled differently from Encode's bytes must still
+// decode, and raw frames that merely contain the text must still pass.
+TEST(ReliableEnvelopeTest, KeyReorderedEnvelopeStillDecodes) {
+  const std::string canonical = reliable::Encode("node-1", 7, "payload");
+  auto parsed = db::Value::FromJson(canonical);
+  ASSERT_TRUE(parsed.ok());
+  const std::string reordered =
+      "{ \"rs\": \"node-1\", \"rn\": 7, \"rp\": \"payload\", \"rc\": " +
+      parsed->Find("rc")->ToJson() + " }";
+  ASSERT_NE(reordered, canonical);
+  auto env = reliable::Decode(reordered);
+  ASSERT_TRUE(env.ok()) << env.status().ToString();
+  EXPECT_EQ(env->sender, "node-1");
+  EXPECT_EQ(env->seq, 7u);
+  EXPECT_EQ(env->payload, "payload");
+}
+
+TEST(ReliableEnvelopeTest, EscapedPayloadKeyStillDecodes) {
+  std::string escaped = reliable::Encode("node-1", 8, "payload");
+  const size_t at = escaped.find("\"rp\"");
+  ASSERT_NE(at, std::string::npos);
+  escaped.replace(at, 4, "\"\\u0072p\"");  // the same key, "rp"
+  ASSERT_EQ(escaped.find("\"rp\""), std::string::npos);
+  auto env = reliable::Decode(escaped);
+  ASSERT_TRUE(env.ok()) << env.status().ToString();
+  EXPECT_EQ(env->seq, 8u);
+  EXPECT_EQ(env->payload, "payload");
+}
+
+TEST(ReliableEnvelopeTest, RawBatchMentioningRpIsDeliveredRaw) {
+  const std::string raw = transport::EncodeChangeBatch(
+      {Change("t", "a", R"({"rp":"\"rp\"","rs":"x","rn":1})")});
+  ASSERT_NE(raw.find("\"rp\""), std::string::npos);
+  EXPECT_TRUE(reliable::Decode(raw).status().IsNotFound());
+
+  std::vector<std::string> acks;
+  ReliableReceiver receiver(
+      [&](const std::string& queue, std::string message) {
+        acks.push_back(queue + " " + message);
+      },
+      "changes");
+  std::vector<std::string> delivered;
+  EXPECT_EQ(receiver.Accept(raw, [&](const std::string& payload) {
+              delivered.push_back(payload);
+            }),
+            1u);
+  ASSERT_EQ(delivered.size(), 1u);
+  EXPECT_EQ(delivered[0], raw);
+  EXPECT_TRUE(acks.empty());  // raw messages are never acked
 }
 
 TEST(TransportCodecTest, BatchDecodeRejectsTornEnvelopes) {

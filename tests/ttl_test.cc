@@ -113,6 +113,7 @@ TEST(WriteRateTest, SumRateAddsAcrossKeys) {
   est.RecordWrite("a");
   est.RecordWrite("a");
   est.RecordWrite("b");
+  clock.Advance(2 * kSecond);
   const double sum = est.SumRate({"a", "b", "c"});
   EXPECT_NEAR(sum, est.RateOf("a") + est.RateOf("b"), 1e-12);
   EXPECT_GT(sum, 0.0);
