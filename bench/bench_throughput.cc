@@ -100,7 +100,7 @@ struct ServerFixture {
 
 /// Server revalidation path: conditional query fetches answered 304. No
 /// write touches the tables, so every fetch is served from the memo entry
-/// of the query's last execution (its table commit stamp still matches)
+/// of the query's last execution (its result stamp is still current)
 /// instead of re-executing the query.
 ThroughputResult RunRevalidation(int threads, double seconds) {
   ServerFixture fx(2000);

@@ -581,19 +581,22 @@ webcache::HttpResponse QuaestorServer::FetchQuery(
   };
 
   // Result reuse: the memo entry of the last execution stands in for a
-  // new one while the table's commit count still equals the entry's stamp
-  // (no write or index change has touched the table since). Execution is
-  // the fallback whenever that cannot be shown: a different stamp,
-  // degraded mode (bodies then embed capped TTLs, so there is no memo), a
-  // changed representation decision, or a pending InvaliDB registration,
-  // which needs the documents.
+  // new one while its stamp is current: no index DDL and no write to one
+  // of the index keys the result was looked up by (or, for range, top-k
+  // and scan plans, no commit to the table at all) since. Execution is
+  // the fallback whenever that cannot be shown: a stale stamp, degraded
+  // mode (bodies then embed capped TTLs, so there is no memo), a changed
+  // representation decision, or a pending InvaliDB registration, which
+  // needs the documents.
   const bool memo_usable = !degraded();
   std::shared_ptr<const MemoEntry> memo;
   if (memo_usable && (!admitted || active_list_.IsRegistered(key))) {
     memo = MemoLookup(key);
     if (memo != nullptr &&
-        memo->commit_stamp.load(std::memory_order_acquire) ==
-            db_->CommitCount(query.table())) {
+        db_->IsCurrent(
+            query.table(),
+            {memo->stamp_commit.load(std::memory_order_acquire),
+             memo->stamp_slots})) {
       decide_representation(memo->member_keys.size());
       if (representation_switched || *representation != memo->representation) {
         memo = nullptr;
@@ -607,14 +610,14 @@ webcache::HttpResponse QuaestorServer::FetchQuery(
   webcache::HttpResponse resp;
   resp.ok = true;
   std::vector<db::Document> docs;
-  uint64_t commit_stamp = 0;
+  db::ResultStamp stamp;
   QueryResponse qr;
   // Latest commit time among the members (before merging in removals).
   Micros members_write_time = 0;
   if (executed) {
     {
       obs::ScopedSpan db_span(tracer_, "db.execute");
-      docs = db_->Execute(query, &commit_stamp);
+      docs = db_->Execute(query, &stamp);
     }
     // Deadline re-check after the expensive step: if execution outlived
     // the request, abandon before serialization/registration — the client
@@ -643,13 +646,30 @@ webcache::HttpResponse QuaestorServer::FetchQuery(
     }
     resp.etag = qr.ComputeEtag();
     // An execution that reproduces the memoized result refreshes the
-    // entry's stamp, so later fetches reuse it until the next commit.
+    // entry's stamp, so later fetches reuse it until the next commit that
+    // touches what it read. A plan change (index DDL) changes the slots,
+    // which stay fixed in a published entry: the same result is then
+    // published anew under the new stamp.
     if (memo_usable) {
       memo = MemoLookup(key);
       if (memo != nullptr && memo->etag == resp.etag &&
           memo->representation == qr.representation &&
           memo->members_write_time == members_write_time) {
-        memo->commit_stamp.store(commit_stamp, std::memory_order_release);
+        if (memo->stamp_slots == stamp.slots) {
+          memo->stamp_commit.store(stamp.commit, std::memory_order_release);
+        } else {
+          auto entry = std::make_shared<MemoEntry>();
+          entry->etag = memo->etag;
+          entry->representation = memo->representation;
+          entry->body = memo->body;
+          entry->stamp_commit.store(stamp.commit, std::memory_order_relaxed);
+          entry->stamp_slots = stamp.slots;
+          entry->member_keys = memo->member_keys;
+          entry->members_write_time = memo->members_write_time;
+          entry->record_ttls = memo->record_ttls;
+          MemoStore(key, entry);
+          memo = std::move(entry);
+        }
       } else {
         memo = nullptr;
       }
@@ -729,7 +749,8 @@ webcache::HttpResponse QuaestorServer::FetchQuery(
     }
     entry->etag = resp.etag;
     entry->representation = qr.representation;
-    entry->commit_stamp.store(commit_stamp, std::memory_order_relaxed);
+    entry->stamp_commit.store(stamp.commit, std::memory_order_relaxed);
+    entry->stamp_slots = stamp.slots;
     entry->members_write_time = members_write_time;
     entry->member_keys = qr.ids;
     qr.AppendJsonTo(&entry->body);

@@ -418,23 +418,24 @@ class QuaestorServer : public webcache::Origin {
   // correctness guard for bodies — any result change bumps the etag, so a
   // stale memo entry simply never matches (explicit erasure on
   // invalidations is memory hygiene, not a safety requirement). Query
-  // entries also carry the result itself, stamped with the table commit
-  // count it was computed at: while the count is unchanged, FetchQuery
+  // entries also carry the result itself, stamped with what it depended
+  // on (db::ResultStamp): while db::Table::IsCurrent holds, FetchQuery
   // serves the entry without executing the query. Degraded mode bypasses
   // the memo entirely: bodies embed record TTLs, which must honour the cap.
 
   /// One memoized body. Immutable once published, except that an
-  /// execution reproducing the same result refreshes commit_stamp; hits
-  /// share the pointer.
+  /// execution reproducing the same result with the same slots refreshes
+  /// stamp_commit; hits share the pointer.
   struct MemoEntry {
     uint64_t etag = 0;
     ttl::ResultRepresentation representation =
         ttl::ResultRepresentation::kObjectList;
     std::string body;
     // Query results only.
-    /// Table commit count (db::Table::commit_count) the result is current
-    /// at.
-    mutable std::atomic<uint64_t> commit_stamp{0};
+    /// The result's db::ResultStamp, split so that its commit can be
+    /// refreshed in place while its slots stay fixed.
+    mutable std::atomic<uint64_t> stamp_commit{0};
+    db::StampSlots stamp_slots;
     /// Member record keys in result order, and their latest write time.
     std::vector<std::string> member_keys;
     Micros members_write_time = 0;

@@ -90,19 +90,21 @@ Result<DocumentVersion> Database::GetVersion(const std::string& table,
 }
 
 std::vector<Document> Database::Execute(const Query& query,
-                                        uint64_t* commit_stamp) const {
+                                        ResultStamp* stamp) const {
   queries_.fetch_add(1, std::memory_order_relaxed);
   Table* t = FindTable(query.table());
   if (t == nullptr) {
-    if (commit_stamp != nullptr) *commit_stamp = 0;
+    if (stamp != nullptr) *stamp = ResultStamp();
     return {};
   }
-  return t->Execute(query, commit_stamp);
+  return t->Execute(query, stamp);
 }
 
-uint64_t Database::CommitCount(const std::string& table) const {
+bool Database::IsCurrent(const std::string& table,
+                         const ResultStamp& stamp) const {
   Table* t = FindTable(table);
-  return t == nullptr ? 0 : t->commit_count();
+  if (t == nullptr) return stamp.commit == 0 && stamp.slots.empty();
+  return t->IsCurrent(stamp);
 }
 
 void Database::AddChangeListener(ChangeListener listener) {

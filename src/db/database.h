@@ -66,14 +66,15 @@ class Database {
                                      const std::string& id) const;
 
   /// Executes a query against its table (empty result for missing tables).
-  /// `commit_stamp`, if set, receives the table's commit count read with
-  /// the result (see Table::Execute).
+  /// `stamp`, if set, receives what the result depended on (see
+  /// Table::Execute); a missing table stamps commit 0 and no slots.
   std::vector<Document> Execute(const Query& query,
-                                uint64_t* commit_stamp = nullptr) const;
+                                ResultStamp* stamp = nullptr) const;
 
-  /// Table::commit_count() of `table`; 0 while the table does not exist
-  /// (its first mutation makes the count non-zero).
-  uint64_t CommitCount(const std::string& table) const;
+  /// Table::IsCurrent of `table`. While the table does not exist only the
+  /// stamp of a missing table (commit 0, no slots) is current: the
+  /// table's first mutation makes its commit count non-zero.
+  bool IsCurrent(const std::string& table, const ResultStamp& stamp) const;
 
   /// Registers a change listener. Not thread-safe with respect to
   /// concurrent writes; register listeners during setup.

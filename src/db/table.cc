@@ -1,73 +1,161 @@
 #include "db/table.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <mutex>
+#include <utility>
+
+#include "common/hash.h"
 
 namespace quaestor::db {
 
 void Table::IndexKeysFor(const Value& body, const std::string& path,
-                         std::vector<Value>* out) {
+                         std::vector<const Value*>* out) {
   const Value* v = body.Find(path);
   if (v == nullptr) return;
-  out->push_back(*v);
+  out->push_back(v);
   if (v->is_array()) {
     // Multikey: {tags: "x"} equality matches array elements.
-    for (const Value& e : v->as_array()) out->push_back(e);
+    for (const Value& e : v->as_array()) out->push_back(&e);
   }
 }
 
-void Table::AddToIndexesLocked(const Document& doc) {
-  for (auto& [path, index] : indexes_) {
-    std::vector<Value> keys;
-    IndexKeysFor(doc.body, path, &keys);
-    if (keys.empty()) {
-      index.absent_docs++;
-    } else if (keys.size() > 1) {
-      index.multikey_docs++;
+int Table::SlotOf(uint64_t path_hash, const Value& key) {
+  uint64_t h = 0;
+  switch (key.type()) {
+    case Value::Type::kNull:
+      h = Hash64(uint64_t{1}, path_hash);
+      break;
+    case Value::Type::kBool:
+      h = Hash64(uint64_t{2} + (key.as_bool() ? 1 : 0), path_hash);
+      break;
+    case Value::Type::kInt:
+    case Value::Type::kDouble: {
+      // Compare treats 1 and 1.0 (and -0.0 and 0) as one key.
+      double d = key.as_number();
+      if (std::isnan(d)) return -1;
+      if (d == 0) d = 0;
+      uint64_t bits;
+      std::memcpy(&bits, &d, sizeof bits);
+      h = Hash64(bits, path_hash);
+      break;
     }
-    for (const Value& k : keys) index.buckets[k].insert(doc.id);
+    case Value::Type::kString:
+      h = Hash64(key.as_string(), path_hash);
+      break;
+    case Value::Type::kArray:
+    case Value::Type::kObject:
+      h = Hash64(uint64_t{4}, path_hash);
+      break;
+  }
+  return static_cast<int>(h & (kStampSlots - 1));
+}
+
+void Table::TouchSlotsLocked(const SecondaryIndex& index,
+                             const std::vector<const Value*>& keys,
+                             uint64_t commit) {
+  for (const Value* k : keys) {
+    const int slot = SlotOf(index.path_hash, *k);
+    std::atomic<uint64_t>& target =
+        slot < 0 ? table_wide_commit_ : slot_commits_[slot];
+    target.store(commit, std::memory_order_release);
   }
 }
 
-void Table::RemoveFromIndexesLocked(const Document& doc) {
-  for (auto& [path, index] : indexes_) {
-    std::vector<Value> keys;
-    IndexKeysFor(doc.body, path, &keys);
-    if (keys.empty()) {
-      index.absent_docs--;
-    } else if (keys.size() > 1) {
-      index.multikey_docs--;
-    }
-    for (const Value& k : keys) {
-      auto it = index.buckets.find(k);
-      if (it == index.buckets.end()) continue;
-      it->second.erase(doc.id);
-      if (it->second.empty()) index.buckets.erase(it);
-    }
+void Table::AddToIndexLocked(const std::string& id,
+                             const std::vector<const Value*>& keys,
+                             SecondaryIndex* index) {
+  if (keys.empty()) {
+    index->absent_docs++;
+  } else if (keys.size() > 1) {
+    index->multikey_docs++;
   }
+  for (const Value* k : keys) index->buckets[*k].insert(id);
+}
+
+void Table::RemoveFromIndexLocked(const std::string& id,
+                                  const std::vector<const Value*>& keys,
+                                  SecondaryIndex* index) {
+  if (keys.empty()) {
+    index->absent_docs--;
+  } else if (keys.size() > 1) {
+    index->multikey_docs--;
+  }
+  for (const Value* k : keys) {
+    auto it = index->buckets.find(*k);
+    if (it == index->buckets.end()) continue;
+    it->second.erase(id);
+    if (it->second.empty()) index->buckets.erase(it);
+  }
+}
+
+void Table::CommitWriteLocked(const std::string& id, const Value* before,
+                              const Value* after) {
+  const uint64_t commit = commits_.load(std::memory_order_relaxed) + 1;
+  std::vector<const Value*> old_keys;
+  std::vector<const Value*> new_keys;
+  for (auto& [path, index] : indexes_) {
+    old_keys.clear();
+    new_keys.clear();
+    if (before != nullptr) IndexKeysFor(*before, path, &old_keys);
+    if (after != nullptr) IndexKeysFor(*after, path, &new_keys);
+    TouchSlotsLocked(index, old_keys, commit);
+    const bool same_keys =
+        before != nullptr && after != nullptr &&
+        std::equal(old_keys.begin(), old_keys.end(), new_keys.begin(),
+                   new_keys.end(), [](const Value* a, const Value* b) {
+                     return Value::Compare(*a, *b) == 0;
+                   });
+    if (same_keys) continue;  // e.g. a counter bump: buckets stay as they are
+    TouchSlotsLocked(index, new_keys, commit);
+    if (before != nullptr) RemoveFromIndexLocked(id, old_keys, &index);
+    if (after != nullptr) AddToIndexLocked(id, new_keys, &index);
+  }
+  commits_.store(commit, std::memory_order_release);
+}
+
+void Table::CommitDdlLocked() {
+  const uint64_t commit = commits_.load(std::memory_order_relaxed) + 1;
+  table_wide_commit_.store(commit, std::memory_order_release);
+  commits_.store(commit, std::memory_order_release);
 }
 
 void Table::CreateIndex(const std::string& path) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   if (indexes_.count(path) > 0) return;
+  if (slot_commits_ == nullptr) {
+    slot_commits_ = std::make_unique<std::atomic<uint64_t>[]>(kStampSlots);
+  }
   SecondaryIndex& index = indexes_[path];
+  index.path_hash = Hash64(path);
+  std::vector<const Value*> keys;
   for (const auto& [id, doc] : docs_) {
     if (doc.deleted) continue;
-    std::vector<Value> keys;
+    keys.clear();
     IndexKeysFor(doc.body, path, &keys);
-    if (keys.empty()) {
-      index.absent_docs++;
-    } else if (keys.size() > 1) {
-      index.multikey_docs++;
-    }
-    for (const Value& k : keys) index.buckets[k].insert(id);
+    AddToIndexLocked(id, keys, &index);
   }
-  CommitLocked();
+  CommitDdlLocked();
 }
 
 void Table::DropIndex(const std::string& path) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  if (indexes_.erase(path) > 0) CommitLocked();
+  if (indexes_.erase(path) > 0) CommitDdlLocked();
+}
+
+bool Table::IsCurrent(const ResultStamp& stamp) const {
+  if (stamp.slots.empty()) return commit_count() == stamp.commit;
+  if (table_wide_commit_.load(std::memory_order_acquire) > stamp.commit) {
+    return false;
+  }
+  for (size_t i = 0; i < stamp.slots.count; ++i) {
+    if (slot_commits_[stamp.slots.ids[i]].load(std::memory_order_acquire) >
+        stamp.commit) {
+      return false;
+    }
+  }
+  return true;
 }
 
 bool Table::HasIndex(const std::string& path) const {
@@ -103,17 +191,7 @@ Result<Document> Table::Insert(const std::string& id, Value body, Micros now) {
   if (it != docs_.end() && !it->second.deleted) {
     return Status::AlreadyExists(name_ + "/" + id);
   }
-  Document doc;
-  doc.table = name_;
-  doc.id = id;
-  doc.version = (it != docs_.end()) ? it->second.version + 1 : 1;
-  doc.write_time = now;
-  doc.deleted = false;
-  doc.body = std::move(body);
-  docs_[id] = doc;
-  AddToIndexesLocked(doc);
-  CommitLocked();
-  return doc;
+  return PutLocked(it, id, std::move(body), now);
 }
 
 Result<Document> Table::Upsert(const std::string& id, Value body, Micros now) {
@@ -121,10 +199,11 @@ Result<Document> Table::Upsert(const std::string& id, Value body, Micros now) {
     return Status::InvalidArgument("document body must be an object");
   }
   std::unique_lock<std::shared_mutex> lock(mu_);
-  auto it = docs_.find(id);
-  if (it != docs_.end() && !it->second.deleted) {
-    RemoveFromIndexesLocked(it->second);
-  }
+  return PutLocked(docs_.find(id), id, std::move(body), now);
+}
+
+Document Table::PutLocked(DocMap::iterator it, const std::string& id,
+                          Value body, Micros now) {
   Document doc;
   doc.table = name_;
   doc.id = id;
@@ -132,10 +211,15 @@ Result<Document> Table::Upsert(const std::string& id, Value body, Micros now) {
   doc.write_time = now;
   doc.deleted = false;
   doc.body = std::move(body);
-  docs_[id] = doc;
-  AddToIndexesLocked(doc);
-  CommitLocked();
-  return doc;
+  if (it == docs_.end()) {
+    it = docs_.emplace(id, std::move(doc)).first;
+    CommitWriteLocked(id, nullptr, &it->second.body);
+  } else {
+    const Document before = std::exchange(it->second, std::move(doc));
+    CommitWriteLocked(id, before.deleted ? nullptr : &before.body,
+                      &it->second.body);
+  }
+  return it->second;
 }
 
 Result<Document> Table::Apply(const std::string& id, const Update& update,
@@ -145,14 +229,13 @@ Result<Document> Table::Apply(const std::string& id, const Update& update,
   if (it == docs_.end() || it->second.deleted) {
     return Status::NotFound(name_ + "/" + id);
   }
-  Document doc = it->second;
-  QUAESTOR_RETURN_IF_ERROR(update.ApplyTo(doc.body));
+  Document& doc = it->second;
+  // The commit's one copy of the body; the before-image moves out.
+  QUAESTOR_ASSIGN_OR_RETURN(Value after, update.Applied(doc.body));
+  const Value before = std::exchange(doc.body, std::move(after));
   doc.version++;
   doc.write_time = now;
-  RemoveFromIndexesLocked(it->second);
-  docs_[id] = doc;
-  AddToIndexesLocked(doc);
-  CommitLocked();
+  CommitWriteLocked(id, &before, &doc.body);
   return doc;
 }
 
@@ -163,11 +246,10 @@ Result<Document> Table::Delete(const std::string& id, Micros now) {
     return Status::NotFound(name_ + "/" + id);
   }
   Document& doc = it->second;
-  RemoveFromIndexesLocked(doc);
+  CommitWriteLocked(id, &doc.body, nullptr);
   doc.version++;
   doc.write_time = now;
   doc.deleted = true;
-  CommitLocked();
   return doc;
 }
 
@@ -190,26 +272,38 @@ Result<DocumentVersion> Table::GetVersion(const std::string& id) const {
 }
 
 void Table::ExecuteEqLocked(const Query& query, const Predicate& conjunct,
-                            std::vector<const Document*>* out) const {
+                            std::vector<const Document*>* out,
+                            StampSlots* slots) const {
   const SecondaryIndex& index = indexes_.at(conjunct.path);
-  auto emit_bucket = [&](const Value& key,
-                         std::unordered_set<std::string_view>* seen) {
-    auto bucket = index.buckets.find(key);
-    if (bucket == index.buckets.end()) return;
+  // The looked-up keys: the operand, or each element of a $in.
+  const bool in = conjunct.op == CompareOp::kIn;
+  const Value* keys = in ? conjunct.operand.as_array().data()
+                         : &conjunct.operand;
+  const size_t num_keys = in ? conjunct.operand.as_array().size() : 1;
+  if (slots != nullptr && num_keys <= StampSlots::kMax) {
+    for (size_t i = 0; i < num_keys; ++i) {
+      const int slot = SlotOf(index.path_hash, keys[i]);
+      if (slot < 0) {
+        *slots = StampSlots();
+        break;
+      }
+      const auto end = slots->ids.begin() + slots->count;
+      if (std::find(slots->ids.begin(), end, slot) == end) {
+        slots->ids[slots->count++] = static_cast<uint16_t>(slot);
+      }
+    }
+  }
+  // A $in is the union of the element buckets; a multikey doc can sit in
+  // several, so dedup by id.
+  std::unordered_set<std::string_view> seen;
+  for (size_t i = 0; i < num_keys; ++i) {
+    auto bucket = index.buckets.find(keys[i]);
+    if (bucket == index.buckets.end()) continue;
     for (const std::string& id : bucket->second) {
-      if (seen != nullptr && !seen->insert(id).second) continue;
+      if (in && !seen.insert(id).second) continue;
       auto it = docs_.find(id);
       if (it == docs_.end() || it->second.deleted) continue;
       if (query.Matches(it->second.body)) out->push_back(&it->second);
-    }
-  };
-  if (conjunct.op == CompareOp::kEq) {
-    emit_bucket(conjunct.operand, nullptr);
-  } else {  // $in: union of the element buckets (a multikey doc can sit in
-            // several, so dedup by id).
-    std::unordered_set<std::string_view> seen;
-    for (const Value& e : conjunct.operand.as_array()) {
-      emit_bucket(e, &seen);
     }
   }
 }
@@ -294,11 +388,12 @@ bool Table::ExecuteTopKLocked(const Query& query,
 }
 
 std::vector<Document> Table::Execute(const Query& query,
-                                     uint64_t* commit_stamp) const {
+                                     ResultStamp* stamp) const {
   std::vector<Document> out;
   std::shared_lock<std::shared_mutex> lock(mu_);
-  if (commit_stamp != nullptr) {
-    *commit_stamp = commits_.load(std::memory_order_relaxed);
+  if (stamp != nullptr) {
+    *stamp = ResultStamp();
+    stamp->commit = commits_.load(std::memory_order_relaxed);
   }
   std::vector<const Document*> matches;
 
@@ -335,7 +430,8 @@ std::vector<Document> Table::Execute(const Query& query,
   bool windowed_in_order = false;
   if (eq != nullptr) {
     eq_lookups_.fetch_add(1, std::memory_order_relaxed);
-    ExecuteEqLocked(query, *eq, &matches);
+    ExecuteEqLocked(query, *eq, &matches,
+                    stamp != nullptr ? &stamp->slots : nullptr);
   } else {
     // (2) Range / prefix scan: intersect all comparable bounds on the
     // first indexed path carrying one.

@@ -1,9 +1,11 @@
 #ifndef QUAESTOR_DB_TABLE_H_
 #define QUAESTOR_DB_TABLE_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -24,6 +26,29 @@ struct TableIndexStats {
   uint64_t range_scans = 0;    // ordered scans ($gt/$gte/$lt/$lte/$prefix)
   uint64_t order_scans = 0;    // ORDER BY + LIMIT top-k index traversals
   uint64_t full_scans = 0;     // no usable index: predicate scan
+};
+
+/// The index-key slots a query result read (see Table::Execute). Empty
+/// means the result may depend on any document of the table.
+struct StampSlots {
+  /// A `$in` with more elements than this stamps the whole table.
+  static constexpr size_t kMax = 8;
+  uint8_t count = 0;
+  /// ids[0, count) in lookup order, without repeats; the rest stay 0, so
+  /// equal slot lists compare equal.
+  std::array<uint16_t, kMax> ids{};
+
+  bool empty() const { return count == 0; }
+  friend bool operator==(const StampSlots&, const StampSlots&) = default;
+};
+
+/// What a query result depended on, read under the table lock together
+/// with the result: Table::IsCurrent tells, without the lock, whether a
+/// re-execution could return anything else.
+struct ResultStamp {
+  /// Table::commit_count() as read with the result.
+  uint64_t commit = 0;
+  StampSlots slots;
 };
 
 /// A single document table: id → versioned document. Thread-safe: reads
@@ -69,14 +94,21 @@ class Table {
   Result<DocumentVersion> GetVersion(const std::string& id) const;
 
   /// Executes a query: plan selection + filter + order/offset/limit. If
-  /// `commit_stamp` is set, it receives commit_count() as read under the
-  /// same lock as the result: the result is current for as long as
-  /// commit_count() still returns that value.
+  /// `stamp` is set, it receives what the result depended on, read under
+  /// the same lock as the result: commit_count(), plus the slots of the
+  /// index keys an eq/$in bucket plan looked up. Range, top-k and
+  /// full-scan plans, and a $in over more than StampSlots::kMax elements,
+  /// leave the slot list empty (the whole table).
   std::vector<Document> Execute(const Query& query,
-                                uint64_t* commit_stamp = nullptr) const;
+                                ResultStamp* stamp = nullptr) const;
+
+  /// Whether a result stamped with `stamp` is still what Execute would
+  /// return. Lock-free. With slots: no index DDL and no write touching
+  /// one of the slots has committed since. Without: no commit at all.
+  bool IsCurrent(const ResultStamp& stamp) const;
 
   /// Number of committed mutations (CRUD writes and index DDL) so far.
-  /// Lock-free; a query result stamped with this value is still current.
+  /// Lock-free.
   uint64_t commit_count() const {
     return commits_.load(std::memory_order_acquire);
   }
@@ -109,9 +141,17 @@ class Table {
   TableIndexStats index_stats() const;
 
  private:
+  /// Commit slots per table (see slot_commits_).
+  static constexpr size_t kStampSlots = 8192;
+  static_assert((kStampSlots & (kStampSlots - 1)) == 0 &&
+                    kStampSlots - 1 <= UINT16_MAX,
+                "slots are picked by mask and named by StampSlots' uint16_t");
+
   /// Ordered multikey index: value → ids holding that value at the path
   /// (arrays contribute each element and the whole array).
   struct SecondaryIndex {
+    /// Seeds the commit-slot hash of this index's keys.
+    uint64_t path_hash = 0;
     std::map<Value, std::unordered_set<std::string>, ValueLess> buckets;
     /// Live docs contributing more than one key (array values). The top-k
     /// plan requires 0: a multikey doc would appear at several positions.
@@ -122,18 +162,54 @@ class Table {
     size_t absent_docs = 0;
   };
 
+  /// The index keys of `body` at `path`, pointing into `body`.
   static void IndexKeysFor(const Value& body, const std::string& path,
-                           std::vector<Value>* out);
-  void AddToIndexesLocked(const Document& doc);
-  /// Counts one committed mutation (caller holds the exclusive lock).
-  void CommitLocked() { commits_.fetch_add(1, std::memory_order_release); }
-  void RemoveFromIndexesLocked(const Document& doc);
+                           std::vector<const Value*>* out);
+  /// The commit slot of `key` in the index seeded by `path_hash`, or -1
+  /// for NaN, which compares equal to every number and so has no slot.
+  /// Keys equal under Value::Compare share a slot: numbers hash by their
+  /// double value, and arrays and objects share one slot per path.
+  static int SlotOf(uint64_t path_hash, const Value& key);
+
+  /// Stores `commit` into the slot of each key (a NaN key stands for
+  /// every slot, so it goes to table_wide_commit_).
+  void TouchSlotsLocked(const SecondaryIndex& index,
+                        const std::vector<const Value*>& keys,
+                        uint64_t commit);
+  void AddToIndexLocked(const std::string& id,
+                        const std::vector<const Value*>& keys,
+                        SecondaryIndex* index);
+  void RemoveFromIndexLocked(const std::string& id,
+                             const std::vector<const Value*>& keys,
+                             SecondaryIndex* index);
+  /// Commits one write of `id` (caller holds the exclusive lock): moves
+  /// it in every index from the keys of `before` to those of `after`
+  /// (null: not live, i.e. an insert or a delete), stamps the slots of
+  /// both key sets with the write's commit number, and only then
+  /// publishes that number as commit_count(), so a reader that sees the
+  /// count also sees the slots. An index whose keys did not change keeps
+  /// its buckets; its slots are still stamped, because the document's
+  /// content changed.
+  void CommitWriteLocked(const std::string& id, const Value* before,
+                         const Value* after);
+  /// Commits index DDL: a table-wide commit (caller holds the exclusive
+  /// lock).
+  void CommitDdlLocked();
+
+  using DocMap = std::unordered_map<std::string, Document>;
+  /// Stores `body` as the next version of `id` (`it` is its docs_ entry or
+  /// end(); a live entry is replaced) and commits the write. Returns the
+  /// after-image.
+  Document PutLocked(DocMap::iterator it, const std::string& id, Value body,
+                     Micros now);
 
   /// Appends live matching docs via an eq/$in bucket plan. `conjunct` must
   /// be an indexable equality. Ids reaching `out` satisfy the full query
-  /// predicate.
+  /// predicate. If `slots` is set, it receives the looked-up keys' slots
+  /// (left empty past StampSlots::kMax keys or for a NaN key).
   void ExecuteEqLocked(const Query& query, const Predicate& conjunct,
-                       std::vector<const Document*>* out) const;
+                       std::vector<const Document*>* out,
+                       StampSlots* slots) const;
 
   /// Appends live matching docs via an ordered range scan over `path`'s
   /// index between the given bounds (either may be null = unbounded).
@@ -153,10 +229,20 @@ class Table {
   /// table-registry lock and before any cache-shard lock (see DESIGN.md
   /// "Concurrency model").
   mutable std::shared_mutex mu_;
-  std::unordered_map<std::string, Document> docs_;
+  DocMap docs_;
   std::map<std::string, SecondaryIndex> indexes_;
-  /// Bumped under the exclusive lock by every committed mutation.
+  /// Advanced under the exclusive lock by every committed mutation, after
+  /// the mutation's slot stamps.
   std::atomic<uint64_t> commits_{0};
+  /// The last commit that touched each slot: every write stores its
+  /// number into the slot of each index key of its before- and
+  /// after-image. Allocated with the first index, under the exclusive
+  /// lock, and never replaced: a stamp with slots comes from an execution
+  /// that ran after the allocation, so IsCurrent reads it without the lock.
+  std::unique_ptr<std::atomic<uint64_t>[]> slot_commits_;
+  /// The last commit that every slot stamp depends on: index DDL (it
+  /// changes plans) and writes of a NaN key.
+  std::atomic<uint64_t> table_wide_commit_{0};
   /// Per-plan counters, bumped relaxed under the shared lock.
   mutable std::atomic<uint64_t> eq_lookups_{0};
   mutable std::atomic<uint64_t> range_scans_{0};

@@ -89,15 +89,19 @@ Status ApplyAction(Value& body, const UpdateAction& a) {
 }  // namespace
 
 Status Update::ApplyTo(Value& body) const {
+  QUAESTOR_ASSIGN_OR_RETURN(body, Applied(body));
+  return Status::OK();
+}
+
+Result<Value> Update::Applied(const Value& body) const {
   if (!body.is_object()) {
     return Status::InvalidArgument("document body must be an object");
   }
-  Value scratch = body;
+  Result<Value> out(body);
   for (const UpdateAction& a : actions_) {
-    QUAESTOR_RETURN_IF_ERROR(ApplyAction(scratch, a));
+    QUAESTOR_RETURN_IF_ERROR(ApplyAction(*out, a));
   }
-  body = std::move(scratch);
-  return Status::OK();
+  return out;
 }
 
 Result<Update> Update::Parse(const Value& spec) {

@@ -43,6 +43,11 @@ class Update {
   /// left unchanged (copy-apply-swap).
   Status ApplyTo(Value& body) const;
 
+  /// Returns a copy of `body` (an object) with all actions applied; `body`
+  /// itself is never changed, so a caller that keeps the old value (a
+  /// table's before-image) needs no copy of its own.
+  Result<Value> Applied(const Value& body) const;
+
   /// Parses a MongoDB-style update document, e.g.
   ///   {"$set": {"a.b": 1}, "$inc": {"n": 2}, "$push": {"tags": "x"}}
   static Result<Update> Parse(const Value& spec);

@@ -19,11 +19,16 @@
 //    values, so a query fetch that starts after a write returned must
 //    show that value or a later one. A result reused across a commit
 //    (a broken table commit count / memo stamp handshake) fails this.
+//  - Bucket-stamped reuse: a query fetch during which its table saw no
+//    commit at all must return what a fresh execution at that commit
+//    count returns, and after the writers stop every fetch must.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
+#include <barrier>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -479,6 +484,124 @@ TEST_F(ServerMemoStress, MemoizedBodiesByteIdenticalToFresh) {
   auto parsed = core::QueryResponse::FromJson(after.body);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->ComputeEtag(), after.etag);
+}
+
+TEST_F(ServerMemoStress, BucketStampedResultsMatchTheDatabaseAcrossMoves) {
+  // Documents move between groups 0 and 1 of an indexed table while
+  // fetchers read both groups' queries, so reuse rests on the per-key
+  // commit slots. A fetch during which the table saw no commit at all
+  // must return exactly what a fresh execution at that commit count
+  // returns; counter bumps in group 2 keep reuse happening in between.
+  constexpr int kWriters = 2;
+  constexpr int kFetchers = 2;
+  constexpr int kMovesPerWriter = 1500;
+  constexpr int kDocs = 40;
+  db::Table* table = database_.GetOrCreateTable("moves");
+  table->CreateIndex("group");
+  for (int i = 0; i < kDocs + kWriters; ++i) {
+    db::Object o;
+    o["group"] = db::Value(static_cast<int64_t>(i < kDocs ? i % 2 : 2));
+    o["n"] = db::Value(static_cast<int64_t>(0));
+    ASSERT_TRUE(server_
+                    .Insert("moves", "m" + std::to_string(i),
+                            db::Value(std::move(o)))
+                    .ok());
+  }
+  std::vector<db::Query> queries;
+  for (int g = 0; g < 2; ++g) {
+    queries.push_back(
+        db::Query::ParseJson("moves", "{\"group\":" + std::to_string(g) + "}")
+            .value());
+    server_.RegisterQueryShape(queries.back());
+  }
+  auto member_ids = [](const webcache::HttpResponse& resp) {
+    auto parsed = core::QueryResponse::FromJson(resp.body);
+    EXPECT_TRUE(parsed.ok()) << resp.body;
+    return parsed.ok() ? parsed->ids : std::vector<std::string>();
+  };
+  auto fresh_ids = [&](const db::Query& q, db::ResultStamp* stamp) {
+    std::vector<std::string> ids;
+    for (const db::Document& d : database_.Execute(q, stamp)) {
+      ids.push_back(d.Key());
+    }
+    return ids;
+  };
+
+  std::atomic<bool> done{false};
+  std::atomic<int> fetchers_started{0};
+  std::atomic<uint64_t> checked{0};
+  std::barrier pause(kWriters);
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      while (fetchers_started.load() < kFetchers) std::this_thread::yield();
+      // Writer w owns documents w, w + kWriters, ... and counter m<kDocs+w>.
+      std::vector<int64_t> group(kDocs);
+      for (int d = 0; d < kDocs; ++d) group[d] = d % 2;
+      for (int i = 0; i < kMovesPerWriter; ++i) {
+        const int d = (i * 7 % (kDocs / kWriters)) * kWriters + w;
+        group[d] = 1 - group[d];
+        db::Update move;
+        move.Set("group", db::Value(group[d]));
+        ASSERT_TRUE(
+            server_.Update("moves", "m" + std::to_string(d), move).ok());
+        db::Update bump;
+        bump.Inc("n", db::Value(1));
+        ASSERT_TRUE(
+            server_.Update("moves", "m" + std::to_string(kDocs + w), bump)
+                .ok());
+        // Quiet gaps, taken by both writers at once and held until a
+        // fetch has been checked (or 100 ms), so some fetches see no
+        // commit at all even on a slow (sanitized) build.
+        if (i % 32 == 0) {
+          pause.arrive_and_wait();
+          const uint64_t seen = checked.load();
+          const auto give_up =
+              std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
+          while (checked.load() == seen &&
+                 std::chrono::steady_clock::now() < give_up) {
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+          }
+        }
+      }
+    });
+  }
+  for (int f = 0; f < kFetchers; ++f) {
+    threads.emplace_back([&, f] {
+      uint64_t x = f;
+      fetchers_started.fetch_add(1);
+      while (!done.load(std::memory_order_acquire)) {
+        const db::Query& q = queries[x++ % queries.size()];
+        const uint64_t before = table->commit_count();
+        webcache::HttpRequest req;
+        req.key = q.NormalizedKey();
+        const auto resp = server_.Fetch(req);
+        ASSERT_TRUE(resp.ok);
+        const std::vector<std::string> served = member_ids(resp);
+        db::ResultStamp stamp;
+        const std::vector<std::string> fresh = fresh_ids(q, &stamp);
+        if (stamp.commit == before) {
+          ASSERT_EQ(served, fresh) << req.key << " at commit " << before;
+          checked.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (int w = 0; w < kWriters; ++w) threads[w].join();
+  done.store(true, std::memory_order_release);
+  for (size_t i = kWriters; i < threads.size(); ++i) threads[i].join();
+  EXPECT_GT(checked.load(), 0u);
+
+  // Quiescent: every fetch, executed or reused, matches the database.
+  for (int round = 0; round < 2; ++round) {
+    for (const db::Query& q : queries) {
+      webcache::HttpRequest req;
+      req.key = q.NormalizedKey();
+      const auto resp = server_.Fetch(req);
+      ASSERT_TRUE(resp.ok);
+      EXPECT_EQ(member_ids(resp), fresh_ids(q, nullptr)) << req.key;
+    }
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/random.h"
 #include "core/query_result.h"
 #include "core/server.h"
 #include "db/database.h"
@@ -244,8 +245,9 @@ TEST_F(ServerTest, QueryEtagStableAcrossIdenticalResults) {
 }
 
 // ---------------------------------------------------------------------------
-// Query-result reuse: a fetch whose table had no commit since the query's
-// last execution is served from the memo without executing it.
+// Query-result reuse: a fetch whose result stamp is still current (no
+// commit to the index keys it read, or to its table for plans without
+// slots) is served from the memo without executing it.
 // ---------------------------------------------------------------------------
 
 /// Parsed body of a query response (object-list): id → document.
@@ -307,11 +309,11 @@ class QueryReuseTest : public ServerTest {
   /// that has not answered yet: no notification erases the memo, so the
   /// table commit count alone must force the re-execution.
   void CheckEveryMutationKind(bool notifications_arrive);
-};
 
-void QueryReuseTest::CheckEveryMutationKind(bool notifications_arrive) {
-  MakeServer();
-  if (!notifications_arrive) {
+  /// Makes the server run against an external pipeline that never
+  /// answers: no notification erases a memo entry, so the result stamps
+  /// alone decide reuse.
+  void SilencePipeline() {
     QuaestorServer::ExternalPipeline silent;
     silent.register_query = [](const db::Query&,
                                const std::vector<db::Document>&,
@@ -320,6 +322,43 @@ void QueryReuseTest::CheckEveryMutationKind(bool notifications_arrive) {
     silent.on_change = [](const db::ChangeEvent&) {};
     server_->SetExternalPipeline(std::move(silent));
   }
+
+  /// Fetches `q` into *resp; returns whether the fetch executed it.
+  bool FetchExecutes(const db::Query& q, webcache::HttpResponse* resp) {
+    const uint64_t executed = db_.stats().queries;
+    *resp = GetQuery(q);
+    EXPECT_TRUE(resp->ok);
+    return db_.stats().queries != executed;
+  }
+
+  /// A silent-pipeline server over table t, indexed on g, holding
+  /// 1 {g:1}, 2 {g:1} and 9 {g:9}.
+  void MakeIndexedTable() {
+    MakeServer();
+    SilencePipeline();
+    db_.GetOrCreateTable("t")->CreateIndex("g");
+    ASSERT_TRUE(server_->Insert("t", "1", Doc(R"({"g":1})")).ok());
+    ASSERT_TRUE(server_->Insert("t", "2", Doc(R"({"g":1})")).ok());
+    ASSERT_TRUE(server_->Insert("t", "9", Doc(R"({"g":9})")).ok());
+  }
+};
+
+/// Ids of a fresh execution of `q`, as record keys.
+std::vector<std::string> FreshIds(const db::Database& db, const db::Query& q) {
+  std::vector<std::string> ids;
+  for (const db::Document& d : db.Execute(q)) ids.push_back(d.Key());
+  return ids;
+}
+
+std::vector<std::string> ServedIds(const webcache::HttpResponse& resp) {
+  auto qr = QueryResponse::FromJson(resp.body);
+  EXPECT_TRUE(qr.ok()) << resp.body;
+  return qr.ok() ? qr->ids : std::vector<std::string>();
+}
+
+void QueryReuseTest::CheckEveryMutationKind(bool notifications_arrive) {
+  MakeServer();
+  if (!notifications_arrive) SilencePipeline();
   ASSERT_TRUE(server_->Insert("t", "1", Doc(R"({"g":1})")).ok());
   ASSERT_TRUE(server_->Insert("t", "2", Doc(R"({"g":1})")).ok());
   ASSERT_TRUE(server_->Insert("t", "9", Doc(R"({"g":9})")).ok());
@@ -425,6 +464,232 @@ TEST_F(QueryReuseTest, EveryMutationKindForcesExecution) {
 
 TEST_F(QueryReuseTest, CommitCountAloneForcesExecution) {
   CheckEveryMutationKind(/*notifications_arrive=*/false);
+}
+
+TEST_F(QueryReuseTest, WriteOutsideTheBucketIsServedWithoutExecution) {
+  MakeIndexedTable();
+  const db::Query q = Q("t", R"({"g":1})");
+  const auto first = GetQuery(q);
+  ASSERT_TRUE(first.ok);
+  auto outside = [&](const char* what, auto mutate) {
+    mutate();
+    webcache::HttpResponse resp;
+    EXPECT_FALSE(FetchExecutes(q, &resp)) << what;
+    EXPECT_EQ(resp.etag, first.etag) << what;
+    EXPECT_EQ(resp.body, first.body) << what;
+  };
+  outside("counter bump", [&] {
+    db::Update u;
+    u.Inc("n", db::Value(1));
+    ASSERT_TRUE(server_->Update("t", "9", u).ok());
+  });
+  outside("move between other buckets", [&] {
+    db::Update u;
+    u.Set("g", db::Value(8));
+    ASSERT_TRUE(server_->Update("t", "9", u).ok());
+  });
+  outside("insert", [&] {
+    ASSERT_TRUE(server_->Insert("t", "10", Doc(R"({"g":[5,6]})")).ok());
+  });
+  outside("delete", [&] { ASSERT_TRUE(server_->Delete("t", "10").ok()); });
+  outside("missing field", [&] {
+    ASSERT_TRUE(server_->Insert("t", "11", Doc(R"({"x":1})")).ok());
+  });
+}
+
+TEST_F(QueryReuseTest, EveryWriteThatCanChangeTheBucketForcesExecution) {
+  MakeIndexedTable();
+  const db::Query q = Q("t", R"({"g":1})");
+  ASSERT_TRUE(GetQuery(q).ok);
+  // Runs `mutate`; the next fetch must execute and match the database,
+  // the one after must reuse it.
+  auto inside = [&](const char* what, auto mutate) {
+    mutate();
+    webcache::HttpResponse resp;
+    EXPECT_TRUE(FetchExecutes(q, &resp)) << what;
+    EXPECT_EQ(ServedIds(resp), FreshIds(db_, q)) << what;
+    webcache::HttpResponse again;
+    EXPECT_FALSE(FetchExecutes(q, &again)) << what;
+    EXPECT_EQ(again.body, resp.body) << what;
+  };
+  inside("member update", [&] {
+    db::Update u;
+    u.Set("x", db::Value(5));
+    ASSERT_TRUE(server_->Update("t", "1", u).ok());
+  });
+  inside("member counter bump", [&] {
+    db::Update u;
+    u.Inc("n", db::Value(1));
+    ASSERT_TRUE(server_->Update("t", "1", u).ok());
+  });
+  inside("move in", [&] {
+    db::Update u;
+    u.Set("g", db::Value(1));
+    ASSERT_TRUE(server_->Update("t", "9", u).ok());
+  });
+  inside("move out", [&] {
+    db::Update u;
+    u.Set("g", db::Value(2));
+    ASSERT_TRUE(server_->Update("t", "2", u).ok());
+  });
+  inside("insert", [&] {
+    ASSERT_TRUE(server_->Insert("t", "3", Doc(R"({"g":[0,1]})")).ok());
+  });
+  inside("delete", [&] { ASSERT_TRUE(server_->Delete("t", "1").ok()); });
+  inside("double key", [&] {
+    ASSERT_TRUE(server_->Insert("t", "4", Doc(R"({"g":1.0})")).ok());
+  });
+}
+
+TEST_F(QueryReuseTest, WriteToAnyInElementForcesExecution) {
+  MakeIndexedTable();
+  ASSERT_TRUE(server_->Insert("t", "3", Doc(R"({"g":3})")).ok());
+  const db::Query q = Q("t", R"({"g":{"$in":[1,3]}})");
+  ASSERT_TRUE(GetQuery(q).ok);
+  auto bump = [&](const char* id) {
+    db::Update u;
+    u.Inc("n", db::Value(1));
+    ASSERT_TRUE(server_->Update("t", id, u).ok());
+  };
+  webcache::HttpResponse resp;
+  bump("9");
+  EXPECT_FALSE(FetchExecutes(q, &resp));
+  bump("3");
+  EXPECT_TRUE(FetchExecutes(q, &resp));
+  bump("1");
+  EXPECT_TRUE(FetchExecutes(q, &resp));
+  EXPECT_FALSE(FetchExecutes(q, &resp));
+  EXPECT_EQ(ServedIds(resp), FreshIds(db_, q));
+}
+
+TEST_F(QueryReuseTest, PlansWithoutSlotsKeepTheTableWideRule) {
+  MakeIndexedTable();
+  // A range scan, and a $in past the slot cap, depend on the whole table.
+  for (const char* filter :
+       {R"({"g":{"$gt":5}})", R"({"g":{"$in":[1,2,3,4,5,6,7,8,10]}})"}) {
+    const db::Query q = Q("t", filter);
+    const auto first = GetQuery(q);
+    ASSERT_TRUE(first.ok) << filter;
+    webcache::HttpResponse resp;
+    EXPECT_FALSE(FetchExecutes(q, &resp)) << filter;
+    ASSERT_TRUE(server_->Insert("t", "20", Doc(R"({"g":-1})")).ok());
+    EXPECT_TRUE(FetchExecutes(q, &resp)) << filter;
+    EXPECT_EQ(resp.etag, first.etag) << filter;
+    ASSERT_TRUE(server_->Delete("t", "20").ok());
+  }
+}
+
+/// Interleaves fetches with random writes and index DDL over keys that
+/// are equal under Value::Compare in different guises (1 and 1.0, 0 and
+/// -0.0), arrays, nulls and missing fields. Every fetch must serve what a
+/// fresh execution returns, whether it executed or reused the memo.
+TEST_F(QueryReuseTest, RandomizedFetchesMatchAFreshExecution) {
+  const char* const kValues[] = {"1",     "1.0",   "2",         "2.5",
+                                 "0",     "-0.0",  "\"a\"",     "null",
+                                 "[1,2]", "[2,\"a\"]", "{\"k\":1}"};
+  const char* const kTags[] = {"[]", "[\"x\"]", "[\"x\",\"y\"]", "[\"y\"]",
+                               "\"x\""};
+  const char* const kFilters[] = {
+      R"({"g":1})",
+      R"({"g":1.0})",
+      R"({"g":2})",
+      R"({"g":0})",
+      R"({"g":"a"})",
+      R"({"g":[1,2]})",
+      R"({"g":{"$in":[1,"a"]}})",
+      R"({"g":{"$in":[2,2.5,-0.0]}})",
+      R"({"g":{"$in":[2,null]}})",
+      R"({"g":{"$in":[0,1,2,3,4,5,6,7,8]}})",
+      R"({"g":{"$gte":2}})",
+      R"({"g":null})",
+      R"({"tags":"x"})",
+      R"({"tags":{"$in":["x","y"]}})",
+      R"({"g":1,"n":{"$gt":2}})",
+      R"({"n":{"$lt":3}})",
+  };
+  const char* const kPaths[] = {"g", "tags", "n"};
+  MakeServer();
+  SilencePipeline();
+
+  size_t fetches = 0;
+  size_t reused = 0;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    // One table per seed: the server (and its change listener) outlives
+    // the seeds.
+    const std::string table = "t" + std::to_string(seed);
+    std::vector<db::Query> queries;
+    for (const char* f : kFilters) queries.push_back(Q(table.c_str(), f));
+    db::Query top = Q(table.c_str(), R"({"g":2})");
+    top.SetOrderBy({{"n", false}}).SetLimit(2);
+    queries.push_back(top);
+    db::Table* t = db_.GetOrCreateTable(table);
+    t->CreateIndex("g");
+    t->CreateIndex("tags");
+    Rng rng(seed);
+    auto pick = [&](const auto& options) {
+      return options[rng.NextUint64(std::size(options))];
+    };
+    for (int step = 0; step < 600; ++step) {
+      const std::string id = std::to_string(rng.NextUint64(12));
+      db::Update u;
+      switch (rng.NextUint64(8)) {
+        case 0:
+        case 1: {
+          db::Object body;
+          if (rng.NextBool(0.8)) body["g"] = Doc(pick(kValues));
+          body["n"] = db::Value(static_cast<int64_t>(rng.NextUint64(5)));
+          body["tags"] = Doc(pick(kTags));
+          (void)server_->Insert(table, id, db::Value(std::move(body)));
+          break;
+        }
+        case 2:  // moves between buckets
+          (void)server_->Update(table, id, u.Set("g", Doc(pick(kValues))));
+          break;
+        case 3:  // counter bump: index keys unchanged
+          (void)server_->Update(table, id, u.Inc("n", db::Value(1)));
+          break;
+        case 4:
+          (void)server_->Update(table, id, u.Push("tags", Doc("\"x\"")));
+          break;
+        case 5:
+          (void)server_->Update(table, id, u.Unset("g"));
+          break;
+        case 6:
+          (void)server_->Delete(table, id);
+          break;
+        case 7:
+          if (rng.NextBool(0.1)) {
+            const std::string path = pick(kPaths);
+            if (t->HasIndex(path)) {
+              t->DropIndex(path);
+            } else {
+              t->CreateIndex(path);
+            }
+          }
+          break;
+      }
+      for (int f = 0; f < 3; ++f) {
+        const db::Query& q = queries[rng.NextUint64(queries.size())];
+        webcache::HttpResponse resp;
+        if (!FetchExecutes(q, &resp)) ++reused;
+        ++fetches;
+        const std::vector<db::Document> fresh = db_.Execute(q);
+        QueryResponse expected;
+        for (const db::Document& d : fresh) {
+          expected.ids.push_back(d.Key());
+          expected.versions.push_back(d.version);
+        }
+        ASSERT_EQ(resp.etag, expected.ComputeEtag())
+            << "seed " << seed << " step " << step << " "
+            << q.NormalizedKey();
+        ASSERT_EQ(ServedIds(resp), expected.ids)
+            << "seed " << seed << " step " << step << " "
+            << q.NormalizedKey();
+      }
+    }
+  }
+  // Not vacuous: a good share of the fetches were served from the memo.
+  EXPECT_GT(reused, fetches / 10) << reused << " of " << fetches;
 }
 
 TEST_F(ServerTest, QueryReuseFallsBackWhenDegraded) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/clock.h"
 #include "db/database.h"
 #include "db/table.h"
@@ -169,6 +171,136 @@ TEST(TableTest, ExecuteSkipsDeleted) {
   auto res = t.Execute(Q("posts", R"({"g":1})"));
   ASSERT_EQ(res.size(), 1u);
   EXPECT_EQ(res[0].id, "p2");
+}
+
+TEST(TableTest, CounterBumpKeepsIndexedResultsAndMovesChangeThem) {
+  Table t("posts");
+  t.CreateIndex("g");
+  ASSERT_TRUE(t.Insert("p1", Doc(R"({"g":1,"n":0,"tags":["a","b"]})"), 1).ok());
+  Update bump;
+  bump.Inc("n", Value(1));
+  auto after = t.Apply("p1", bump, 2);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->body.Find("n")->as_int(), 1);
+  EXPECT_EQ(t.Get("p1")->body.Find("n")->as_int(), 1);
+  ASSERT_EQ(t.Execute(Q("posts", R"({"g":1})")).size(), 1u);
+  Update move;
+  move.Set("g", Value(2));
+  ASSERT_TRUE(t.Apply("p1", move, 3).ok());
+  EXPECT_TRUE(t.Execute(Q("posts", R"({"g":1})")).empty());
+  ASSERT_EQ(t.Execute(Q("posts", R"({"g":2})")).size(), 1u);
+  // A failed update leaves document and indexes as they were.
+  Update bad;
+  bad.Inc("tags", Value(1));
+  EXPECT_FALSE(t.Apply("p1", bad, 4).ok());
+  EXPECT_EQ(t.Get("p1")->version, 3u);
+  ASSERT_EQ(t.Execute(Q("posts", R"({"g":2})")).size(), 1u);
+  // An upsert over a live document re-indexes it.
+  ASSERT_TRUE(t.Upsert("p1", Doc(R"({"g":3})"), 5).ok());
+  EXPECT_TRUE(t.Execute(Q("posts", R"({"g":2})")).empty());
+  ASSERT_EQ(t.Execute(Q("posts", R"({"g":3})")).size(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Result stamps
+// ---------------------------------------------------------------------------
+
+/// Executes `filter` on `t` and returns its stamp.
+ResultStamp StampOf(const Table& t, const char* filter) {
+  ResultStamp stamp;
+  t.Execute(Q(t.name().c_str(), filter), &stamp);
+  return stamp;
+}
+
+TEST(ResultStampTest, EqStampSurvivesWritesToOtherKeysOnly) {
+  Table t("posts");
+  t.CreateIndex("g");
+  ASSERT_TRUE(t.Insert("p1", Doc(R"({"g":1})"), 1).ok());
+  ASSERT_TRUE(t.Insert("p2", Doc(R"({"g":2})"), 1).ok());
+  const ResultStamp stamp = StampOf(t, R"({"g":1})");
+  EXPECT_EQ(stamp.slots.count, 1);
+  EXPECT_EQ(stamp.commit, t.commit_count());
+  Update u;
+  u.Inc("n", Value(1));
+  ASSERT_TRUE(t.Apply("p2", u, 2).ok());
+  EXPECT_TRUE(t.IsCurrent(stamp));
+  ASSERT_TRUE(t.Insert("p3", Doc(R"({"x":1})"), 3).ok());  // no g at all
+  EXPECT_TRUE(t.IsCurrent(stamp));
+  ASSERT_TRUE(t.Apply("p1", u, 4).ok());
+  EXPECT_FALSE(t.IsCurrent(stamp));
+}
+
+TEST(ResultStampTest, KeysEqualUnderCompareShareASlot) {
+  Table t("posts");
+  t.CreateIndex("g");
+  struct Case {
+    const char* filter;
+    const char* written;
+  };
+  for (const Case& c : {Case{R"({"g":1})", R"({"g":1.0})"},
+                        Case{R"({"g":1.0})", R"({"g":1})"},
+                        Case{R"({"g":0})", R"({"g":-0.0})"},
+                        Case{R"({"g":"a"})", R"({"g":["a","b"]})"},
+                        Case{R"({"g":[1,2]})", R"({"g":[1,2.0]})"}}) {
+    const ResultStamp stamp = StampOf(t, c.filter);
+    ASSERT_FALSE(stamp.slots.empty()) << c.filter;
+    EXPECT_TRUE(t.IsCurrent(stamp));
+    ASSERT_TRUE(t.Upsert("w", Doc(c.written), 1).ok());
+    EXPECT_FALSE(t.IsCurrent(stamp)) << c.filter << " vs " << c.written;
+  }
+}
+
+TEST(ResultStampTest, InStampsEachElementUpToTheCap) {
+  Table t("posts");
+  t.CreateIndex("g");
+  const ResultStamp in = StampOf(t, R"({"g":{"$in":[1,2,1.0]}})");
+  EXPECT_EQ(in.slots.count, 2);  // 1 and 1.0 are one key
+  ASSERT_TRUE(t.Insert("p2", Doc(R"({"g":2})"), 1).ok());
+  EXPECT_FALSE(t.IsCurrent(in));
+  const ResultStamp wide =
+      StampOf(t, R"({"g":{"$in":[1,2,3,4,5,6,7,8,9]}})");
+  EXPECT_TRUE(wide.slots.empty());
+}
+
+TEST(ResultStampTest, PlansWithoutSlotsStampTheWholeTable) {
+  Table t("posts");
+  t.CreateIndex("g");
+  ASSERT_TRUE(t.Insert("p1", Doc(R"({"g":1,"n":1})"), 1).ok());
+  for (const char* filter :
+       {R"({"g":{"$gt":5}})", R"({"g":null})", R"({"n":1})"}) {
+    const ResultStamp stamp = StampOf(t, filter);
+    EXPECT_TRUE(stamp.slots.empty()) << filter;
+    EXPECT_TRUE(t.IsCurrent(stamp));
+    ASSERT_TRUE(t.Upsert("other", Doc(R"({"g":100})"), 2).ok());
+    EXPECT_FALSE(t.IsCurrent(stamp)) << filter;
+  }
+}
+
+TEST(ResultStampTest, IndexDdlAndNanKeysInvalidateEverySlotStamp) {
+  Table t("posts");
+  t.CreateIndex("g");
+  ResultStamp stamp = StampOf(t, R"({"g":1})");
+  t.CreateIndex("h");
+  EXPECT_FALSE(t.IsCurrent(stamp));
+  stamp = StampOf(t, R"({"g":1})");
+  t.DropIndex("h");
+  EXPECT_FALSE(t.IsCurrent(stamp));
+  stamp = StampOf(t, R"({"g":1})");
+  // NaN compares equal to every number, so no one slot can stand for it.
+  Object nan;
+  nan["g"] = Value(std::nan(""));
+  ASSERT_TRUE(t.Insert("p1", Value(std::move(nan)), 1).ok());
+  EXPECT_FALSE(t.IsCurrent(stamp));
+}
+
+TEST(ResultStampTest, MissingTableIsCurrentOnlyAtItsEmptyStamp) {
+  SimulatedClock clock(0);
+  Database db(&clock);
+  ResultStamp stamp;
+  EXPECT_TRUE(db.Execute(Q("none", R"({"g":1})"), &stamp).empty());
+  EXPECT_TRUE(db.IsCurrent("none", stamp));
+  ASSERT_TRUE(db.Insert("none", "p1", Doc(R"({"g":1})")).ok());
+  EXPECT_FALSE(db.IsCurrent("none", stamp));
 }
 
 // ---------------------------------------------------------------------------
