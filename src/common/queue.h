@@ -1,7 +1,6 @@
 #ifndef QUAESTOR_COMMON_QUEUE_H_
 #define QUAESTOR_COMMON_QUEUE_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -47,20 +46,6 @@ class BoundedQueue {
   std::optional<T> Pop() {
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_.wait(lock, [this] { return !items_.empty() || closed_; });
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    not_full_.notify_one();
-    return item;
-  }
-
-  /// Pops with a timeout; nullopt on timeout or closed-and-empty.
-  std::optional<T> PopWithTimeout(std::chrono::microseconds timeout) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!not_empty_.wait_for(lock, timeout,
-                             [this] { return !items_.empty() || closed_; })) {
-      return std::nullopt;
-    }
     if (items_.empty()) return std::nullopt;
     T item = std::move(items_.front());
     items_.pop_front();

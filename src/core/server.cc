@@ -51,6 +51,7 @@ QuaestorServer::QuaestorServer(Clock* clock, db::Database* database,
       [this](const std::vector<invalidb::Notification>& batch) {
         OnNotificationBatch(batch);
       });
+  pipeline_ = invalidb_.get();
   db_->AddChangeListener([this](const db::ChangeEvent& ev) {
     // Fault gates: a hard pipeline outage swallows the whole change
     // stream; a lossy pipeline drops a seeded fraction of it. Either way
@@ -71,49 +72,58 @@ QuaestorServer::QuaestorServer(Clock* clock, db::Database* database,
         return;
       }
     }
-    PipelineOnChange(ev);
+    pipeline_->OnChange(ev);
   });
   transactions_ = std::make_unique<TransactionManager>(this);
 }
 
 QuaestorServer::~QuaestorServer() = default;
 
-void QuaestorServer::SetExternalPipeline(ExternalPipeline pipeline) {
-  external_pipeline_ = std::move(pipeline);
-  has_external_pipeline_ = true;
+void QuaestorServer::SetPipeline(invalidb::Pipeline* pipeline) {
+  pipeline_ = pipeline;
 }
 
-void QuaestorServer::OnExternalNotifications(
-    const std::vector<invalidb::Notification>& batch) {
-  OnNotificationBatch(batch);
-}
-
-Status QuaestorServer::PipelineRegisterQuery(
-    const db::Query& query, const std::vector<db::Document>& initial,
-    invalidb::EventMask events) {
-  if (has_external_pipeline_) {
-    return external_pipeline_.register_query(query, initial, events);
+Status QuaestorServer::RegisterLocked(const std::string& key,
+                                      const db::Query& query,
+                                      invalidb::EventMask events,
+                                      std::vector<db::Document>* result) {
+  // Changes that commit after this instant race an evaluation below; the
+  // pipeline replays them to the new query (§4.1 activation race). A
+  // caller's `*result` was evaluated just before.
+  const Micros evaluated_at = clock_->NowMicros();
+  std::vector<db::Document> registration_set;
+  if (!query.IsStateless()) {
+    registration_set = db_->Execute(db::Query(query.table(), query.filter()));
+  } else if (result != nullptr) {
+    registration_set = std::move(*result);
+  } else {
+    registration_set = db_->Execute(query);
   }
-  return invalidb_->RegisterQuery(query, initial, events);
-}
-
-void QuaestorServer::PipelineDeregisterQuery(const std::string& query_key) {
-  if (has_external_pipeline_) {
-    external_pipeline_.deregister_query(query_key);
-    return;
+  Status st;
+  {
+    obs::ScopedSpan reg_span(tracer_, "invalidb.register");
+    st = pipeline_->RegisterQuery(query, registration_set, events,
+                                  evaluated_at);
   }
-  invalidb_->DeregisterQuery(query_key);
-}
-
-void QuaestorServer::PipelineOnChange(const db::ChangeEvent& ev) {
-  if (has_external_pipeline_) {
-    external_pipeline_.on_change(ev);
-    return;
+  if (!st.ok() && !st.IsAlreadyExists()) return st;
+  {
+    std::lock_guard<std::mutex> lock(meta_mu_);
+    auto it = query_meta_.find(key);
+    if (it != query_meta_.end()) it->second.registered_events = events;
   }
-  invalidb_->OnChangeBatch({ev});
+  active_list_.SetRegistered(key, true);
+  return Status::OK();
 }
 
-void QuaestorServer::ReregisterExternalQueries() {
+Status QuaestorServer::ActivateQuery(const db::Query& query,
+                                     invalidb::EventMask events) {
+  const std::string key = query.NormalizedKey();
+  std::lock_guard<std::mutex> reg_lock(registration_mu_);
+  if (active_list_.IsRegistered(key)) return Status::OK();
+  return RegisterLocked(key, query, events, nullptr);
+}
+
+void QuaestorServer::ReregisterQueries() {
   // Held throughout, so no fetch registers, switches or evicts a query
   // between the snapshot and its re-registration.
   std::lock_guard<std::mutex> reg_lock(registration_mu_);
@@ -128,12 +138,8 @@ void QuaestorServer::ReregisterExternalQueries() {
     }
   }
   for (const auto& [key, query, events] : registered) {
-    // The same rebuild RestartNode performs locally: the matchers track
-    // the unwindowed predicate set, evaluated now.
-    PipelineDeregisterQuery(key);
-    (void)PipelineRegisterQuery(
-        query, db_->Execute(db::Query(query.table(), query.filter())),
-        events);
+    pipeline_->DeregisterQuery(key);
+    (void)RegisterLocked(key, query, events, nullptr);
   }
 }
 
@@ -572,7 +578,7 @@ webcache::HttpResponse QuaestorServer::FetchQuery(
     {
       std::lock_guard<std::mutex> reg_lock(registration_mu_);
       if (!active_list_.IsRegistered(key)) return;
-      PipelineDeregisterQuery(key);
+      pipeline_->DeregisterQuery(key);
       active_list_.SetRegistered(key, false);
     }
     MemoErase(key);
@@ -767,34 +773,14 @@ webcache::HttpResponse QuaestorServer::FetchQuery(
     if (!active_list_.IsRegistered(key)) {
       std::lock_guard<std::mutex> reg_lock(registration_mu_);
       if (!active_list_.IsRegistered(key)) {
-        const invalidb::EventMask mask =
+        // Without an execution here (served from the memo, deregistered by
+        // a concurrent eviction since the reuse check) the query runs anew.
+        (void)RegisterLocked(
+            key, query,
             *representation == ttl::ResultRepresentation::kIdList
                 ? invalidb::kEventsIdList
-                : invalidb::kEventsObjectList;
-        std::vector<db::Document> registration_set;
-        if (!query.IsStateless()) {
-          // Stateful queries register the unwindowed predicate set.
-          db::Query base(query.table(), query.filter());
-          registration_set = db_->Execute(base);
-        } else if (executed) {
-          registration_set = std::move(docs);
-        } else {
-          // Deregistered by a concurrent eviction since the reuse check.
-          registration_set = db_->Execute(query);
-        }
-        Status st;
-        {
-          obs::ScopedSpan reg_span(tracer_, "invalidb.register");
-          st = PipelineRegisterQuery(query, registration_set, mask);
-        }
-        if (st.ok() || st.IsAlreadyExists()) {
-          {
-            std::lock_guard<std::mutex> lock(meta_mu_);
-            auto it = query_meta_.find(key);
-            if (it != query_meta_.end()) it->second.registered_events = mask;
-          }
-          active_list_.SetRegistered(key, true);
-        }
+                : invalidb::kEventsObjectList,
+            executed ? &docs : nullptr);
       }
     }
     active_list_.OnRead(key, now, ttl);
@@ -812,7 +798,7 @@ void QuaestorServer::EvictQuery(const std::string& query_key) {
   // issued TTL is unexpired and purge CDNs now.
   {
     std::lock_guard<std::mutex> reg_lock(registration_mu_);
-    PipelineDeregisterQuery(query_key);
+    pipeline_->DeregisterQuery(query_key);
     active_list_.SetRegistered(query_key, false);
   }
   MemoErase(query_key);
@@ -844,9 +830,9 @@ bool QuaestorServer::degraded() const {
       resizing_.load(std::memory_order_relaxed)) {
     return true;
   }
-  // A dead matching node silently loses every invalidation routed through
-  // it — that alone forfeits the invalidation guarantee.
-  return invalidb_->AliveCount() < invalidb_->NumNodes();
+  // An unhealthy pipeline (a dead matching node) silently loses
+  // invalidations — that alone forfeits the invalidation guarantee.
+  return !pipeline_->Healthy();
 }
 
 Micros QuaestorServer::CapTtl(Micros ttl) const {
@@ -886,22 +872,10 @@ void QuaestorServer::SetPipelineDown(bool down) {
   if (!down) {
     // Recovery. The matchers missed every change committed during the
     // outage, so their membership state is untrustworthy: rebuild it from
-    // the authoritative database — crash-restart each local node (the
-    // same path a single-node failover takes), or re-register every query
-    // on an external pipeline, whose matchers the local cluster does not
-    // reach — then conservatively invalidate every key with an
-    // outstanding TTL: copies cached during the outage may be stale.
-    if (has_external_pipeline_) {
-      ReregisterExternalQueries();
-    } else {
-      const size_t nodes = invalidb_->NumNodes();
-      for (size_t i = 0; i < nodes; ++i) {
-        invalidb_->KillNode(i);
-        invalidb_->RestartNode(
-            i, [this](const db::Query& q) { return db_->Execute(q); });
-      }
-      invalidb_->Flush();
-    }
+    // the authoritative database by registering every query again, then
+    // conservatively invalidate every key with an outstanding TTL: copies
+    // cached during the outage may be stale.
+    ReregisterQueries();
     FlagAllCachedCopies();
     lag_degraded_.store(false, std::memory_order_relaxed);
     last_notification_lag_.store(0, std::memory_order_relaxed);

@@ -24,6 +24,7 @@
 #include "db/schema.h"
 #include "ebf/expiring_bloom_filter.h"
 #include "invalidb/cluster.h"
+#include "invalidb/pipeline.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "ttl/active_list.h"
@@ -110,6 +111,8 @@ struct PipelineHealth {
   bool degraded = false;       // TTL cap currently in force
   bool pipeline_down = false;  // hard outage (SetPipelineDown)
   bool resizing = false;       // live InvaliDB repartition in progress
+  /// Matching nodes of the server's in-process cluster, also when another
+  /// pipeline carries the data path (degraded covers that one).
   size_t nodes_alive = 0;
   size_t nodes_total = 0;
   /// Commit-to-processing lag of the most recent notification (µs).
@@ -227,34 +230,34 @@ class QuaestorServer : public webcache::Origin {
   /// streams of §3.2.
   void AddNotificationTap(invalidb::NotificationSink tap);
 
-  /// Routes the InvaliDB *data path* — query (de)registrations and the
-  /// change stream — to an external matching cluster (e.g. workers
-  /// reached over TCP, src/net) instead of the in-process one. Health,
-  /// resize, fault-injection and stats stay on the local cluster object.
-  /// Install before serving traffic; not synchronized against in-flight
-  /// requests. Notifications from the external cluster come back through
-  /// OnExternalNotifications.
-  struct ExternalPipeline {
-    std::function<Status(const db::Query& query,
-                         const std::vector<db::Document>& initial_result,
-                         invalidb::EventMask events)>
-        register_query;
-    std::function<void(const std::string& query_key)> deregister_query;
-    std::function<void(const db::ChangeEvent& event)> on_change;
-  };
-  void SetExternalPipeline(ExternalPipeline pipeline);
+  /// Routes the InvaliDB data path (query registrations, the change
+  /// stream, and the health degraded() asks) to `pipeline`, e.g. an
+  /// InvalidbRemote whose workers are reached over TCP (src/net), instead
+  /// of the server's own cluster. Control-plane calls (invalidb():
+  /// failover, resize, stats, tracer) stay on the own cluster. Install
+  /// before serving traffic; not synchronized against in-flight requests.
+  /// The pipeline's sink must hand its notifications to
+  /// OnNotificationBatch.
+  void SetPipeline(invalidb::Pipeline* pipeline);
 
-  /// Invalidation feedback from an external pipeline: runs the same
-  /// memo-erase / EBF-flag / CDN-purge handling as local notifications.
-  void OnExternalNotifications(
-      const std::vector<invalidb::Notification>& batch);
+  /// Handles one delivery of InvaliDB notifications (query results became
+  /// stale) from the installed pipeline. The memo-erase / EBF-flag /
+  /// CDN-purge pass runs once per distinct query key; counters, TTL
+  /// feedback and taps see every notification.
+  void OnNotificationBatch(const std::vector<invalidb::Notification>& batch);
+
+  /// Activates `query` on the pipeline with `events` unless it is already
+  /// registered (change streams subscribe with kEventsAll). The query's
+  /// shape must be registered.
+  Status ActivateQuery(const db::Query& query, invalidb::EventMask events);
 
   // -- Fault tolerance & degradation --
 
   /// True while the TTL cap is in force: an explicit operator/health
   /// decision (SetDegraded / SetPipelineDown), a notification lag beyond
-  /// the staleness budget, or a dead matching node. Always false when
-  /// degradation is disabled in the options.
+  /// the staleness budget, a resize, or an installed pipeline that is not
+  /// Healthy() (a dead matching node). Always false when degradation is
+  /// disabled in the options.
   bool degraded() const;
 
   /// Manually forces (or lifts) degraded mode — the operator override and
@@ -264,11 +267,11 @@ class QuaestorServer : public webcache::Origin {
   /// Hard pipeline outage: while down, change events are dropped before
   /// InvaliDB (counted in change_events_dropped) and the server degrades.
   /// On recovery the matcher state is rebuilt against the authoritative
-  /// database — every local matching node is crash-restarted, or, with an
-  /// external pipeline, every registered query is deregistered and
-  /// registered again with a fresh evaluation — and all registered query
-  /// keys are flagged in the EBF and purged from CDNs: copies cached
-  /// during the outage can be arbitrarily stale, as can the matcher state.
+  /// database — every registered query is deregistered from the installed
+  /// pipeline and registered again with a fresh evaluation — and every key
+  /// with an outstanding TTL is flagged in the EBF and purged from CDNs:
+  /// copies cached during the outage can be arbitrarily stale, as can the
+  /// matcher state.
   void SetPipelineDown(bool down);
 
   /// Fault injection: while set, Fetch answers 503-style (ok=false,
@@ -287,7 +290,8 @@ class QuaestorServer : public webcache::Origin {
   size_t ResizeInvalidb(size_t new_query_partitions,
                         size_t new_object_partitions);
 
-  /// Heartbeat/health-check endpoint.
+  /// Heartbeat/health-check endpoint. The node counts describe the
+  /// server's own in-process cluster, whichever pipeline is installed.
   PipelineHealth pipeline_health() const;
 
   // -- Introspection --
@@ -345,7 +349,7 @@ class QuaestorServer : public webcache::Origin {
         ttl::ResultRepresentation::kObjectList;
     Micros representation_chosen_at = 0;
     /// Event mask of the query's InvaliDB registration; outage recovery
-    /// on an external pipeline registers the query again with it.
+    /// registers the query again with it.
     invalidb::EventMask registered_events = invalidb::kEventsObjectList;
   };
 
@@ -363,25 +367,20 @@ class QuaestorServer : public webcache::Origin {
   webcache::HttpResponse FetchQuery(const webcache::HttpRequest& request,
                                     const db::Query& query);
 
-  /// Handles one delivery of InvaliDB notifications (query results became
-  /// stale) — from the local cluster's sink or an external pipeline. The
-  /// memo-erase / EBF-flag / CDN-purge pass runs once per distinct query
-  /// key; counters, TTL feedback and taps see every notification.
-  void OnNotificationBatch(const std::vector<invalidb::Notification>& batch);
+  /// Registers `query` (key `key`) on the pipeline with `events`: a
+  /// stateless query with its result (`*result`, consumed, when the caller
+  /// just executed it; a fresh execution otherwise), a stateful one with
+  /// its unwindowed predicate set. On success records the mask in the
+  /// query's QueryMeta and marks the key registered. Caller holds
+  /// registration_mu_.
+  Status RegisterLocked(const std::string& key, const db::Query& query,
+                        invalidb::EventMask events,
+                        std::vector<db::Document>* result);
 
-  /// Data-path dispatch: the external pipeline when one is installed,
-  /// the in-process cluster otherwise. Every data-path use of invalidb_
-  /// goes through these three; control-plane uses stay direct.
-  Status PipelineRegisterQuery(const db::Query& query,
-                               const std::vector<db::Document>& initial,
-                               invalidb::EventMask events);
-  void PipelineDeregisterQuery(const std::string& query_key);
-  void PipelineOnChange(const db::ChangeEvent& ev);
-
-  /// Outage recovery on an external pipeline: deregisters every registered
-  /// query and registers it again with a fresh evaluation, so the remote
-  /// matchers forget membership that changed while the stream was cut.
-  void ReregisterExternalQueries();
+  /// Outage recovery: deregisters every registered query and registers it
+  /// again with a fresh evaluation, so the matchers forget membership that
+  /// changed while the stream was cut.
+  void ReregisterQueries();
 
   /// Applies side effects of a committed record write.
   void OnRecordWrite(const db::Document& after);
@@ -467,17 +466,18 @@ class QuaestorServer : public webcache::Origin {
   ttl::ActiveList active_list_;
   ttl::CapacityManager capacity_;
   std::unique_ptr<invalidb::InvalidbCluster> invalidb_;
-  ExternalPipeline external_pipeline_;
-  bool has_external_pipeline_ = false;
+  /// The data path: invalidb_ unless SetPipeline installed another.
+  invalidb::Pipeline* pipeline_ = nullptr;
   std::unique_ptr<TransactionManager> transactions_;
   db::SchemaRegistry schemas_;
   AccessController auth_;
 
-  /// Serializes every InvaliDB registration decision: first
-  /// registration, deregistration on eviction or representation switch,
-  /// and recovery's re-registration. A key's pipeline registration then
-  /// always matches its QueryMeta::registered_events. Taken before
-  /// meta_mu_; the notification path never takes it.
+  /// Serializes every InvaliDB registration decision: first registration
+  /// (fetches and change streams), deregistration on eviction or
+  /// representation switch, and recovery's re-registration. A key's
+  /// pipeline registration then always matches its
+  /// QueryMeta::registered_events. Taken before meta_mu_; the
+  /// notification path never takes it.
   std::mutex registration_mu_;
   mutable std::mutex meta_mu_;
   std::unordered_map<std::string, QueryMeta> query_meta_;

@@ -17,19 +17,7 @@ Result<uint64_t> ChangeStreamHub::Subscribe(
 
   // Activate the query in InvaliDB with the full event set; streams need
   // every change, including positional ones for sorted queries.
-  if (!server_->invalidb().IsRegistered(key)) {
-    std::vector<db::Document> registration_set;
-    if (query.IsStateless()) {
-      registration_set = server_->database().Execute(query);
-    } else {
-      db::Query base(query.table(), query.filter());
-      registration_set = server_->database().Execute(base);
-    }
-    Status st = server_->invalidb().RegisterQuery(query, registration_set,
-                                                  invalidb::kEventsAll);
-    if (!st.ok() && !st.IsAlreadyExists()) return st;
-    server_->active_list().SetRegistered(key, true);
-  }
+  QUAESTOR_RETURN_IF_ERROR(server_->ActivateQuery(query, invalidb::kEventsAll));
 
   if (initial_result != nullptr) {
     *initial_result = server_->database().Execute(query);

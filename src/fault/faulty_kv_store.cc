@@ -60,12 +60,6 @@ void FaultyKvStore::QueuePush(const std::string& queue, std::string message) {
   }
 }
 
-std::optional<std::string> FaultyKvStore::QueuePop(const std::string& queue,
-                                                   Micros timeout_micros) {
-  ReleaseDue(queue, /*overtaking_push=*/false);
-  return kv::KvStore::QueuePop(queue, timeout_micros);
-}
-
 std::optional<std::string> FaultyKvStore::QueueTryPop(
     const std::string& queue) {
   ReleaseDue(queue, /*overtaking_push=*/false);

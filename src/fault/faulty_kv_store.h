@@ -33,8 +33,6 @@ class FaultyKvStore : public kv::KvStore {
       : kv::KvStore(clock), clock_(clock), injector_(injector) {}
 
   void QueuePush(const std::string& queue, std::string message) override;
-  std::optional<std::string> QueuePop(const std::string& queue,
-                                      Micros timeout_micros) override;
   std::optional<std::string> QueueTryPop(const std::string& queue) override;
   size_t QueueLen(const std::string& queue) const override;
 

@@ -22,6 +22,7 @@
 #include "db/query.h"
 #include "invalidb/matching_node.h"
 #include "invalidb/notification.h"
+#include "invalidb/pipeline.h"
 #include "invalidb/sorted_layer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -96,15 +97,16 @@ struct ClusterStats {
 };
 
 /// The InvaliDB cluster: registers cached queries, ingests the database
-/// change stream, and emits invalidation notifications in real time.
-class InvalidbCluster {
+/// change stream, and emits invalidation notifications in real time. The
+/// in-process Pipeline.
+class InvalidbCluster : public Pipeline {
  public:
   /// `sink` receives the subscribed notifications of each matching
   /// dispatch in one call (commit order within the call). In threaded mode
   /// it is invoked from worker threads, concurrently across nodes.
   InvalidbCluster(Clock* clock, InvalidbOptions options,
                   NotificationBatchSink sink);
-  ~InvalidbCluster();
+  ~InvalidbCluster() override;
 
   InvalidbCluster(const InvalidbCluster&) = delete;
   InvalidbCluster& operator=(const InvalidbCluster&) = delete;
@@ -120,10 +122,10 @@ class InvalidbCluster {
   /// to close the activation race (§4.1). Defaults to "now".
   Status RegisterQuery(const db::Query& query,
                        const std::vector<db::Document>& initial_result,
-                       EventMask events, Micros evaluated_at = -1);
+                       EventMask events, Micros evaluated_at = -1) override;
 
   /// Deactivates a query.
-  void DeregisterQuery(const std::string& query_key);
+  void DeregisterQuery(const std::string& query_key) override;
 
   bool IsRegistered(const std::string& query_key) const;
   size_t RegisteredCount() const;
@@ -134,6 +136,13 @@ class InvalidbCluster {
   /// one task per occupied (row, column); each node matches its slice in
   /// one MatchBatch pass, so batch boundaries change no notification.
   void OnChangeBatch(std::vector<db::ChangeEvent> events);
+  void OnChange(const db::ChangeEvent& event) override {
+    OnChangeBatch({event});
+  }
+
+  /// Every matching node alive: a dead node silently loses every
+  /// invalidation routed through it.
+  bool Healthy() const override { return AliveCount() == NumNodes(); }
 
   // -- Node failover --
 

@@ -527,7 +527,7 @@ InvalidbRemote::~InvalidbRemote() { FlushChanges(); }
 
 void InvalidbRemote::FlushChanges() { staged_.Ship(&flushes_manual_, 1); }
 
-void InvalidbRemote::RegisterQuery(
+Status InvalidbRemote::RegisterQuery(
     const db::Query& query, const std::vector<db::Document>& initial_result,
     EventMask events, Micros evaluated_at) {
   // Barrier: a change buffered before this call must be matched before the
@@ -536,6 +536,7 @@ void InvalidbRemote::RegisterQuery(
   staged_.Ship(&flushes_barrier_, 1);
   sender_.Send(transport::EncodeRegister(query, initial_result, events,
                                          evaluated_at));
+  return Status::OK();
 }
 
 void InvalidbRemote::DeregisterQuery(const std::string& query_key) {

@@ -14,6 +14,7 @@
 #include "db/query.h"
 #include "invalidb/cluster.h"
 #include "invalidb/notification.h"
+#include "invalidb/pipeline.h"
 #include "invalidb/reliable_queue.h"
 #include "kv/kv_store.h"
 #include "obs/metrics.h"
@@ -244,21 +245,24 @@ class TransportEndpoint {
   std::atomic<uint64_t> flushes_manual_{0};
 };
 
-/// The Quaestor-side stub: mirrors InvalidbCluster's interface but ships
-/// every call through the request queue, and hands every notify_batch
-/// envelope that Receive takes in to the sink.
-class InvalidbRemote : public TransportEndpoint {
+/// The Quaestor-side stub: the Pipeline over a message queue. Ships every
+/// call through the request queue, and hands every notify_batch envelope
+/// that Receive takes in to the sink.
+class InvalidbRemote : public TransportEndpoint, public Pipeline {
  public:
   InvalidbRemote(Clock* clock, TransportMedium medium, std::string prefix,
                  NotificationBatchSink sink,
                  TransportOptions options = TransportOptions());
-  ~InvalidbRemote();
+  ~InvalidbRemote() override;
 
-  void RegisterQuery(const db::Query& query,
-                     const std::vector<db::Document>& initial_result,
-                     EventMask events, Micros evaluated_at = -1);
-  void DeregisterQuery(const std::string& query_key);
-  void OnChange(const db::ChangeEvent& event);
+  /// Always OK: the worker's answer travels back asynchronously.
+  Status RegisterQuery(const db::Query& query,
+                       const std::vector<db::Document>& initial_result,
+                       EventMask events, Micros evaluated_at = -1) override;
+  void DeregisterQuery(const std::string& query_key) override;
+  void OnChange(const db::ChangeEvent& event) override;
+  /// Always true: a silent worker is not detected yet.
+  bool Healthy() const override { return true; }
 
   /// Requests a live repartition of the worker's cluster (elastic
   /// scale-out). The worker resizes via direct state handoff — it has no

@@ -1,7 +1,6 @@
 #include "kv/kv_store.h"
 
 #include <charconv>
-#include <chrono>
 
 namespace quaestor::kv {
 
@@ -207,12 +206,6 @@ KvStore::Queue* KvStore::GetQueue(const std::string& name) const {
 
 void KvStore::QueuePush(const std::string& queue, std::string message) {
   GetQueue(queue)->Push(std::move(message));
-}
-
-std::optional<std::string> KvStore::QueuePop(const std::string& queue,
-                                             Micros timeout_micros) {
-  return GetQueue(queue)->PopWithTimeout(
-      std::chrono::microseconds(timeout_micros));
 }
 
 std::optional<std::string> KvStore::QueueTryPop(const std::string& queue) {

@@ -19,7 +19,7 @@ namespace quaestor::kv {
 
 /// An in-memory key-value store with Redis-like primitives: string values,
 /// atomic counters, hash fields, per-key expiration, pub/sub channels, and
-/// blocking FIFO queues. Thread-safe. This is the substrate hosting the
+/// FIFO queues. Thread-safe. This is the substrate hosting the
 /// distributed Expiring Bloom Filter variant and the Quaestor ↔ InvaliDB
 /// message queues (the paper uses Redis for both, §3.3 and §4.1).
 class KvStore {
@@ -99,10 +99,6 @@ class KvStore {
 
   /// Pushes onto the named queue (created on first use, unbounded-ish cap).
   virtual void QueuePush(const std::string& queue, std::string message);
-
-  /// Blocking pop with timeout. nullopt on timeout.
-  virtual std::optional<std::string> QueuePop(const std::string& queue,
-                                              Micros timeout_micros);
 
   /// Non-blocking pop.
   virtual std::optional<std::string> QueueTryPop(const std::string& queue);

@@ -63,7 +63,7 @@ bool NetServer::Start() {
         }),
         p,
         [this](const std::vector<invalidb::Notification>& batch) {
-          server_->OnExternalNotifications(batch);
+          server_->OnNotificationBatch(batch);
         },
         options_.transport);
     invalidb::InvalidbRemote* remote = remote_.get();
@@ -73,20 +73,7 @@ bool NetServer::Start() {
     };
     hub_->Subscribe(p + ":notifications", deliver);
     hub_->Subscribe(p + ":requests:acks", deliver);
-    core::QuaestorServer::ExternalPipeline pipeline;
-    pipeline.register_query = [remote](const db::Query& query,
-                                       const std::vector<db::Document>& init,
-                                       invalidb::EventMask events) {
-      remote->RegisterQuery(query, init, events);
-      return Status::OK();
-    };
-    pipeline.deregister_query = [remote](const std::string& key) {
-      remote->DeregisterQuery(key);
-    };
-    pipeline.on_change = [remote](const db::ChangeEvent& ev) {
-      remote->OnChange(ev);
-    };
-    server_->SetExternalPipeline(std::move(pipeline));
+    server_->SetPipeline(remote);
   }
 
   // Invalidation fan-out to socket peers (remote CDN nodes subscribe to

@@ -36,10 +36,12 @@ struct NetOptions {
 };
 
 /// Serving-side bundle: event loop + HTTP front-end + frame hub, and —
-/// when remote_invalidb is on — the InvalidbRemote stub wired into the
-/// server's ExternalPipeline with its queues carried by the hub. Frames
-/// from workers run its receive path (notification handling and purge
-/// fan-out included) on the loop thread; a loop timer ticks it.
+/// when remote_invalidb is on — the InvalidbRemote stub installed as the
+/// server's pipeline (SetPipeline) with its queues carried by the hub.
+/// Frames from workers run its receive path (notification handling and
+/// purge fan-out included) on the loop thread; a loop timer ticks it. The
+/// server keeps the remote installed, so destroy the NetServer only once
+/// the server takes no more writes.
 class NetServer {
  public:
   NetServer(Clock* clock, core::QuaestorServer* server, NetOptions options);

@@ -351,12 +351,6 @@ TEST(BoundedQueueTest, CloseDrainsThenReturnsNullopt) {
   EXPECT_FALSE(q.Pop().has_value());
 }
 
-TEST(BoundedQueueTest, PopWithTimeoutTimesOut) {
-  BoundedQueue<int> q(10);
-  auto r = q.PopWithTimeout(std::chrono::microseconds(1000));
-  EXPECT_FALSE(r.has_value());
-}
-
 TEST(BoundedQueueTest, ConcurrentProducersConsumers) {
   BoundedQueue<int> q(16);
   constexpr int kPerProducer = 500;

@@ -624,13 +624,13 @@ TEST(ChaosTest, OracleWidensBoundWhileDegradedOnly) {
 }
 
 // Outage → degraded serving → recovery, checked end to end by the oracle.
-// With `external_pipeline` the data path runs through a second cluster
-// wired like a remote one (SetExternalPipeline + OnExternalNotifications),
-// so recovery must rebuild matchers the server's own cluster never sees.
+// With `installed_pipeline` the data path runs through a second cluster
+// installed like a remote one (SetPipeline), so recovery must rebuild
+// matchers the server's own cluster never sees.
 // A record joins the query during the outage (its change event is lost)
 // and leaves after recovery: only a matcher rebuilt from the database
 // knows it was a member and reports the removal.
-void RunPipelineOutage(bool external_pipeline) {
+void RunPipelineOutage(bool installed_pipeline) {
   SimulatedClock clock(0);
   db::Database db(&clock);
   core::ServerOptions sopts;
@@ -640,26 +640,13 @@ void RunPipelineOutage(bool external_pipeline) {
   core::QuaestorServer server(&clock, &db, sopts);
 
   std::unique_ptr<invalidb::InvalidbCluster> remote_cluster;
-  if (external_pipeline) {
+  if (installed_pipeline) {
     remote_cluster = std::make_unique<invalidb::InvalidbCluster>(
         &clock, invalidb::InvalidbOptions(),
         [&server](const std::vector<invalidb::Notification>& batch) {
-          server.OnExternalNotifications(batch);
+          server.OnNotificationBatch(batch);
         });
-    invalidb::InvalidbCluster* cluster = remote_cluster.get();
-    core::QuaestorServer::ExternalPipeline pipeline;
-    pipeline.register_query = [cluster](const db::Query& query,
-                                        const std::vector<db::Document>& init,
-                                        invalidb::EventMask events) {
-      return cluster->RegisterQuery(query, init, events);
-    };
-    pipeline.deregister_query = [cluster](const std::string& key) {
-      cluster->DeregisterQuery(key);
-    };
-    pipeline.on_change = [cluster](const db::ChangeEvent& ev) {
-      cluster->OnChangeBatch({ev});
-    };
-    server.SetExternalPipeline(std::move(pipeline));
+    server.SetPipeline(remote_cluster.get());
   }
 
   check::OracleOptions oopts;
@@ -743,11 +730,11 @@ void RunPipelineOutage(bool external_pipeline) {
 }
 
 TEST(ChaosTest, PipelineOutageDegradedCachingStaysWithinBudget) {
-  RunPipelineOutage(/*external_pipeline=*/false);
+  RunPipelineOutage(/*installed_pipeline=*/false);
 }
 
-TEST(ChaosTest, PipelineOutageOnExternalPipelineStaysWithinBudget) {
-  RunPipelineOutage(/*external_pipeline=*/true);
+TEST(ChaosTest, PipelineOutageOnInstalledPipelineStaysWithinBudget) {
+  RunPipelineOutage(/*installed_pipeline=*/true);
 }
 
 // ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include "db/database.h"
 #include "fault/fault_injector.h"
 #include "fault/faulty_kv_store.h"
+#include "invalidb/cluster.h"
 #include "invalidb/reliable_queue.h"
 #include "kv/kv_store.h"
 #include "webcache/web_cache.h"
@@ -607,6 +608,38 @@ TEST(DegradationTest, DeadNodeDegradesUntilRestart) {
   EXPECT_EQ(health.nodes_total, 1u);
   server.invalidb().RestartNode(
       0, [&](const db::Query& q) { return db.Execute(q); });
+  server.invalidb().Flush();
+  EXPECT_FALSE(server.degraded());
+}
+
+// degraded() asks the installed pipeline: with a second cluster carrying
+// the data path, its dead node degrades the server, and one of the idle
+// own cluster does not. The health endpoint's node counts keep describing
+// the own cluster.
+TEST(DegradationTest, DeadNodeOfInstalledPipelineDegradesUntilRestart) {
+  SimulatedClock clock(0);
+  db::Database db(&clock);
+  core::ServerOptions opts;
+  opts.degradation.enabled = true;
+  core::QuaestorServer server(&clock, &db, opts);
+  invalidb::InvalidbCluster pipeline(
+      &clock, invalidb::InvalidbOptions(),
+      [&server](const std::vector<invalidb::Notification>& batch) {
+        server.OnNotificationBatch(batch);
+      });
+  server.SetPipeline(&pipeline);
+  pipeline.KillNode(0);
+  pipeline.Flush();
+  EXPECT_TRUE(server.degraded());
+  auto health = server.pipeline_health();
+  EXPECT_TRUE(health.degraded);
+  EXPECT_EQ(health.nodes_alive, 1u);
+  EXPECT_EQ(health.nodes_total, 1u);
+  pipeline.RestartNode(0, [&](const db::Query& q) { return db.Execute(q); });
+  pipeline.Flush();
+  EXPECT_FALSE(server.degraded());
+
+  server.invalidb().KillNode(0);
   server.invalidb().Flush();
   EXPECT_FALSE(server.degraded());
 }

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <thread>
-
 #include "common/clock.h"
 #include "kv/kv_store.h"
 
@@ -135,21 +133,6 @@ TEST_F(KvStoreTest, QueuePushPopFifo) {
   EXPECT_EQ(kv_.QueueTryPop("q").value(), "a");
   EXPECT_EQ(kv_.QueueTryPop("q").value(), "b");
   EXPECT_FALSE(kv_.QueueTryPop("q").has_value());
-}
-
-TEST_F(KvStoreTest, QueuePopBlocksUntilPush) {
-  std::thread producer([this] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    kv_.QueuePush("q", "late");
-  });
-  auto msg = kv_.QueuePop("q", /*timeout_micros=*/1000000);
-  producer.join();
-  ASSERT_TRUE(msg.has_value());
-  EXPECT_EQ(*msg, "late");
-}
-
-TEST_F(KvStoreTest, QueuePopTimesOut) {
-  EXPECT_FALSE(kv_.QueuePop("empty", 1000).has_value());
 }
 
 TEST_F(KvStoreTest, FlushAllClearsData) {

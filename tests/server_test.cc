@@ -303,6 +303,18 @@ TEST_F(ServerTest, QueryReuseSkipsExecutionWithoutInterveningWrite) {
 
 class QueryReuseTest : public ServerTest {
  protected:
+  /// Accepts every call and never answers.
+  struct SilentPipeline : invalidb::Pipeline {
+    Status RegisterQuery(const db::Query&, const std::vector<db::Document>&,
+                         invalidb::EventMask, Micros) override {
+      return Status::OK();
+    }
+    void DeregisterQuery(const std::string&) override {}
+    void OnChange(const db::ChangeEvent&) override {}
+    bool Healthy() const override { return true; }
+  };
+  SilentPipeline silent_;
+
   /// Applies one mutation of each kind and checks that the next fetch
   /// reflects it. With `notifications_arrive` false the server runs
   /// against an external pipeline that never answers, as a remote one
@@ -313,15 +325,7 @@ class QueryReuseTest : public ServerTest {
   /// Makes the server run against an external pipeline that never
   /// answers: no notification erases a memo entry, so the result stamps
   /// alone decide reuse.
-  void SilencePipeline() {
-    QuaestorServer::ExternalPipeline silent;
-    silent.register_query = [](const db::Query&,
-                               const std::vector<db::Document>&,
-                               invalidb::EventMask) { return Status::OK(); };
-    silent.deregister_query = [](const std::string&) {};
-    silent.on_change = [](const db::ChangeEvent&) {};
-    server_->SetExternalPipeline(std::move(silent));
-  }
+  void SilencePipeline() { server_->SetPipeline(&silent_); }
 
   /// Fetches `q` into *resp; returns whether the fetch executed it.
   bool FetchExecutes(const db::Query& q, webcache::HttpResponse* resp) {
@@ -904,7 +908,7 @@ TEST_F(ServerTest, NotificationBatchCoalescesPerDistinctKey) {
     n.event_time = clock_.NowMicros();
     return n;
   };
-  server_->OnExternalNotifications(
+  server_->OnNotificationBatch(
       {notification(a, "1"), notification(a, "3"), notification(b, "2")});
 
   EXPECT_EQ(std::count(purged_.begin(), purged_.end(), a), 1);

@@ -7,6 +7,7 @@
 #include "core/server.h"
 #include "core/streams.h"
 #include "db/database.h"
+#include "invalidb/cluster.h"
 
 namespace quaestor::core {
 namespace {
@@ -30,10 +31,28 @@ class StreamsTest : public ::testing::Test {
     hub_ = std::make_unique<ChangeStreamHub>(server_.get());
   }
 
+  /// Installs a second cluster as the server's pipeline, as a remote one
+  /// would be: the server's own cluster then sees no traffic.
+  void UseOtherPipeline() {
+    other_ = std::make_unique<invalidb::InvalidbCluster>(
+        &clock_, invalidb::InvalidbOptions(),
+        [this](const std::vector<invalidb::Notification>& batch) {
+          server_->OnNotificationBatch(batch);
+        });
+    server_->SetPipeline(other_.get());
+  }
+
+  /// Subscribes to a tags query and checks its add, change and remove.
+  void CheckLifecycle();
+  /// Subscribes to a top-2 query and checks an add into its window, then,
+  /// after a pipeline outage and recovery, a move inside it.
+  void CheckSortedStream();
+
   SimulatedClock clock_;
   db::Database db_;
   std::unique_ptr<QuaestorServer> server_;
   std::unique_ptr<ChangeStreamHub> hub_;
+  std::unique_ptr<invalidb::InvalidbCluster> other_;
 };
 
 TEST_F(StreamsTest, SubscribeReturnsInitialResult) {
@@ -48,7 +67,7 @@ TEST_F(StreamsTest, SubscribeReturnsInitialResult) {
   EXPECT_EQ(hub_->TotalSubscriptions(), 1u);
 }
 
-TEST_F(StreamsTest, DeliversAddChangeRemoveLifecycle) {
+void StreamsTest::CheckLifecycle() {
   std::vector<StreamEvent> events;
   auto id = hub_->Subscribe(
       Q("posts", R"({"tags":{"$contains":"x"}})"),
@@ -76,7 +95,15 @@ TEST_F(StreamsTest, DeliversAddChangeRemoveLifecycle) {
   EXPECT_FALSE(events[2].has_body);
 }
 
-TEST_F(StreamsTest, SortedStreamEmitsWindowEvents) {
+TEST_F(StreamsTest, DeliversAddChangeRemoveLifecycle) { CheckLifecycle(); }
+
+TEST_F(StreamsTest, DeliversAddChangeRemoveLifecycleOnInstalledPipeline) {
+  UseOtherPipeline();
+  CheckLifecycle();
+  EXPECT_EQ(server_->invalidb().RegisteredCount(), 0u);
+}
+
+void StreamsTest::CheckSortedStream() {
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(server_
                     ->Insert("posts", "p" + std::to_string(i),
@@ -108,6 +135,32 @@ TEST_F(StreamsTest, SortedStreamEmitsWindowEvents) {
     }
   }
   EXPECT_TRUE(saw_add_at_zero);
+
+  // Outage recovery registers the stream's query again with its full
+  // event set: p2 overtaking p9 inside the window {p9, p2} still arrives
+  // as a changeIndex event.
+  server_->SetPipelineDown(true);
+  server_->SetPipelineDown(false);
+  events.clear();
+  ASSERT_TRUE(
+      server_->Update("posts", "p2", db::Update().Set("score", db::Value(1000)))
+          .ok());
+  bool saw_p2_to_top = false;
+  for (const StreamEvent& ev : events) {
+    if (ev.type == invalidb::NotificationType::kChangeIndex &&
+        ev.record_id == "p2") {
+      EXPECT_EQ(ev.new_index, 0);
+      saw_p2_to_top = true;
+    }
+  }
+  EXPECT_TRUE(saw_p2_to_top);
+}
+
+TEST_F(StreamsTest, SortedStreamEmitsWindowEvents) { CheckSortedStream(); }
+
+TEST_F(StreamsTest, SortedStreamEmitsWindowEventsOnInstalledPipeline) {
+  UseOtherPipeline();
+  CheckSortedStream();
 }
 
 TEST_F(StreamsTest, MultipleSubscribersShareOneRegistration) {
