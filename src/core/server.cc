@@ -9,6 +9,17 @@
 #include "common/hash.h"
 
 namespace quaestor::core {
+namespace {
+
+/// InvaliDB events a cached result needs (§4.1): an id-list changes only
+/// with membership, an object list also with a member's content.
+invalidb::EventMask CacheEvents(ttl::ResultRepresentation representation) {
+  return representation == ttl::ResultRepresentation::kIdList
+             ? invalidb::kEventsIdList
+             : invalidb::kEventsObjectList;
+}
+
+}  // namespace
 
 void ServerStats::ExportTo(obs::MetricsRegistry* registry,
                            const obs::Labels& labels) const {
@@ -87,6 +98,11 @@ Status QuaestorServer::RegisterLocked(const std::string& key,
                                       const db::Query& query,
                                       invalidb::EventMask events,
                                       std::vector<db::Document>* result) {
+  {
+    std::lock_guard<std::mutex> lock(meta_mu_);
+    auto it = query_meta_.find(key);
+    if (it != query_meta_.end()) events = events | it->second.stream_events;
+  }
   // Changes that commit after this instant race an evaluation below; the
   // pipeline replays them to the new query (§4.1 activation race). A
   // caller's `*result` was evaluated just before.
@@ -118,9 +134,41 @@ Status QuaestorServer::RegisterLocked(const std::string& key,
 Status QuaestorServer::ActivateQuery(const db::Query& query,
                                      invalidb::EventMask events) {
   const std::string key = query.NormalizedKey();
-  std::lock_guard<std::mutex> reg_lock(registration_mu_);
-  if (active_list_.IsRegistered(key)) return Status::OK();
-  return RegisterLocked(key, query, events, nullptr);
+  Status st;
+  {
+    std::lock_guard<std::mutex> reg_lock(registration_mu_);
+    invalidb::EventMask registered{};
+    {
+      std::lock_guard<std::mutex> lock(meta_mu_);
+      auto it = query_meta_.find(key);
+      if (it != query_meta_.end()) {
+        it->second.stream_events = it->second.stream_events | events;
+        registered = it->second.registered_events;
+      }
+    }
+    if (!active_list_.IsRegistered(key)) {
+      return RegisterLocked(key, query, events, nullptr);
+    }
+    if ((registered | events) == registered) return Status::OK();
+    // A fetch registered the query with fewer events (a sorted query's
+    // object list lacks changeIndex): register it again with both.
+    pipeline_->DeregisterQuery(key);
+    active_list_.SetRegistered(key, false);
+    st = RegisterLocked(key, query, registered | events, nullptr);
+  }
+  // Changes that committed between the deregistration and the new
+  // evaluation reached no matcher.
+  FlagCachedCopies(key);
+  return st;
+}
+
+bool QuaestorServer::StreamKeepsRegistration(
+    const std::string& key, invalidb::EventMask events) const {
+  std::lock_guard<std::mutex> lock(meta_mu_);
+  auto it = query_meta_.find(key);
+  if (it == query_meta_.end() || it->second.stream_events == 0) return false;
+  const invalidb::EventMask registered = it->second.registered_events;
+  return (registered | events) == registered;
 }
 
 void QuaestorServer::ReregisterQueries() {
@@ -578,12 +626,12 @@ webcache::HttpResponse QuaestorServer::FetchQuery(
     {
       std::lock_guard<std::mutex> reg_lock(registration_mu_);
       if (!active_list_.IsRegistered(key)) return;
-      pipeline_->DeregisterQuery(key);
-      active_list_.SetRegistered(key, false);
+      if (!StreamKeepsRegistration(key, CacheEvents(*representation))) {
+        pipeline_->DeregisterQuery(key);
+        active_list_.SetRegistered(key, false);
+      }
     }
-    MemoErase(key);
-    ebf_.ReportWrite(key);
-    PurgeEverywhere(key);
+    FlagCachedCopies(key);
   };
 
   // Result reuse: the memo entry of the last execution stands in for a
@@ -775,12 +823,8 @@ webcache::HttpResponse QuaestorServer::FetchQuery(
       if (!active_list_.IsRegistered(key)) {
         // Without an execution here (served from the memo, deregistered by
         // a concurrent eviction since the reuse check) the query runs anew.
-        (void)RegisterLocked(
-            key, query,
-            *representation == ttl::ResultRepresentation::kIdList
-                ? invalidb::kEventsIdList
-                : invalidb::kEventsObjectList,
-            executed ? &docs : nullptr);
+        (void)RegisterLocked(key, query, CacheEvents(*representation),
+                             executed ? &docs : nullptr);
       }
     }
     active_list_.OnRead(key, now, ttl);
@@ -793,17 +837,18 @@ webcache::HttpResponse QuaestorServer::FetchQuery(
 }
 
 void QuaestorServer::EvictQuery(const std::string& query_key) {
-  // Stop maintaining the query. Outstanding cached copies can no longer be
-  // invalidated, so conservatively mark the key stale for as long as any
-  // issued TTL is unexpired and purge CDNs now.
+  // Stop maintaining the query (unless a change stream still needs its
+  // registration). Outstanding cached copies can no longer be invalidated,
+  // so conservatively mark the key stale for as long as any issued TTL is
+  // unexpired and purge CDNs now.
   {
     std::lock_guard<std::mutex> reg_lock(registration_mu_);
-    pipeline_->DeregisterQuery(query_key);
-    active_list_.SetRegistered(query_key, false);
+    if (!StreamKeepsRegistration(query_key, invalidb::EventMask{})) {
+      pipeline_->DeregisterQuery(query_key);
+      active_list_.SetRegistered(query_key, false);
+    }
   }
-  MemoErase(query_key);
-  ebf_.ReportWrite(query_key);
-  PurgeEverywhere(query_key);
+  FlagCachedCopies(query_key);
   ttl_estimator_.Forget(query_key);
 }
 
@@ -851,6 +896,12 @@ void QuaestorServer::FlagAllCachedCopies() {
   // Memoized bodies embed uncapped record TTLs from before the flip —
   // none of them may be replayed.
   MemoClear();
+}
+
+void QuaestorServer::FlagCachedCopies(const std::string& key) {
+  MemoErase(key);
+  ebf_.ReportWrite(key);
+  PurgeEverywhere(key);
 }
 
 void QuaestorServer::RefreshDegradedState() {

@@ -112,7 +112,8 @@ struct PipelineHealth {
   bool pipeline_down = false;  // hard outage (SetPipelineDown)
   bool resizing = false;       // live InvaliDB repartition in progress
   /// Matching nodes of the server's in-process cluster, also when another
-  /// pipeline carries the data path (degraded covers that one).
+  /// pipeline carries the data path (degraded covers that one). A killed
+  /// node counts as dead until ResizeInvalidb rebuilds the grid.
   size_t nodes_alive = 0;
   size_t nodes_total = 0;
   /// Commit-to-processing lag of the most recent notification (µs).
@@ -246,9 +247,11 @@ class QuaestorServer : public webcache::Origin {
   /// feedback and taps see every notification.
   void OnNotificationBatch(const std::vector<invalidb::Notification>& batch);
 
-  /// Activates `query` on the pipeline with `events` unless it is already
-  /// registered (change streams subscribe with kEventsAll). The query's
-  /// shape must be registered.
+  /// Activates `query` on the pipeline with at least `events` (change
+  /// streams subscribe with kEventsAll) and records them as the query's
+  /// stream interest, which every later registration of the query keeps.
+  /// A registration a fetch made with fewer events is widened. The
+  /// query's shape must be registered.
   Status ActivateQuery(const db::Query& query, invalidb::EventMask events);
 
   // -- Fault tolerance & degradation --
@@ -351,6 +354,10 @@ class QuaestorServer : public webcache::Origin {
     /// Event mask of the query's InvaliDB registration; outage recovery
     /// registers the query again with it.
     invalidb::EventMask registered_events = invalidb::kEventsObjectList;
+    /// Events a change stream subscribed to (ActivateQuery); 0 if none.
+    /// Every registration includes them, and eviction or a representation
+    /// switch leaves a registration that covers them in place.
+    invalidb::EventMask stream_events{};
   };
 
   static constexpr Micros kRepresentationDecisionInterval =
@@ -367,15 +374,22 @@ class QuaestorServer : public webcache::Origin {
   webcache::HttpResponse FetchQuery(const webcache::HttpRequest& request,
                                     const db::Query& query);
 
-  /// Registers `query` (key `key`) on the pipeline with `events`: a
-  /// stateless query with its result (`*result`, consumed, when the caller
-  /// just executed it; a fresh execution otherwise), a stateful one with
-  /// its unwindowed predicate set. On success records the mask in the
-  /// query's QueryMeta and marks the key registered. Caller holds
-  /// registration_mu_.
+  /// Registers `query` (key `key`) on the pipeline with `events` plus its
+  /// stream interest: a stateless query with its result (`*result`,
+  /// consumed, when the caller just executed it; a fresh execution
+  /// otherwise), a stateful one with its unwindowed predicate set. On
+  /// success records the mask in the query's QueryMeta and marks the key
+  /// registered. Caller holds registration_mu_.
   Status RegisterLocked(const std::string& key, const db::Query& query,
                         invalidb::EventMask events,
                         std::vector<db::Document>* result);
+
+  /// True if a change stream subscribed to `key` and the key's
+  /// registration delivers at least `events`: the cache side then keeps
+  /// the registration instead of dropping it (which would cut the stream
+  /// off). Caller holds registration_mu_.
+  bool StreamKeepsRegistration(const std::string& key,
+                               invalidb::EventMask events) const;
 
   /// Outage recovery: deregisters every registered query and registers it
   /// again with a fresh evaluation, so the matchers forget membership that
@@ -404,6 +418,9 @@ class QuaestorServer : public webcache::Origin {
   /// outstanding long-TTL copies, including those of queries that have
   /// since fallen off the active list, can no longer be trusted.
   void FlagAllCachedCopies();
+  /// The same for one key whose invalidations may have been missed: flags
+  /// it in the EBF, purges it from CDNs and drops its memoized body.
+  void FlagCachedCopies(const std::string& key);
 
   /// Re-evaluates degraded() against the remembered state: counts the
   /// flip and, on a healthy→degraded edge, flags all cached copies

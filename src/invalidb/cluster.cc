@@ -53,7 +53,6 @@ void ClusterStats::ExportTo(obs::MetricsRegistry* registry,
   registry->Count("invalidb_notifications_delivered", labels,
                   notifications_delivered);
   registry->Count("invalidb_node_kills", labels, node_kills);
-  registry->Count("invalidb_node_restarts", labels, node_restarts);
   registry->Count("invalidb_tasks_dropped_dead", labels, tasks_dropped_dead);
   registry->Count("invalidb_match_checks", labels, match_checks);
   registry->Count("invalidb_match_checks_naive", labels, match_checks_naive);
@@ -183,11 +182,9 @@ void InvalidbCluster::WorkerLoop(Node* node) {
         for (size_t j = i; j < end; ++j) {
           run->push_back(std::get<ChangeBatchTask>(drained[j]).events->front());
         }
-        Task coalesced(ChangeBatchTask{std::move(run)});
-        ExecuteTask(*node, coalesced, scratch);
-      } else {
-        ExecuteTask(*node, drained[i], scratch);
+        drained[i] = ChangeBatchTask{std::move(run)};
       }
+      ExecuteTask(*node, drained[i], scratch);
       retire(static_cast<int64_t>(end - i));
       i = end;
     }
@@ -196,32 +193,17 @@ void InvalidbCluster::WorkerLoop(Node* node) {
 
 void InvalidbCluster::ExecuteTask(Node& node, Task& task,
                                   NotifyScratch& scratch) {
-  node.last_heartbeat.store(clock_->NowMicros(), std::memory_order_relaxed);
-  scratch.raw.clear();
-  // Control tasks first: they must execute even on a dead node, in queue
-  // order, so the crash window covers exactly the tasks between them.
+  // The control task executes even on a dead node, in queue order, so the
+  // crash window starts exactly where it sits in the task stream.
   if (std::get_if<KillTask>(&task) != nullptr) {
     node.matcher.Clear();
     node.alive.store(false, std::memory_order_release);
     return;
   }
-  if (auto* restart = std::get_if<RestartTask>(&task)) {
-    node.matcher.Clear();
-    for (RegisterTask& reg : restart->installs) {
-      node.matcher.AddQuery(reg.query, reg.key, std::move(reg.initial_ids));
-      for (const db::ChangeEvent& ev : reg.replay) {
-        scratch.raw.clear();
-        node.matcher.MatchSingle(reg.key, ev, &scratch.raw);
-        if (!scratch.raw.empty()) Dispatch(scratch, ev.after);
-      }
-    }
-    node.alive.store(true, std::memory_order_release);
-    return;
-  }
   if (!node.alive.load(std::memory_order_acquire)) {
-    // A crashed node loses everything sent to it until its restart. A
-    // change batch counts once per event it carries, so drop accounting
-    // does not depend on batch boundaries.
+    // A crashed node loses everything sent to it until an evaluator Resize
+    // replaces it. A change batch counts once per event it carries, so
+    // drop accounting does not depend on batch boundaries.
     const auto* dead_batch = std::get_if<ChangeBatchTask>(&task);
     std::lock_guard<std::mutex> lock(sink_mu_);
     stats_.tasks_dropped_dead +=
@@ -233,11 +215,7 @@ void InvalidbCluster::ExecuteTask(Node& node, Task& task,
                           std::move(reg->initial_ids));
     // Replay recently received objects for this query (§4.1): closes the
     // window between initial evaluation and activation.
-    for (const db::ChangeEvent& ev : reg->replay) {
-      scratch.raw.clear();
-      node.matcher.MatchSingle(reg->key, ev, &scratch.raw);
-      if (!scratch.raw.empty()) Dispatch(scratch, ev.after);
-    }
+    Replay(node, reg->key, reg->replay, scratch);
   } else if (auto* dereg = std::get_if<DeregisterTask>(&task)) {
     node.matcher.RemoveQuery(dereg->key);
   } else if (auto* batch = std::get_if<ChangeBatchTask>(&task)) {
@@ -305,15 +283,28 @@ void InvalidbCluster::Deliver(NotifyScratch& scratch) {
   deliverable.clear();
 }
 
-void InvalidbCluster::Dispatch(NotifyScratch& scratch,
-                               const db::Document& after_image) {
-  obs::ScopedSpan span(tracer_, "invalidb.notify");
-  scratch.deliverable.clear();
-  for (Notification& n : scratch.raw) {
-    Translate(n, after_image, scratch);
+std::vector<db::ChangeEvent> InvalidbCluster::ReplayAfter(
+    Micros eval_time) const {
+  std::vector<db::ChangeEvent> replay;
+  std::lock_guard<std::mutex> lock(replay_mu_);
+  for (const db::ChangeEvent& ev : replay_buffer_) {
+    if (ev.commit_time > eval_time) replay.push_back(ev);
   }
-  scratch.raw.clear();
-  Deliver(scratch);
+  return replay;
+}
+
+void InvalidbCluster::Replay(Node& node, const std::string& key,
+                             const std::vector<db::ChangeEvent>& events,
+                             NotifyScratch& scratch) {
+  scratch.batch_raw.clear();
+  scratch.offsets.assign(1, 0);
+  for (const db::ChangeEvent& ev : events) {
+    node.matcher.MatchSingle(key, ev, &scratch.batch_raw);
+    scratch.offsets.push_back(scratch.batch_raw.size());
+  }
+  if (!scratch.batch_raw.empty()) {
+    DispatchBatch(scratch, events, scratch.offsets);
+  }
 }
 
 void InvalidbCluster::DispatchBatch(NotifyScratch& scratch,
@@ -364,15 +355,8 @@ Status InvalidbCluster::RegisterQuery(
   // would produce spurious invalidations — so only strictly newer events
   // are replayed (the activation race of §4.1 only involves writes that
   // commit after the evaluation).
-  const Micros eval_time =
-      evaluated_at < 0 ? clock_->NowMicros() : evaluated_at;
-  std::vector<db::ChangeEvent> replay;
-  {
-    std::lock_guard<std::mutex> lock(replay_mu_);
-    for (const db::ChangeEvent& ev : replay_buffer_) {
-      if (ev.commit_time > eval_time) replay.push_back(ev);
-    }
-  }
+  const std::vector<db::ChangeEvent> replay =
+      ReplayAfter(evaluated_at < 0 ? clock_->NowMicros() : evaluated_at);
 
   // Partition the initial result ids over the column's rows.
   const size_t column = ColumnOf(key);
@@ -472,67 +456,6 @@ void InvalidbCluster::KillNode(size_t node_index) {
   SubmitToNode(*nodes_[node_index], Task(KillTask{}));
 }
 
-size_t InvalidbCluster::RestartNode(size_t node_index,
-                                    const ResultEvaluator& evaluate) {
-  TopologyReadGuard topology(&topology_mu_, this);
-  if (node_index >= nodes_.size()) return 0;
-  const size_t column = node_index % options_.query_partitions;
-  const size_t row = node_index / options_.query_partitions;
-
-  // Snapshot the registry: every query of this node's column.
-  std::vector<std::pair<std::string, Subscription>> to_install;
-  {
-    std::lock_guard<std::mutex> lock(subs_mu_);
-    for (const auto& [key, sub] : subscriptions_) {
-      if (ColumnOf(key) == column) to_install.emplace_back(key, sub);
-    }
-  }
-
-  // Events that commit after this point race the rebuild; replay them
-  // like a fresh registration does (§4.1 activation race). Everything
-  // already ingested is reflected in the authoritative evaluation, so
-  // lower-bound by the highest ingested commit_time in case the stream's
-  // timestamps run ahead of the wall clock.
-  const Micros eval_time =
-      std::max(clock_->NowMicros(),
-               last_ingested_commit_.load(std::memory_order_relaxed));
-
-  RestartTask task;
-  for (auto& [key, sub] : to_install) {
-    const std::vector<db::Document> result = evaluate(
-        db::Query(sub.query.table(), sub.query.filter()));
-    if (sub.stateful) {
-      // The sorted layer is cluster-level: re-seed its window from the
-      // authoritative result (it may have missed events while the node
-      // was down).
-      sorted_layer_.RemoveQuery(key);
-      sorted_layer_.AddQuery(sub.query, key, result);
-    }
-    RegisterTask reg;
-    reg.query = db::Query(sub.query.table(), sub.query.filter());
-    reg.key = key;
-    for (const db::Document& doc : result) {
-      if (RowOf(doc.id) == row) reg.initial_ids.push_back(doc.id);
-    }
-    {
-      std::lock_guard<std::mutex> lock(replay_mu_);
-      for (const db::ChangeEvent& ev : replay_buffer_) {
-        if (ev.commit_time > eval_time && RowOf(ev.after.id) == row) {
-          reg.replay.push_back(ev);
-        }
-      }
-    }
-    task.installs.push_back(std::move(reg));
-  }
-  {
-    std::lock_guard<std::mutex> lock(sink_mu_);
-    stats_.node_restarts++;
-  }
-  const size_t installed = task.installs.size();
-  SubmitToNode(*nodes_[node_index], Task(std::move(task)));
-  return installed;
-}
-
 size_t InvalidbCluster::Resize(size_t new_query_partitions,
                                size_t new_object_partitions,
                                const ResultEvaluator& evaluate) {
@@ -593,14 +516,6 @@ size_t InvalidbCluster::Resize(size_t new_query_partitions,
   std::sort(registry.begin(), registry.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 
-  std::vector<db::ChangeEvent> replay;
-  {
-    std::lock_guard<std::mutex> lock(replay_mu_);
-    for (const db::ChangeEvent& ev : replay_buffer_) {
-      if (ev.commit_time > eval_time) replay.push_back(ev);
-    }
-  }
-
   const auto new_column = [&](const std::string& key) {
     return static_cast<size_t>(Hash64(key, /*seed=*/0x9c0d)) %
            new_query_partitions;
@@ -609,6 +524,11 @@ size_t InvalidbCluster::Resize(size_t new_query_partitions,
     return static_cast<size_t>(Hash64(id, /*seed=*/0x51f1)) %
            new_object_partitions;
   };
+  std::vector<std::vector<db::ChangeEvent>> replay_by_row(
+      new_object_partitions);
+  for (db::ChangeEvent& ev : ReplayAfter(eval_time)) {
+    replay_by_row[new_row(ev.after.id)].push_back(std::move(ev));
+  }
 
   uint64_t events_replayed = 0;
   NotifyScratch scratch;
@@ -617,8 +537,8 @@ size_t InvalidbCluster::Resize(size_t new_query_partitions,
     db::Query base(sub.query.table(), sub.query.filter());
     std::vector<std::string> ids;
     if (evaluate) {
-      // Registry-rebuild path: authoritative re-evaluation, identical to
-      // RestartNode. Also re-seeds the sorted layer, whose window may
+      // Registry-rebuild path (also node failover): authoritative
+      // re-evaluation. Also re-seeds the sorted layer, whose window may
       // have drifted if nodes died before this resize.
       const std::vector<db::Document> result = evaluate(base);
       if (sub.stateful) {
@@ -651,13 +571,8 @@ size_t InvalidbCluster::Resize(size_t new_query_partitions,
     for (size_t row = 0; row < new_object_partitions; ++row) {
       Node& node = *fresh[row * new_query_partitions + col];
       node.matcher.AddQuery(base, key, std::move(ids_by_row[row]));
-      for (const db::ChangeEvent& ev : replay) {
-        if (new_row(ev.after.id) != row) continue;
-        events_replayed++;
-        scratch.raw.clear();
-        node.matcher.MatchSingle(key, ev, &scratch.raw);
-        if (!scratch.raw.empty()) Dispatch(scratch, ev.after);
-      }
+      Replay(node, key, replay_by_row[row], scratch);
+      events_replayed += replay_by_row[row].size();
     }
   }
 
@@ -712,12 +627,6 @@ Histogram InvalidbCluster::MigrationPauseHistogram() const {
   return migration_pause_;
 }
 
-bool InvalidbCluster::NodeAlive(size_t node_index) const {
-  TopologyReadGuard topology(&topology_mu_, this);
-  if (node_index >= nodes_.size()) return false;
-  return nodes_[node_index]->alive.load(std::memory_order_acquire);
-}
-
 size_t InvalidbCluster::AliveCount() const {
   TopologyReadGuard topology(&topology_mu_, this);
   size_t alive = 0;
@@ -725,27 +634,6 @@ size_t InvalidbCluster::AliveCount() const {
     if (node->alive.load(std::memory_order_acquire)) alive++;
   }
   return alive;
-}
-
-std::vector<NodeHealth> InvalidbCluster::Health() const {
-  TopologyReadGuard topology(&topology_mu_, this);
-  std::vector<NodeHealth> out;
-  out.reserve(nodes_.size());
-  for (const auto& node : nodes_) {
-    NodeHealth h;
-    h.alive = node->alive.load(std::memory_order_acquire);
-    h.last_heartbeat = node->last_heartbeat.load(std::memory_order_relaxed);
-    out.push_back(h);
-  }
-  return out;
-}
-
-std::vector<std::string> InvalidbCluster::RegisteredKeys() const {
-  std::lock_guard<std::mutex> lock(subs_mu_);
-  std::vector<std::string> keys;
-  keys.reserve(subscriptions_.size());
-  for (const auto& [key, sub] : subscriptions_) keys.push_back(key);
-  return keys;
 }
 
 void InvalidbCluster::Flush() {

@@ -53,21 +53,13 @@ struct InvalidbOptions {
   bool indexed_matching = true;
 };
 
-/// Health snapshot of one matching node (heartbeat API).
-struct NodeHealth {
-  bool alive = true;
-  /// Last time the node's worker executed a task (µs since epoch; 0 if it
-  /// never ran).
-  Micros last_heartbeat = 0;
-};
-
 /// Per-cluster activity counters.
 struct ClusterStats {
   uint64_t changes_ingested = 0;
   uint64_t notifications_delivered = 0;
-  /// Failover accounting: crashes, recoveries, and work lost while dead.
+  /// Failover accounting: crashes and work lost while dead (recovery is
+  /// an evaluator Resize, counted in rebalance_resizes).
   uint64_t node_kills = 0;
-  uint64_t node_restarts = 0;
   uint64_t tasks_dropped_dead = 0;
   /// query×update predicate evaluations actually performed (with indexed
   /// matching: candidates only).
@@ -147,27 +139,18 @@ class InvalidbCluster : public Pipeline {
   // -- Node failover --
 
   /// Evaluates a (predicate-only) query against the authoritative
-  /// database; RestartNode uses it to rebuild a node's matching state.
+  /// database; an evaluator Resize uses it to rebuild matching state.
   using ResultEvaluator =
       std::function<std::vector<db::Document>(const db::Query&)>;
 
   /// Crashes one matching node (row-major index): its in-memory state is
   /// wiped and every non-control task it receives while dead is dropped
   /// (counted in tasks_dropped_dead). Subscriptions survive at the
-  /// cluster level — they are the registry a restart rebuilds from.
+  /// cluster level — they are the registry the failover rebuild, an
+  /// evaluator Resize (to the current shape or any other), starts from.
   void KillNode(size_t node_index);
 
-  /// Restarts a killed node: re-evaluates every registered query of the
-  /// node's column via `evaluate`, re-seeds the sorted layer for stateful
-  /// queries, and reinstalls this row's share of each result. The node
-  /// resumes matching once the rebuild task executes (queue order, so
-  /// events that arrived while dead stay dropped). Returns how many
-  /// queries were reinstalled.
-  size_t RestartNode(size_t node_index, const ResultEvaluator& evaluate);
-
-  bool NodeAlive(size_t node_index) const;
   size_t AliveCount() const;
-  std::vector<NodeHealth> Health() const;
 
   // -- Elastic scale-out --
 
@@ -182,12 +165,12 @@ class InvalidbCluster : public Pipeline {
   /// registered with results evaluated at the cutover instant.
   ///
   /// With `evaluate`, each query's matching set is re-evaluated against
-  /// the authoritative database (the PR 3 registry-rebuild path): this
-  /// also re-seeds the sorted layer for stateful queries and recovers
-  /// state lost to dead nodes. Without it, state is handed off directly
-  /// from the old grid (union of each query's per-row matching-id shards)
-  /// — cheaper, but it requires every old node alive and leaves the
-  /// sorted layer untouched.
+  /// the authoritative database: this also re-seeds the sorted layer for
+  /// stateful queries and recovers state lost to dead nodes — node
+  /// failover is this path on the current shape. Without it, state is
+  /// handed off directly from the old grid (union of each query's per-row
+  /// matching-id shards) — cheaper, but it requires every old node alive
+  /// and leaves the sorted layer untouched.
   ///
   /// Resizing to the current shape is permitted and acts as a full grid
   /// rebuild. Returns the number of queries re-installed. Must not be
@@ -197,9 +180,6 @@ class InvalidbCluster : public Pipeline {
 
   /// Stop-the-world pause of each completed Resize (ms).
   Histogram MigrationPauseHistogram() const;
-
-  /// Keys of all registered queries (the failover registry).
-  std::vector<std::string> RegisteredKeys() const;
 
   /// Blocks until all queued work is processed (threaded mode; immediate
   /// otherwise).
@@ -252,30 +232,26 @@ class InvalidbCluster : public Pipeline {
   struct ChangeBatchTask {
     std::shared_ptr<const std::vector<db::ChangeEvent>> events;
   };
-  /// Control tasks (failover): processed even by a dead node, in queue
-  /// order, so the alive flag flips exactly where the crash/recovery sits
-  /// in the task stream.
+  /// Control task (failover): processed even by a dead node, in queue
+  /// order, so the alive flag flips exactly where the crash sits in the
+  /// task stream.
   struct KillTask {};
-  struct RestartTask {
-    std::vector<RegisterTask> installs;
-  };
-  using Task = std::variant<RegisterTask, DeregisterTask, ChangeBatchTask,
-                            KillTask, RestartTask>;
+  using Task =
+      std::variant<RegisterTask, DeregisterTask, ChangeBatchTask, KillTask>;
 
   struct Node {
     explicit Node(bool indexed) : matcher(indexed) {}
     MatchingNode matcher;
     std::unique_ptr<BoundedQueue<Task>> queue;  // threaded mode only
     std::thread worker;
-    /// Toggled by Kill/RestartTask execution on the worker itself.
+    /// Cleared by KillTask execution on the worker itself; a node comes
+    /// back only as a fresh node of an evaluator Resize.
     std::atomic<bool> alive{true};
-    std::atomic<Micros> last_heartbeat{0};
   };
 
   /// Per-thread reusable notification buffers (hot-path allocation churn:
   /// one MatchBatch plus one dispatch per change task per node).
   struct NotifyScratch {
-    std::vector<Notification> raw;
     std::vector<Notification> deliverable;
     std::vector<Notification> windowed;
     /// Batch matching: all notifications of one MatchBatch plus the
@@ -287,7 +263,7 @@ class InvalidbCluster : public Pipeline {
   struct Subscription {
     EventMask mask;
     bool stateful;
-    /// The full (windowed) query — the restart registry needs it to
+    /// The full (windowed) query — an evaluator Resize needs it to
     /// re-evaluate results and re-seed the sorted layer after a crash.
     db::Query query;
   };
@@ -301,13 +277,17 @@ class InvalidbCluster : public Pipeline {
   void ExecuteTask(Node& node, Task& task, NotifyScratch& scratch);
   void Submit(size_t column, size_t row, Task task);
   void SubmitToNode(Node& node, Task task);
-  /// Consumes `scratch.raw` (notifications are moved out, vector is left
-  /// cleared) and delivers the subscribed subset to the sink. Used by the
-  /// single-query MatchSingle replays of registration, restart and resize.
-  void Dispatch(NotifyScratch& scratch, const db::Document& after_image);
-  /// Batch form: consumes `scratch.batch_raw` using the per-event slice
-  /// boundaries in `offsets` (each slice is translated against its own
-  /// after-image), then delivers everything under one sink lock.
+  /// Change events with commit_time > `eval_time` (the §4.1 activation
+  /// race: they may be missing from a result evaluated at `eval_time`).
+  std::vector<db::ChangeEvent> ReplayAfter(Micros eval_time) const;
+  /// Matches `events` (one row's share of a replay) against the query
+  /// `key` just installed on `node` and delivers the notifications.
+  void Replay(Node& node, const std::string& key,
+              const std::vector<db::ChangeEvent>& events,
+              NotifyScratch& scratch);
+  /// Consumes `scratch.batch_raw` using the per-event slice boundaries in
+  /// `offsets` (each slice is translated against its own after-image),
+  /// then delivers everything under one sink lock.
   void DispatchBatch(NotifyScratch& scratch,
                      const std::vector<db::ChangeEvent>& events,
                      const std::vector<size_t>& offsets);

@@ -59,8 +59,8 @@ class MatchingNode {
   void RemoveQuery(const std::string& query_key);
 
   /// Drops every installed query and all per-record state — a node crash
-  /// wipes its in-memory matching state (failover support; the cluster
-  /// rebuilds it from the subscription registry on restart).
+  /// wipes its in-memory matching state (failover support; an evaluator
+  /// Resize rebuilds the grid from the cluster's subscription registry).
   void Clear();
 
   bool HasQuery(const std::string& query_key) const;

@@ -38,6 +38,11 @@ enum EventMask : uint8_t {
   kEventsAll = kEventAdd | kEventRemove | kEventChange | kEventChangeIndex,
 };
 
+constexpr EventMask operator|(EventMask a, EventMask b) {
+  return static_cast<EventMask>(static_cast<uint8_t>(a) |
+                                static_cast<uint8_t>(b));
+}
+
 constexpr EventMask EventBit(NotificationType t) {
   switch (t) {
     case NotificationType::kAdd:

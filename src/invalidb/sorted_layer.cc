@@ -58,11 +58,6 @@ std::vector<std::string> SortedQueryState::WindowIds() const {
   return WindowIdsLocked();
 }
 
-size_t SortedQueryState::TotalMatching() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return members_.size();
-}
-
 void SortedQueryState::OnRawEvent(NotificationType raw_type,
                                   const db::Document& doc, Micros event_time,
                                   std::vector<Notification>* out) {

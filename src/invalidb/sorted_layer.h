@@ -35,9 +35,6 @@ class SortedQueryState {
   /// Ids currently visible in the window, in order.
   std::vector<std::string> WindowIds() const;
 
-  /// Size of the full ordered matching set.
-  size_t TotalMatching() const;
-
  private:
   struct Member {
     std::string id;

@@ -530,58 +530,6 @@ TEST(ChaosTest, PollerCrashAndRestartLosesNothing) {
   EXPECT_EQ(count.load(), 20);
 }
 
-TEST(ChaosTest, NodeKillRestartRebuildsMatchingState) {
-  SimulatedClock clock(0);
-  db::Database db(&clock);
-  std::vector<invalidb::Notification> received;
-  invalidb::InvalidbCluster cluster(
-      &clock, invalidb::InvalidbOptions(),
-      [&](const std::vector<invalidb::Notification>& batch) {
-        received.insert(received.end(), batch.begin(), batch.end());
-      });
-  db::Query q = Q("posts", R"({"g":{"$gte":1}})");
-  ASSERT_TRUE(cluster.RegisterQuery(q, {}, invalidb::kEventsAll).ok());
-
-  auto commit = [&](const std::string& id, int g) {
-    auto r = db.Upsert("posts", id,
-                       Doc(("{\"g\":" + std::to_string(g) + "}").c_str()));
-    ASSERT_TRUE(r.ok());
-  };
-  db.AddChangeListener(
-      [&](const db::ChangeEvent& ev) { cluster.OnChangeBatch({ev}); });
-
-  commit("d1", 1);
-  ASSERT_EQ(received.size(), 1u);
-  EXPECT_EQ(received[0].type, invalidb::NotificationType::kAdd);
-
-  // Crash the (single) node; the commit below is silently lost.
-  cluster.KillNode(0);
-  cluster.Flush();
-  commit("d2", 1);
-  clock.Advance(kMicrosPerSecond);
-  EXPECT_EQ(received.size(), 1u);
-  EXPECT_EQ(cluster.AliveCount(), 0u);
-  EXPECT_GE(cluster.stats().tasks_dropped_dead, 1u);
-
-  // Failover: rebuild from the authoritative database.
-  cluster.RestartNode(0, [&](const db::Query& rq) { return db.Execute(rq); });
-  cluster.Flush();
-  EXPECT_EQ(cluster.AliveCount(), 1u);
-  EXPECT_EQ(cluster.stats().node_kills, 1u);
-  EXPECT_EQ(cluster.stats().node_restarts, 1u);
-
-  // d2 was recovered into the membership state: an in-place update is a
-  // kChange (a node that had lost d2 would emit kAdd), and leaving the
-  // result emits kRemove.
-  commit("d2", 2);
-  ASSERT_EQ(received.size(), 2u);
-  EXPECT_EQ(received[1].type, invalidb::NotificationType::kChange);
-  EXPECT_EQ(received[1].record_id, "d2");
-  commit("d2", 0);
-  ASSERT_EQ(received.size(), 3u);
-  EXPECT_EQ(received[2].type, invalidb::NotificationType::kRemove);
-}
-
 // ---------------------------------------------------------------------------
 // Degraded caching end to end: outage → TTL-capped Δ bound → recovery
 // ---------------------------------------------------------------------------
@@ -896,7 +844,7 @@ TEST(ChaosTest, OverloadWithNodeKillKeepsAvailabilityAndConsistency) {
   // covered by the server's degraded TTL caps; the oracle only demands
   // the degraded budget while it lasts.
   bool killed = false;
-  bool restarted = false;
+  bool rebuilt = false;
   sim.AddOpObserver([&](const sim::OpObservation&) {
     const Micros now = sim_ptr->clock().NowMicros();
     if (!killed && now >= SecondsToMicros(7.0)) {
@@ -904,11 +852,15 @@ TEST(ChaosTest, OverloadWithNodeKillKeepsAvailabilityAndConsistency) {
       oracle.SetDegraded(true, SecondsToMicros(10.0));
       killed = true;
     }
-    if (killed && !restarted && now >= SecondsToMicros(11.0)) {
-      sim_ptr->server().invalidb().RestartNode(
-          0, [&](const db::Query& rq) { return sim_ptr->database().Execute(rq); });
+    if (killed && !rebuilt && now >= SecondsToMicros(11.0)) {
+      invalidb::InvalidbCluster& cluster = sim_ptr->server().invalidb();
+      cluster.Resize(cluster.options().query_partitions,
+                     cluster.options().object_partitions,
+                     [&](const db::Query& rq) {
+                       return sim_ptr->database().Execute(rq);
+                     });
       oracle.SetDegraded(false);
-      restarted = true;
+      rebuilt = true;
     }
   });
 
@@ -932,7 +884,8 @@ TEST(ChaosTest, OverloadWithNodeKillKeepsAvailabilityAndConsistency) {
   sim::SimResults r = sim.Run();
 
   ASSERT_TRUE(killed);
-  ASSERT_TRUE(restarted);
+  ASSERT_TRUE(rebuilt);
+  EXPECT_EQ(r.invalidb_stats.rebalance_resizes, 1u);
 
   // The protections engaged: the origin shed work and stale-retained
   // copies absorbed part of the storm.

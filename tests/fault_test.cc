@@ -606,10 +606,9 @@ TEST(DegradationTest, DeadNodeDegradesUntilRestart) {
   EXPECT_TRUE(health.degraded);
   EXPECT_EQ(health.nodes_alive, 0u);
   EXPECT_EQ(health.nodes_total, 1u);
-  server.invalidb().RestartNode(
-      0, [&](const db::Query& q) { return db.Execute(q); });
-  server.invalidb().Flush();
+  server.ResizeInvalidb(1, 1);
   EXPECT_FALSE(server.degraded());
+  EXPECT_EQ(server.pipeline_health().nodes_alive, 1u);
 }
 
 // degraded() asks the installed pipeline: with a second cluster carrying
@@ -635,8 +634,7 @@ TEST(DegradationTest, DeadNodeOfInstalledPipelineDegradesUntilRestart) {
   EXPECT_TRUE(health.degraded);
   EXPECT_EQ(health.nodes_alive, 1u);
   EXPECT_EQ(health.nodes_total, 1u);
-  pipeline.RestartNode(0, [&](const db::Query& q) { return db.Execute(q); });
-  pipeline.Flush();
+  pipeline.Resize(1, 1, [&](const db::Query& q) { return db.Execute(q); });
   EXPECT_FALSE(server.degraded());
 
   server.invalidb().KillNode(0);

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -272,66 +273,168 @@ TEST(RebalanceTest, FaultyChannelResizeByteIdenticalAcross20Seeds) {
 // Evaluator-path resize: recovery from dead nodes
 // ---------------------------------------------------------------------------
 
+// Node failover is an evaluator Resize, to another shape or to the
+// current one (a 1x1 grid rebuilt in place).
 TEST(RebalanceTest, EvaluatorResizeRecoversStateLostToDeadNodes) {
+  struct Shapes {
+    size_t query_partitions, object_partitions;
+    size_t new_query_partitions, new_object_partitions;
+  };
+  for (const Shapes& shapes : {Shapes{2, 2, 3, 2}, Shapes{1, 1, 1, 1}}) {
+    SCOPED_TRACE(std::to_string(shapes.query_partitions) + "x" +
+                 std::to_string(shapes.object_partitions) + " -> " +
+                 std::to_string(shapes.new_query_partitions) + "x" +
+                 std::to_string(shapes.new_object_partitions));
+    SimulatedClock clock(0);
+    db::Database db(&clock);
+    std::vector<invalidb::Notification> received;
+    invalidb::InvalidbOptions opts;
+    opts.query_partitions = shapes.query_partitions;
+    opts.object_partitions = shapes.object_partitions;
+    invalidb::InvalidbCluster cluster(
+        &clock, opts,
+        [&](const std::vector<invalidb::Notification>& batch) {
+          received.insert(received.end(), batch.begin(), batch.end());
+        });
+    db::Query q = Q("posts", R"({"g":{"$gte":1}})");
+    ASSERT_TRUE(cluster.RegisterQuery(q, {}, invalidb::kEventsAll).ok());
+
+    auto commit = [&](const std::string& id, int g) {
+      auto r = db.Upsert(
+          "posts", id, Doc(("{\"g\":" + std::to_string(g) + "}").c_str()));
+      ASSERT_TRUE(r.ok());
+      clock.Advance(kMicrosPerMilli);
+      cluster.OnChangeBatch({Change(id, g, /*score=*/0, r.value().write_time)});
+    };
+
+    for (int i = 0; i < 8; ++i) commit("d" + std::to_string(i), 1);
+    const size_t before_kill = received.size();
+    EXPECT_EQ(before_kill, 8u);  // every insert produced one kAdd
+
+    // Kill every node and keep committing: these adds are lost in-flight
+    // AND absent from the matchers.
+    const size_t old_n = cluster.NumNodes();
+    for (size_t n = 0; n < old_n; ++n) cluster.KillNode(n);
+    EXPECT_EQ(cluster.AliveCount(), 0u);
+    for (int i = 8; i < 12; ++i) commit("d" + std::to_string(i), 1);
+    EXPECT_EQ(received.size(), before_kill);
+    EXPECT_GT(cluster.stats().tasks_dropped_dead, 0u);
+
+    // Evaluator-path resize rebuilds the grid from the authoritative
+    // database — dead nodes and all.
+    const size_t reinstalled = cluster.Resize(
+        shapes.new_query_partitions, shapes.new_object_partitions,
+        [&](const db::Query& query) { return db.Execute(query); });
+    const size_t new_n =
+        shapes.new_query_partitions * shapes.new_object_partitions;
+    EXPECT_EQ(reinstalled, 1u);
+    EXPECT_EQ(cluster.NumNodes(), new_n);
+    EXPECT_EQ(cluster.AliveCount(), new_n);
+    EXPECT_EQ(cluster.options().query_partitions,
+              shapes.new_query_partitions);
+    EXPECT_EQ(cluster.options().object_partitions,
+              shapes.new_object_partitions);
+
+    // d10's membership was recovered: an in-place update is a kChange (a
+    // grid that lost d10 would emit kAdd), and leaving the result emits
+    // kRemove.
+    commit("d10", 2);
+    ASSERT_EQ(received.size(), before_kill + 1);
+    EXPECT_EQ(received.back().type, invalidb::NotificationType::kChange);
+    EXPECT_EQ(received.back().record_id, "d10");
+    commit("d10", 0);
+    ASSERT_EQ(received.size(), before_kill + 2);
+    EXPECT_EQ(received.back().type, invalidb::NotificationType::kRemove);
+
+    const invalidb::ClusterStats stats = cluster.stats();
+    EXPECT_EQ(stats.node_kills, old_n);
+    EXPECT_EQ(stats.rebalance_resizes, 1u);
+    EXPECT_EQ(stats.rebalance_queries_reinstalled, 1u);
+    EXPECT_EQ(stats.rebalance_nodes_added, new_n - old_n);
+    EXPECT_EQ(stats.rebalance_nodes_removed, 0u);
+    EXPECT_EQ(cluster.MigrationPauseHistogram().count(), 1u);
+  }
+}
+
+// Threaded failover: nodes die with changes still queued, a same-shape
+// evaluator Resize rebuilds the grid, and from then on the cluster
+// notifies exactly like a fresh cluster registered at the cutover. One
+// object partition: with several, worker threads feed a sorted query's
+// window in an order that differs from run to run.
+TEST(RebalanceTest, EvaluatorResizeRebuildsThreadedGridKilledMidStream) {
+  // The database's clock stamps commits and is advanced by this thread
+  // only; the clusters' workers read the system clock.
   SimulatedClock clock(0);
   db::Database db(&clock);
-  std::vector<invalidb::Notification> received;
   invalidb::InvalidbOptions opts;
+  opts.threaded = true;
   opts.query_partitions = 2;
-  opts.object_partitions = 2;
+  std::mutex mu;
+  std::vector<std::string> got;
   invalidb::InvalidbCluster cluster(
-      &clock, opts,
+      SystemClock::Default(), opts,
       [&](const std::vector<invalidb::Notification>& batch) {
-        received.insert(received.end(), batch.begin(), batch.end());
+        std::lock_guard<std::mutex> lock(mu);
+        for (const invalidb::Notification& n : batch) got.push_back(Sig(n));
       });
-  db::Query q = Q("posts", R"({"g":{"$gte":1}})");
-  ASSERT_TRUE(cluster.RegisterQuery(q, {}, invalidb::kEventsAll).ok());
-
-  auto commit = [&](const std::string& id, int g) {
-    auto r = db.Upsert(
-        "posts", id, Doc(("{\"g\":" + std::to_string(g) + "}").c_str()));
-    ASSERT_TRUE(r.ok());
-    clock.Advance(kMicrosPerMilli);
-    cluster.OnChangeBatch({Change(id, g, /*score=*/0, r.value().write_time)});
+  for (const db::Query& q : TestQueries()) {
+    ASSERT_TRUE(cluster.RegisterQuery(q, {}, invalidb::kEventsAll).ok());
+  }
+  std::vector<invalidb::InvalidbCluster*> targets = {&cluster};
+  db.AddChangeListener([&](const db::ChangeEvent& ev) {
+    for (invalidb::InvalidbCluster* target : targets) {
+      target->OnChangeBatch({ev});
+    }
+  });
+  const std::vector<db::ChangeEvent> stream = MakeStream(7, 300, &clock);
+  auto apply = [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      clock.Advance(kMicrosPerMilli);
+      ASSERT_TRUE(
+          db.Upsert("posts", stream[i].after.id, stream[i].after.body).ok());
+    }
   };
 
-  for (int i = 0; i < 8; ++i) commit("d" + std::to_string(i), 1);
-  const size_t before_kill = received.size();
-  EXPECT_EQ(before_kill, 8u);  // every insert produced one kAdd
-
-  // Kill every node and keep committing: these adds are lost in-flight
-  // AND absent from the matchers.
-  for (size_t n = 0; n < cluster.NumNodes(); ++n) cluster.KillNode(n);
-  for (int i = 8; i < 12; ++i) commit("d" + std::to_string(i), 1);
-  EXPECT_EQ(received.size(), before_kill);
+  // No Flush: each kill lands behind queued changes, and every change
+  // queued after it on that node is lost.
+  apply(0, 100);
+  cluster.KillNode(1);
+  apply(100, 120);
+  cluster.KillNode(0);
+  apply(120, 150);
+  cluster.Resize(2, 1,
+                 [&](const db::Query& query) { return db.Execute(query); });
+  EXPECT_EQ(cluster.AliveCount(), 2u);
   EXPECT_GT(cluster.stats().tasks_dropped_dead, 0u);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    got.clear();
+  }
 
-  // Evaluator-path resize rebuilds the grid from the authoritative
-  // database — dead nodes and all.
-  const size_t reinstalled = cluster.Resize(
-      3, 2, [&](const db::Query& query) { return db.Execute(query); });
-  EXPECT_EQ(reinstalled, 1u);
-  EXPECT_EQ(cluster.NumNodes(), 6u);
-  EXPECT_EQ(cluster.AliveCount(), 6u);
-  EXPECT_EQ(cluster.options().query_partitions, 3u);
-  EXPECT_EQ(cluster.options().object_partitions, 2u);
+  std::vector<std::string> expected;
+  invalidb::InvalidbCluster reference(
+      SystemClock::Default(), invalidb::InvalidbOptions(),
+      [&](const std::vector<invalidb::Notification>& batch) {
+        for (const invalidb::Notification& n : batch) {
+          expected.push_back(Sig(n));
+        }
+      });
+  for (const db::Query& q : TestQueries()) {
+    ASSERT_TRUE(reference
+                    .RegisterQuery(q,
+                                   db.Execute(db::Query(q.table(), q.filter())),
+                                   invalidb::kEventsAll)
+                    .ok());
+  }
+  targets.push_back(&reference);
+  apply(150, 300);
+  cluster.Flush();
 
-  // d10's membership was recovered: an in-place update is a kChange (a
-  // grid that lost d10 would emit kAdd), and leaving the result emits
-  // kRemove.
-  commit("d10", 2);
-  ASSERT_EQ(received.size(), before_kill + 1);
-  EXPECT_EQ(received.back().type, invalidb::NotificationType::kChange);
-  EXPECT_EQ(received.back().record_id, "d10");
-  commit("d10", 0);
-  ASSERT_EQ(received.size(), before_kill + 2);
-  EXPECT_EQ(received.back().type, invalidb::NotificationType::kRemove);
-
-  const invalidb::ClusterStats stats = cluster.stats();
-  EXPECT_EQ(stats.rebalance_resizes, 1u);
-  EXPECT_EQ(stats.rebalance_queries_reinstalled, 1u);
-  EXPECT_EQ(stats.rebalance_nodes_added, 2u);  // 4 -> 6
-  EXPECT_EQ(cluster.MigrationPauseHistogram().count(), 1u);
+  std::lock_guard<std::mutex> lock(mu);
+  std::sort(got.begin(), got.end());
+  std::sort(expected.begin(), expected.end());
+  ASSERT_GT(expected.size(), 100u);
+  EXPECT_EQ(got, expected);
 }
 
 // ---------------------------------------------------------------------------
@@ -470,7 +573,6 @@ TEST(RebalanceTest, ThreadedResizeUnderLoadLosesAndDuplicatesNothing) {
     while (!stop.load(std::memory_order_acquire)) {
       (void)cluster.QueriesPerNode();
       (void)cluster.OpsPerNode();
-      (void)cluster.Health();
       (void)cluster.AliveCount();
       (void)cluster.NumNodes();
       (void)cluster.stats();

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "core/query_result.h"
 #include "core/server.h"
 #include "core/streams.h"
 #include "db/database.h"
@@ -26,8 +27,15 @@ db::Query Q(const char* table, const char* filter) {
 
 class StreamsTest : public ::testing::Test {
  protected:
-  StreamsTest() : clock_(0), db_(&clock_) {
-    server_ = std::make_unique<QuaestorServer>(&clock_, &db_);
+  StreamsTest() : clock_(0) { MakeServer(ServerOptions()); }
+
+  /// Builds a fresh database, server and hub (the server's change
+  /// listener lives in the database, so both are replaced together).
+  void MakeServer(const ServerOptions& options) {
+    hub_.reset();
+    server_.reset();
+    db_ = std::make_unique<db::Database>(&clock_);
+    server_ = std::make_unique<QuaestorServer>(&clock_, db_.get(), options);
     hub_ = std::make_unique<ChangeStreamHub>(server_.get());
   }
 
@@ -48,8 +56,23 @@ class StreamsTest : public ::testing::Test {
   /// after a pipeline outage and recovery, a move inside it.
   void CheckSortedStream();
 
+  /// Inserts p0, p1, p2 with scores 0, 10, 20 and returns the top-2 query
+  /// over them (window {p2, p1}).
+  db::Query InsertTopTwo();
+  /// Serves `query` through the caching path, which registers it.
+  webcache::HttpResponse FetchQuery(const db::Query& query) {
+    server_->RegisterQueryShape(query);
+    webcache::HttpRequest req;
+    req.key = query.NormalizedKey();
+    return server_->Fetch(req);
+  }
+  /// Sets `id`'s score and reports whether `events` got a changeIndex for
+  /// it (each one to index 0).
+  bool MovedToTop(std::vector<StreamEvent>* events, const std::string& id,
+                  int64_t score);
+
   SimulatedClock clock_;
-  db::Database db_;
+  std::unique_ptr<db::Database> db_;
   std::unique_ptr<QuaestorServer> server_;
   std::unique_ptr<ChangeStreamHub> hub_;
   std::unique_ptr<invalidb::InvalidbCluster> other_;
@@ -103,9 +126,9 @@ TEST_F(StreamsTest, DeliversAddChangeRemoveLifecycleOnInstalledPipeline) {
   EXPECT_EQ(server_->invalidb().RegisteredCount(), 0u);
 }
 
-void StreamsTest::CheckSortedStream() {
+db::Query StreamsTest::InsertTopTwo() {
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(server_
+    EXPECT_TRUE(server_
                     ->Insert("posts", "p" + std::to_string(i),
                              Doc(("{\"score\":" + std::to_string(i * 10) +
                                   "}")
@@ -114,6 +137,28 @@ void StreamsTest::CheckSortedStream() {
   }
   db::Query top = Q("posts", "{}");
   top.SetOrderBy({{"score", false}}).SetLimit(2);
+  return top;
+}
+
+bool StreamsTest::MovedToTop(std::vector<StreamEvent>* events,
+                             const std::string& id, int64_t score) {
+  events->clear();
+  EXPECT_TRUE(
+      server_->Update("posts", id, db::Update().Set("score", db::Value(score)))
+          .ok());
+  bool moved = false;
+  for (const StreamEvent& ev : *events) {
+    if (ev.type == invalidb::NotificationType::kChangeIndex &&
+        ev.record_id == id) {
+      EXPECT_EQ(ev.new_index, 0);
+      moved = true;
+    }
+  }
+  return moved;
+}
+
+void StreamsTest::CheckSortedStream() {
+  const db::Query top = InsertTopTwo();
   std::vector<db::Document> initial;
   std::vector<StreamEvent> events;
   auto id = hub_->Subscribe(
@@ -141,19 +186,7 @@ void StreamsTest::CheckSortedStream() {
   // as a changeIndex event.
   server_->SetPipelineDown(true);
   server_->SetPipelineDown(false);
-  events.clear();
-  ASSERT_TRUE(
-      server_->Update("posts", "p2", db::Update().Set("score", db::Value(1000)))
-          .ok());
-  bool saw_p2_to_top = false;
-  for (const StreamEvent& ev : events) {
-    if (ev.type == invalidb::NotificationType::kChangeIndex &&
-        ev.record_id == "p2") {
-      EXPECT_EQ(ev.new_index, 0);
-      saw_p2_to_top = true;
-    }
-  }
-  EXPECT_TRUE(saw_p2_to_top);
+  EXPECT_TRUE(MovedToTop(&events, "p2", 1000));
 }
 
 TEST_F(StreamsTest, SortedStreamEmitsWindowEvents) { CheckSortedStream(); }
@@ -161,6 +194,73 @@ TEST_F(StreamsTest, SortedStreamEmitsWindowEvents) { CheckSortedStream(); }
 TEST_F(StreamsTest, SortedStreamEmitsWindowEventsOnInstalledPipeline) {
   UseOtherPipeline();
   CheckSortedStream();
+}
+
+// A fetch registers a sorted query without changeIndex; a stream that
+// subscribes afterwards widens the registration.
+TEST_F(StreamsTest, SubscribeAfterFetchGetsChangeIndex) {
+  const db::Query top = InsertTopTwo();
+  ASSERT_TRUE(FetchQuery(top).ok);
+  std::vector<StreamEvent> events;
+  ASSERT_TRUE(hub_->Subscribe(
+                      top,
+                      [&](const StreamEvent& ev) { events.push_back(ev); },
+                      nullptr)
+                  .ok());
+  EXPECT_TRUE(MovedToTop(&events, "p1", 30));
+  // The widened registration still invalidates the cached result.
+  EXPECT_TRUE(server_->ebf().IsStale(top.NormalizedKey()));
+}
+
+// A kAuto switch to id-lists re-registers the cache side with add/remove
+// only; a streamed query keeps its full registration.
+TEST_F(StreamsTest, StreamSurvivesRepresentationSwitch) {
+  ServerOptions opts;
+  opts.representation = RepresentationPolicy::kAuto;
+  MakeServer(opts);
+  const db::Query top = InsertTopTwo();
+  server_->RegisterQueryShape(top);
+  std::vector<StreamEvent> events;
+  ASSERT_TRUE(hub_->Subscribe(
+                      top,
+                      [&](const StreamEvent& ev) { events.push_back(ev); },
+                      nullptr)
+                  .ok());
+  auto representation = [&] {
+    return QueryResponse::FromJson(FetchQuery(top).body)->representation;
+  };
+  ASSERT_EQ(representation(), ttl::ResultRepresentation::kObjectList);
+  // Frequent in-place changes of a window member make id-lists the
+  // cheaper choice once the sticky decision is re-evaluated.
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(server_
+                    ->Update("posts", "p2",
+                             db::Update().Set("x", db::Value(int64_t{i})))
+                    .ok());
+  }
+  clock_.Advance(6 * kMicrosPerSecond);
+  ASSERT_EQ(representation(), ttl::ResultRepresentation::kIdList);
+  EXPECT_TRUE(MovedToTop(&events, "p1", 30));
+}
+
+// Capacity eviction drops the cache's interest in a query, not the
+// stream's.
+TEST_F(StreamsTest, StreamSurvivesCapacityEviction) {
+  ServerOptions opts;
+  opts.query_capacity = 1;
+  MakeServer(opts);
+  const db::Query q1 = Q("posts", R"({"g":1})");
+  const db::Query q2 = Q("posts", R"({"g":2})");
+  server_->RegisterQueryShape(q1);
+  int events = 0;
+  ASSERT_TRUE(hub_->Subscribe(
+                      q1, [&](const StreamEvent&) { events++; }, nullptr)
+                  .ok());
+  ASSERT_TRUE(FetchQuery(q1).ok);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(FetchQuery(q2).ok);
+  ASSERT_FALSE(server_->capacity().IsAdmitted(q1.NormalizedKey()));
+  ASSERT_TRUE(server_->Insert("posts", "p1", Doc(R"({"g":1})")).ok());
+  EXPECT_EQ(events, 1);
 }
 
 TEST_F(StreamsTest, MultipleSubscribersShareOneRegistration) {
@@ -207,10 +307,7 @@ TEST_F(StreamsTest, StreamCoexistsWithCaching) {
                       q, [&](const StreamEvent&) { events++; }, nullptr)
                   .ok());
   // Cached fetch path reuses the existing registration.
-  server_->RegisterQueryShape(q);
-  webcache::HttpRequest req;
-  req.key = q.NormalizedKey();
-  auto resp = server_->Fetch(req);
+  auto resp = FetchQuery(q);
   ASSERT_TRUE(resp.ok);
   EXPECT_GT(resp.ttl, 0);
 
