@@ -23,7 +23,6 @@
 #include "db/query.h"
 #include "db/value.h"
 #include "invalidb/transport.h"
-#include "kv/kv_store.h"
 
 namespace quaestor::bench {
 namespace {
@@ -32,6 +31,7 @@ using invalidb::BatchOptions;
 using invalidb::InvalidbOptions;
 using invalidb::InvalidbRemote;
 using invalidb::InvalidbWorker;
+using invalidb::LoopbackLink;
 using invalidb::TransportOptions;
 
 constexpr size_t kQueries = 10000;
@@ -81,7 +81,8 @@ struct RunResult {
 /// `match_rate` is the fraction of events that touch a query member.
 RunResult Run(size_t batch, size_t num_events, double match_rate) {
   Clock* clock = SystemClock::Default();
-  kv::KvStore kv(clock);
+  LoopbackLink to_worker;
+  LoopbackLink to_remote;
 
   TransportOptions topts;
   topts.reliable.enabled = true;
@@ -96,13 +97,15 @@ RunResult Run(size_t batch, size_t num_events, double match_rate) {
   copts.threaded = true;  // the real-throughput mode: per-node workers
 
   uint64_t notifications = 0;
-  InvalidbWorker worker(clock, &kv, "bench", copts, topts);
+  InvalidbWorker worker(clock, to_remote.sender(), "bench", copts, topts);
   InvalidbRemote remote(
-      clock, &kv, "bench",
+      clock, to_worker.sender(), "bench",
       [&notifications](const std::vector<invalidb::Notification>& batch) {
         notifications += batch.size();
       },
       topts);
+  to_worker.Attach(&worker);
+  to_remote.Attach(&remote);
 
   // Install the query set: one equality query per group, two members each.
   const Micros t0 = clock->NowMicros();
@@ -115,14 +118,14 @@ RunResult Run(size_t batch, size_t num_events, double match_rate) {
     initial.push_back(MemberDoc(g + kQueries, 0, t0));
     remote.RegisterQuery(q.value(), initial, invalidb::kEventsObjectList,
                          t0);
-    if (g % 512 == 511) worker.ProcessPending();
+    if (g % 512 == 511) to_worker.Pump();
   }
-  worker.ProcessPending();
-  remote.DrainNotifications();
+  to_worker.Pump();
+  to_remote.Pump();
 
   const auto pump = [&] {
-    worker.ProcessPending();
-    remote.DrainNotifications();
+    to_worker.Pump();
+    to_remote.Pump();
   };
 
   // Closed-loop event stream. A seeded LCG picks the victim doc; every
@@ -150,7 +153,7 @@ RunResult Run(size_t batch, size_t num_events, double match_rate) {
     if (n % 1024 == 1023) pump();
   }
   remote.FlushChanges();
-  // Drain: with the in-memory KV every round trip completes in one pump,
+  // Drain: over the loopback links every round trip completes in one pump,
   // but loop until the reliable layer confirms everything (bounded).
   for (int round = 0; round < 64; ++round) {
     pump();

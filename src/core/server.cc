@@ -12,11 +12,15 @@ namespace quaestor::core {
 namespace {
 
 /// InvaliDB events a cached result needs (§4.1): an id-list changes only
-/// with membership, an object list also with a member's content.
-invalidb::EventMask CacheEvents(ttl::ResultRepresentation representation) {
-  return representation == ttl::ResultRepresentation::kIdList
-             ? invalidb::kEventsIdList
-             : invalidb::kEventsObjectList;
+/// with membership, an object list also with a member's content, and a
+/// sorted result (ORDER BY / LIMIT / OFFSET) also with a member's position.
+invalidb::EventMask CacheEvents(const db::Query& query,
+                                ttl::ResultRepresentation representation) {
+  const invalidb::EventMask events =
+      representation == ttl::ResultRepresentation::kIdList
+          ? invalidb::kEventsIdList
+          : invalidb::kEventsObjectList;
+  return query.IsStateless() ? events : events | invalidb::kEventChangeIndex;
 }
 
 }  // namespace
@@ -150,16 +154,58 @@ Status QuaestorServer::ActivateQuery(const db::Query& query,
       return RegisterLocked(key, query, events, nullptr);
     }
     if ((registered | events) == registered) return Status::OK();
-    // A fetch registered the query with fewer events (a sorted query's
-    // object list lacks changeIndex): register it again with both.
-    pipeline_->DeregisterQuery(key);
-    active_list_.SetRegistered(key, false);
-    st = RegisterLocked(key, query, registered | events, nullptr);
+    // A fetch registered the query with fewer events (an id-list lacks
+    // change): register it again with both.
+    st = ReregisterLocked(key, query, registered | events);
   }
   // Changes that committed between the deregistration and the new
   // evaluation reached no matcher.
   FlagCachedCopies(key);
   return st;
+}
+
+void QuaestorServer::DeactivateQuery(const std::string& key) {
+  {
+    std::lock_guard<std::mutex> reg_lock(registration_mu_);
+    db::Query query;
+    invalidb::EventMask registered{};
+    // The cached copies' representation: the sticky kAuto decision, or
+    // the fixed policy's (the object list, the wider mask, by default).
+    ttl::ResultRepresentation representation =
+        options_.representation == RepresentationPolicy::kAlwaysIdList
+            ? ttl::ResultRepresentation::kIdList
+            : ttl::ResultRepresentation::kObjectList;
+    {
+      std::lock_guard<std::mutex> lock(meta_mu_);
+      auto it = query_meta_.find(key);
+      if (it == query_meta_.end()) return;
+      QueryMeta& m = it->second;
+      m.stream_events = invalidb::EventMask{};
+      query = m.query;
+      registered = m.registered_events;
+      if (m.has_chosen_representation) representation = m.chosen_representation;
+    }
+    if (!active_list_.IsRegistered(key)) return;
+    if (!capacity_.IsAdmitted(key)) {
+      pipeline_->DeregisterQuery(key);
+      active_list_.SetRegistered(key, false);
+      return;
+    }
+    const invalidb::EventMask cache = CacheEvents(query, representation);
+    if (registered == cache) return;
+    (void)ReregisterLocked(key, query, cache);
+  }
+  // As in ActivateQuery: changes committed between the two registrations
+  // reached no matcher.
+  FlagCachedCopies(key);
+}
+
+Status QuaestorServer::ReregisterLocked(const std::string& key,
+                                        const db::Query& query,
+                                        invalidb::EventMask events) {
+  pipeline_->DeregisterQuery(key);
+  active_list_.SetRegistered(key, false);
+  return RegisterLocked(key, query, events, nullptr);
 }
 
 bool QuaestorServer::StreamKeepsRegistration(
@@ -626,7 +672,8 @@ webcache::HttpResponse QuaestorServer::FetchQuery(
     {
       std::lock_guard<std::mutex> reg_lock(registration_mu_);
       if (!active_list_.IsRegistered(key)) return;
-      if (!StreamKeepsRegistration(key, CacheEvents(*representation))) {
+      if (!StreamKeepsRegistration(key,
+                                   CacheEvents(query, *representation))) {
         pipeline_->DeregisterQuery(key);
         active_list_.SetRegistered(key, false);
       }
@@ -823,7 +870,8 @@ webcache::HttpResponse QuaestorServer::FetchQuery(
       if (!active_list_.IsRegistered(key)) {
         // Without an execution here (served from the memo, deregistered by
         // a concurrent eviction since the reuse check) the query runs anew.
-        (void)RegisterLocked(key, query, CacheEvents(*representation),
+        (void)RegisterLocked(key, query,
+                             CacheEvents(query, *representation),
                              executed ? &docs : nullptr);
       }
     }

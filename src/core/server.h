@@ -254,6 +254,11 @@ class QuaestorServer : public webcache::Origin {
   /// query's shape must be registered.
   Status ActivateQuery(const db::Query& query, invalidb::EventMask events);
 
+  /// Drops the stream interest ActivateQuery recorded (the last subscriber
+  /// left): a cached query's registration narrows to the cache's events,
+  /// any other query is deregistered.
+  void DeactivateQuery(const std::string& key);
+
   // -- Fault tolerance & degradation --
 
   /// True while the TTL cap is in force: an explicit operator/health
@@ -383,6 +388,12 @@ class QuaestorServer : public webcache::Origin {
   Status RegisterLocked(const std::string& key, const db::Query& query,
                         invalidb::EventMask events,
                         std::vector<db::Document>* result);
+
+  /// Registers `key` anew with `events`; the caller then flags its cached
+  /// copies (changes in between reach no matcher). Caller holds
+  /// registration_mu_.
+  Status ReregisterLocked(const std::string& key, const db::Query& query,
+                          invalidb::EventMask events);
 
   /// True if a change stream subscribed to `key` and the key's
   /// registration delivers at least `events`: the cache side then keeps

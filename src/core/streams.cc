@@ -13,6 +13,7 @@ Result<uint64_t> ChangeStreamHub::Subscribe(
     const db::Query& query, StreamCallback callback,
     std::vector<db::Document>* initial_result) {
   const std::string key = query.NormalizedKey();
+  std::lock_guard<std::mutex> activation(activation_mu_);
   server_->RegisterQueryShape(query);
 
   // Activate the query in InvaliDB with the full event set; streams need
@@ -31,18 +32,22 @@ Result<uint64_t> ChangeStreamHub::Subscribe(
 }
 
 void ChangeStreamHub::Unsubscribe(uint64_t subscription_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = subscriptions_.find(subscription_id);
-  if (it == subscriptions_.end()) return;
-  auto& ids = by_query_[it->second.query_key];
-  for (auto vit = ids.begin(); vit != ids.end(); ++vit) {
-    if (*vit == subscription_id) {
-      ids.erase(vit);
-      break;
+  std::lock_guard<std::mutex> activation(activation_mu_);
+  std::string released;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = subscriptions_.find(subscription_id);
+    if (it == subscriptions_.end()) return;
+    auto& ids = by_query_[it->second.query_key];
+    std::erase(ids, subscription_id);
+    if (ids.empty()) {
+      by_query_.erase(it->second.query_key);
+      released = std::move(it->second.query_key);
     }
+    subscriptions_.erase(it);
   }
-  if (ids.empty()) by_query_.erase(it->second.query_key);
-  subscriptions_.erase(it);
+  // Outside mu_: the pipeline may deliver notifications synchronously.
+  if (!released.empty()) server_->DeactivateQuery(released);
 }
 
 void ChangeStreamHub::OnNotification(const invalidb::Notification& n) {

@@ -55,8 +55,9 @@ class ChangeStreamHub {
   Result<uint64_t> Subscribe(const db::Query& query, StreamCallback callback,
                              std::vector<db::Document>* initial_result);
 
-  /// Cancels a subscription. The query stays registered in InvaliDB (it
-  /// may still be cached); only delivery stops.
+  /// Cancels a subscription. When it was the query's last one, the
+  /// query's registration drops back to what caching needs: narrowed if
+  /// the query is cached, gone if not.
   void Unsubscribe(uint64_t subscription_id);
 
   size_t SubscriberCount(const std::string& query_key) const;
@@ -67,6 +68,9 @@ class ChangeStreamHub {
   void OnNotification(const invalidb::Notification& n);
 
   QuaestorServer* server_;
+  /// Orders a query's activation by a new subscriber against its release
+  /// by the last one leaving. Taken before mu_.
+  std::mutex activation_mu_;
   mutable std::mutex mu_;
   uint64_t next_id_ = 1;
   struct Subscription {

@@ -51,8 +51,8 @@ struct FaultStats {
 
 /// A seeded source of fault decisions: every randomized choice in the
 /// fault layer flows through one injector so a chaos schedule replays
-/// exactly from its seed. Thread-safe (the faulty KV store is shared
-/// between the threads pumping the remote and the worker).
+/// exactly from its seed. Thread-safe (one injector drives the FaultySend
+/// of both endpoints, whose sends come from different threads).
 class FaultInjector {
  public:
   explicit FaultInjector(uint64_t seed, FaultProfile profile = FaultProfile())

@@ -8,17 +8,6 @@
 
 namespace quaestor::invalidb {
 
-QueueSend KvQueueSend(kv::KvStore* kv) {
-  return [kv](const std::string& queue, std::string message) {
-    kv->QueuePush(queue, std::move(message));
-  };
-}
-
-void DrainKvQueue(kv::KvStore* kv, const std::string& queue,
-                  const std::function<void(const std::string&)>& receive) {
-  while (auto msg = kv->QueueTryPop(queue)) receive(*msg);
-}
-
 namespace reliable {
 
 namespace {

@@ -15,7 +15,6 @@
 #include "common/random.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "kv/kv_store.h"
 
 namespace quaestor::invalidb {
 
@@ -38,17 +37,11 @@ struct ReliableOptions {
   size_t max_inflight = 0;
 };
 
-/// Ships `message` on the named queue: pushes onto a kv::KvStore queue
-/// (KvQueueSend) or, over sockets, sends one frame.
+/// Ships `message` on the named queue: over sockets one frame, in process
+/// an append to a LoopbackLink. fault::FaultySend wraps one to inject
+/// channel faults.
 using QueueSend =
     std::function<void(const std::string& queue, std::string message)>;
-
-QueueSend KvQueueSend(kv::KvStore* kv);
-
-/// The in-process medium's pump: pops every message queued on `queue` and
-/// hands it to `receive`.
-void DrainKvQueue(kv::KvStore* kv, const std::string& queue,
-                  const std::function<void(const std::string&)>& receive);
 
 /// Wire helpers for the sequence-numbered envelope (exposed for tests and
 /// the transport fuzzer). An envelope wraps an opaque payload string:

@@ -448,7 +448,7 @@ size_t StagedEnvelope::size() const {
 // TransportEndpoint
 // ---------------------------------------------------------------------------
 
-TransportEndpoint::TransportEndpoint(Clock* clock, TransportMedium medium,
+TransportEndpoint::TransportEndpoint(Clock* clock, QueueSend send,
                                      TransportOptions options,
                                      std::string outgoing,
                                      std::string incoming,
@@ -456,12 +456,11 @@ TransportEndpoint::TransportEndpoint(Clock* clock, TransportMedium medium,
                                      ReliableOptions reliable,
                                      std::string envelope_open,
                                      std::string envelope_close)
-    : kv_(medium.kv),
-      options_(options),
+    : options_(options),
       incoming_(std::move(incoming)),
-      sender_(clock, medium.send, std::move(outgoing), std::move(sender_id),
+      sender_(clock, send, std::move(outgoing), std::move(sender_id),
               reliable),
-      receiver_(medium.send, incoming_),
+      receiver_(std::move(send), incoming_),
       staged_(clock, &sender_, std::move(envelope_open),
               std::move(envelope_close)) {}
 
@@ -475,23 +474,6 @@ size_t TransportEndpoint::Receive(const std::string& queue,
   size_t handled = 0;
   receiver_.Accept(message, [this, &handled](const std::string& p) {
     handled += Handle(p);
-  });
-  return handled;
-}
-
-void TransportEndpoint::TickSender() {
-  if (kv_ != nullptr && options_.reliable.enabled) {
-    DrainKvQueue(kv_, sender_.ack_queue(), [this](const std::string& m) {
-      sender_.OnAck(m);
-    });
-  }
-  sender_.Tick();
-}
-
-size_t TransportEndpoint::DrainIncoming() {
-  size_t handled = 0;
-  DrainKvQueue(kv_, incoming_, [this, &handled](const std::string& m) {
-    handled += Receive(incoming_, m);
   });
   return handled;
 }
@@ -514,10 +496,10 @@ TransportStats TransportEndpoint::stats() const {
 // InvalidbRemote
 // ---------------------------------------------------------------------------
 
-InvalidbRemote::InvalidbRemote(Clock* clock, TransportMedium medium,
+InvalidbRemote::InvalidbRemote(Clock* clock, QueueSend send,
                                std::string prefix, NotificationBatchSink sink,
                                TransportOptions options)
-    : TransportEndpoint(clock, std::move(medium), options,
+    : TransportEndpoint(clock, std::move(send), options,
                         prefix + ":requests", prefix + ":notifications",
                         "quaestor", options.reliable, "{\"events\":[",
                         "],\"op\":\"change_batch\"}"),
@@ -570,12 +552,7 @@ size_t InvalidbRemote::Handle(const std::string& payload) {
 
 void InvalidbRemote::Tick() {
   staged_.Ship(&flushes_interval_, 1, options_.batching.flush_interval);
-  TickSender();
-}
-
-size_t InvalidbRemote::DrainNotifications() {
-  Tick();
-  return DrainIncoming();
+  sender_.Tick();
 }
 
 // ---------------------------------------------------------------------------
@@ -593,17 +570,17 @@ ReliableOptions WorkerReliable(ReliableOptions base) {
 
 }  // namespace
 
-InvalidbWorker::InvalidbWorker(Clock* clock, TransportMedium medium,
+InvalidbWorker::InvalidbWorker(Clock* clock, QueueSend send,
                                std::string prefix, InvalidbOptions options,
                                TransportOptions transport_options)
-    : TransportEndpoint(clock, std::move(medium), transport_options,
+    : TransportEndpoint(clock, std::move(send), transport_options,
                         prefix + ":notifications", prefix + ":requests",
                         "invalidb", WorkerReliable(transport_options.reliable),
                         "{\"notifications\":[",
                         "],\"op\":\"notify_batch\"}") {
   // Each dispatch's notifications join the staged notify_batch envelope,
-  // which ships at max_batch or at the end of the pump cycle. The cluster
-  // calls in from its worker threads in threaded mode.
+  // which ships at max_batch or at the end of the pump cycle (Tick). The
+  // cluster calls in from its worker threads in threaded mode.
   cluster_ = std::make_unique<InvalidbCluster>(
       clock, options, [this](const std::vector<Notification>& batch) {
         staged_.Append(batch, transport::AppendNotificationSpec);
@@ -613,11 +590,7 @@ InvalidbWorker::InvalidbWorker(Clock* clock, TransportMedium medium,
 
 InvalidbWorker::~InvalidbWorker() {
   cluster_->Flush();
-  FlushNotifications();
-}
-
-size_t InvalidbWorker::FlushNotifications() {
-  return staged_.Ship(&flushes_manual_, 1);
+  staged_.Ship(&flushes_manual_, 1);
 }
 
 void InvalidbWorker::HandleMessage(const std::string& message) {
@@ -705,12 +678,50 @@ void InvalidbWorker::HandleMessage(const std::string& message) {
   }
 }
 
-size_t InvalidbWorker::ProcessPending() {
-  Tick();
-  const size_t handled = DrainIncoming();
+void InvalidbWorker::Tick() {
+  sender_.Tick();
   cluster_->Flush();
-  FlushNotifications();
+  staged_.Ship(&flushes_manual_, 1);
+}
+
+// ---------------------------------------------------------------------------
+// LoopbackLink
+// ---------------------------------------------------------------------------
+
+void LoopbackLink::Send(const std::string& queue, std::string message) {
+  std::lock_guard<std::mutex> lock(mu_);
+  fifo_.emplace_back(queue, std::move(message));
+}
+
+size_t LoopbackLink::Pump() {
+  const size_t handled =
+      Drain([this](const std::string& queue, const std::string& message) {
+        return peer_->Receive(queue, message);
+      });
+  peer_->Tick();
   return handled;
+}
+
+size_t LoopbackLink::Drain(const Receiver& receive) {
+  size_t handled = 0;
+  for (;;) {
+    std::pair<std::string, std::string> next;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (fifo_.empty()) return handled;
+      next = std::move(fifo_.front());
+      fifo_.pop_front();
+    }
+    handled += receive(next.first, next.second);
+  }
+}
+
+size_t LoopbackLink::pending(std::string_view queue) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (queue.empty()) return fifo_.size();
+  size_t n = 0;
+  for (const auto& [q, message] : fifo_) n += q == queue ? 1 : 0;
+  return n;
 }
 
 }  // namespace quaestor::invalidb

@@ -2,10 +2,13 @@
 #define QUAESTOR_INVALIDB_TRANSPORT_H_
 
 #include <atomic>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/clock.h"
@@ -16,7 +19,6 @@
 #include "invalidb/notification.h"
 #include "invalidb/pipeline.h"
 #include "invalidb/reliable_queue.h"
-#include "kv/kv_store.h"
 #include "obs/metrics.h"
 
 namespace quaestor::invalidb {
@@ -85,8 +87,8 @@ struct BatchOptions {
   /// Flush as soon as this many events (notifications, at the worker) are
   /// staged.
   size_t max_batch = 1;
-  /// Flush once the oldest buffered event is this old (checked in Tick /
-  /// DrainNotifications — manual-pump callers control the cadence).
+  /// Flush once the oldest buffered event is this old (checked in the
+  /// remote's Tick, so the pump or timer cadence bounds the age).
   Micros flush_interval = 1 * kMicrosPerMilli;
 };
 
@@ -180,23 +182,12 @@ class StagedEnvelope {
   std::atomic<uint64_t> batch_events_{0};
 };
 
-/// Where a transport endpoint's messages travel. The in-process medium is
-/// a kv::KvStore: sends push onto its queues and the endpoint's pumps pop
-/// them. Any other medium is just its send function, and it calls the
-/// endpoint's Receive for every arrival (src/net does so on its event-loop
-/// threads).
-struct TransportMedium {
-  TransportMedium(kv::KvStore* store) : kv(store), send(KvQueueSend(store)) {}
-  TransportMedium(QueueSend fn) : send(std::move(fn)) {}
-
-  kv::KvStore* kv = nullptr;
-  QueueSend send;
-};
-
 /// What InvalidbRemote and InvalidbWorker share: a reliable sender behind
 /// a staged batch envelope on the outgoing queue, a reliable receiver on
-/// the incoming one, one receive path for everything that arrives, and
-/// the in-process medium's pumps.
+/// the incoming one, and one receive path for everything that arrives.
+/// The medium is the endpoint's QueueSend; whatever carries the messages
+/// (src/net's event-loop threads, a LoopbackLink's Pump) calls Receive
+/// for every arrival and Tick at the end of each pump cycle.
 class TransportEndpoint {
  public:
   TransportEndpoint(const TransportEndpoint&) = delete;
@@ -209,29 +200,23 @@ class TransportEndpoint {
   /// notifications (remote) or requests (worker) were handled.
   size_t Receive(const std::string& queue, const std::string& message);
 
+  /// Ends one pump cycle: retransmits what is due and ships what is staged
+  /// (see the overrides). Loop timers and LoopbackLink::Pump call it.
+  virtual void Tick() = 0;
+
   uint64_t decode_errors() const { return decode_errors_.load(); }
   TransportStats stats() const;
 
  protected:
-  TransportEndpoint(Clock* clock, TransportMedium medium,
-                    TransportOptions options, std::string outgoing,
-                    std::string incoming, std::string sender_id,
-                    ReliableOptions reliable, std::string envelope_open,
-                    std::string envelope_close);
+  TransportEndpoint(Clock* clock, QueueSend send, TransportOptions options,
+                    std::string outgoing, std::string incoming,
+                    std::string sender_id, ReliableOptions reliable,
+                    std::string envelope_open, std::string envelope_close);
   ~TransportEndpoint() = default;
 
   /// Handles one delivered payload; returns what Receive counts for it.
   virtual size_t Handle(const std::string& payload) = 0;
 
-  /// Retransmits what is due; on the in-process medium it first takes in
-  /// the queued acks.
-  void TickSender();
-
-  /// In-process medium: pops the incoming queue into Receive. Returns
-  /// what Receive counted.
-  size_t DrainIncoming();
-
-  kv::KvStore* const kv_;
   const TransportOptions options_;
   const std::string incoming_;
   ReliableSender sender_;
@@ -250,7 +235,7 @@ class TransportEndpoint {
 /// that Receive takes in to the sink.
 class InvalidbRemote : public TransportEndpoint, public Pipeline {
  public:
-  InvalidbRemote(Clock* clock, TransportMedium medium, std::string prefix,
+  InvalidbRemote(Clock* clock, QueueSend send, std::string prefix,
                  NotificationBatchSink sink,
                  TransportOptions options = TransportOptions());
   ~InvalidbRemote() override;
@@ -276,14 +261,9 @@ class InvalidbRemote : public TransportEndpoint, public Pipeline {
   /// never be reordered after a control request.
   void FlushChanges();
 
-  /// Delivers all currently queued notifications to the sink (manual
-  /// pump; deterministic tests). Also ticks the request sender (acks +
-  /// retransmits). Returns how many notifications were delivered.
-  size_t DrainNotifications();
-
-  /// Pumps the reliable machinery (and the batch age-out) without
-  /// draining notifications. Any medium.
-  void Tick();
+  /// Ships the change batch once its oldest event is flush_interval old,
+  /// and retransmits the requests whose ack is overdue.
+  void Tick() override;
 
   /// Request messages awaiting a worker ack (0 when reliability is off).
   size_t unacked_requests() const { return sender_.unacked(); }
@@ -298,29 +278,21 @@ class InvalidbRemote : public TransportEndpoint, public Pipeline {
   NotificationBatchSink sink_;
 };
 
-/// The InvaliDB-side worker: owns a cluster, consumes the request queue,
-/// and publishes notifications back. Notifications stage until max_batch
-/// or the end of a pump cycle (FlushNotifications).
+/// The InvaliDB-side worker: owns a cluster, handles the requests that
+/// Receive takes in (a malformed one is counted in decode_errors() and
+/// skipped), and publishes notifications back. Notifications stage until
+/// max_batch or the end of a pump cycle (Tick).
 class InvalidbWorker : public TransportEndpoint {
  public:
-  InvalidbWorker(Clock* clock, TransportMedium medium, std::string prefix,
+  InvalidbWorker(Clock* clock, QueueSend send, std::string prefix,
                  InvalidbOptions options = InvalidbOptions(),
                  TransportOptions transport_options = TransportOptions());
   ~InvalidbWorker();
 
-  /// Processes all currently queued requests (manual pump). Returns how
-  /// many messages were handled; malformed messages are counted in
-  /// decode_errors() and skipped. Also ticks the notification sender and
-  /// flushes buffered notifications at the end of the pump.
-  size_t ProcessPending();
-
-  /// Ships the buffered notification batch now (no-op when nothing is
-  /// buffered). Returns how many notifications shipped.
-  size_t FlushNotifications();
-
-  /// Pumps the reliable machinery without processing requests. Any
-  /// medium.
-  void Tick() { TickSender(); }
+  /// The worker's pump cycle, the same on every medium: retransmits the
+  /// notifications whose ack is overdue, waits for the cluster's in-flight
+  /// matching (threaded mode) and ships the staged notifications.
+  void Tick() override;
 
   InvalidbCluster& cluster() { return *cluster_; }
 
@@ -333,6 +305,49 @@ class InvalidbWorker : public TransportEndpoint {
   void HandleMessage(const std::string& message);
 
   std::unique_ptr<InvalidbCluster> cluster_;
+};
+
+/// The in-process medium, for deterministic tests and benches: one
+/// direction between two endpoints. Its sender appends (queue, message)
+/// to a FIFO, and nothing moves until Pump or Drain hands the queued
+/// messages on. Thread-safe: any thread may send while one pumps.
+class LoopbackLink {
+ public:
+  /// Takes one message; returns what it counts as handled.
+  using Receiver = std::function<size_t(const std::string& queue,
+                                        const std::string& message)>;
+
+  LoopbackLink() = default;
+  LoopbackLink(const LoopbackLink&) = delete;
+  LoopbackLink& operator=(const LoopbackLink&) = delete;
+
+  void Send(const std::string& queue, std::string message);
+  /// A QueueSend onto this link; the link must outlive its users.
+  QueueSend sender() {
+    return [this](const std::string& queue, std::string message) {
+      Send(queue, std::move(message));
+    };
+  }
+
+  /// The endpoint Pump delivers to.
+  void Attach(TransportEndpoint* peer) { peer_ = peer; }
+
+  /// One pump cycle of the attached peer: Receive for every queued
+  /// message, then the peer's Tick. Returns how many notifications or
+  /// requests Receive handled.
+  size_t Pump();
+
+  /// Hands every queued message, those sent while it runs included, to
+  /// `receive` in send order. Returns the sum of what `receive` returned.
+  size_t Drain(const Receiver& receive);
+
+  /// Messages queued on `queue`, or on every queue when it is empty.
+  size_t pending(std::string_view queue = {}) const;
+
+ private:
+  mutable std::mutex mu_;
+  std::deque<std::pair<std::string, std::string>> fifo_;
+  TransportEndpoint* peer_ = nullptr;
 };
 
 }  // namespace quaestor::invalidb

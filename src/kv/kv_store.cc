@@ -193,29 +193,6 @@ size_t KvStore::Publish(const std::string& channel,
   return receivers.size();
 }
 
-KvStore::Queue* KvStore::GetQueue(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(queues_mu_);
-  auto it = queues_.find(name);
-  if (it == queues_.end()) {
-    it = queues_
-             .emplace(name, std::make_unique<Queue>(/*capacity=*/1 << 20))
-             .first;
-  }
-  return it->second.get();
-}
-
-void KvStore::QueuePush(const std::string& queue, std::string message) {
-  GetQueue(queue)->Push(std::move(message));
-}
-
-std::optional<std::string> KvStore::QueueTryPop(const std::string& queue) {
-  return GetQueue(queue)->TryPop();
-}
-
-size_t KvStore::QueueLen(const std::string& queue) const {
-  return GetQueue(queue)->Size();
-}
-
 size_t KvStore::SweepExpired() {
   std::lock_guard<std::mutex> lock(mu_);
   size_t removed = 0;

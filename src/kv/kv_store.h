@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -12,20 +11,17 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "common/queue.h"
 #include "common/result.h"
 
 namespace quaestor::kv {
 
 /// An in-memory key-value store with Redis-like primitives: string values,
-/// atomic counters, hash fields, per-key expiration, pub/sub channels, and
-/// FIFO queues. Thread-safe. This is the substrate hosting the
-/// distributed Expiring Bloom Filter variant and the Quaestor ↔ InvaliDB
-/// message queues (the paper uses Redis for both, §3.3 and §4.1).
+/// atomic counters, hash fields, per-key expiration and pub/sub channels.
+/// Thread-safe. It hosts the distributed Expiring Bloom Filter variant
+/// (ebf::SharedEbf), which the paper keeps in Redis (§3.3).
 class KvStore {
  public:
   explicit KvStore(Clock* clock) : clock_(clock) {}
-  virtual ~KvStore() = default;
 
   KvStore(const KvStore&) = delete;
   KvStore& operator=(const KvStore&) = delete;
@@ -91,20 +87,6 @@ class KvStore {
   /// Returns the number of receivers.
   size_t Publish(const std::string& channel, const std::string& message);
 
-  // -- Queues (LPUSH/BRPOP-style message queues) --
-  //
-  // Virtual so fault-injection decorators (fault::FaultyKvStore) can
-  // intercept the Quaestor ↔ InvaliDB message path; everything else in
-  // the store is reliable by assumption.
-
-  /// Pushes onto the named queue (created on first use, unbounded-ish cap).
-  virtual void QueuePush(const std::string& queue, std::string message);
-
-  /// Non-blocking pop.
-  virtual std::optional<std::string> QueueTryPop(const std::string& queue);
-
-  virtual size_t QueueLen(const std::string& queue) const;
-
   // -- Maintenance --
 
   /// Drops all expired entries; returns how many were removed. (Reads also
@@ -133,8 +115,6 @@ class KvStore {
   Entry* FindLive(const std::string& key);
   const Entry* FindLive(const std::string& key) const;
 
-  using Queue = BoundedQueue<std::string>;
-
   Clock* clock_;
   mutable std::mutex mu_;
   mutable std::unordered_map<std::string, Entry> data_;
@@ -144,11 +124,6 @@ class KvStore {
   // channel -> (id -> subscriber)
   std::unordered_map<std::string, std::map<uint64_t, Subscriber>> subs_;
   std::unordered_map<uint64_t, std::string> sub_channels_;
-
-  mutable std::mutex queues_mu_;
-  mutable std::unordered_map<std::string, std::unique_ptr<Queue>> queues_;
-
-  Queue* GetQueue(const std::string& name) const;
 };
 
 }  // namespace quaestor::kv

@@ -9,8 +9,8 @@
 namespace quaestor::net {
 
 /// One length-prefixed message on a frame connection. The channel names
-/// the KV queue (or control topic) the payload belongs to; the priority
-/// byte (common/request_context.h Priority values, lower = more
+/// the transport queue (or control topic) the payload belongs to; the
+/// priority byte (common/request_context.h Priority values, lower = more
 /// important) lets a congested sender shed the least important classes
 /// first instead of buffering without bound.
 struct Frame {
@@ -21,7 +21,7 @@ struct Frame {
 
 /// Control topic: a frame sent on this channel subscribes the sending
 /// connection to every channel whose name starts with the payload. The
-/// leading control byte keeps it out of the KV queue namespace.
+/// leading control byte keeps it out of the queue namespace.
 inline constexpr std::string_view kSubscribeChannel = "\x01sub";
 
 /// Upper bound on a frame's length-of-rest. A peer announcing more is

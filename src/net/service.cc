@@ -141,19 +141,15 @@ bool NetWorker::Start() {
       p, cluster_options_, options_.transport);
   invalidb::InvalidbWorker* worker = worker_.get();
   // Each request frame is one pump cycle on the loop thread: receive and
-  // match, then ship the notifications it produced.
+  // match, then the worker's Tick ships the notifications it produced.
   const auto deliver = [this, worker](const Frame& frame) {
     deliveries_.count++;
-    if (worker->Receive(frame.channel, frame.payload) > 0) {
-      worker->FlushNotifications();
-    }
+    if (worker->Receive(frame.channel, frame.payload) > 0) worker->Tick();
   };
   client_->Subscribe(p + ":requests", deliver);
   client_->Subscribe(p + ":notifications:acks", deliver);
-  TickEvery(&loop_, TickPeriod(options_.transport.batching), [worker] {
-    worker->Tick();
-    worker->FlushNotifications();
-  });
+  TickEvery(&loop_, TickPeriod(options_.transport.batching),
+            [worker] { worker->Tick(); });
   // Frames may arrive as soon as the client connects: the worker exists.
   client_->Connect();
   started_ = true;
@@ -166,10 +162,7 @@ void NetWorker::Stop() {
     return;
   }
   started_ = false;
-  loop_.RunInLoopSync([this] {
-    worker_->cluster().Flush();
-    worker_->FlushNotifications();
-  });
+  loop_.RunInLoopSync([this] { worker_->Tick(); });
   client_->Close();
   loop_.Stop();
 }

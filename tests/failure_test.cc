@@ -15,7 +15,7 @@
 #include "db/database.h"
 #include "ebf/expiring_bloom_filter.h"
 #include "fault/fault_injector.h"
-#include "fault/faulty_kv_store.h"
+#include "fault/faulty_send.h"
 #include "invalidb/cluster.h"
 #include "invalidb/transport.h"
 #include "sim/simulation.h"
@@ -387,26 +387,32 @@ db::ChangeEvent ChaosChange(const std::string& id, int g, Micros at) {
   return ev;
 }
 
-// Runs one register-then-change script through a remote/worker pair over
-// the given store, pumping until the pipeline drains, and returns the
+// Runs one register-then-change script through a remote/worker pair
+// joined by loopback links, each endpoint sending through a FaultySend
+// driven by `injector`, pumping until the pipeline drains, and returns the
 // notification sequence.
 std::vector<std::string> RunTransportScript(SimulatedClock* clock,
-                                            kv::KvStore* kv,
-                                            fault::FaultyKvStore* faulty) {
+                                            fault::FaultInjector* injector) {
   invalidb::TransportOptions topts;
   topts.reliable.enabled = true;
   topts.reliable.seed = 0xabc;
+  invalidb::LoopbackLink to_worker;
+  invalidb::LoopbackLink to_remote;
+  fault::FaultySend remote_send(clock, injector, to_worker.sender());
+  fault::FaultySend worker_send(clock, injector, to_remote.sender());
   std::vector<std::string> sequence;
   invalidb::InvalidbRemote remote(
-      clock, kv, "chaos",
+      clock, remote_send.sender(), "chaos",
       [&](const std::vector<invalidb::Notification>& batch) {
         for (const invalidb::Notification& n : batch) {
           sequence.push_back(NotificationSignature(n));
         }
       },
       topts);
-  invalidb::InvalidbWorker worker(clock, kv, "chaos",
+  invalidb::InvalidbWorker worker(clock, worker_send.sender(), "chaos",
                                   invalidb::InvalidbOptions(), topts);
+  to_worker.Attach(&worker);
+  to_remote.Attach(&remote);
 
   db::Query q = Q("posts", R"({"g":{"$gte":1}})");
   remote.RegisterQuery(q, {}, invalidb::kEventsAll);
@@ -416,20 +422,23 @@ std::vector<std::string> RunTransportScript(SimulatedClock* clock,
     if (i % 4 == 0) clock->Advance(10 * kMicrosPerMilli);
   }
 
-  // Pump until everything converges. Each round processes both queues,
-  // ticks acks/retransmits, and advances time so retransmit timers and
-  // held (delayed) messages fire. Bounded: the schedule is deterministic.
+  // Pump until everything converges. Each round releases the due held
+  // messages and pumps both links, ticks retransmits, and advances time so
+  // retransmit timers and held (delayed) messages fire. Bounded: the
+  // schedule is deterministic.
   for (int round = 0; round < 400; ++round) {
-    worker.ProcessPending();
-    remote.DrainNotifications();
+    remote_send.Release();
+    to_worker.Pump();
+    worker_send.Release();
+    to_remote.Pump();
     clock->Advance(150 * kMicrosPerMilli);
     worker.Tick();
     remote.Tick();
     const bool drained =
         remote.unacked_requests() == 0 && remote.pending_notifications() == 0 &&
-        kv->QueueLen("chaos:requests") == 0 &&
-        kv->QueueLen("chaos:notifications") == 0 &&
-        (faulty == nullptr || faulty->held_count() == 0);
+        to_worker.pending() + to_remote.pending() + remote_send.held_count() +
+                worker_send.held_count() ==
+            0;
     if (drained && round > 4) break;
   }
   return sequence;
@@ -438,9 +447,9 @@ std::vector<std::string> RunTransportScript(SimulatedClock* clock,
 TEST(ChaosTest, LossyDuplicatingReorderingChannelConverges) {
   // Reference: perfect channel.
   SimulatedClock ref_clock(0);
-  kv::KvStore ref_kv(&ref_clock);
+  fault::FaultInjector lossless(0);
   const std::vector<std::string> expected =
-      RunTransportScript(&ref_clock, &ref_kv, nullptr);
+      RunTransportScript(&ref_clock, &lossless);
   ASSERT_GT(expected.size(), 50u);  // every change matched the query
 
   // Same script over a channel that drops, duplicates, reorders, and
@@ -454,9 +463,7 @@ TEST(ChaosTest, LossyDuplicatingReorderingChannelConverges) {
   profile.max_delay = 300 * kMicrosPerMilli;
   SimulatedClock clock(0);
   fault::FaultInjector injector(0x5eed, profile);
-  fault::FaultyKvStore faulty(&clock, &injector);
-  const std::vector<std::string> got =
-      RunTransportScript(&clock, &faulty, &faulty);
+  const std::vector<std::string> got = RunTransportScript(&clock, &injector);
 
   EXPECT_EQ(got, expected);
   EXPECT_GT(injector.stats().dropped, 0u);      // faults actually fired
@@ -470,8 +477,7 @@ TEST(ChaosTest, SameSeedSameSchedule) {
   auto run = [&] {
     SimulatedClock clock(0);
     fault::FaultInjector injector(0x77, profile);
-    fault::FaultyKvStore faulty(&clock, &injector);
-    auto seq = RunTransportScript(&clock, &faulty, &faulty);
+    auto seq = RunTransportScript(&clock, &injector);
     return std::make_pair(seq, injector.stats().dropped);
   };
   const auto a = run();
@@ -481,14 +487,18 @@ TEST(ChaosTest, SameSeedSameSchedule) {
 }
 
 TEST(ChaosTest, PollerCrashAndRestartLosesNothing) {
-  kv::KvStore kv(SystemClock::Default());
+  invalidb::LoopbackLink to_worker;
+  invalidb::LoopbackLink to_remote;
   std::atomic<int> count{0};
   invalidb::InvalidbRemote remote(
-      SystemClock::Default(), &kv, "pc",
+      SystemClock::Default(), to_worker.sender(), "pc",
       [&](const std::vector<invalidb::Notification>& batch) {
         count += batch.size();
       });
-  invalidb::InvalidbWorker worker(SystemClock::Default(), &kv, "pc");
+  invalidb::InvalidbWorker worker(SystemClock::Default(), to_remote.sender(),
+                                  "pc");
+  to_worker.Attach(&worker);
+  to_remote.Attach(&remote);
 
   // A background poller pumps the remote until stopped (a crash).
   std::atomic<bool> polling{false};
@@ -497,7 +507,7 @@ TEST(ChaosTest, PollerCrashAndRestartLosesNothing) {
     polling = true;
     poller = std::thread([&] {
       while (polling.load()) {
-        remote.DrainNotifications();
+        to_remote.Pump();
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
     });
@@ -513,14 +523,14 @@ TEST(ChaosTest, PollerCrashAndRestartLosesNothing) {
   for (int i = 0; i < 10; ++i) {
     remote.OnChange(ChaosChange("a" + std::to_string(i), 1, 0));
   }
-  worker.ProcessPending();
+  to_worker.Pump();
   // Crash the poller; notifications produced while it is down stay queued.
   stop_polling();
   for (int i = 0; i < 10; ++i) {
     remote.OnChange(ChaosChange("b" + std::to_string(i), 1, 0));
   }
-  worker.ProcessPending();
-  EXPECT_GE(kv.QueueLen("pc:notifications"), 10u);
+  to_worker.Pump();
+  EXPECT_GE(to_remote.pending("pc:notifications"), 10u);
   // Restart: the backlog drains.
   start_polling();
   for (int spin = 0; spin < 1000 && count.load() < 20; ++spin) {

@@ -1,4 +1,4 @@
-// Fault-injection building blocks: the seeded injector, the lossy KV
+// Fault-injection building blocks: the seeded injector, the lossy send
 // decorator, the at-least-once reliable queue layer, client retry, and
 // server degradation plumbing.
 
@@ -13,10 +13,10 @@
 #include "core/server.h"
 #include "db/database.h"
 #include "fault/fault_injector.h"
-#include "fault/faulty_kv_store.h"
+#include "fault/faulty_send.h"
 #include "invalidb/cluster.h"
 #include "invalidb/reliable_queue.h"
-#include "kv/kv_store.h"
+#include "invalidb/transport.h"
 #include "webcache/web_cache.h"
 
 namespace quaestor {
@@ -83,99 +83,108 @@ TEST(FaultInjectorTest, CorruptAlwaysMutatesOrTruncates) {
   EXPECT_FALSE(empty.empty());
 }
 
+// Removes every message queued on `link` and returns them in send order.
+std::vector<std::string> TakeAll(invalidb::LoopbackLink* link) {
+  std::vector<std::string> out;
+  link->Drain([&](const std::string&, const std::string& m) {
+    out.push_back(m);
+    return size_t{0};
+  });
+  return out;
+}
+
 // ---------------------------------------------------------------------------
-// FaultyKvStore
+// FaultySend
 // ---------------------------------------------------------------------------
 
-class FaultyKvTest : public ::testing::Test {
+class FaultySendTest : public ::testing::Test {
  protected:
-  FaultyKvTest() : clock_(0), injector_(1), kv_(&clock_, &injector_) {}
+  FaultySendTest()
+      : clock_(0), injector_(1), send_(&clock_, &injector_, link_.sender()) {}
 
   void SetProfile(const fault::FaultProfile& p) { injector_.set_profile(p); }
 
   SimulatedClock clock_;
   fault::FaultInjector injector_;
-  fault::FaultyKvStore kv_;
+  invalidb::LoopbackLink link_;
+  fault::FaultySend send_;
 };
 
-TEST_F(FaultyKvTest, LosslessProfilePassesThrough) {
-  kv_.QueuePush("q", "a");
-  kv_.QueuePush("q", "b");
-  EXPECT_EQ(kv_.QueueLen("q"), 2u);
-  EXPECT_EQ(kv_.QueueTryPop("q").value(), "a");
-  EXPECT_EQ(kv_.QueueTryPop("q").value(), "b");
-  EXPECT_FALSE(kv_.QueueTryPop("q").has_value());
+TEST_F(FaultySendTest, LosslessProfilePassesThrough) {
+  send_.Send("q", "a");
+  send_.Send("q", "b");
+  EXPECT_EQ(link_.pending(), 2u);
+  EXPECT_EQ(TakeAll(&link_), (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(link_.pending(), 0u);
 }
 
-TEST_F(FaultyKvTest, DropRateOneLosesEverything) {
+TEST_F(FaultySendTest, DropRateOneLosesEverything) {
   fault::FaultProfile p;
   p.drop_rate = 1.0;
   SetProfile(p);
-  kv_.QueuePush("q", "gone");
-  EXPECT_EQ(kv_.QueueLen("q"), 0u);
-  EXPECT_FALSE(kv_.QueueTryPop("q").has_value());
+  send_.Send("q", "gone");
+  EXPECT_EQ(link_.pending(), 0u);
+  EXPECT_EQ(send_.held_count(), 0u);
+  EXPECT_TRUE(TakeAll(&link_).empty());
   EXPECT_EQ(injector_.stats().dropped, 1u);
 }
 
-TEST_F(FaultyKvTest, DuplicateRateOneDeliversTwice) {
+TEST_F(FaultySendTest, DuplicateRateOneDeliversTwice) {
   fault::FaultProfile p;
   p.duplicate_rate = 1.0;
   SetProfile(p);
-  kv_.QueuePush("q", "twin");
-  EXPECT_EQ(kv_.QueueLen("q"), 2u);
-  EXPECT_EQ(kv_.QueueTryPop("q").value(), "twin");
-  EXPECT_EQ(kv_.QueueTryPop("q").value(), "twin");
+  send_.Send("q", "twin");
+  EXPECT_EQ(link_.pending(), 2u);
+  EXPECT_EQ(TakeAll(&link_), (std::vector<std::string>{"twin", "twin"}));
 }
 
-TEST_F(FaultyKvTest, DelayedMessageReleasedAfterDue) {
+TEST_F(FaultySendTest, DelayedMessageReleasedAfterDue) {
   fault::FaultProfile p;
   p.delay_rate = 1.0;
   p.max_delay = 1000;
   SetProfile(p);
-  kv_.QueuePush("q", "late");
+  send_.Send("q", "late");
   SetProfile(fault::FaultProfile());
-  // Held, not yet in the visible queue — but counted in QueueLen.
-  EXPECT_EQ(kv_.held_count(), 1u);
-  EXPECT_EQ(kv_.QueueLen("q"), 1u);
-  EXPECT_FALSE(kv_.QueueTryPop("q").has_value());
+  // Held, not yet on the link.
+  EXPECT_EQ(send_.held_count(), 1u);
+  EXPECT_EQ(link_.pending(), 0u);
+  EXPECT_EQ(send_.Release(), 0u);
+  EXPECT_TRUE(TakeAll(&link_).empty());
   clock_.Advance(1001);
-  EXPECT_EQ(kv_.QueueTryPop("q").value(), "late");
-  EXPECT_EQ(kv_.held_count(), 0u);
+  EXPECT_EQ(send_.Release(), 1u);
+  EXPECT_EQ(TakeAll(&link_), (std::vector<std::string>{"late"}));
+  EXPECT_EQ(send_.held_count(), 0u);
 }
 
-TEST_F(FaultyKvTest, ReorderedMessageOvertakenByLaterPushes) {
+TEST_F(FaultySendTest, ReorderedMessageOvertakenByLaterSends) {
   fault::FaultProfile p;
   p.reorder_rate = 1.0;
   SetProfile(p);
-  kv_.QueuePush("q", "first");
+  send_.Send("q", "first");
   SetProfile(fault::FaultProfile());
-  EXPECT_EQ(kv_.held_count(), 1u);
-  // At most 3 subsequent pushes release it, behind at least one of them.
-  std::vector<std::string> order;
-  for (int i = 0; i < 4; ++i) {
-    kv_.QueuePush("q", "later" + std::to_string(i));
-  }
-  while (auto m = kv_.QueueTryPop("q")) order.push_back(*m);
+  EXPECT_EQ(send_.held_count(), 1u);
+  // At most 3 subsequent sends release it, behind at least one of them.
+  for (int i = 0; i < 4; ++i) send_.Send("q", "later" + std::to_string(i));
+  const std::vector<std::string> order = TakeAll(&link_);
   ASSERT_EQ(order.size(), 5u);
-  EXPECT_EQ(kv_.held_count(), 0u);
+  EXPECT_EQ(send_.held_count(), 0u);
   // "first" was overtaken: it is not at the front any more.
   EXPECT_NE(order.front(), "first");
   EXPECT_NE(std::find(order.begin(), order.end(), "first"), order.end());
 }
 
-TEST_F(FaultyKvTest, FlushHeldReleasesEverything) {
+TEST_F(FaultySendTest, FlushHeldReleasesEverything) {
   fault::FaultProfile p;
   p.delay_rate = 1.0;
   p.max_delay = 1000000;
   SetProfile(p);
-  kv_.QueuePush("q", "a");
-  kv_.QueuePush("q", "b");
+  send_.Send("q", "a");
+  send_.Send("q", "b");
   SetProfile(fault::FaultProfile());
-  EXPECT_EQ(kv_.held_count(), 2u);
-  EXPECT_EQ(kv_.FlushHeld(), 2u);
-  EXPECT_EQ(kv_.held_count(), 0u);
-  EXPECT_TRUE(kv_.QueueTryPop("q").has_value());
-  EXPECT_TRUE(kv_.QueueTryPop("q").has_value());
+  EXPECT_EQ(send_.held_count(), 2u);
+  EXPECT_EQ(send_.FlushHeld(), 2u);
+  EXPECT_EQ(send_.held_count(), 0u);
+  EXPECT_EQ(TakeAll(&link_).size(), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -189,24 +198,31 @@ invalidb::ReliableOptions Reliable(uint64_t seed = 9) {
   return r;
 }
 
-// The in-process medium's pumps for one sender/receiver pair on "q".
-size_t Poll(kv::KvStore* kv, invalidb::ReliableReceiver* receiver,
+// One sender/receiver pair on "q": `wire` carries the sender's messages
+// to the receiver, `acks` the receiver's acks back. The pumps below hand
+// what each link holds to its end.
+struct Channel {
+  invalidb::LoopbackLink wire;
+  invalidb::LoopbackLink acks;
+};
+
+size_t Poll(Channel* ch, invalidb::ReliableReceiver* receiver,
             const invalidb::ReliableReceiver::Handler& handler) {
-  size_t delivered = 0;
-  invalidb::DrainKvQueue(kv, "q", [&](const std::string& m) {
-    delivered += receiver->Accept(m, handler);
+  return ch->wire.Drain([&](const std::string&, const std::string& m) {
+    return receiver->Accept(m, handler);
   });
-  return delivered;
 }
 
-void TakeAcks(kv::KvStore* kv, invalidb::ReliableSender* sender) {
-  invalidb::DrainKvQueue(kv, sender->ack_queue(),
-                         [&](const std::string& m) { sender->OnAck(m); });
+void TakeAcks(Channel* ch, invalidb::ReliableSender* sender) {
+  ch->acks.Drain([&](const std::string&, const std::string& m) {
+    sender->OnAck(m);
+    return size_t{0};
+  });
 }
 
 // Takes in the queued acks, then retransmits whatever is due.
-void Pump(kv::KvStore* kv, invalidb::ReliableSender* sender) {
-  TakeAcks(kv, sender);
+void Pump(Channel* ch, invalidb::ReliableSender* sender) {
+  TakeAcks(ch, sender);
   sender->Tick();
 }
 
@@ -231,90 +247,89 @@ TEST(ReliableQueueTest, EnvelopeRoundTripAndCorruptionDetected) {
 
 TEST(ReliableQueueTest, InOrderDeliveryWithAcks) {
   SimulatedClock clock(0);
-  kv::KvStore kv(&clock);
-  invalidb::ReliableSender sender(&clock, invalidb::KvQueueSend(&kv), "q",
-                                  "s", Reliable());
-  invalidb::ReliableReceiver receiver(invalidb::KvQueueSend(&kv), "q");
+  Channel ch;
+  invalidb::ReliableSender sender(&clock, ch.wire.sender(), "q", "s",
+                                  Reliable());
+  invalidb::ReliableReceiver receiver(ch.acks.sender(), "q");
   sender.Send("m1");
   sender.Send("m2");
   sender.Send("m3");
   EXPECT_EQ(sender.unacked(), 3u);
   std::vector<std::string> got;
-  Poll(&kv, &receiver, [&](const std::string& p) { got.push_back(p); });
+  Poll(&ch, &receiver, [&](const std::string& p) { got.push_back(p); });
   EXPECT_EQ(got, (std::vector<std::string>{"m1", "m2", "m3"}));
-  Pump(&kv, &sender);  // consume acks
+  Pump(&ch, &sender);  // consume acks
   EXPECT_EQ(sender.unacked(), 0u);
   EXPECT_EQ(sender.redeliveries(), 0u);
 }
 
 TEST(ReliableQueueTest, DuplicatesDroppedReordersBuffered) {
-  SimulatedClock clock(0);
-  kv::KvStore kv(&clock);
-  invalidb::ReliableReceiver receiver(invalidb::KvQueueSend(&kv), "q");
+  Channel ch;
+  invalidb::ReliableReceiver receiver(ch.acks.sender(), "q");
   // Deliver seq 2 before seq 1, then seq 1 twice.
-  kv.QueuePush("q", invalidb::reliable::Encode("s", 2, "b"));
+  ch.wire.Send("q", invalidb::reliable::Encode("s", 2, "b"));
   std::vector<std::string> got;
   const auto h = [&](const std::string& p) { got.push_back(p); };
-  Poll(&kv, &receiver, h);
+  Poll(&ch, &receiver, h);
   EXPECT_TRUE(got.empty());  // gap: parked
   EXPECT_EQ(receiver.pending(), 1u);
-  kv.QueuePush("q", invalidb::reliable::Encode("s", 1, "a"));
-  kv.QueuePush("q", invalidb::reliable::Encode("s", 1, "a"));
-  Poll(&kv, &receiver, h);
+  ch.wire.Send("q", invalidb::reliable::Encode("s", 1, "a"));
+  ch.wire.Send("q", invalidb::reliable::Encode("s", 1, "a"));
+  Poll(&ch, &receiver, h);
   EXPECT_EQ(got, (std::vector<std::string>{"a", "b"}));
   EXPECT_EQ(receiver.duplicates_dropped(), 1u);
   EXPECT_EQ(receiver.pending(), 0u);
   // Every envelope was acked, duplicates included.
-  EXPECT_EQ(kv.QueueLen("q:acks"), 3u);
+  EXPECT_EQ(ch.acks.pending(), 3u);
 }
 
 TEST(ReliableQueueTest, LostMessageRetransmittedUntilAcked) {
   SimulatedClock clock(0);
-  kv::KvStore kv(&clock);
+  Channel ch;
   invalidb::ReliableOptions opts = Reliable();
-  invalidb::ReliableSender sender(&clock, invalidb::KvQueueSend(&kv), "q",
-                                  "s", opts);
-  invalidb::ReliableReceiver receiver(invalidb::KvQueueSend(&kv), "q");
+  invalidb::ReliableSender sender(&clock, ch.wire.sender(), "q", "s",
+                                  opts);
+  invalidb::ReliableReceiver receiver(ch.acks.sender(), "q");
   sender.Send("precious");
   // The channel eats the message.
-  ASSERT_TRUE(kv.QueueTryPop("q").has_value());
-  Pump(&kv, &sender);
+  ASSERT_EQ(TakeAll(&ch.wire).size(), 1u);
+  Pump(&ch, &sender);
   EXPECT_EQ(sender.unacked(), 1u);
   // Past the (jittered) retransmit deadline the sender re-sends.
   clock.Advance(opts.retransmit_timeout * 2);
-  Pump(&kv, &sender);
+  Pump(&ch, &sender);
   EXPECT_GE(sender.redeliveries(), 1u);
   std::vector<std::string> got;
-  Poll(&kv, &receiver, [&](const std::string& p) { got.push_back(p); });
+  Poll(&ch, &receiver, [&](const std::string& p) { got.push_back(p); });
   EXPECT_EQ(got, (std::vector<std::string>{"precious"}));
-  Pump(&kv, &sender);
+  Pump(&ch, &sender);
   EXPECT_EQ(sender.unacked(), 0u);
 }
 
 TEST(ReliableQueueTest, CorruptedEnvelopeNotAckedThenRecovered) {
   SimulatedClock clock(0);
-  kv::KvStore kv(&clock);
+  Channel ch;
   invalidb::ReliableOptions opts = Reliable();
-  invalidb::ReliableSender sender(&clock, invalidb::KvQueueSend(&kv), "q",
-                                  "s", opts);
-  invalidb::ReliableReceiver receiver(invalidb::KvQueueSend(&kv), "q");
+  invalidb::ReliableSender sender(&clock, ch.wire.sender(), "q", "s",
+                                  opts);
+  invalidb::ReliableReceiver receiver(ch.acks.sender(), "q");
   sender.Send("fragile");
   // Corrupt the in-flight envelope's payload (the checksum must catch it).
-  std::string wire = kv.QueueTryPop("q").value();
+  std::string wire = TakeAll(&ch.wire).at(0);
   const size_t pos = wire.find("fragile");
   ASSERT_NE(pos, std::string::npos);
   wire[pos] ^= 0x20;
-  kv.QueuePush("q", wire);
+  ch.wire.Send("q", wire);
   std::vector<std::string> got;
-  Poll(&kv, &receiver, [&](const std::string& p) { got.push_back(p); });
+  Poll(&ch, &receiver, [&](const std::string& p) { got.push_back(p); });
   EXPECT_TRUE(got.empty());        // rejected
-  EXPECT_EQ(kv.QueueLen("q:acks"), 0u);  // and NOT acked
+  EXPECT_EQ(ch.acks.pending(), 0u);  // and NOT acked
   // The sender's retransmission delivers the intact copy.
   clock.Advance(opts.retransmit_timeout * 2);
-  Pump(&kv, &sender);
-  Poll(&kv, &receiver, [&](const std::string& p) { got.push_back(p); });
+  Pump(&ch, &sender);
+  Poll(&ch, &receiver, [&](const std::string& p) { got.push_back(p); });
   EXPECT_EQ(got, (std::vector<std::string>{"fragile"}));
-  Pump(&kv, &sender);
+  Pump(&ch, &sender);
   EXPECT_EQ(sender.unacked(), 0u);
 }
 
@@ -324,11 +339,11 @@ TEST(ReliableQueueTest, CorruptedEnvelopeNotAckedThenRecovered) {
 // unacked queues, the scan — not the retransmits — used to dominate.
 TEST(ReliableQueueTest, TickSkipsRetransmitScanUntilDeadline) {
   SimulatedClock clock(0);
-  kv::KvStore kv(&clock);
+  Channel ch;
   invalidb::ReliableOptions opts = Reliable();
   opts.jitter = 0.0;
-  invalidb::ReliableSender sender(&clock, invalidb::KvQueueSend(&kv), "q",
-                                  "s", opts);
+  invalidb::ReliableSender sender(&clock, ch.wire.sender(), "q", "s",
+                                  opts);
   for (int i = 0; i < 50; ++i) sender.Send("m" + std::to_string(i));
   ASSERT_EQ(sender.unacked(), 50u);
 
@@ -336,7 +351,7 @@ TEST(ReliableQueueTest, TickSkipsRetransmitScanUntilDeadline) {
   const uint64_t scans_before = sender.retransmit_scans();
   for (int i = 0; i < 1000; ++i) {
     clock.Advance(opts.retransmit_timeout / 2000);
-    Pump(&kv, &sender);
+    Pump(&ch, &sender);
   }
   EXPECT_EQ(sender.retransmit_scans(), scans_before);
   EXPECT_EQ(sender.redeliveries(), 0u);
@@ -344,23 +359,23 @@ TEST(ReliableQueueTest, TickSkipsRetransmitScanUntilDeadline) {
   // Cross the deadline: exactly one scan retransmits everything due,
   // then the early-out holds again until the next (backed-off) deadline.
   clock.Advance(opts.retransmit_timeout);
-  Pump(&kv, &sender);
+  Pump(&ch, &sender);
   EXPECT_EQ(sender.retransmit_scans(), scans_before + 1);
   EXPECT_EQ(sender.redeliveries(), 50u);
-  for (int i = 0; i < 100; ++i) Pump(&kv, &sender);
+  for (int i = 0; i < 100; ++i) Pump(&ch, &sender);
   EXPECT_EQ(sender.retransmit_scans(), scans_before + 1);
 
   // Acks clear the queue and retire the deadlines with the messages: an
   // idle sender never scans again — not even one lazy-expiry scan.
   std::vector<std::string> got;
-  invalidb::ReliableReceiver receiver(invalidb::KvQueueSend(&kv), "q");
-  Poll(&kv, &receiver, [&](const std::string& p) { got.push_back(p); });
+  invalidb::ReliableReceiver receiver(ch.acks.sender(), "q");
+  Poll(&ch, &receiver, [&](const std::string& p) { got.push_back(p); });
   EXPECT_EQ(got.size(), 50u);
-  Pump(&kv, &sender);  // consume acks
+  Pump(&ch, &sender);  // consume acks
   ASSERT_EQ(sender.unacked(), 0u);
   const uint64_t idle_scans = sender.retransmit_scans();
   clock.Advance(opts.max_backoff * 8);
-  for (int i = 0; i < 100; ++i) Pump(&kv, &sender);
+  for (int i = 0; i < 100; ++i) Pump(&ch, &sender);
   EXPECT_EQ(sender.retransmit_scans(), idle_scans);
   EXPECT_EQ(sender.redeliveries(), 50u);  // nothing re-sent after acks
 }
@@ -372,22 +387,23 @@ TEST(ReliableQueueTest, TickSkipsRetransmitScanUntilDeadline) {
 // unacked map for a message that was already gone.
 TEST(ReliableQueueTest, AckRetiresEarliestDeadlineWithoutScan) {
   SimulatedClock clock(0);
-  kv::KvStore kv(&clock);
+  Channel ch;
   invalidb::ReliableOptions opts = Reliable();
   opts.jitter = 0.0;
-  invalidb::ReliableSender sender(&clock, invalidb::KvQueueSend(&kv), "q",
-                                  "s", opts);
-  invalidb::ReliableReceiver receiver(invalidb::KvQueueSend(&kv), "q");
+  invalidb::ReliableSender sender(&clock, ch.wire.sender(), "q", "s",
+                                  opts);
+  invalidb::ReliableReceiver receiver(ch.acks.sender(), "q");
 
   sender.Send("m1");  // deadline: t0 + timeout
   clock.Advance(opts.retransmit_timeout / 2);
   sender.Send("m2");  // deadline: t0 + 1.5 * timeout
   // The channel delivers m1 but eats m2, so only m1 gets acked.
-  const std::string m1_wire = kv.QueueTryPop("q").value();
-  ASSERT_TRUE(kv.QueueTryPop("q").has_value());
-  kv.QueuePush("q", m1_wire);
-  Poll(&kv, &receiver, [](const std::string&) {});
-  TakeAcks(&kv, &sender);
+  const std::vector<std::string> sent = TakeAll(&ch.wire);
+  ASSERT_EQ(sent.size(), 2u);
+  const std::string& m1_wire = sent[0];
+  ch.wire.Send("q", m1_wire);
+  Poll(&ch, &receiver, [](const std::string&) {});
+  TakeAcks(&ch, &sender);
   ASSERT_EQ(sender.unacked(), 1u);  // only m2 remains
 
   // Between m1's retired deadline and m2's live one nothing is due, so
@@ -395,31 +411,31 @@ TEST(ReliableQueueTest, AckRetiresEarliestDeadlineWithoutScan) {
   // earliest-deadline tracking stale.
   const uint64_t scans = sender.retransmit_scans();
   clock.Advance(3 * opts.retransmit_timeout / 4);  // t0 + 1.25 * timeout
-  Pump(&kv, &sender);
+  Pump(&ch, &sender);
   EXPECT_EQ(sender.retransmit_scans(), scans);
   EXPECT_EQ(sender.redeliveries(), 0u);
 
   // m2's own deadline still fires on time.
   clock.Advance(opts.retransmit_timeout / 2);  // t0 + 1.75 * timeout
-  Pump(&kv, &sender);
+  Pump(&ch, &sender);
   EXPECT_EQ(sender.retransmit_scans(), scans + 1);
   EXPECT_EQ(sender.redeliveries(), 1u);
 }
 
 TEST(ReliableQueueTest, ExponentialBackoffCapped) {
   SimulatedClock clock(0);
-  kv::KvStore kv(&clock);
+  Channel ch;
   invalidb::ReliableOptions opts = Reliable();
   opts.jitter = 0.0;
-  invalidb::ReliableSender sender(&clock, invalidb::KvQueueSend(&kv), "q",
-                                  "s", opts);
+  invalidb::ReliableSender sender(&clock, ch.wire.sender(), "q", "s",
+                                  opts);
   sender.Send("x");
-  (void)kv.QueueTryPop("q");
+  (void)TakeAll(&ch.wire);
   uint64_t redeliveries = 0;
   for (int i = 0; i < 12; ++i) {
     clock.Advance(opts.max_backoff);
-    Pump(&kv, &sender);
-    (void)kv.QueueTryPop("q");  // channel keeps eating them
+    Pump(&ch, &sender);
+    (void)TakeAll(&ch.wire);  // channel keeps eating them
     EXPECT_GE(sender.redeliveries(), redeliveries);
     redeliveries = sender.redeliveries();
   }
@@ -430,23 +446,23 @@ TEST(ReliableQueueTest, ExponentialBackoffCapped) {
 
 TEST(ReliableQueueTest, MaxInflightWindowRejectsNewSends) {
   SimulatedClock clock(0);
-  kv::KvStore kv(&clock);
+  Channel ch;
   invalidb::ReliableOptions opts = Reliable();
   opts.max_inflight = 3;
-  invalidb::ReliableSender sender(&clock, invalidb::KvQueueSend(&kv), "q",
-                                  "s", opts);
+  invalidb::ReliableSender sender(&clock, ch.wire.sender(), "q", "s",
+                                  opts);
   EXPECT_TRUE(sender.Send("a").ok());
   EXPECT_TRUE(sender.Send("b").ok());
   EXPECT_TRUE(sender.Send("c").ok());
   EXPECT_TRUE(sender.Send("d").IsResourceExhausted());
   EXPECT_EQ(sender.unacked(), 3u);
   EXPECT_EQ(sender.inflight_rejections(), 1u);
-  EXPECT_EQ(kv.QueueLen("q"), 3u);  // the rejected payload never hit the wire
+  EXPECT_EQ(ch.wire.pending(), 3u);  // the rejected payload never hit the wire
 
   // Acks open the window again.
-  invalidb::ReliableReceiver receiver(invalidb::KvQueueSend(&kv), "q");
-  Poll(&kv, &receiver, [](const std::string&) {});
-  Pump(&kv, &sender);
+  invalidb::ReliableReceiver receiver(ch.acks.sender(), "q");
+  Poll(&ch, &receiver, [](const std::string&) {});
+  Pump(&ch, &sender);
   EXPECT_EQ(sender.unacked(), 0u);
   EXPECT_TRUE(sender.Send("d").ok());
 

@@ -126,15 +126,6 @@ TEST_F(KvStoreTest, MultipleSubscribers) {
   EXPECT_EQ(count, 2);
 }
 
-TEST_F(KvStoreTest, QueuePushPopFifo) {
-  kv_.QueuePush("q", "a");
-  kv_.QueuePush("q", "b");
-  EXPECT_EQ(kv_.QueueLen("q"), 2u);
-  EXPECT_EQ(kv_.QueueTryPop("q").value(), "a");
-  EXPECT_EQ(kv_.QueueTryPop("q").value(), "b");
-  EXPECT_FALSE(kv_.QueueTryPop("q").has_value());
-}
-
 TEST_F(KvStoreTest, FlushAllClearsData) {
   kv_.Set("a", "1");
   kv_.HSet("h", "f", "v");

@@ -20,11 +20,10 @@
 #include "db/table.h"
 #include "db/value.h"
 #include "fault/fault_injector.h"
-#include "fault/faulty_kv_store.h"
+#include "fault/faulty_send.h"
 #include "invalidb/cluster.h"
 #include "invalidb/matching_node.h"
 #include "invalidb/transport.h"
-#include "kv/kv_store.h"
 
 namespace quaestor::invalidb {
 namespace {
@@ -656,14 +655,15 @@ TEST(MatchingEquivalenceTest, BatchedSortedLayerSingleRowByteIdentical) {
 // Write-path batching over a lossy, duplicating, reordering transport
 // ---------------------------------------------------------------------------
 
-/// Ships the workload through a remote/worker pair over `kv` with
-/// max_batch = `batch`, pumping until the pipeline drains. Returns the
-/// sorted notification multiset as seen by the remote's sink — i.e. after
-/// batch encode, the reliable layer, the faulty channel, and batch decode.
+/// Ships the workload through a remote/worker pair joined by loopback
+/// links with max_batch = `batch`, each endpoint sending through a
+/// FaultySend driven by `injector`, pumping until the pipeline drains.
+/// Returns the sorted notification multiset as seen by the remote's sink —
+/// i.e. after batch encode, the reliable layer, the faulty channel, and
+/// batch decode.
 std::vector<std::string> RunBatchedTransport(const BatchWorkload& w,
                                              size_t batch, SimulatedClock* clock,
-                                             kv::KvStore* kv,
-                                             fault::FaultyKvStore* faulty) {
+                                             fault::FaultInjector* injector) {
   TransportOptions topts;
   topts.reliable.enabled = true;
   topts.reliable.seed = 0xba7c ^ batch;
@@ -672,13 +672,19 @@ std::vector<std::string> RunBatchedTransport(const BatchWorkload& w,
   InvalidbOptions copts;
   copts.query_partitions = 2;
   copts.object_partitions = 2;
+  LoopbackLink to_worker;
+  LoopbackLink to_remote;
+  fault::FaultySend remote_send(clock, injector, to_worker.sender());
+  fault::FaultySend worker_send(clock, injector, to_remote.sender());
   InvalidbRemote remote(
-      clock, kv, "bt",
+      clock, remote_send.sender(), "bt",
       [&](const std::vector<Notification>& batch) {
         for (const Notification& n : batch) sigs.push_back(Sig(n));
       },
       topts);
-  InvalidbWorker worker(clock, kv, "bt", copts, topts);
+  InvalidbWorker worker(clock, worker_send.sender(), "bt", copts, topts);
+  to_worker.Attach(&worker);
+  to_remote.Attach(&remote);
 
   for (size_t i = 0; i < w.queries.size(); ++i) {
     remote.RegisterQuery(w.queries[i], w.initial[i], kEventsAll);
@@ -687,8 +693,10 @@ std::vector<std::string> RunBatchedTransport(const BatchWorkload& w,
   remote.FlushChanges();
 
   for (int round = 0; round < 400; ++round) {
-    worker.ProcessPending();
-    remote.DrainNotifications();
+    remote_send.Release();
+    to_worker.Pump();
+    worker_send.Release();
+    to_remote.Pump();
     clock->Advance(150 * kMicrosPerMilli);
     worker.Tick();
     remote.Tick();
@@ -696,9 +704,9 @@ std::vector<std::string> RunBatchedTransport(const BatchWorkload& w,
         remote.unacked_requests() == 0 &&
         remote.pending_notifications() == 0 &&
         remote.buffered_changes() == 0 &&
-        kv->QueueLen("bt:requests") == 0 &&
-        kv->QueueLen("bt:notifications") == 0 &&
-        (faulty == nullptr || faulty->held_count() == 0);
+        to_worker.pending() + to_remote.pending() + remote_send.held_count() +
+                worker_send.held_count() ==
+            0;
     if (drained && round > 4) break;
   }
   EXPECT_EQ(remote.decode_errors(), 0u);
@@ -722,10 +730,9 @@ TEST(MatchingEquivalenceTest, BatchedTransportMatchesBruteForceAcross20Seeds) {
     ASSERT_GT(expected.size(), 10u) << "seed " << seed;
     // A perfect channel first, then every batch size over a faulty one.
     SimulatedClock ref_clock(0);
-    kv::KvStore ref_kv(&ref_clock);
-    EXPECT_EQ(
-        RunBatchedTransport(w, /*batch=*/1, &ref_clock, &ref_kv, nullptr),
-        expected)
+    fault::FaultInjector lossless(0);
+    EXPECT_EQ(RunBatchedTransport(w, /*batch=*/1, &ref_clock, &lossless),
+              expected)
         << "seed " << seed;
 
     // Every batch size must survive a 10% drop/dup/reorder channel with
@@ -734,9 +741,7 @@ TEST(MatchingEquivalenceTest, BatchedTransportMatchesBruteForceAcross20Seeds) {
     for (const size_t batch : {size_t{1}, size_t{7}, size_t{64}}) {
       SimulatedClock clock(0);
       fault::FaultInjector injector(seed * 6151 + 7 * batch, profile);
-      fault::FaultyKvStore faulty(&clock, &injector);
-      EXPECT_EQ(RunBatchedTransport(w, batch, &clock, &faulty, &faulty),
-                expected)
+      EXPECT_EQ(RunBatchedTransport(w, batch, &clock, &injector), expected)
           << "seed " << seed << " batch " << batch;
       total_dropped += injector.stats().dropped;
     }

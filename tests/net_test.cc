@@ -28,7 +28,10 @@
 #include "common/clock.h"
 #include "core/server.h"
 #include "db/database.h"
+#include "fault/fault_injector.h"
+#include "fault/faulty_send.h"
 #include "invalidb/reliable_queue.h"
+#include "invalidb/transport.h"
 #include "net/event_loop.h"
 #include "net/framing.h"
 #include "net/http_client.h"
@@ -983,6 +986,124 @@ TEST_F(FrameFixture, ConnectionResetDuringBatchedNotifyRedeliversExactlyOnce) {
   for (int i = 0; i < 20; ++i) {
     EXPECT_EQ(unique.count("n" + std::to_string(i)), 1u) << i;
   }
+
+  client.Close();
+  worker_loop.Stop();
+  hub.Close();
+}
+
+// ---------------------------------------------------------------------------
+// Seeded channel faults over real sockets
+
+// The chaos suites' fault seam on the socket medium: the remote and the
+// worker are wired to a hub and a frame client as NetServer and NetWorker
+// wire them, but each sends through a FaultySend that drops, duplicates
+// and reorders. Reliable delivery must still hand every write's
+// notification to the sink exactly once.
+TEST_F(FrameFixture, SeededFaultsOverSocketsDeliverEachNotificationOnce) {
+  SystemClock clock;
+  fault::FaultProfile profile;
+  profile.drop_rate = 0.10;
+  profile.duplicate_rate = 0.10;
+  profile.reorder_rate = 0.10;
+  fault::FaultInjector injector(0x50c4e7, profile);
+  invalidb::TransportOptions topts;
+  topts.reliable.enabled = true;
+  topts.reliable.retransmit_timeout = 30 * kMicrosPerMilli;
+  topts.reliable.max_backoff = 200 * kMicrosPerMilli;
+
+  // Origin side: the remote's frames are received on the hub's loop.
+  FrameHub hub(&loop_, 256u << 10, 1u << 20);
+  fault::FaultySend remote_send(
+      &clock, &injector,
+      [&hub](const std::string& queue, std::string message) {
+        hub.Send(queue, message, 0);
+      });
+  std::mutex mu;
+  std::vector<std::string> delivered;
+  invalidb::InvalidbRemote remote(
+      &clock, remote_send.sender(), "sf",
+      [&](const std::vector<invalidb::Notification>& batch) {
+        std::lock_guard<std::mutex> lock(mu);
+        for (const invalidb::Notification& n : batch) {
+          delivered.push_back(n.record_id);
+        }
+      },
+      topts);
+  const auto to_remote = [&remote](const Frame& f) {
+    remote.Receive(f.channel, f.payload);
+  };
+  hub.Subscribe("sf:notifications", to_remote);
+  hub.Subscribe("sf:requests:acks", to_remote);
+  ASSERT_TRUE(hub.Listen(0));
+
+  // Worker side: every worker call runs on the client's loop thread.
+  EventLoop worker_loop;
+  ASSERT_TRUE(worker_loop.Start());
+  FrameClient client(&worker_loop, hub.port(), 5 * kMicrosPerMilli);
+  fault::FaultySend worker_send(
+      &clock, &injector,
+      [&client](const std::string& queue, std::string message) {
+        client.Send(queue, message, 2);
+      });
+  invalidb::InvalidbWorker worker(&clock, worker_send.sender(), "sf",
+                                  invalidb::InvalidbOptions(), topts);
+  const auto to_worker = [&worker](const Frame& f) {
+    if (worker.Receive(f.channel, f.payload) > 0) worker.Tick();
+  };
+  client.Subscribe("sf:requests", to_worker);
+  client.Subscribe("sf:notifications:acks", to_worker);
+  client.Connect();
+  ASSERT_TRUE(WaitFor([&] { return hub.connections() == 1; }));
+
+  // What the loop timers do: release the held messages that are due and
+  // end a pump cycle (retransmits included).
+  const auto tick = [&] {
+    remote_send.Release();
+    remote.Tick();
+    worker_loop.RunInLoopSync([&] {
+      worker_send.Release();
+      worker.Tick();
+    });
+  };
+
+  constexpr int kWrites = 40;
+  auto q = db::Query::ParseJson("posts", R"({"g":1})");
+  ASSERT_TRUE(q.ok());
+  remote.RegisterQuery(q.value(), {}, invalidb::kEventsAll);
+  for (int i = 0; i < kWrites; ++i) {
+    db::ChangeEvent ev;
+    ev.kind = db::WriteKind::kInsert;
+    ev.after.table = "posts";
+    ev.after.id = "p" + std::to_string(i);
+    ev.after.body = db::Value::FromJson(R"({"g":1})").value();
+    ev.after.write_time = i + 1;
+    ev.commit_time = i + 1;
+    remote.OnChange(ev);
+  }
+  ASSERT_TRUE(WaitFor(
+      [&] {
+        tick();
+        std::lock_guard<std::mutex> lock(mu);
+        return delivered.size() >= kWrites;
+      },
+      15000));
+  // Let trailing retransmits and duplicates land, then assert exactly-once.
+  for (int i = 0; i < 10; ++i) {
+    tick();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(delivered.size(), static_cast<size_t>(kWrites));
+    const std::set<std::string> unique(delivered.begin(), delivered.end());
+    EXPECT_EQ(unique.size(), static_cast<size_t>(kWrites));
+  }
+  // The faults fired, and the reliable layer absorbed them.
+  EXPECT_GT(injector.stats().dropped, 0u);
+  EXPECT_GT(injector.stats().duplicated, 0u);
+  EXPECT_GT(injector.stats().reordered, 0u);
+  EXPECT_EQ(remote.decode_errors(), 0u);
 
   client.Close();
   worker_loop.Stop();

@@ -21,10 +21,9 @@
 #include "core/server.h"
 #include "db/database.h"
 #include "fault/fault_injector.h"
-#include "fault/faulty_kv_store.h"
+#include "fault/faulty_send.h"
 #include "invalidb/cluster.h"
 #include "invalidb/transport.h"
-#include "kv/kv_store.h"
 #include "webcache/web_cache.h"
 
 namespace quaestor {
@@ -168,25 +167,33 @@ TEST(RebalanceTest, ResizeMidStreamMatchesFixedReferenceAcross20Seeds) {
 // Resize over a lossy, duplicating, reordering transport
 // ---------------------------------------------------------------------------
 
-// Ships the stream through a remote/worker pair over `kv`, interleaving
-// scheduled resize requests, pumping until the pipeline drains. Returns
-// the sorted notification multiset.
+// Ships the stream through a remote/worker pair joined by loopback links,
+// each endpoint sending through a FaultySend driven by `injector`,
+// interleaving scheduled resize requests, pumping until the pipeline
+// drains. Returns the sorted notification multiset.
 std::vector<std::string> RunTransportResizeScript(
     const std::vector<db::ChangeEvent>& stream,
     const std::vector<fault::ResizePoint>& schedule,
     invalidb::InvalidbOptions worker_opts, SimulatedClock* clock,
-    kv::KvStore* kv, fault::FaultyKvStore* faulty) {
+    fault::FaultInjector* injector) {
   invalidb::TransportOptions topts;
   topts.reliable.enabled = true;
   topts.reliable.seed = 0xabc;
+  invalidb::LoopbackLink to_worker;
+  invalidb::LoopbackLink to_remote;
+  fault::FaultySend remote_send(clock, injector, to_worker.sender());
+  fault::FaultySend worker_send(clock, injector, to_remote.sender());
   std::vector<std::string> sigs;
   invalidb::InvalidbRemote remote(
-      clock, kv, "rz",
+      clock, remote_send.sender(), "rz",
       [&](const std::vector<invalidb::Notification>& batch) {
         for (const invalidb::Notification& n : batch) sigs.push_back(Sig(n));
       },
       topts);
-  invalidb::InvalidbWorker worker(clock, kv, "rz", worker_opts, topts);
+  invalidb::InvalidbWorker worker(clock, worker_send.sender(), "rz",
+                                  worker_opts, topts);
+  to_worker.Attach(&worker);
+  to_remote.Attach(&remote);
 
   for (const db::Query& q : TestQueries()) {
     remote.RegisterQuery(q, {}, invalidb::kEventsAll);
@@ -207,16 +214,18 @@ std::vector<std::string> RunTransportResizeScript(
   }
 
   for (int round = 0; round < 400; ++round) {
-    worker.ProcessPending();
-    remote.DrainNotifications();
+    remote_send.Release();
+    to_worker.Pump();
+    worker_send.Release();
+    to_remote.Pump();
     clock->Advance(150 * kMicrosPerMilli);
     worker.Tick();
     remote.Tick();
     const bool drained =
         remote.unacked_requests() == 0 && remote.pending_notifications() == 0 &&
-        kv->QueueLen("rz:requests") == 0 &&
-        kv->QueueLen("rz:notifications") == 0 &&
-        (faulty == nullptr || faulty->held_count() == 0);
+        to_worker.pending() + to_remote.pending() + remote_send.held_count() +
+                worker_send.held_count() ==
+            0;
     if (drained && round > 4) break;
   }
   std::sort(sigs.begin(), sigs.end());
@@ -245,19 +254,17 @@ TEST(RebalanceTest, FaultyChannelResizeByteIdenticalAcross20Seeds) {
     target.query_partitions = schedule.back().query_partitions;
     target.object_partitions = schedule.back().object_partitions;
     SimulatedClock ref_clock(0);
-    kv::KvStore ref_kv(&ref_clock);
+    fault::FaultInjector lossless(0);
     const std::vector<std::string> expected = RunTransportResizeScript(
-        stream, {}, target, &ref_clock, &ref_kv, nullptr);
+        stream, {}, target, &ref_clock, &lossless);
 
     // Chaos: 10% drop/dup/reorder channel, cluster starts 1x1 and resizes
     // mid-stream (queue order places each cutover exactly between two
     // changes, which the reliable layer preserves through the faults).
     SimulatedClock clock(0);
     fault::FaultInjector injector(seed * 7919 + 13, profile);
-    fault::FaultyKvStore faulty(&clock, &injector);
     const std::vector<std::string> got = RunTransportResizeScript(
-        stream, schedule, invalidb::InvalidbOptions(), &clock, &faulty,
-        &faulty);
+        stream, schedule, invalidb::InvalidbOptions(), &clock, &injector);
 
     ASSERT_GT(expected.size(), kEvents / 2) << "seed " << seed;
     EXPECT_EQ(got, expected) << "seed " << seed;

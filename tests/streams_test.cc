@@ -212,6 +212,21 @@ TEST_F(StreamsTest, SubscribeAfterFetchGetsChangeIndex) {
   EXPECT_TRUE(server_->ebf().IsStale(top.NormalizedKey()));
 }
 
+// Without any stream, a fetch registers a sorted query with changeIndex:
+// a move inside the window reorders the cached result, so it invalidates
+// it.
+TEST_F(StreamsTest, FetchedSortedResultInvalidatedByMoveInsideWindow) {
+  const db::Query top = InsertTopTwo();
+  ASSERT_TRUE(FetchQuery(top).ok);
+  ASSERT_FALSE(server_->ebf().IsStale(top.NormalizedKey()));
+  // p1 moves from index 1 to 0 of the window {p2, p1}.
+  ASSERT_TRUE(server_
+                  ->Update("posts", "p1",
+                           db::Update().Set("score", db::Value(int64_t{30})))
+                  .ok());
+  EXPECT_TRUE(server_->ebf().IsStale(top.NormalizedKey()));
+}
+
 // A kAuto switch to id-lists re-registers the cache side with add/remove
 // only; a streamed query keeps its full registration.
 TEST_F(StreamsTest, StreamSurvivesRepresentationSwitch) {
@@ -291,6 +306,36 @@ TEST_F(StreamsTest, UnsubscribeStopsDelivery) {
   EXPECT_EQ(hub_->TotalSubscriptions(), 0u);
   ASSERT_TRUE(server_->Insert("posts", "p1", Doc(R"({"g":1})")).ok());
   EXPECT_EQ(events, 0);
+}
+
+// The last subscriber of a query nobody fetched takes its registration
+// with it.
+TEST_F(StreamsTest, LastUnsubscribeReleasesStreamOnlyRegistration) {
+  const db::Query q = Q("posts", R"({"g":1})");
+  auto a = hub_->Subscribe(q, [](const StreamEvent&) {}, nullptr);
+  auto b = hub_->Subscribe(q, [](const StreamEvent&) {}, nullptr);
+  ASSERT_TRUE(a.ok() && b.ok());
+  hub_->Unsubscribe(a.value());
+  EXPECT_TRUE(server_->invalidb().IsRegistered(q.NormalizedKey()));
+  hub_->Unsubscribe(b.value());
+  EXPECT_FALSE(server_->invalidb().IsRegistered(q.NormalizedKey()));
+  EXPECT_FALSE(server_->active_list().IsRegistered(q.NormalizedKey()));
+}
+
+// A cached query keeps a registration when its last subscriber leaves,
+// narrowed to what the cache needs, and its cached result still gets
+// invalidated.
+TEST_F(StreamsTest, LastUnsubscribeKeepsCachedQueryRegistered) {
+  const db::Query q = Q("posts", R"({"g":1})");
+  ASSERT_TRUE(FetchQuery(q).ok);
+  auto id = hub_->Subscribe(q, [](const StreamEvent&) {}, nullptr);
+  ASSERT_TRUE(id.ok());
+  hub_->Unsubscribe(id.value());
+  EXPECT_TRUE(server_->invalidb().IsRegistered(q.NormalizedKey()));
+  ASSERT_TRUE(FetchQuery(q).ok);
+  clock_.Advance(kMicrosPerSecond);
+  ASSERT_TRUE(server_->Insert("posts", "p1", Doc(R"({"g":1})")).ok());
+  EXPECT_TRUE(server_->ebf().IsStale(q.NormalizedKey()));
 }
 
 TEST_F(StreamsTest, UnsubscribeUnknownIdIsNoop) {

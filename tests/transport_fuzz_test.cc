@@ -14,7 +14,6 @@
 #include "fault/fault_injector.h"
 #include "invalidb/reliable_queue.h"
 #include "invalidb/transport.h"
-#include "kv/kv_store.h"
 
 namespace quaestor::invalidb {
 namespace {
@@ -150,8 +149,10 @@ TEST(TransportFuzzTest, CorruptedEnvelopesNeverDeliverMutatedPayloads) {
 
 TEST(TransportFuzzTest, WorkerSurvivesGarbageOnItsRequestQueue) {
   SimulatedClock clock(0);
-  kv::KvStore kv(&clock);
-  InvalidbWorker worker(&clock, &kv, "fz");
+  LoopbackLink to_worker;
+  LoopbackLink to_remote;
+  InvalidbWorker worker(&clock, to_remote.sender(), "fz");
+  to_worker.Attach(&worker);
 
   Rng rng(0x5eed);
   fault::FaultProfile profile;
@@ -168,22 +169,22 @@ TEST(TransportFuzzTest, WorkerSurvivesGarbageOnItsRequestQueue) {
       msg = valid[rng.NextUint64(valid.size())];
       injector.Corrupt(&msg);
     }
-    kv.QueuePush("fz:requests", msg);
+    to_worker.Send("fz:requests", msg);
     pushed++;
   }
   // Checksum-failing envelopes are dropped inside the receiver (never
   // reach the handler), so handled <= pushed; the queue must still drain.
-  const size_t handled = worker.ProcessPending();
+  const size_t handled = to_worker.Pump();
   EXPECT_LE(handled, pushed);
   EXPECT_GT(handled, 0u);
-  EXPECT_EQ(kv.QueueLen("fz:requests"), 0u);
+  EXPECT_EQ(to_worker.pending(), 0u);
   EXPECT_GT(worker.decode_errors(), 0u);
 
   // The worker still functions after the garbage storm.
   db::Query q = Q("posts", R"({"g":1})");
-  kv.QueuePush("fz:requests",
-               transport::EncodeRegister(q, {}, kEventsAll, 0));
-  worker.ProcessPending();
+  to_worker.Send("fz:requests",
+                 transport::EncodeRegister(q, {}, kEventsAll, 0));
+  to_worker.Pump();
   EXPECT_TRUE(worker.cluster().IsRegistered(q.NormalizedKey()));
 }
 
@@ -193,16 +194,19 @@ TEST(TransportFuzzTest, WorkerSurvivesGarbageOnItsRequestQueue) {
 // half-applied prefix.
 TEST(TransportFuzzTest, WorkerDropsTornBatchesWhole) {
   SimulatedClock clock(0);
-  kv::KvStore kv(&clock);
+  LoopbackLink to_worker;
+  LoopbackLink to_remote;
   std::vector<Notification> received;
-  InvalidbWorker worker(&clock, &kv, "tb");
-  InvalidbRemote remote(&clock, &kv, "tb",
+  InvalidbWorker worker(&clock, to_remote.sender(), "tb");
+  InvalidbRemote remote(&clock, to_worker.sender(), "tb",
                         [&](const std::vector<Notification>& batch) {
                           received.insert(received.end(), batch.begin(),
                                           batch.end());
                         });
+  to_worker.Attach(&worker);
+  to_remote.Attach(&remote);
   db::Query q = Q("posts", R"({"g":1})");
-  kv.QueuePush("tb:requests", transport::EncodeRegister(q, {}, kEventsAll, 0));
+  to_worker.Send("tb:requests", transport::EncodeRegister(q, {}, kEventsAll, 0));
 
   std::vector<db::ChangeEvent> events;
   for (int i = 0; i < 3; ++i) {
@@ -219,47 +223,49 @@ TEST(TransportFuzzTest, WorkerDropsTornBatchesWhole) {
 
   // Truncated batch: even though the first two event specs are intact,
   // none of the three may be matched.
-  kv.QueuePush("tb:requests", whole.substr(0, whole.size() - 12));
+  to_worker.Send("tb:requests", whole.substr(0, whole.size() - 12));
   // Corrupt inner event (second of three): same all-or-nothing rule.
   std::string corrupt = whole;
   corrupt.replace(corrupt.find("\"id\":\"p1\""), 9, "\"id\":12345");
-  kv.QueuePush("tb:requests", corrupt);
+  to_worker.Send("tb:requests", corrupt);
   // Empty batch: decodes fine, applies nothing.
-  kv.QueuePush("tb:requests", transport::EncodeChangeBatch({}));
-  worker.ProcessPending();
-  remote.DrainNotifications();
+  to_worker.Send("tb:requests", transport::EncodeChangeBatch({}));
+  to_worker.Pump();
+  to_remote.Pump();
   EXPECT_EQ(worker.decode_errors(), 2u);
   EXPECT_TRUE(received.empty());
   EXPECT_EQ(worker.cluster().stats().changes_ingested, 0u);
 
   // The intact batch still flows after the torn ones were dropped.
-  kv.QueuePush("tb:requests", whole);
-  worker.ProcessPending();
-  remote.DrainNotifications();
+  to_worker.Send("tb:requests", whole);
+  to_worker.Pump();
+  to_remote.Pump();
   EXPECT_EQ(received.size(), 3u);
   EXPECT_EQ(worker.cluster().stats().changes_ingested, 3u);
 }
 
 TEST(TransportFuzzTest, RemoteSurvivesGarbageOnItsNotificationQueue) {
   SimulatedClock clock(0);
-  kv::KvStore kv(&clock);
+  LoopbackLink to_worker;
+  LoopbackLink to_remote;
   std::vector<Notification> received;
-  InvalidbRemote remote(&clock, &kv, "fz",
+  InvalidbRemote remote(&clock, to_worker.sender(), "fz",
                         [&](const std::vector<Notification>& batch) {
                           received.insert(received.end(), batch.begin(),
                                           batch.end());
                         });
+  to_remote.Attach(&remote);
 
   Rng rng(0xdead);
   for (int i = 0; i < 300; ++i) {
-    kv.QueuePush("fz:notifications", RandomBytes(&rng, 48));
+    to_remote.Send("fz:notifications", RandomBytes(&rng, 48));
   }
   Notification n;
   n.type = NotificationType::kAdd;
   n.query_key = "k";
   n.record_id = "r";
-  kv.QueuePush("fz:notifications", transport::EncodeNotificationBatch({n}));
-  remote.DrainNotifications();
+  to_remote.Send("fz:notifications", transport::EncodeNotificationBatch({n}));
+  to_remote.Pump();
   ASSERT_EQ(received.size(), 1u);
   EXPECT_EQ(received[0].record_id, "r");
   EXPECT_GT(remote.decode_errors(), 0u);

@@ -11,7 +11,6 @@
 #include "db/query.h"
 #include "invalidb/reliable_queue.h"
 #include "invalidb/transport.h"
-#include "kv/kv_store.h"
 
 namespace quaestor::invalidb {
 namespace {
@@ -333,19 +332,25 @@ TEST(TransportCodecTest, BatchDecodeRejectsTornEnvelopes) {
 // End-to-end over the message queues
 // ---------------------------------------------------------------------------
 
+// The remote and the worker joined by a loopback link in each direction:
+// to_worker_.Pump() runs the worker's pump cycle, to_remote_.Pump() the
+// remote's.
 class TransportTest : public ::testing::Test {
  protected:
   TransportTest()
       : clock_(0),
-        kv_(&clock_),
-        remote_(&clock_, &kv_, "invalidb",
+        remote_(&clock_, to_worker_.sender(), "invalidb",
                 [this](const std::vector<Notification>& batch) {
                   received_.insert(received_.end(), batch.begin(), batch.end());
                 }),
-        worker_(&clock_, &kv_, "invalidb") {}
+        worker_(&clock_, to_remote_.sender(), "invalidb") {
+    to_worker_.Attach(&worker_);
+    to_remote_.Attach(&remote_);
+  }
 
   SimulatedClock clock_;
-  kv::KvStore kv_;
+  LoopbackLink to_worker_;
+  LoopbackLink to_remote_;
   std::vector<Notification> received_;
   InvalidbRemote remote_;
   InvalidbWorker worker_;
@@ -355,8 +360,8 @@ TEST_F(TransportTest, RegisterMatchNotifyRoundTrip) {
   db::Query q = Q("posts", R"({"g":1})");
   remote_.RegisterQuery(q, {}, kEventsAll);
   remote_.OnChange(Change("posts", "p1", R"({"g":1})", 42));
-  EXPECT_EQ(worker_.ProcessPending(), 2u);
-  EXPECT_EQ(remote_.DrainNotifications(), 1u);
+  EXPECT_EQ(to_worker_.Pump(), 2u);
+  EXPECT_EQ(to_remote_.Pump(), 1u);
   ASSERT_EQ(received_.size(), 1u);
   EXPECT_EQ(received_[0].type, NotificationType::kAdd);
   EXPECT_EQ(received_[0].record_id, "p1");
@@ -373,8 +378,8 @@ TEST_F(TransportTest, InitialResultShipsOverTheWire) {
   remote_.RegisterQuery(q, {init}, kEventsAll);
   // In-place change of a shipped member: change, not add.
   remote_.OnChange(Change("posts", "p1", R"({"g":1,"views":1})"));
-  worker_.ProcessPending();
-  remote_.DrainNotifications();
+  to_worker_.Pump();
+  to_remote_.Pump();
   ASSERT_EQ(received_.size(), 1u);
   EXPECT_EQ(received_[0].type, NotificationType::kChange);
 }
@@ -382,13 +387,13 @@ TEST_F(TransportTest, InitialResultShipsOverTheWire) {
 TEST_F(TransportTest, DeregisterOverTheWire) {
   db::Query q = Q("posts", R"({"g":1})");
   remote_.RegisterQuery(q, {}, kEventsAll);
-  worker_.ProcessPending();
+  to_worker_.Pump();
   EXPECT_TRUE(worker_.cluster().IsRegistered(q.NormalizedKey()));
   remote_.DeregisterQuery(q.NormalizedKey());
   remote_.OnChange(Change("posts", "p1", R"({"g":1})"));
-  worker_.ProcessPending();
+  to_worker_.Pump();
   EXPECT_FALSE(worker_.cluster().IsRegistered(q.NormalizedKey()));
-  EXPECT_EQ(remote_.DrainNotifications(), 0u);
+  EXPECT_EQ(to_remote_.Pump(), 0u);
 }
 
 TEST_F(TransportTest, StatefulQueryOverTheWire) {
@@ -400,8 +405,8 @@ TEST_F(TransportTest, StatefulQueryOverTheWire) {
   a.body = Doc(R"({"score":10})");
   remote_.RegisterQuery(q, {a}, kEventsAll);
   remote_.OnChange(Change("posts", "b", R"({"score":99})"));
-  worker_.ProcessPending();
-  remote_.DrainNotifications();
+  to_worker_.Pump();
+  to_remote_.Pump();
   // b displaces a in the window: remove a + add b.
   ASSERT_EQ(received_.size(), 2u);
   EXPECT_EQ(received_[0].type, NotificationType::kRemove);
@@ -411,48 +416,52 @@ TEST_F(TransportTest, StatefulQueryOverTheWire) {
 }
 
 TEST_F(TransportTest, MalformedMessagesCountedAndSkipped) {
-  kv_.QueuePush("invalidb:requests", "garbage");
-  kv_.QueuePush("invalidb:requests", R"({"op":"unknown"})");
-  kv_.QueuePush("invalidb:requests", R"({"op":"register"})");
+  to_worker_.Send("invalidb:requests", "garbage");
+  to_worker_.Send("invalidb:requests", R"({"op":"unknown"})");
+  to_worker_.Send("invalidb:requests", R"({"op":"register"})");
   db::Query q = Q("posts", R"({"g":1})");
   remote_.RegisterQuery(q, {}, kEventsAll);
   // The retired per-event forms: a lone change request that would match
   // the query, and a bare notification spec. Changes and notifications
   // only travel inside batch envelopes, so both are decode errors.
-  kv_.QueuePush("invalidb:requests",
-                R"({"after":{"body":{"g":1},"deleted":false,"id":"p1",)"
-                R"("table":"posts","version":1,"write_time":5},)"
-                R"("commit_time":5,"kind":1,"op":"change"})");
-  kv_.QueuePush("invalidb:notifications",
-                R"({"event_time":5,"new_index":-1,"query_key":"k",)"
-                R"("record_id":"p1","type":0})");
-  EXPECT_EQ(worker_.ProcessPending(), 5u);
+  to_worker_.Send("invalidb:requests",
+                  R"({"after":{"body":{"g":1},"deleted":false,"id":"p1",)"
+                  R"("table":"posts","version":1,"write_time":5},)"
+                  R"("commit_time":5,"kind":1,"op":"change"})");
+  to_remote_.Send("invalidb:notifications",
+                  R"({"event_time":5,"new_index":-1,"query_key":"k",)"
+                  R"("record_id":"p1","type":0})");
+  EXPECT_EQ(to_worker_.Pump(), 5u);
   EXPECT_EQ(worker_.decode_errors(), 4u);
   EXPECT_TRUE(worker_.cluster().IsRegistered(q.NormalizedKey()));
   EXPECT_EQ(worker_.cluster().stats().changes_ingested, 0u);
-  EXPECT_EQ(remote_.DrainNotifications(), 0u);
+  EXPECT_EQ(to_remote_.Pump(), 0u);
   EXPECT_EQ(remote_.decode_errors(), 1u);
   EXPECT_TRUE(received_.empty());
 }
 
 TEST_F(TransportTest, BackgroundThreadsDeliver) {
   std::atomic<int> count{0};
-  InvalidbRemote remote(SystemClock::Default(), &kv_, "bg",
+  LoopbackLink to_worker;
+  LoopbackLink to_remote;
+  InvalidbRemote remote(SystemClock::Default(), to_worker.sender(), "bg",
                         [&](const std::vector<Notification>& batch) {
                           count += batch.size();
                         });
-  InvalidbWorker worker(SystemClock::Default(), &kv_, "bg");
+  InvalidbWorker worker(SystemClock::Default(), to_remote.sender(), "bg");
+  to_worker.Attach(&worker);
+  to_remote.Attach(&remote);
   // Each endpoint pumped by its own thread while this one sends.
   std::atomic<bool> running{true};
   std::thread consumer([&] {
     while (running.load()) {
-      worker.ProcessPending();
+      to_worker.Pump();
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
   std::thread poller([&] {
     while (running.load()) {
-      remote.DrainNotifications();
+      to_remote.Pump();
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
@@ -497,16 +506,19 @@ class BatchedTransportTest : public ::testing::Test {
 
   BatchedTransportTest()
       : clock_(0),
-        kv_(&clock_),
-        remote_(&clock_, &kv_, "bt",
+        remote_(&clock_, to_worker_.sender(), "bt",
                 [this](const std::vector<Notification>& batch) {
                   received_.insert(received_.end(), batch.begin(), batch.end());
                 },
                 Topts()),
-        worker_(&clock_, &kv_, "bt", Copts(), Topts()) {}
+        worker_(&clock_, to_remote_.sender(), "bt", Copts(), Topts()) {
+    to_worker_.Attach(&worker_);
+    to_remote_.Attach(&remote_);
+  }
 
   SimulatedClock clock_;
-  kv::KvStore kv_;
+  LoopbackLink to_worker_;
+  LoopbackLink to_remote_;
   std::vector<Notification> received_;
   InvalidbRemote remote_;
   InvalidbWorker worker_;
@@ -515,7 +527,7 @@ class BatchedTransportTest : public ::testing::Test {
 TEST_F(BatchedTransportTest, SizeTriggeredFlushShipsOneEnvelope) {
   db::Query q = Q("posts", R"({"g":{"$gte":0}})");
   remote_.RegisterQuery(q, {}, kEventsAll);
-  worker_.ProcessPending();
+  to_worker_.Pump();
 
   for (int i = 0; i < 3; ++i) {
     remote_.OnChange(Change("posts", ("p" + std::to_string(i)).c_str(),
@@ -523,7 +535,7 @@ TEST_F(BatchedTransportTest, SizeTriggeredFlushShipsOneEnvelope) {
     EXPECT_EQ(remote_.stats().batches_sent, 0u) << i;  // still buffering
   }
   EXPECT_EQ(remote_.buffered_changes(), 3u);
-  EXPECT_EQ(worker_.ProcessPending(), 0u);  // nothing on the wire yet
+  EXPECT_EQ(to_worker_.Pump(), 0u);  // nothing on the wire yet
 
   remote_.OnChange(Change("posts", "p3", R"({"g":1})", 4));  // fills to 4
   EXPECT_EQ(remote_.buffered_changes(), 0u);
@@ -532,8 +544,8 @@ TEST_F(BatchedTransportTest, SizeTriggeredFlushShipsOneEnvelope) {
   EXPECT_EQ(sent.batch_events, 4u);
   EXPECT_EQ(sent.flushes_size, 1u);
 
-  worker_.ProcessPending();
-  remote_.DrainNotifications();
+  to_worker_.Pump();
+  to_remote_.Pump();
   ASSERT_EQ(received_.size(), 4u);  // one kAdd per event, commit order
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(received_[i].record_id, "p" + std::to_string(i));
@@ -552,8 +564,8 @@ TEST_F(BatchedTransportTest, ControlRequestsBarrierFlushTheBuffer) {
   remote_.DeregisterQuery(q.NormalizedKey());
   EXPECT_EQ(remote_.buffered_changes(), 0u);
   EXPECT_EQ(remote_.stats().flushes_barrier, 1u);
-  worker_.ProcessPending();
-  EXPECT_EQ(remote_.DrainNotifications(), 1u);
+  to_worker_.Pump();
+  EXPECT_EQ(to_remote_.Pump(), 1u);
   ASSERT_EQ(received_.size(), 1u);
   EXPECT_EQ(received_[0].type, NotificationType::kAdd);
   EXPECT_FALSE(worker_.cluster().IsRegistered(q.NormalizedKey()));
@@ -573,8 +585,8 @@ TEST_F(BatchedTransportTest, PartialBatchAgesOutOnTick) {
   const TransportStats sent = remote_.stats();
   EXPECT_EQ(sent.flushes_interval, 1u);
   EXPECT_EQ(sent.batches_sent, 1u);
-  worker_.ProcessPending();
-  EXPECT_EQ(remote_.DrainNotifications(), 1u);
+  to_worker_.Pump();
+  EXPECT_EQ(to_remote_.Pump(), 1u);
 }
 
 TEST_F(BatchedTransportTest, NotificationsCoalesceIntoOneEnvelope) {
@@ -589,14 +601,14 @@ TEST_F(BatchedTransportTest, NotificationsCoalesceIntoOneEnvelope) {
   remote_.OnChange(Change("posts", "p1", R"({"g":1})", 9));
   remote_.FlushChanges();
   EXPECT_EQ(remote_.stats().flushes_manual, 1u);
-  worker_.ProcessPending();
+  to_worker_.Pump();
 
   // One reliable envelope on the notifications queue, carrying all three.
-  EXPECT_EQ(kv_.QueueLen("bt:notifications"), 1u);
+  EXPECT_EQ(to_remote_.pending("bt:notifications"), 1u);
   const TransportStats wstats = worker_.stats();
   EXPECT_EQ(wstats.batches_sent, 1u);
   EXPECT_EQ(wstats.batch_events, 3u);
-  EXPECT_EQ(remote_.DrainNotifications(), 3u);
+  EXPECT_EQ(to_remote_.Pump(), 3u);
   ASSERT_EQ(received_.size(), 3u);
   for (const Notification& n : received_) {
     EXPECT_EQ(n.record_id, "p1");
@@ -610,8 +622,8 @@ TEST_F(BatchedTransportTest, StatsExportCoversBatchingCounters) {
     remote_.OnChange(Change("posts", "p1", R"({"g":1})", i + 1));
   }
   remote_.FlushChanges();
-  worker_.ProcessPending();
-  remote_.DrainNotifications();
+  to_worker_.Pump();
+  to_remote_.Pump();
 
   obs::MetricsRegistry registry;
   remote_.stats().ExportTo(&registry, {{"endpoint", "remote"}});
