@@ -98,7 +98,7 @@ BENCHMARK(BM_InMemorySnapshot)->Arg(1000)->Arg(20000);
 
 void BM_SharedReportRead(benchmark::State& state) {
   SystemClock* clock = SystemClock::Default();
-  kv::KvStore kv(clock);
+  kv::KvStore kv;
   SharedEbf ebf(clock, &kv);
   const auto keys = MakeKeys(10000);
   size_t i = 0;
@@ -111,7 +111,7 @@ BENCHMARK(BM_SharedReportRead);
 
 void BM_SharedReportWrite(benchmark::State& state) {
   SystemClock* clock = SystemClock::Default();
-  kv::KvStore kv(clock);
+  kv::KvStore kv;
   SharedEbf ebf(clock, &kv);
   const auto keys = MakeKeys(10000);
   for (const auto& k : keys) ebf.ReportRead(k, SecondsToMicros(3600.0));

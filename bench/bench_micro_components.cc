@@ -236,22 +236,6 @@ void BM_TransportDecodeChangeBatchCanonical(benchmark::State& state) {
 }
 BENCHMARK(BM_TransportDecodeChangeBatchCanonical)->Arg(1)->Arg(64);
 
-void BM_TransportDecodeChangeBatchFallback(benchmark::State& state) {
-  // One leading space defeats the canonical scanner, forcing the generic
-  // parse-to-Value fallback. The delta vs ...Canonical is the fast path's
-  // saving on well-formed peer traffic.
-  const std::vector<db::ChangeEvent> events(
-      static_cast<size_t>(state.range(0)), SampleChange());
-  std::string wire = invalidb::transport::EncodeChangeBatch(events);
-  wire.insert(1, " ");
-  for (auto _ : state) {
-    auto decoded = invalidb::transport::DecodeChangeBatch(wire);
-    benchmark::DoNotOptimize(decoded);
-  }
-  NoteItems(state, state.iterations() * state.range(0));
-}
-BENCHMARK(BM_TransportDecodeChangeBatchFallback)->Arg(1)->Arg(64);
-
 // -- Observability-layer costs (the instrumentation is itself on the
 //    critical path, so its primitives are benchmarked like any other) --
 

@@ -248,8 +248,9 @@ class QuaestorServer : public webcache::Origin {
   void OnNotificationBatch(const std::vector<invalidb::Notification>& batch);
 
   /// Activates `query` on the pipeline with at least `events` (change
-  /// streams subscribe with kEventsAll) and records them as the query's
-  /// stream interest, which every later registration of the query keeps.
+  /// streams subscribe with every event the query can emit) and records
+  /// them as the query's stream interest, which every later registration
+  /// of the query keeps.
   /// A registration a fetch made with fewer events is widened. The
   /// query's shape must be registered.
   Status ActivateQuery(const db::Query& query, invalidb::EventMask events);

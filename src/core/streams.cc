@@ -16,9 +16,13 @@ Result<uint64_t> ChangeStreamHub::Subscribe(
   std::lock_guard<std::mutex> activation(activation_mu_);
   server_->RegisterQueryShape(query);
 
-  // Activate the query in InvaliDB with the full event set; streams need
-  // every change, including positional ones for sorted queries.
-  QUAESTOR_RETURN_IF_ERROR(server_->ActivateQuery(query, invalidb::kEventsAll));
+  // Streams need every event the query can emit: membership and content
+  // changes, and for a sorted query positional ones too. A stateless query
+  // never emits changeIndex, so asking for it would only widen a cached
+  // query's registration (and flag its cached copies) for nothing.
+  QUAESTOR_RETURN_IF_ERROR(server_->ActivateQuery(
+      query, query.IsStateless() ? invalidb::kEventsObjectList
+                                 : invalidb::kEventsAll));
 
   if (initial_result != nullptr) {
     *initial_result = server_->database().Execute(query);

@@ -45,27 +45,18 @@ std::string Encode(const std::string& sender, uint64_t seq,
 }
 
 Result<Envelope> Decode(const std::string& message) {
-  // An envelope needs an "rp" key, spelled literally or with a \u escape.
-  // Raw messages (every change and notify batch while reliability is
-  // off) mostly carry neither, and skip the parse.
-  if (message.find("\"rp\"") == std::string::npos &&
-      message.find("\\u") == std::string::npos) {
-    return Status::NotFound("not an envelope");
-  }
   auto parsed = db::Value::FromJson(message);
   if (!parsed.ok() || !parsed->is_object()) {
-    return Status::NotFound("not an envelope");
+    return Status::Corruption("not an envelope");
   }
   const db::Value& msg = parsed.value();
   const db::Value* sender = msg.Find("rs");
   const db::Value* seq = msg.Find("rn");
   const db::Value* checksum = msg.Find("rc");
   const db::Value* payload = msg.Find("rp");
-  if (sender == nullptr || seq == nullptr || payload == nullptr) {
-    return Status::NotFound("not an envelope");
-  }
-  if (!sender->is_string() || !seq->is_int() || checksum == nullptr ||
-      !checksum->is_int() || !payload->is_string() || seq->as_int() <= 0) {
+  if (sender == nullptr || !sender->is_string() || seq == nullptr ||
+      !seq->is_int() || checksum == nullptr || !checksum->is_int() ||
+      payload == nullptr || !payload->is_string() || seq->as_int() <= 0) {
     return Status::Corruption("malformed envelope");
   }
   Envelope env;
@@ -219,23 +210,23 @@ uint64_t ReliableSender::retransmit_scans() const {
 // ReliableReceiver
 // ---------------------------------------------------------------------------
 
-ReliableReceiver::ReliableReceiver(QueueSend send, std::string queue)
-    : send_(std::move(send)), ack_queue_(std::move(queue) + ":acks") {}
+ReliableReceiver::ReliableReceiver(QueueSend send, std::string queue,
+                                   bool enabled)
+    : send_(std::move(send)),
+      ack_queue_(std::move(queue) + ":acks"),
+      enabled_(enabled) {}
 
-size_t ReliableReceiver::Accept(const std::string& message,
-                                const Handler& handler) {
-  auto env = reliable::Decode(message);
-  if (env.status().IsNotFound()) {
-    // Raw (pre-reliable) message: hand through verbatim so mixed
-    // deployments and the seed wire format keep working.
+Result<size_t> ReliableReceiver::Accept(const std::string& message,
+                                        const Handler& handler) {
+  if (!enabled_) {
     handler(message);
-    return 1;
+    return size_t{1};
   }
-  if (!env.ok()) {
-    // A corrupted envelope is dropped *without* an ack: the sender's
-    // retransmit is the recovery path, so the payload is never lost.
-    return 0;
-  }
+  // A message that is no intact envelope is dropped *without* an ack: the
+  // sender's retransmit is the recovery path, so the payload is never
+  // lost.
+  auto env = reliable::Decode(message);
+  if (!env.ok()) return env.status();
   // Ack unconditionally — the sender may be retransmitting because the
   // first ack was lost.
   send_(ack_queue_, reliable::EncodeAck(env->sender, env->seq));
@@ -246,7 +237,7 @@ size_t ReliableReceiver::Accept(const std::string& message,
     SenderState& st = senders_[env->sender];
     if (env->seq <= st.floor || st.pending.count(env->seq) > 0) {
       duplicates_dropped_++;
-      return 0;
+      return size_t{0};
     }
     st.pending.emplace(env->seq, std::move(env->payload));
     // Release the contiguous run starting at floor+1 (in-order delivery:

@@ -19,9 +19,10 @@
 namespace quaestor::invalidb {
 
 /// At-least-once delivery settings for one transport queue direction.
-/// Disabled by default: messages are pushed raw, exactly as the seed
-/// transport did, so existing behaviour (and seeds) are unchanged.
 struct ReliableOptions {
+  /// The link's mode, which its sender and receiver share. Off (the
+  /// default), every message is pushed and handed on raw; on, every
+  /// message is an envelope, and the receiver drops anything else.
   bool enabled = false;
   /// First retransmit after this long without an ack; doubles per retry.
   Micros retransmit_timeout = 200 * kMicrosPerMilli;
@@ -48,7 +49,9 @@ using QueueSend =
 ///   {"rs": sender, "rn": seq, "rc": checksum, "rp": payload}
 /// Acks travel on "<queue>:acks" as {"rs": sender, "ra": seq}.
 /// The checksum covers sender+seq+payload, so a corrupted envelope is
-/// rejected (and never acked) instead of delivering mutated bytes.
+/// rejected (and never acked) instead of delivering mutated bytes. Only a
+/// reliable link's receiver decodes, so every message it sees must be an
+/// envelope.
 namespace reliable {
 
 struct Envelope {
@@ -59,8 +62,7 @@ struct Envelope {
 
 std::string Encode(const std::string& sender, uint64_t seq,
                    const std::string& payload);
-/// NotFound when `message` is not an envelope (raw passthrough);
-/// Corruption when it is one but fails the checksum.
+/// Corruption when `message` is not an envelope or fails the checksum.
 Result<Envelope> Decode(const std::string& message);
 
 std::string EncodeAck(const std::string& sender, uint64_t seq);
@@ -147,25 +149,29 @@ class ReliableSender {
   uint64_t inflight_rejections_ = 0;
 };
 
-/// The receiving half: acks every envelope (duplicates included — the
-/// original ack may have been lost), drops already-delivered sequence
-/// numbers, and buffers out-of-order arrivals until the gap fills, so the
-/// handler sees each sender's payloads exactly once, in send order.
-/// Non-envelope messages pass through verbatim (seed compatibility).
+/// The receiving half. On a reliable link it acks every envelope
+/// (duplicates included — the original ack may have been lost), drops
+/// already-delivered sequence numbers, and buffers out-of-order arrivals
+/// until the gap fills, so the handler sees each sender's payloads exactly
+/// once, in send order. On a raw link it hands every message to the
+/// handler as it is.
 class ReliableReceiver {
  public:
   using Handler = std::function<void(const std::string& payload)>;
 
-  /// Acks leave through `send` on "<queue>:acks".
-  ReliableReceiver(QueueSend send, std::string queue);
+  /// Acks leave through `send` on "<queue>:acks". `enabled` is the link's
+  /// ReliableOptions::enabled, the value its sender runs with.
+  ReliableReceiver(QueueSend send, std::string queue, bool enabled);
 
   ReliableReceiver(const ReliableReceiver&) = delete;
   ReliableReceiver& operator=(const ReliableReceiver&) = delete;
 
   /// Processes one message that arrived on the queue, invoking `handler`
   /// for every payload it makes deliverable (none, one, or a released
-  /// run of parked ones). Returns how many payloads reached the handler.
-  size_t Accept(const std::string& message, const Handler& handler);
+  /// run of parked ones). Returns how many payloads reached the handler,
+  /// or Corruption when a reliable link dropped the message unacked
+  /// because it is no envelope or fails its checksum.
+  Result<size_t> Accept(const std::string& message, const Handler& handler);
 
   uint64_t duplicates_dropped() const;
   /// Out-of-order payloads currently parked waiting for a gap to fill.
@@ -179,6 +185,7 @@ class ReliableReceiver {
 
   QueueSend send_;
   std::string ack_queue_;
+  const bool enabled_;
 
   mutable std::mutex mu_;
   std::unordered_map<std::string, SenderState> senders_;

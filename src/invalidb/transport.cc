@@ -54,6 +54,23 @@ void AppendDocumentSpec(std::string* out, const db::Document& doc) {
   *out += '}';
 }
 
+/// One batch envelope: the framing's open bytes, the items' specs
+/// comma-separated, the close bytes.
+template <typename Item, typename AppendSpec>
+std::string EncodeBatch(BatchFraming framing, const std::vector<Item>& items,
+                        size_t bytes_per_item, AppendSpec append_spec) {
+  std::string out;
+  out.reserve(framing.open.size() + framing.close.size() +
+              bytes_per_item * items.size());
+  out += framing.open;
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (i > 0) out += ',';
+    append_spec(&out, items[i]);
+  }
+  out += framing.close;
+  return out;
+}
+
 }  // namespace
 
 /// Change-event spec without the "op" discriminator — the inner element
@@ -86,12 +103,12 @@ void AppendNotificationSpec(std::string* out, const Notification& n) {
 
 namespace {
 
-/// Scanner for the canonical batch wire form: the encoders above emit a
-/// fixed key order with no whitespace, so the common case decodes in one
-/// pass without building a Value tree for the batch skeleton. Any byte
-/// that deviates from the canonical layout makes the caller fall back to
-/// the generic Value-based decoder, which handles non-canonical producers
-/// and yields the proper error for corrupt input.
+/// Reads the canonical batch wire form: the encoders above emit a fixed
+/// key order with no whitespace, so a batch decodes in one pass without a
+/// Value tree for its skeleton. Each method reads one token and returns
+/// false when the next bytes are not it. Document bodies and escaped
+/// strings go through the JSON parser, which reads any spelling of a
+/// value.
 class CanonicalScanner {
  public:
   explicit CanonicalScanner(std::string_view text) : text_(text) {}
@@ -128,7 +145,7 @@ class CanonicalScanner {
 
   /// JSON string literal. Escape-free strings (the common case for ids,
   /// tables, and query keys) copy straight out of the wire buffer; a
-  /// backslash delegates to the generic parser for correct unescaping.
+  /// backslash hands the literal to the JSON parser for unescaping.
   bool Str(std::string* out) {
     if (pos_ >= text_.size() || text_[pos_] != '"') return false;
     const size_t stop = text_.find_first_of("\"\\", pos_ + 1);
@@ -138,16 +155,18 @@ class CanonicalScanner {
       pos_ = stop + 1;
       return true;
     }
-    return Val() && scratch_.is_string() &&
-           (*out = std::move(scratch_).as_string(), true);
+    Value v;
+    if (!Val(&v) || !v.is_string()) return false;
+    *out = std::move(v).as_string();
+    return true;
   }
 
-  /// Embedded arbitrary value (document bodies) via the generic parser.
-  bool Val(Value* out = nullptr) {
+  /// Embedded arbitrary value (document bodies) via the JSON parser.
+  bool Val(Value* out) {
     size_t consumed = 0;
     auto v = Value::FromJsonPrefix(text_.substr(pos_), &consumed);
     if (!v.ok()) return false;
-    (out != nullptr ? *out : scratch_) = std::move(v).value();
+    *out = std::move(v).value();
     pos_ += consumed;
     return true;
   }
@@ -157,67 +176,69 @@ class CanonicalScanner {
  private:
   std::string_view text_;
   size_t pos_ = 0;
-  Value scratch_;
 };
 
-bool TryDecodeCanonicalChangeBatch(std::string_view text,
-                                   std::vector<db::ChangeEvent>* out) {
+/// The one batch decoder: `framing`'s open bytes, the items (each read by
+/// `scan_item`) comma-separated, the close bytes, and nothing after them.
+template <typename Item, typename ScanItem>
+Result<std::vector<Item>> DecodeBatch(std::string_view text,
+                                      BatchFraming framing,
+                                      ScanItem scan_item) {
   CanonicalScanner sc(text);
-  if (!sc.Lit("{\"events\":[")) return false;
-  out->clear();
-  if (!sc.Lit("]")) {
-    for (;;) {
-      db::ChangeEvent ev;
-      int64_t version = 0;
-      int64_t kind = 0;
-      if (!sc.Lit("{\"after\":{\"body\":") || !sc.Val(&ev.after.body) ||
-          !sc.Lit(",\"deleted\":") || !sc.Bool(&ev.after.deleted) ||
-          !sc.Lit(",\"id\":") || !sc.Str(&ev.after.id) ||
-          !sc.Lit(",\"table\":") || !sc.Str(&ev.after.table) ||
-          !sc.Lit(",\"version\":") || !sc.Int(&version) ||
-          !sc.Lit(",\"write_time\":") || !sc.Int(&ev.after.write_time) ||
-          !sc.Lit("},\"commit_time\":") || !sc.Int(&ev.commit_time) ||
-          !sc.Lit(",\"kind\":") || !sc.Int(&kind) || !sc.Lit("}")) {
-        return false;
+  if (!sc.Lit(framing.open)) {
+    return Status::Corruption("not a batch envelope");
+  }
+  std::vector<Item> out;
+  if (!sc.Lit(framing.close)) {
+    do {
+      Item item;
+      if (!scan_item(&sc, &item)) {
+        return Status::Corruption("malformed batch element");
       }
-      ev.after.version = static_cast<uint64_t>(version);
-      ev.kind = static_cast<db::WriteKind>(kind);
-      out->push_back(std::move(ev));
-      if (sc.Lit(",")) continue;
-      if (sc.Lit("]")) break;
-      return false;
+      out.push_back(std::move(item));
+    } while (sc.Lit(","));
+    if (!sc.Lit(framing.close)) {
+      return Status::Corruption("malformed batch envelope");
     }
   }
-  return sc.Lit(",\"op\":\"change_batch\"}") && sc.AtEnd();
+  if (!sc.AtEnd()) return Status::Corruption("bytes after batch envelope");
+  return out;
 }
 
-bool TryDecodeCanonicalNotificationBatch(std::string_view text,
-                                         std::vector<Notification>* out) {
-  CanonicalScanner sc(text);
-  if (!sc.Lit("{\"notifications\":[")) return false;
-  out->clear();
-  if (!sc.Lit("]")) {
-    for (;;) {
-      Notification n;
-      int64_t type = 0;
-      if (!sc.Lit("{\"event_time\":") || !sc.Int(&n.event_time) ||
-          !sc.Lit(",\"new_index\":") || !sc.Int(&n.new_index) ||
-          !sc.Lit(",\"query_key\":") || !sc.Str(&n.query_key) ||
-          !sc.Lit(",\"record_id\":") || !sc.Str(&n.record_id) ||
-          !sc.Lit(",\"type\":") || !sc.Int(&type) || !sc.Lit("}")) {
-        return false;
-      }
-      n.type = static_cast<NotificationType>(type);
-      out->push_back(std::move(n));
-      if (sc.Lit(",")) continue;
-      if (sc.Lit("]")) break;
-      return false;
-    }
+bool ScanChangeEvent(CanonicalScanner* sc, db::ChangeEvent* ev) {
+  int64_t version = 0;
+  int64_t kind = 0;
+  if (!sc->Lit("{\"after\":{\"body\":") || !sc->Val(&ev->after.body) ||
+      !sc->Lit(",\"deleted\":") || !sc->Bool(&ev->after.deleted) ||
+      !sc->Lit(",\"id\":") || !sc->Str(&ev->after.id) ||
+      !sc->Lit(",\"table\":") || !sc->Str(&ev->after.table) ||
+      !sc->Lit(",\"version\":") || !sc->Int(&version) ||
+      !sc->Lit(",\"write_time\":") || !sc->Int(&ev->after.write_time) ||
+      !sc->Lit("},\"commit_time\":") || !sc->Int(&ev->commit_time) ||
+      !sc->Lit(",\"kind\":") || !sc->Int(&kind) || !sc->Lit("}")) {
+    return false;
   }
-  return sc.Lit(",\"op\":\"notify_batch\"}") && sc.AtEnd();
+  ev->after.version = static_cast<uint64_t>(version);
+  ev->kind = static_cast<db::WriteKind>(kind);
+  return true;
 }
 
-Result<db::Document> DocumentFromSpec(const Value& spec) {
+bool ScanNotification(CanonicalScanner* sc, Notification* n) {
+  int64_t type = 0;
+  if (!sc->Lit("{\"event_time\":") || !sc->Int(&n->event_time) ||
+      !sc->Lit(",\"new_index\":") || !sc->Int(&n->new_index) ||
+      !sc->Lit(",\"query_key\":") || !sc->Str(&n->query_key) ||
+      !sc->Lit(",\"record_id\":") || !sc->Str(&n->record_id) ||
+      !sc->Lit(",\"type\":") || !sc->Int(&type) || !sc->Lit("}")) {
+    return false;
+  }
+  n->type = static_cast<NotificationType>(type);
+  return true;
+}
+
+}  // namespace
+
+Result<db::Document> DecodeDocument(const Value& spec) {
   const Value* table = spec.Find("table");
   const Value* id = spec.Find("id");
   const Value* body = spec.Find("body");
@@ -241,70 +262,13 @@ Result<db::Document> DocumentFromSpec(const Value& spec) {
   return doc;
 }
 
-}  // namespace
-
-Result<db::Document> DecodeDocument(const Value& spec) {
-  return DocumentFromSpec(spec);
-}
-
-Result<db::ChangeEvent> DecodeChangeEvent(const Value& spec) {
-  const Value* after = spec.Find("after");
-  const Value* kind = spec.Find("kind");
-  const Value* commit = spec.Find("commit_time");
-  if (after == nullptr || kind == nullptr || !kind->is_int()) {
-    return Status::Corruption("malformed change event");
-  }
-  auto doc = DocumentFromSpec(*after);
-  if (!doc.ok()) return doc.status();
-  db::ChangeEvent ev;
-  ev.kind = static_cast<db::WriteKind>(kind->as_int());
-  ev.after = std::move(doc).value();
-  ev.commit_time = commit != nullptr && commit->is_int()
-                       ? commit->as_int()
-                       : ev.after.write_time;
-  return ev;
-}
-
 std::string EncodeChangeBatch(const std::vector<db::ChangeEvent>& events) {
-  std::string out;
-  out.reserve(32 + 160 * events.size());
-  out += "{\"events\":[";
-  for (size_t i = 0; i < events.size(); ++i) {
-    if (i > 0) out += ',';
-    AppendChangeEventSpec(&out, events[i]);
-  }
-  out += "],\"op\":\"change_batch\"}";
-  return out;
-}
-
-Result<std::vector<db::ChangeEvent>> DecodeChangeBatch(const Value& msg) {
-  const Value* events = msg.Find("events");
-  if (events == nullptr || !events->is_array()) {
-    return Status::Corruption("malformed change batch");
-  }
-  std::vector<db::ChangeEvent> out;
-  out.reserve(events->as_array().size());
-  for (const Value& spec : events->as_array()) {
-    auto ev = DecodeChangeEvent(spec);
-    if (!ev.ok()) return ev.status();
-    out.push_back(std::move(ev).value());
-  }
-  return out;
+  return EncodeBatch(kChangeBatch, events, 160, AppendChangeEventSpec);
 }
 
 Result<std::vector<db::ChangeEvent>> DecodeChangeBatch(
     const std::string& message) {
-  std::vector<db::ChangeEvent> fast;
-  if (TryDecodeCanonicalChangeBatch(message, &fast)) return fast;
-  auto parsed = Value::FromJson(message);
-  if (!parsed.ok()) return parsed.status();
-  const Value* op =
-      parsed->is_object() ? parsed->Find("op") : nullptr;
-  if (op == nullptr || !op->is_string() ||
-      op->as_string() != "change_batch") {
-    return Status::Corruption("malformed change batch");
-  }
-  return DecodeChangeBatch(parsed.value());
+  return DecodeBatch<db::ChangeEvent>(message, kChangeBatch, ScanChangeEvent);
 }
 
 std::string EncodeRegister(const db::Query& query,
@@ -348,66 +312,12 @@ std::string EncodeResize(size_t query_partitions, size_t object_partitions) {
 }
 
 std::string EncodeNotificationBatch(const std::vector<Notification>& batch) {
-  std::string out;
-  out.reserve(40 + 96 * batch.size());
-  out += "{\"notifications\":[";
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (i > 0) out += ',';
-    AppendNotificationSpec(&out, batch[i]);
-  }
-  out += "],\"op\":\"notify_batch\"}";
-  return out;
-}
-
-Result<Notification> DecodeNotification(const Value& msg) {
-  const Value* type = msg.Find("type");
-  const Value* key = msg.Find("query_key");
-  const Value* record = msg.Find("record_id");
-  if (type == nullptr || !type->is_int() || key == nullptr ||
-      !key->is_string() || record == nullptr || !record->is_string()) {
-    return Status::Corruption("malformed notification");
-  }
-  Notification n;
-  n.type = static_cast<NotificationType>(type->as_int());
-  n.query_key = key->as_string();
-  n.record_id = record->as_string();
-  if (const Value* v = msg.Find("event_time"); v != nullptr && v->is_int()) {
-    n.event_time = v->as_int();
-  }
-  if (const Value* v = msg.Find("new_index"); v != nullptr && v->is_int()) {
-    n.new_index = v->as_int();
-  }
-  return n;
-}
-
-Result<std::vector<Notification>> DecodeNotificationBatch(const Value& msg) {
-  const Value* notifs = msg.Find("notifications");
-  if (notifs == nullptr || !notifs->is_array()) {
-    return Status::Corruption("malformed notification batch");
-  }
-  std::vector<Notification> out;
-  out.reserve(notifs->as_array().size());
-  for (const Value& spec : notifs->as_array()) {
-    auto n = DecodeNotification(spec);
-    if (!n.ok()) return n.status();
-    out.push_back(std::move(n).value());
-  }
-  return out;
+  return EncodeBatch(kNotifyBatch, batch, 96, AppendNotificationSpec);
 }
 
 Result<std::vector<Notification>> DecodeNotificationBatch(
     const std::string& message) {
-  std::vector<Notification> fast;
-  if (TryDecodeCanonicalNotificationBatch(message, &fast)) return fast;
-  auto parsed = Value::FromJson(message);
-  if (!parsed.ok()) return parsed.status();
-  const Value* op =
-      parsed->is_object() ? parsed->Find("op") : nullptr;
-  if (op == nullptr || !op->is_string() ||
-      op->as_string() != "notify_batch") {
-    return Status::Corruption("malformed notification batch");
-  }
-  return DecodeNotificationBatch(parsed.value());
+  return DecodeBatch<Notification>(message, kNotifyBatch, ScanNotification);
 }
 
 }  // namespace transport
@@ -432,7 +342,7 @@ size_t StagedEnvelope::Ship(std::atomic<uint64_t>* reason, size_t min_count,
     count_ = 0;
   }
   (*reason)++;
-  payload += suffix_;
+  payload += framing_.close;
   sender_->Send(std::move(payload));
   batches_sent_++;
   batch_events_ += count;
@@ -454,15 +364,13 @@ TransportEndpoint::TransportEndpoint(Clock* clock, QueueSend send,
                                      std::string incoming,
                                      std::string sender_id,
                                      ReliableOptions reliable,
-                                     std::string envelope_open,
-                                     std::string envelope_close)
+                                     transport::BatchFraming outgoing_framing)
     : options_(options),
       incoming_(std::move(incoming)),
       sender_(clock, send, std::move(outgoing), std::move(sender_id),
               reliable),
-      receiver_(std::move(send), incoming_),
-      staged_(clock, &sender_, std::move(envelope_open),
-              std::move(envelope_close)) {}
+      receiver_(std::move(send), incoming_, reliable.enabled),
+      staged_(clock, &sender_, outgoing_framing) {}
 
 size_t TransportEndpoint::Receive(const std::string& queue,
                                   const std::string& message) {
@@ -472,9 +380,11 @@ size_t TransportEndpoint::Receive(const std::string& queue,
   }
   if (queue != incoming_) return 0;
   size_t handled = 0;
-  receiver_.Accept(message, [this, &handled](const std::string& p) {
-    handled += Handle(p);
-  });
+  const auto accepted =
+      receiver_.Accept(message, [this, &handled](const std::string& p) {
+        handled += Handle(p);
+      });
+  if (!accepted.ok()) decode_errors_++;
   return handled;
 }
 
@@ -501,8 +411,8 @@ InvalidbRemote::InvalidbRemote(Clock* clock, QueueSend send,
                                TransportOptions options)
     : TransportEndpoint(clock, std::move(send), options,
                         prefix + ":requests", prefix + ":notifications",
-                        "quaestor", options.reliable, "{\"events\":[",
-                        "],\"op\":\"change_batch\"}"),
+                        "quaestor", options.reliable,
+                        transport::kChangeBatch),
       sink_(std::move(sink)) {}
 
 InvalidbRemote::~InvalidbRemote() { FlushChanges(); }
@@ -538,9 +448,6 @@ void InvalidbRemote::Resize(size_t query_partitions,
 }
 
 size_t InvalidbRemote::Handle(const std::string& payload) {
-  // Canonical notify_batch envelopes decode in one scanning pass; anything
-  // else goes through the generic, op-checked decoder, which rejects every
-  // payload that is not a notify_batch.
   auto batch = transport::DecodeNotificationBatch(payload);
   if (!batch.ok()) {
     decode_errors_++;
@@ -576,8 +483,7 @@ InvalidbWorker::InvalidbWorker(Clock* clock, QueueSend send,
     : TransportEndpoint(clock, std::move(send), transport_options,
                         prefix + ":notifications", prefix + ":requests",
                         "invalidb", WorkerReliable(transport_options.reliable),
-                        "{\"notifications\":[",
-                        "],\"op\":\"notify_batch\"}") {
+                        transport::kNotifyBatch) {
   // Each dispatch's notifications join the staged notify_batch envelope,
   // which ships at max_batch or at the end of the pump cycle (Tick). The
   // cluster calls in from its worker threads in threaded mode.
@@ -594,10 +500,9 @@ InvalidbWorker::~InvalidbWorker() {
 }
 
 void InvalidbWorker::HandleMessage(const std::string& message) {
-  // Batch fast path: only change_batch envelopes start with this prefix,
-  // and the canonical form decodes in one pass with no Value tree for the
-  // batch skeleton.
-  if (message.compare(0, 11, "{\"events\":[") == 0) {
+  // Only change_batch envelopes open with these bytes, and they decode in
+  // one pass with no Value tree for the batch skeleton.
+  if (message.starts_with(transport::kChangeBatch.open)) {
     auto events = transport::DecodeChangeBatch(message);
     if (!events.ok()) {
       decode_errors_++;
@@ -653,13 +558,6 @@ void InvalidbWorker::HandleMessage(const std::string& message) {
       return;
     }
     cluster_->DeregisterQuery(key->as_string());
-  } else if (op->as_string() == "change_batch") {
-    auto events = transport::DecodeChangeBatch(msg);
-    if (!events.ok()) {
-      decode_errors_++;
-      return;
-    }
-    cluster_->OnChangeBatch(std::move(events).value());
   } else if (op->as_string() == "resize") {
     const db::Value* qp = msg.Find("query_partitions");
     const db::Value* op_parts = msg.Find("object_partitions");

@@ -34,21 +34,33 @@ namespace quaestor::invalidb {
 /// additionally uses "<queue>:acks" for delivery confirmations.
 namespace transport {
 
+/// The open and close bytes of one batch envelope kind; the inner specs
+/// go between them, comma-separated. The encoders, StagedEnvelope, the
+/// decoders and the worker's dispatch all read them from here.
+struct BatchFraming {
+  std::string_view open;
+  std::string_view close;
+};
+/// A commit-ordered slice of the change stream:
+/// {"events":[<change event spec>,...],"op":"change_batch"}.
+inline constexpr BatchFraming kChangeBatch{R"({"events":[)",
+                                           R"(],"op":"change_batch"})"};
+/// Every notification of one dispatch:
+/// {"notifications":[<notification spec>,...],"op":"notify_batch"}.
+inline constexpr BatchFraming kNotifyBatch{R"({"notifications":[)",
+                                           R"(],"op":"notify_batch"})"};
+
 /// Serialized message builders / parsers (exposed for tests). All
 /// encoders emit canonical JSON in a single append pass — keys in sorted
-/// order, byte-identical to serializing the equivalent db::Value tree.
-/// Change events and notifications only travel inside batch envelopes.
-///
-/// One envelope carrying a commit-ordered slice of the change stream:
-/// {"events":[<event spec>...],"op":"change_batch"}.
+/// order, no whitespace, byte-identical to serializing the equivalent
+/// db::Value tree. Change events and notifications only travel inside
+/// batch envelopes.
 std::string EncodeChangeBatch(const std::vector<db::ChangeEvent>& events);
 std::string EncodeRegister(const db::Query& query,
                            const std::vector<db::Document>& initial_result,
                            EventMask events, Micros evaluated_at);
 std::string EncodeDeregister(const std::string& query_key);
 std::string EncodeResize(size_t query_partitions, size_t object_partitions);
-/// One envelope carrying every notification of one dispatch:
-/// {"notifications":[<notification spec>...],"op":"notify_batch"}.
 std::string EncodeNotificationBatch(const std::vector<Notification>& batch);
 
 /// Streaming element appenders: one inner spec of a batch envelope,
@@ -57,22 +69,16 @@ std::string EncodeNotificationBatch(const std::vector<Notification>& batch);
 /// buffered events), so the flush just closes the envelope and sends.
 void AppendChangeEventSpec(std::string* out, const db::ChangeEvent& event);
 void AppendNotificationSpec(std::string* out, const Notification& n);
-/// Decodes one notification spec (the inner element of a notify_batch).
-Result<Notification> DecodeNotification(const db::Value& msg);
 
-/// Decodes a document spec (internal wire format; exposed for tests).
+/// Decodes a document spec of a register request's initial result.
 Result<db::Document> DecodeDocument(const db::Value& spec);
-/// Decodes one change-event spec ("after" + "kind" required;
-/// "commit_time" falls back to the after-image write_time).
-Result<db::ChangeEvent> DecodeChangeEvent(const db::Value& spec);
-/// Decodes a change_batch envelope. The whole batch is rejected if any
-/// inner event is malformed (a torn batch must not be half-applied).
-Result<std::vector<db::ChangeEvent>> DecodeChangeBatch(const db::Value& msg);
+/// The batch decoders read the canonical layout the encoders above and
+/// StagedEnvelope write, the only producers of batch envelopes. Any
+/// deviation from it (a torn envelope, reordered keys, whitespace outside
+/// a document body, a mistyped field) is Corruption, and the whole batch
+/// is rejected: a torn batch must not be half-applied.
 Result<std::vector<db::ChangeEvent>> DecodeChangeBatch(
     const std::string& message);
-/// Decodes a notify_batch envelope (all-or-nothing, like DecodeChangeBatch).
-Result<std::vector<Notification>> DecodeNotificationBatch(
-    const db::Value& msg);
 Result<std::vector<Notification>> DecodeNotificationBatch(
     const std::string& message);
 
@@ -93,7 +99,9 @@ struct BatchOptions {
 };
 
 /// Transport configuration: both queue directions share the reliable-
-/// delivery settings (disabled by default — the seed wire format).
+/// delivery settings (disabled by default). Both ends of a link must run
+/// the same mode: a reliable receiver drops every message that is not an
+/// envelope, and a raw one hands envelopes to the handler unopened.
 struct TransportOptions {
   ReliableOptions reliable;
   BatchOptions batching;
@@ -101,8 +109,9 @@ struct TransportOptions {
 
 /// Delivery-quality counters for one transport endpoint.
 struct TransportStats {
-  /// Messages whose decode returned Status::Corruption (surfaced, not
-  /// silently swallowed).
+  /// Messages dropped as corrupt: on a reliable link an envelope that
+  /// fails its checksum or a message that is no envelope, and on any link
+  /// a payload whose decode returned Status::Corruption.
   uint64_t decode_errors = 0;
   /// Envelopes discarded because their sequence number was already
   /// delivered (at-least-once duplicates).
@@ -128,18 +137,14 @@ struct TransportStats {
 };
 
 /// One endpoint's outgoing batch, staged as pre-encoded envelope bytes:
-/// the open `prefix` plus one spec per item, so no staged event is deep
-/// copied. Ship closes the envelope with `suffix` and sends it as one
-/// message. Thread-safe: callers append from any thread while a pump
-/// ships.
+/// the framing's open bytes plus one spec per item, so no staged event is
+/// deep copied. Ship closes the envelope and sends it as one message.
+/// Thread-safe: callers append from any thread while a pump ships.
 class StagedEnvelope {
  public:
-  StagedEnvelope(Clock* clock, ReliableSender* sender, std::string prefix,
-                 std::string suffix)
-      : clock_(clock),
-        sender_(sender),
-        prefix_(std::move(prefix)),
-        suffix_(std::move(suffix)) {}
+  StagedEnvelope(Clock* clock, ReliableSender* sender,
+                 transport::BatchFraming framing)
+      : clock_(clock), sender_(sender), framing_(framing) {}
 
   /// Appends one spec per item with `append_spec`, under one lock.
   template <typename Range, typename AppendSpec>
@@ -148,7 +153,7 @@ class StagedEnvelope {
     for (const auto& item : items) {
       if (count_ == 0) {
         oldest_ = clock_->NowMicros();
-        json_ = prefix_;
+        json_ = framing_.open;
       } else {
         json_ += ',';
       }
@@ -171,8 +176,7 @@ class StagedEnvelope {
  private:
   Clock* clock_;
   ReliableSender* sender_;
-  const std::string prefix_;
-  const std::string suffix_;
+  const transport::BatchFraming framing_;
   mutable std::mutex mu_;
   std::string json_;
   size_t count_ = 0;
@@ -195,9 +199,11 @@ class TransportEndpoint {
 
   /// The receive path for one message that arrived on `queue`: an ack
   /// retires one of this endpoint's sends; a message on the incoming
-  /// queue goes through the reliable receiver's decode, ack, dedup and
-  /// reorder step to the endpoint's handler. Returns how many
-  /// notifications (remote) or requests (worker) were handled.
+  /// queue goes through the reliable receiver (on a reliable link its
+  /// decode, ack, dedup and reorder step; on a raw link straight through)
+  /// to the endpoint's handler, and a message the receiver drops counts in
+  /// decode_errors(). Returns how many notifications (remote) or requests
+  /// (worker) were handled.
   size_t Receive(const std::string& queue, const std::string& message);
 
   /// Ends one pump cycle: retransmits what is due and ships what is staged
@@ -211,7 +217,7 @@ class TransportEndpoint {
   TransportEndpoint(Clock* clock, QueueSend send, TransportOptions options,
                     std::string outgoing, std::string incoming,
                     std::string sender_id, ReliableOptions reliable,
-                    std::string envelope_open, std::string envelope_close);
+                    transport::BatchFraming outgoing_framing);
   ~TransportEndpoint() = default;
 
   /// Handles one delivered payload; returns what Receive counts for it.

@@ -60,7 +60,7 @@ struct Trace {
 TEST(EbfPropertyTest, NoFalseNegativesAndSharedAgreesWithInProcess) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     SimulatedClock clock(0);
-    kv::KvStore kv(&clock);
+    kv::KvStore kv;
     ExpiringBloomFilter ebf(&clock);
     SharedEbf shared(&clock, &kv);
     Trace trace(seed);

@@ -273,7 +273,7 @@ TEST(PartitionedEbfTest, ReportReadsMatchesOneReportReadPerKey) {
 
 class SharedEbfTest : public ::testing::Test {
  protected:
-  SharedEbfTest() : clock_(0), kv_(&clock_), ebf_(&clock_, &kv_) {}
+  SharedEbfTest() : clock_(0), ebf_(&clock_, &kv_) {}
   SimulatedClock clock_;
   kv::KvStore kv_;
   SharedEbf ebf_;

@@ -209,7 +209,7 @@ struct Channel {
 size_t Poll(Channel* ch, invalidb::ReliableReceiver* receiver,
             const invalidb::ReliableReceiver::Handler& handler) {
   return ch->wire.Drain([&](const std::string&, const std::string& m) {
-    return receiver->Accept(m, handler);
+    return receiver->Accept(m, handler).value_or(0);
   });
 }
 
@@ -233,11 +233,11 @@ TEST(ReliableQueueTest, EnvelopeRoundTripAndCorruptionDetected) {
   EXPECT_EQ(env->sender, "s1");
   EXPECT_EQ(env->seq, 7u);
   EXPECT_EQ(env->payload, "payload");
-  // Raw (non-envelope) messages: NotFound → passthrough.
+  // A message that is no envelope is Corruption.
   EXPECT_TRUE(invalidb::reliable::Decode(R"({"op":"change"})")
                   .status()
-                  .IsNotFound());
-  // A mutated payload fails the checksum: Corruption, not NotFound.
+                  .IsCorruption());
+  // So is a mutated payload, which fails the checksum.
   std::string mutated = wire;
   const size_t pos = mutated.find("payload");
   ASSERT_NE(pos, std::string::npos);
@@ -250,7 +250,8 @@ TEST(ReliableQueueTest, InOrderDeliveryWithAcks) {
   Channel ch;
   invalidb::ReliableSender sender(&clock, ch.wire.sender(), "q", "s",
                                   Reliable());
-  invalidb::ReliableReceiver receiver(ch.acks.sender(), "q");
+  invalidb::ReliableReceiver receiver(ch.acks.sender(), "q",
+                                      /*enabled=*/true);
   sender.Send("m1");
   sender.Send("m2");
   sender.Send("m3");
@@ -265,7 +266,8 @@ TEST(ReliableQueueTest, InOrderDeliveryWithAcks) {
 
 TEST(ReliableQueueTest, DuplicatesDroppedReordersBuffered) {
   Channel ch;
-  invalidb::ReliableReceiver receiver(ch.acks.sender(), "q");
+  invalidb::ReliableReceiver receiver(ch.acks.sender(), "q",
+                                      /*enabled=*/true);
   // Deliver seq 2 before seq 1, then seq 1 twice.
   ch.wire.Send("q", invalidb::reliable::Encode("s", 2, "b"));
   std::vector<std::string> got;
@@ -289,7 +291,8 @@ TEST(ReliableQueueTest, LostMessageRetransmittedUntilAcked) {
   invalidb::ReliableOptions opts = Reliable();
   invalidb::ReliableSender sender(&clock, ch.wire.sender(), "q", "s",
                                   opts);
-  invalidb::ReliableReceiver receiver(ch.acks.sender(), "q");
+  invalidb::ReliableReceiver receiver(ch.acks.sender(), "q",
+                                      /*enabled=*/true);
   sender.Send("precious");
   // The channel eats the message.
   ASSERT_EQ(TakeAll(&ch.wire).size(), 1u);
@@ -312,7 +315,8 @@ TEST(ReliableQueueTest, CorruptedEnvelopeNotAckedThenRecovered) {
   invalidb::ReliableOptions opts = Reliable();
   invalidb::ReliableSender sender(&clock, ch.wire.sender(), "q", "s",
                                   opts);
-  invalidb::ReliableReceiver receiver(ch.acks.sender(), "q");
+  invalidb::ReliableReceiver receiver(ch.acks.sender(), "q",
+                                      /*enabled=*/true);
   sender.Send("fragile");
   // Corrupt the in-flight envelope's payload (the checksum must catch it).
   std::string wire = TakeAll(&ch.wire).at(0);
@@ -368,7 +372,8 @@ TEST(ReliableQueueTest, TickSkipsRetransmitScanUntilDeadline) {
   // Acks clear the queue and retire the deadlines with the messages: an
   // idle sender never scans again — not even one lazy-expiry scan.
   std::vector<std::string> got;
-  invalidb::ReliableReceiver receiver(ch.acks.sender(), "q");
+  invalidb::ReliableReceiver receiver(ch.acks.sender(), "q",
+                                      /*enabled=*/true);
   Poll(&ch, &receiver, [&](const std::string& p) { got.push_back(p); });
   EXPECT_EQ(got.size(), 50u);
   Pump(&ch, &sender);  // consume acks
@@ -392,7 +397,8 @@ TEST(ReliableQueueTest, AckRetiresEarliestDeadlineWithoutScan) {
   opts.jitter = 0.0;
   invalidb::ReliableSender sender(&clock, ch.wire.sender(), "q", "s",
                                   opts);
-  invalidb::ReliableReceiver receiver(ch.acks.sender(), "q");
+  invalidb::ReliableReceiver receiver(ch.acks.sender(), "q",
+                                      /*enabled=*/true);
 
   sender.Send("m1");  // deadline: t0 + timeout
   clock.Advance(opts.retransmit_timeout / 2);
@@ -460,7 +466,8 @@ TEST(ReliableQueueTest, MaxInflightWindowRejectsNewSends) {
   EXPECT_EQ(ch.wire.pending(), 3u);  // the rejected payload never hit the wire
 
   // Acks open the window again.
-  invalidb::ReliableReceiver receiver(ch.acks.sender(), "q");
+  invalidb::ReliableReceiver receiver(ch.acks.sender(), "q",
+                                      /*enabled=*/true);
   Poll(&ch, &receiver, [](const std::string&) {});
   Pump(&ch, &sender);
   EXPECT_EQ(sender.unacked(), 0u);

@@ -922,11 +922,11 @@ TEST_F(FrameFixture, ConnectionResetDuringBatchedNotifyRedeliversExactlyOnce) {
       [&](const std::string& queue, std::string message) {
         hub.Send(queue, message, 1);
       },
-      "notif");
+      "notif", /*enabled=*/true);
   std::mutex mu;
   std::vector<std::string> delivered;
   hub.Subscribe("notif", [&](const Frame& f) {
-    receiver.Accept(f.payload, [&](const std::string& payload) {
+    (void)receiver.Accept(f.payload, [&](const std::string& payload) {
       std::lock_guard<std::mutex> lock(mu);
       delivered.push_back(payload);
     });

@@ -338,6 +338,20 @@ TEST_F(StreamsTest, LastUnsubscribeKeepsCachedQueryRegistered) {
   EXPECT_TRUE(server_->ebf().IsStale(q.NormalizedKey()));
 }
 
+// A stateless query never emits changeIndex, so subscribing to one a fetch
+// registered keeps that registration, and neither the subscribe nor the
+// last unsubscribe flags its cached copies without a write.
+TEST_F(StreamsTest, StreamOnCachedStatelessQueryLeavesCacheFresh) {
+  ASSERT_TRUE(server_->Insert("posts", "p1", Doc(R"({"g":1})")).ok());
+  const db::Query q = Q("posts", R"({"g":1})");
+  ASSERT_TRUE(FetchQuery(q).ok);
+  auto id = hub_->Subscribe(q, [](const StreamEvent&) {}, nullptr);
+  ASSERT_TRUE(id.ok());
+  EXPECT_FALSE(server_->ebf().IsStale(q.NormalizedKey()));
+  hub_->Unsubscribe(id.value());
+  EXPECT_FALSE(server_->ebf().IsStale(q.NormalizedKey()));
+}
+
 TEST_F(StreamsTest, UnsubscribeUnknownIdIsNoop) {
   hub_->Unsubscribe(12345);
   EXPECT_EQ(hub_->TotalSubscriptions(), 0u);

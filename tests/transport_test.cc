@@ -2,12 +2,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/random.h"
 #include "db/query.h"
 #include "invalidb/reliable_queue.h"
 #include "invalidb/transport.h"
@@ -94,7 +97,7 @@ TEST(TransportCodecTest, DecodeRejectsGarbage) {
                                R"("type":0})"))
                    .ok());
   // A well-formed envelope whose element is a malformed spec (valid JSON,
-  // bad field) runs the generic fallback and the per-element decoder.
+  // bad field).
   EXPECT_FALSE(transport::DecodeNotificationBatch(
                    std::string(R"({"notifications":[{"type":"x"}],)"
                                R"("op":"notify_batch"})"))
@@ -170,7 +173,7 @@ TEST(TransportGoldenTest, BatchEnvelopeBytes) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch envelope decode: fast path, fallback, and rejection
+// Batch envelope decode: round trips and rejection
 // ---------------------------------------------------------------------------
 
 std::vector<db::ChangeEvent> SampleEvents() {
@@ -239,26 +242,109 @@ TEST(TransportCodecTest, NotificationBatchRoundTrip) {
   }
 }
 
-// A non-canonical producer (whitespace, reordered keys) must decode to
-// the same events through the generic fallback — the fast path is an
-// optimization of the wire format, not a narrowing of it.
-TEST(TransportCodecTest, NonCanonicalBatchDecodesViaFallback) {
-  const std::vector<db::ChangeEvent> events = SampleEvents();
-  const std::string canonical = transport::EncodeChangeBatch(events);
-  auto parsed = db::Value::FromJson(canonical);
-  ASSERT_TRUE(parsed.ok());
-  // Re-render with whitespace and the "op" key first: same JSON value,
-  // different bytes, so the canonical scanner must bail out cleanly.
-  std::string reordered = "{ \"op\": \"change_batch\", \"events\": " +
-                          parsed->Find("events")->ToJson() + " }";
-  auto back = transport::DecodeChangeBatch(reordered);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  ExpectSameEvents(back.value(), events);
+// Seeded random batches decode equal to what was encoded: strings with
+// quotes, backslashes, control characters and multi-byte UTF-8, integers
+// at and past 2^53 and negative ones, and the empty batch.
+std::string RandomText(Rng* rng) {
+  static const char* const kPieces[] = {
+      "a",  "Z",  "9",  " ",  "\"", "\\", "\n", "\t", "\x01",
+      "\x1f", "{",  "]",  ",",  ":",  "\xc3\xa9", "\xe2\x82\xac",
+      "\xf0\x9f\x98\x80"};
+  std::string s;
+  for (uint64_t n = rng->NextUint64(8); n > 0; --n) {
+    s += kPieces[rng->NextUint64(std::size(kPieces))];
+  }
+  return s;
 }
 
-// reliable::Decode skips the JSON parse when a message cannot carry an
-// "rp" key. Envelopes spelled differently from Encode's bytes must still
-// decode, and raw frames that merely contain the text must still pass.
+int64_t RandomInt(Rng* rng) {
+  static const int64_t kEdges[] = {0,
+                                   -1,
+                                   int64_t{1} << 53,
+                                   (int64_t{1} << 53) + 1,
+                                   -(int64_t{1} << 53) - 1,
+                                   std::numeric_limits<int64_t>::max(),
+                                   std::numeric_limits<int64_t>::min()};
+  if (rng->NextBool(0.5)) return kEdges[rng->NextUint64(std::size(kEdges))];
+  return static_cast<int64_t>(rng->Next());
+}
+
+db::Value RandomBody(Rng* rng) {
+  db::Object body;
+  for (uint64_t n = rng->NextUint64(4); n > 0; --n) {
+    db::Value v = RandomInt(rng);
+    if (rng->NextBool(0.5)) v = RandomText(rng);
+    if (rng->NextBool(0.2)) v = db::Array{v, RandomText(rng), nullptr};
+    body[RandomText(rng)] = std::move(v);
+  }
+  return body;
+}
+
+TEST(TransportCodecTest, SeededRandomBatchesRoundTrip) {
+  Rng rng(0x22);
+  for (int round = 0; round < 200; ++round) {
+    const uint64_t size = round == 0 ? 0 : rng.NextUint64(5);
+    std::vector<db::ChangeEvent> events;
+    std::vector<Notification> notifications;
+    for (uint64_t i = 0; i < size; ++i) {
+      db::ChangeEvent ev;
+      ev.kind = static_cast<db::WriteKind>(rng.NextUint64(3));
+      ev.after.table = RandomText(&rng);
+      ev.after.id = RandomText(&rng);
+      ev.after.body = RandomBody(&rng);
+      ev.after.deleted = rng.NextBool(0.3);
+      ev.after.version = rng.Next();
+      ev.after.write_time = RandomInt(&rng);
+      ev.commit_time = RandomInt(&rng);
+      events.push_back(std::move(ev));
+
+      Notification n;
+      n.type = static_cast<NotificationType>(rng.NextUint64(4));
+      n.query_key = RandomText(&rng);
+      n.record_id = RandomText(&rng);
+      n.event_time = RandomInt(&rng);
+      n.new_index = RandomInt(&rng);
+      notifications.push_back(std::move(n));
+    }
+
+    const std::string change_wire = transport::EncodeChangeBatch(events);
+    auto changes = transport::DecodeChangeBatch(change_wire);
+    ASSERT_TRUE(changes.ok()) << changes.status().ToString() << change_wire;
+    ExpectSameEvents(changes.value(), events);
+
+    const std::string notify_wire =
+        transport::EncodeNotificationBatch(notifications);
+    auto back = transport::DecodeNotificationBatch(notify_wire);
+    ASSERT_TRUE(back.ok()) << back.status().ToString() << notify_wire;
+    ASSERT_EQ(back->size(), notifications.size());
+    for (size_t i = 0; i < notifications.size(); ++i) {
+      EXPECT_EQ((*back)[i].type, notifications[i].type) << notify_wire;
+      EXPECT_EQ((*back)[i].query_key, notifications[i].query_key);
+      EXPECT_EQ((*back)[i].record_id, notifications[i].record_id);
+      EXPECT_EQ((*back)[i].event_time, notifications[i].event_time);
+      EXPECT_EQ((*back)[i].new_index, notifications[i].new_index);
+    }
+  }
+}
+
+// Every batch envelope comes from the canonical encoders, so the same
+// JSON value spelled otherwise (whitespace, the "op" key first) is
+// corruption, not a second wire format.
+TEST(TransportCodecTest, NonCanonicalBatchIsCorruption) {
+  const std::string canonical = transport::EncodeChangeBatch(SampleEvents());
+  auto parsed = db::Value::FromJson(canonical);
+  ASSERT_TRUE(parsed.ok());
+  const std::string reordered = "{ \"op\": \"change_batch\", \"events\": " +
+                                parsed->Find("events")->ToJson() + " }";
+  EXPECT_TRUE(
+      transport::DecodeChangeBatch(reordered).status().IsCorruption());
+  EXPECT_TRUE(transport::DecodeChangeBatch(canonical + " ")
+                  .status()
+                  .IsCorruption());
+}
+
+// reliable::Decode reads the envelope as JSON, so an envelope spelled
+// differently from Encode's bytes still decodes.
 TEST(ReliableEnvelopeTest, KeyReorderedEnvelopeStillDecodes) {
   const std::string canonical = reliable::Encode("node-1", 7, "payload");
   auto parsed = db::Value::FromJson(canonical);
@@ -286,26 +372,38 @@ TEST(ReliableEnvelopeTest, EscapedPayloadKeyStillDecodes) {
   EXPECT_EQ(env->payload, "payload");
 }
 
-TEST(ReliableEnvelopeTest, RawBatchMentioningRpIsDeliveredRaw) {
+// A link's mode, not the message, decides whether it is an envelope: a
+// raw receiver hands even envelope bytes through unopened, and a reliable
+// one rejects a raw batch, even one whose body spells envelope keys.
+TEST(ReliableEnvelopeTest, LinkModeDecidesEnvelopeHandling) {
   const std::string raw = transport::EncodeChangeBatch(
       {Change("t", "a", R"({"rp":"\"rp\"","rs":"x","rn":1})")});
-  ASSERT_NE(raw.find("\"rp\""), std::string::npos);
-  EXPECT_TRUE(reliable::Decode(raw).status().IsNotFound());
-
-  std::vector<std::string> acks;
-  ReliableReceiver receiver(
-      [&](const std::string& queue, std::string message) {
-        acks.push_back(queue + " " + message);
-      },
-      "changes");
-  std::vector<std::string> delivered;
-  EXPECT_EQ(receiver.Accept(raw, [&](const std::string& payload) {
-              delivered.push_back(payload);
-            }),
-            1u);
-  ASSERT_EQ(delivered.size(), 1u);
-  EXPECT_EQ(delivered[0], raw);
-  EXPECT_TRUE(acks.empty());  // raw messages are never acked
+  const std::string envelope = reliable::Encode("s", 1, raw);
+  for (const bool enabled : {false, true}) {
+    std::vector<std::string> acks;
+    ReliableReceiver receiver(
+        [&](const std::string& queue, std::string message) {
+          acks.push_back(queue + " " + message);
+        },
+        "changes", enabled);
+    std::vector<std::string> delivered;
+    const auto handler = [&](const std::string& payload) {
+      delivered.push_back(payload);
+    };
+    auto first = receiver.Accept(raw, handler);
+    auto second = receiver.Accept(envelope, handler);
+    if (enabled) {
+      EXPECT_TRUE(first.status().IsCorruption());
+      EXPECT_EQ(second.value_or(0), 1u);
+      EXPECT_EQ(delivered, std::vector<std::string>{raw});
+      EXPECT_EQ(acks.size(), 1u);  // the envelope's, not the raw batch's
+    } else {
+      EXPECT_EQ(first.value_or(0), 1u);
+      EXPECT_EQ(second.value_or(0), 1u);
+      EXPECT_EQ(delivered, (std::vector<std::string>{raw, envelope}));
+      EXPECT_TRUE(acks.empty());  // a raw link never acks
+    }
+  }
 }
 
 TEST(TransportCodecTest, BatchDecodeRejectsTornEnvelopes) {
@@ -614,6 +712,32 @@ TEST_F(BatchedTransportTest, NotificationsCoalesceIntoOneEnvelope) {
     EXPECT_EQ(n.record_id, "p1");
     EXPECT_EQ(n.event_time, 9);
   }
+}
+
+// A reliable link drops, unacked, every message that is no intact
+// envelope, and counts each drop in the endpoint's decode_errors.
+TEST_F(BatchedTransportTest, ReliableLinkCountsEveryDroppedMessage) {
+  Notification n;
+  n.type = NotificationType::kAdd;
+  n.query_key = "k";
+  n.record_id = "rec42";
+  const std::string batch = transport::EncodeNotificationBatch({n});
+  const std::string envelope = reliable::Encode("invalidb", 1, batch);
+  std::string flipped = envelope;
+  flipped[flipped.find("rec42")] ^= 0x20;
+
+  EXPECT_EQ(remote_.Receive("bt:notifications", flipped), 0u);
+  EXPECT_EQ(remote_.decode_errors(), 1u);
+  EXPECT_EQ(remote_.Receive("bt:notifications", batch), 0u);
+  EXPECT_EQ(remote_.decode_errors(), 2u);
+  EXPECT_TRUE(received_.empty());
+  EXPECT_EQ(to_worker_.pending("bt:notifications:acks"), 0u);
+
+  EXPECT_EQ(remote_.Receive("bt:notifications", envelope), 1u);
+  EXPECT_EQ(remote_.decode_errors(), 2u);
+  ASSERT_EQ(received_.size(), 1u);
+  EXPECT_EQ(received_[0].record_id, "rec42");
+  EXPECT_EQ(to_worker_.pending("bt:notifications:acks"), 1u);
 }
 
 TEST_F(BatchedTransportTest, StatsExportCoversBatchingCounters) {
