@@ -59,8 +59,7 @@ double MeasureNodeCapacity(size_t queries) {
         delivered += batch.size();
       });
   for (size_t g = 0; g < queries; ++g) {
-    (void)cluster.RegisterQuery(GroupQuery(static_cast<int>(g)), {},
-                                invalidb::kEventsObjectList);
+    (void)cluster.RegisterQuery(GroupQuery(static_cast<int>(g)), {});
   }
   const auto start = std::chrono::steady_clock::now();
   constexpr int kEvents = 2000;
@@ -103,8 +102,7 @@ void Run() {
     InvalidbCluster grid(clock, grid_opts,
                          [](const std::vector<invalidb::Notification>&) {});
     for (size_t g = 0; g < queries; ++g) {
-      (void)grid.RegisterQuery(GroupQuery(static_cast<int>(g)), {},
-                               invalidb::kEventsObjectList);
+      (void)grid.RegisterQuery(GroupQuery(static_cast<int>(g)), {});
     }
     const std::vector<size_t> per_node_queries = grid.QueriesPerNode();
     size_t max_q = 0;
@@ -126,8 +124,7 @@ void Run() {
           delivered += batch.size();
         });
     for (size_t g = 0; g < queries; ++g) {
-      (void)threaded.RegisterQuery(GroupQuery(static_cast<int>(g)), {},
-                                   invalidb::kEventsObjectList);
+      (void)threaded.RegisterQuery(GroupQuery(static_cast<int>(g)), {});
     }
     threaded.Flush();
     constexpr int kEvents = 500;
@@ -188,8 +185,7 @@ void RunElastic(const std::string& json_path) {
         delivered.fetch_add(batch.size(), std::memory_order_relaxed);
       });
   for (size_t g = 0; g < kQueries; ++g) {
-    (void)cluster.RegisterQuery(GroupQuery(static_cast<int>(g)), {},
-                                invalidb::kEventsObjectList);
+    (void)cluster.RegisterQuery(GroupQuery(static_cast<int>(g)), {});
   }
   cluster.Flush();
 

@@ -116,8 +116,7 @@ RunResult Run(size_t batch, size_t num_events, double match_rate) {
     std::vector<db::Document> initial;
     initial.push_back(MemberDoc(g, 0, t0));
     initial.push_back(MemberDoc(g + kQueries, 0, t0));
-    remote.RegisterQuery(q.value(), initial, invalidb::kEventsObjectList,
-                         t0);
+    remote.RegisterQuery(q.value(), initial, t0);
     if (g % 512 == 511) to_worker.Pump();
   }
   to_worker.Pump();

@@ -27,11 +27,15 @@ int main() {
   server.AddPurgeTarget([&](const std::string& key) { cdn.Purge(key); });
 
   // Print every InvaliDB notification — the Figure 5 lifecycle.
-  server.AddNotificationTap([](const invalidb::Notification& n) {
-    std::printf("  [InvaliDB] %s notification for %s (query %s)\n",
-                std::string(invalidb::NotificationTypeName(n.type)).c_str(),
-                n.record_id.c_str(), n.query_key.c_str());
-  });
+  server.AddNotificationTap(
+      [](const std::vector<invalidb::Notification>& batch) {
+        for (const invalidb::Notification& n : batch) {
+          std::printf(
+              "  [InvaliDB] %s notification for %s (query %s)\n",
+              std::string(invalidb::NotificationTypeName(n.type)).c_str(),
+              n.record_id.c_str(), n.query_key.c_str());
+        }
+      });
 
   // Two browser sessions: an author and a reader.
   webcache::ExpirationCache author_cache(&clock);

@@ -40,6 +40,17 @@ db::Query GroupQuery(size_t group) {
                                db::Value(static_cast<int64_t>(group))));
 }
 
+/// The sorted query family: top-k by `v` over the whole table, and the
+/// next k after an OFFSET. Updates rewrite `v`, so members move inside
+/// and across the windows (changeIndex as well as add/remove).
+constexpr size_t kSortedQueries = 2;
+
+db::Query TopQuery(int64_t offset) {
+  db::Query q(kTable, db::Predicate::True());
+  q.SetOrderBy({{"v", false}}).SetLimit(3).SetOffset(offset);
+  return q;
+}
+
 /// Everything one schedule execution needs, built fresh per run so replays
 /// and shrink probes are independent. Single-threaded InvaliDB keeps the
 /// whole world deterministic under the event queue's FIFO tie-breaking.
@@ -78,9 +89,12 @@ struct World {
     db.AddChangeListener(
         [this](const db::ChangeEvent& ev) { oracle->OnCommit(ev); });
 
+    // Group queries first: the LiveQuery follows queries[0].
     for (size_t g = 0; g < opts.num_groups; ++g) {
       queries.push_back(GroupQuery(g));
     }
+    queries.push_back(TopQuery(0));
+    queries.push_back(TopQuery(2));
 
     client::ClientOptions client_options;
     client_options.ebf_refresh_interval = opts.delta;
@@ -304,7 +318,7 @@ std::vector<FuzzOp> GenerateSchedule(const FuzzOptions& options) {
     }
     op.session = rng.NextUint64(options.num_sessions);
     op.key_index = rng.NextUint64(options.num_keys);
-    op.query_index = rng.NextUint64(options.num_groups);
+    op.query_index = rng.NextUint64(options.num_groups + kSortedQueries);
     op.value = static_cast<int>(rng.NextUint64(1000));
     op.new_purge_delay = rng.NextUint64(
         static_cast<uint64_t>(options.max_purge_delay) + 1);

@@ -426,7 +426,7 @@ void QuaestorClient::CacheOwnWrite(const db::Document& doc) {
   // Read-your-writes: the session serves its own writes from the local
   // cache (§3.2).
   client_cache_->Put(doc.Key(), doc.body.ToJson(), doc.version,
-                     options_.own_write_ttl, doc.write_time);
+                     core::kOwnWriteTtl, doc.write_time);
 }
 
 Result<db::Document> QuaestorClient::Insert(const std::string& table,

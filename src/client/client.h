@@ -60,10 +60,6 @@ struct ClientOptions {
   /// §3.2 — trades invalidation latency for backend offload).
   bool revalidate_at_cdn = false;
 
-  /// TTL for the client's own writes in its session cache
-  /// (read-your-writes).
-  Micros own_write_ttl = SecondsToMicros(60.0);
-
   /// Bearer token for this session (empty = anonymous). Sent with every
   /// origin request and used for write authorization.
   std::string auth_token;

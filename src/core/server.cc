@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 #include <string_view>
-#include <tuple>
 #include <unordered_set>
 
 #include "common/hash.h"
@@ -11,9 +10,10 @@
 namespace quaestor::core {
 namespace {
 
-/// InvaliDB events a cached result needs (§4.1): an id-list changes only
-/// with membership, an object list also with a member's content, and a
-/// sorted result (ORDER BY / LIMIT / OFFSET) also with a member's position.
+/// InvaliDB events that invalidate a cached result (§4.1): an id-list
+/// changes only with membership, an object list also with a member's
+/// content, and a sorted result (ORDER BY / LIMIT / OFFSET) also with a
+/// member's position. OnNotificationBatch filters by it.
 invalidb::EventMask CacheEvents(const db::Query& query,
                                 ttl::ResultRepresentation representation) {
   const invalidb::EventMask events =
@@ -100,13 +100,7 @@ void QuaestorServer::SetPipeline(invalidb::Pipeline* pipeline) {
 
 Status QuaestorServer::RegisterLocked(const std::string& key,
                                       const db::Query& query,
-                                      invalidb::EventMask events,
                                       std::vector<db::Document>* result) {
-  {
-    std::lock_guard<std::mutex> lock(meta_mu_);
-    auto it = query_meta_.find(key);
-    if (it != query_meta_.end()) events = events | it->second.stream_events;
-  }
   // Changes that commit after this instant race an evaluation below; the
   // pipeline replays them to the new query (§4.1 activation race). A
   // caller's `*result` was evaluated just before.
@@ -122,118 +116,62 @@ Status QuaestorServer::RegisterLocked(const std::string& key,
   Status st;
   {
     obs::ScopedSpan reg_span(tracer_, "invalidb.register");
-    st = pipeline_->RegisterQuery(query, registration_set, events,
-                                  evaluated_at);
+    st = pipeline_->RegisterQuery(query, registration_set, evaluated_at);
   }
   if (!st.ok() && !st.IsAlreadyExists()) return st;
-  {
-    std::lock_guard<std::mutex> lock(meta_mu_);
-    auto it = query_meta_.find(key);
-    if (it != query_meta_.end()) it->second.registered_events = events;
-  }
   active_list_.SetRegistered(key, true);
   return Status::OK();
 }
 
-Status QuaestorServer::ActivateQuery(const db::Query& query,
-                                     invalidb::EventMask events) {
+Status QuaestorServer::ActivateQuery(const db::Query& query) {
   const std::string key = query.NormalizedKey();
-  Status st;
+  std::lock_guard<std::mutex> reg_lock(registration_mu_);
   {
-    std::lock_guard<std::mutex> reg_lock(registration_mu_);
-    invalidb::EventMask registered{};
-    {
-      std::lock_guard<std::mutex> lock(meta_mu_);
-      auto it = query_meta_.find(key);
-      if (it != query_meta_.end()) {
-        it->second.stream_events = it->second.stream_events | events;
-        registered = it->second.registered_events;
-      }
-    }
-    if (!active_list_.IsRegistered(key)) {
-      return RegisterLocked(key, query, events, nullptr);
-    }
-    if ((registered | events) == registered) return Status::OK();
-    // A fetch registered the query with fewer events (an id-list lacks
-    // change): register it again with both.
-    st = ReregisterLocked(key, query, registered | events);
+    std::lock_guard<std::mutex> lock(meta_mu_);
+    auto it = query_meta_.find(key);
+    if (it != query_meta_.end()) it->second.streamed = true;
   }
-  // Changes that committed between the deregistration and the new
-  // evaluation reached no matcher.
-  FlagCachedCopies(key);
-  return st;
+  if (active_list_.IsRegistered(key)) return Status::OK();
+  return RegisterLocked(key, query, nullptr);
 }
 
 void QuaestorServer::DeactivateQuery(const std::string& key) {
+  std::lock_guard<std::mutex> reg_lock(registration_mu_);
   {
-    std::lock_guard<std::mutex> reg_lock(registration_mu_);
-    db::Query query;
-    invalidb::EventMask registered{};
-    // The cached copies' representation: the sticky kAuto decision, or
-    // the fixed policy's (the object list, the wider mask, by default).
-    ttl::ResultRepresentation representation =
-        options_.representation == RepresentationPolicy::kAlwaysIdList
-            ? ttl::ResultRepresentation::kIdList
-            : ttl::ResultRepresentation::kObjectList;
-    {
-      std::lock_guard<std::mutex> lock(meta_mu_);
-      auto it = query_meta_.find(key);
-      if (it == query_meta_.end()) return;
-      QueryMeta& m = it->second;
-      m.stream_events = invalidb::EventMask{};
-      query = m.query;
-      registered = m.registered_events;
-      if (m.has_chosen_representation) representation = m.chosen_representation;
-    }
-    if (!active_list_.IsRegistered(key)) return;
-    if (!capacity_.IsAdmitted(key)) {
-      pipeline_->DeregisterQuery(key);
-      active_list_.SetRegistered(key, false);
-      return;
-    }
-    const invalidb::EventMask cache = CacheEvents(query, representation);
-    if (registered == cache) return;
-    (void)ReregisterLocked(key, query, cache);
+    std::lock_guard<std::mutex> lock(meta_mu_);
+    auto it = query_meta_.find(key);
+    if (it == query_meta_.end()) return;
+    it->second.streamed = false;
   }
-  // As in ActivateQuery: changes committed between the two registrations
-  // reached no matcher.
-  FlagCachedCopies(key);
-}
-
-Status QuaestorServer::ReregisterLocked(const std::string& key,
-                                        const db::Query& query,
-                                        invalidb::EventMask events) {
+  if (!active_list_.IsRegistered(key) || capacity_.IsAdmitted(key)) return;
   pipeline_->DeregisterQuery(key);
   active_list_.SetRegistered(key, false);
-  return RegisterLocked(key, query, events, nullptr);
 }
 
-bool QuaestorServer::StreamKeepsRegistration(
-    const std::string& key, invalidb::EventMask events) const {
-  std::lock_guard<std::mutex> lock(meta_mu_);
-  auto it = query_meta_.find(key);
-  if (it == query_meta_.end() || it->second.stream_events == 0) return false;
-  const invalidb::EventMask registered = it->second.registered_events;
-  return (registered | events) == registered;
+ttl::ResultRepresentation QuaestorServer::CachedRepresentation(
+    const QueryMeta& meta) const {
+  if (meta.has_chosen_representation) return meta.chosen_representation;
+  return options_.representation == RepresentationPolicy::kAlwaysIdList
+             ? ttl::ResultRepresentation::kIdList
+             : ttl::ResultRepresentation::kObjectList;
 }
 
 void QuaestorServer::ReregisterQueries() {
-  // Held throughout, so no fetch registers, switches or evicts a query
-  // between the snapshot and its re-registration.
+  // Held throughout, so no fetch registers or evicts a query between the
+  // snapshot and its re-registration.
   std::lock_guard<std::mutex> reg_lock(registration_mu_);
-  std::vector<std::tuple<std::string, db::Query, invalidb::EventMask>>
-      registered;
+  std::vector<std::pair<std::string, db::Query>> registered;
   {
     std::lock_guard<std::mutex> lock(meta_mu_);
     for (const auto& [key, meta] : query_meta_) {
       if (active_list_.IsRegistered(key)) {
-        registered.emplace_back(key, meta.query, meta.registered_events);
+        registered.emplace_back(key, meta.query);
       }
     }
   }
-  for (const auto& [key, query, events] : registered) {
+  for (const auto& [key, query] : registered) {
     pipeline_->DeregisterQuery(key);
-    (void)RegisterLocked(key, query, events, nullptr);
+    (void)RegisterLocked(key, query, nullptr);
   }
 }
 
@@ -322,7 +260,7 @@ void QuaestorServer::OnRecordWrite(const db::Document& after) {
   // (read-your-writes): track its implied TTL so a later foreign write
   // can flag that copy too.
   if (!after.deleted && !options_.fault_disable_ebf_read_tracking) {
-    ebf_.ReportRead(key, options_.write_response_ttl);
+    ebf_.ReportRead(key, kOwnWriteTtl);
   }
   // Query invalidations are detected by InvaliDB via the change stream
   // (wired in the constructor) and handled in OnNotificationBatch.
@@ -352,32 +290,55 @@ void QuaestorServer::OnNotificationBatch(
     }
   }
   if (options_.degradation.enabled) RefreshDegradedState();
+  // The kAuto cost model counts every notification. The cache pass below
+  // sees only those that invalidate a cached copy; `kept` is filled only
+  // once one is dropped, so a batch that passes whole is not copied.
+  std::vector<invalidb::Notification> kept;
+  bool dropped = false;
   {
     std::lock_guard<std::mutex> lock(meta_mu_);
-    for (const invalidb::Notification& n : batch) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const invalidb::Notification& n = batch[i];
       auto it = query_meta_.find(n.query_key);
-      if (it == query_meta_.end()) continue;
-      it->second.last_result_change =
-          std::max(it->second.last_result_change, n.event_time);
-      switch (n.type) {
-        case invalidb::NotificationType::kAdd:
-          it->second.adds++;
-          break;
-        case invalidb::NotificationType::kRemove:
-          it->second.removes++;
-          break;
-        default:
-          it->second.changes++;
+      bool keep = true;
+      if (it != query_meta_.end()) {
+        QueryMeta& m = it->second;
+        switch (n.type) {
+          case invalidb::NotificationType::kAdd:
+            m.adds++;
+            break;
+          case invalidb::NotificationType::kRemove:
+            m.removes++;
+            break;
+          default:
+            m.changes++;
+        }
+        keep = m.streamed ||
+               (CacheEvents(m.query, CachedRepresentation(m)) &
+                invalidb::EventBit(n.type)) != 0;
+        if (keep) {
+          m.last_result_change = std::max(m.last_result_change, n.event_time);
+        }
+      }
+      if (!keep && !dropped) {
+        dropped = true;
+        kept.assign(batch.begin(), batch.begin() + i);
+      } else if (keep && dropped) {
+        kept.push_back(n);
       }
     }
   }
-  query_invalidations_.fetch_add(batch.size(), std::memory_order_relaxed);
+  const std::vector<invalidb::Notification>& invalidating =
+      dropped ? kept : batch;
+  if (invalidating.empty()) return;
+  query_invalidations_.fetch_add(invalidating.size(),
+                                 std::memory_order_relaxed);
   // Stale-key pass, once per distinct query in first-occurrence order:
   // repeated flags/purges of the same key within one batch are redundant
   // (the first already made every copy unservable).
   std::unordered_set<std::string_view> seen;
-  seen.reserve(batch.size());
-  for (const invalidb::Notification& n : batch) {
+  seen.reserve(invalidating.size());
+  for (const invalidb::Notification& n : invalidating) {
     if (!seen.insert(n.query_key).second) continue;
     MemoErase(n.query_key);
     ebf_.ReportWrite(n.query_key);
@@ -385,7 +346,7 @@ void QuaestorServer::OnNotificationBatch(
   }
   // TTL feedback and capacity accounting stay per-notification: the
   // active list needs every invalidation timestamp.
-  for (const invalidb::Notification& n : batch) {
+  for (const invalidb::Notification& n : invalidating) {
     const auto actual =
         active_list_.OnInvalidation(n.query_key, n.event_time);
     if (actual.has_value()) {
@@ -393,17 +354,15 @@ void QuaestorServer::OnNotificationBatch(
     }
     capacity_.OnInvalidation(n.query_key);
   }
-  std::vector<invalidb::NotificationSink> taps;
+  std::vector<invalidb::NotificationBatchSink> taps;
   {
     std::lock_guard<std::mutex> lock(purge_mu_);
     taps = notification_taps_;
   }
-  for (const invalidb::Notification& n : batch) {
-    for (const auto& tap : taps) tap(n);
-  }
+  for (const auto& tap : taps) tap(invalidating);
 }
 
-void QuaestorServer::AddNotificationTap(invalidb::NotificationSink tap) {
+void QuaestorServer::AddNotificationTap(invalidb::NotificationBatchSink tap) {
   std::lock_guard<std::mutex> lock(purge_mu_);
   notification_taps_.push_back(std::move(tap));
 }
@@ -570,10 +529,6 @@ ttl::ResultRepresentation QuaestorServer::ChooseRepresentationFor(
   }
   ttl::RepresentationCosts costs;
   costs.result_size = result_size;
-  costs.record_hit_rate = options_.assumed_record_hit_rate;
-  costs.invalidation_cost_ms = options_.round_trip_ms;
-  costs.record_miss_latency_ms = options_.record_miss_latency_ms;
-  costs.client_fanout = options_.assumed_client_fanout;
   double age_s = 1.0;
   {
     std::lock_guard<std::mutex> lock(meta_mu_);
@@ -658,27 +613,17 @@ webcache::HttpResponse QuaestorServer::FetchQuery(
     if (evicted.has_value()) EvictQuery(*evicted);
   }
 
-  // Representation decision. A switch changes the InvaliDB event mask, so
-  // the query is re-registered; outstanding copies of the old
+  // Representation decision. A switch changes which notifications the
+  // filter keeps for the key, so outstanding copies of the old
   // representation are conservatively flagged stale and purged (an
   // object-list copy would otherwise miss `change` invalidations after a
-  // switch to an id-list subscription).
+  // switch to id-lists).
   bool representation_switched = false;
   std::optional<ttl::ResultRepresentation> representation;
   auto decide_representation = [&](size_t result_size) {
     representation =
         DecideRepresentation(key, result_size, &representation_switched);
-    if (!representation_switched) return;
-    {
-      std::lock_guard<std::mutex> reg_lock(registration_mu_);
-      if (!active_list_.IsRegistered(key)) return;
-      if (!StreamKeepsRegistration(key,
-                                   CacheEvents(query, *representation))) {
-        pipeline_->DeregisterQuery(key);
-        active_list_.SetRegistered(key, false);
-      }
-    }
-    FlagCachedCopies(key);
+    if (representation_switched) FlagCachedCopies(key);
   };
 
   // Result reuse: the memo entry of the last execution stands in for a
@@ -864,15 +809,13 @@ webcache::HttpResponse QuaestorServer::FetchQuery(
     // Register in InvaliDB before the response can be cached: every
     // subsequent change within the TTL must be detected (Figure 7 step 2).
     // Checked again under registration_mu_, which orders registration
-    // against eviction, representation switches and recovery.
+    // against eviction, deactivation and recovery.
     if (!active_list_.IsRegistered(key)) {
       std::lock_guard<std::mutex> reg_lock(registration_mu_);
       if (!active_list_.IsRegistered(key)) {
         // Without an execution here (served from the memo, deregistered by
         // a concurrent eviction since the reuse check) the query runs anew.
-        (void)RegisterLocked(key, query,
-                             CacheEvents(query, *representation),
-                             executed ? &docs : nullptr);
+        (void)RegisterLocked(key, query, executed ? &docs : nullptr);
       }
     }
     active_list_.OnRead(key, now, ttl);
@@ -891,7 +834,13 @@ void QuaestorServer::EvictQuery(const std::string& query_key) {
   // unexpired and purge CDNs now.
   {
     std::lock_guard<std::mutex> reg_lock(registration_mu_);
-    if (!StreamKeepsRegistration(query_key, invalidb::EventMask{})) {
+    bool streamed;
+    {
+      std::lock_guard<std::mutex> lock(meta_mu_);
+      auto it = query_meta_.find(query_key);
+      streamed = it != query_meta_.end() && it->second.streamed;
+    }
+    if (!streamed) {
       pipeline_->DeregisterQuery(query_key);
       active_list_.SetRegistered(query_key, false);
     }

@@ -35,6 +35,13 @@
 
 namespace quaestor::core {
 
+/// Cache lifetime of a write response. The writing session keeps its own
+/// after-image for read-your-writes (clients cache own writes for exactly
+/// this long), so the server tracks this TTL for the write in the EBF:
+/// otherwise a later foreign write could not flag the writer's copy, and
+/// ∆-atomicity would break for the rest of the copy's lifetime.
+inline constexpr Micros kOwnWriteTtl = 60 * kMicrosPerSecond;
+
 /// Which representation the server uses for query results.
 enum class RepresentationPolicy {
   /// Cost-based decision per query (§4.2).
@@ -55,21 +62,6 @@ struct ServerOptions {
   /// Disable caching entirely for records/queries (baselines).
   bool cache_records = true;
   bool cache_queries = true;
-  /// Inputs for the kAuto representation decision that the server cannot
-  /// observe itself (client-side record hit rate, hop latencies, number
-  /// of caches holding copies).
-  double assumed_record_hit_rate = 0.9;
-  double round_trip_ms = 145.0;
-  double record_miss_latency_ms = 8.0;
-  double assumed_client_fanout = 10.0;
-
-  /// Cache lifetime granted to write responses: the writing session keeps
-  /// its own after-image for read-your-writes, so the server must track
-  /// an issued TTL for it — otherwise a later foreign write could not
-  /// flag the writer's copy in the EBF (∆-atomicity would break for up to
-  /// the client's own-write cache lifetime). Clients must not cache own
-  /// writes longer than this.
-  Micros write_response_ttl = 60 * kMicrosPerSecond;
 
   /// Fault injection (testing only): stop tracking issued record-read TTLs
   /// in the EBF. Writes then see no outstanding copy and never flag the
@@ -225,11 +217,12 @@ class QuaestorServer : public webcache::Origin {
   /// Registers a purge hook for invalidation-based caches.
   void AddPurgeTarget(PurgeTarget target);
 
-  /// Observability tap: invoked for every InvaliDB notification the server
-  /// processes (after its own handling). Used by the simulator to measure
-  /// true result lifetimes (Figure 11) and by the websocket-style change
-  /// streams of §3.2.
-  void AddNotificationTap(invalidb::NotificationSink tap);
+  /// Observability tap: invoked once per notification delivery with the
+  /// notifications that passed the server's filter (see
+  /// OnNotificationBatch), after its own handling. Used by the simulator
+  /// to measure true result lifetimes (Figure 11) and by the
+  /// websocket-style change streams of §3.2.
+  void AddNotificationTap(invalidb::NotificationBatchSink tap);
 
   /// Routes the InvaliDB data path (query registrations, the change
   /// stream, and the health degraded() asks) to `pipeline`, e.g. an
@@ -241,23 +234,26 @@ class QuaestorServer : public webcache::Origin {
   /// OnNotificationBatch.
   void SetPipeline(invalidb::Pipeline* pipeline);
 
-  /// Handles one delivery of InvaliDB notifications (query results became
-  /// stale) from the installed pipeline. The memo-erase / EBF-flag /
-  /// CDN-purge pass runs once per distinct query key; counters, TTL
-  /// feedback and taps see every notification.
+  /// Handles one delivery of InvaliDB notifications from the installed
+  /// pipeline. A query is registered with every event it can emit; this
+  /// is the one place that decides which of them invalidate a cached
+  /// copy. Every notification feeds the kAuto cost model's add / remove /
+  /// change counts; then only those in CacheEvents(query, cached
+  /// representation) are kept, or all of them for a streamed query (an
+  /// id-list copy ignores in-place changes, §4.1). The kept ones alone
+  /// reach the memo-erase / EBF-flag / CDN-purge pass (once per distinct
+  /// query key), TTL feedback, capacity accounting, Last-Modified, the
+  /// query_invalidations counter and the taps.
   void OnNotificationBatch(const std::vector<invalidb::Notification>& batch);
 
-  /// Activates `query` on the pipeline with at least `events` (change
-  /// streams subscribe with every event the query can emit) and records
-  /// them as the query's stream interest, which every later registration
-  /// of the query keeps.
-  /// A registration a fetch made with fewer events is widened. The
-  /// query's shape must be registered.
-  Status ActivateQuery(const db::Query& query, invalidb::EventMask events);
+  /// Marks `query` streamed (a change stream subscribed; every
+  /// notification then passes the filter) and registers it on the
+  /// pipeline unless a fetch already did. The query's shape must be
+  /// registered.
+  Status ActivateQuery(const db::Query& query);
 
-  /// Drops the stream interest ActivateQuery recorded (the last subscriber
-  /// left): a cached query's registration narrows to the cache's events,
-  /// any other query is deregistered.
+  /// Clears the streamed mark (the last subscriber left) and deregisters
+  /// the query unless the cache still maintains it (it is admitted).
   void DeactivateQuery(const std::string& key);
 
   // -- Fault tolerance & degradation --
@@ -351,27 +347,23 @@ class QuaestorServer : public webcache::Origin {
     Micros last_result_change = 0;
     /// Sticky representation decision (kAuto policy): re-evaluated at most
     /// every kRepresentationDecisionInterval to avoid flapping between
-    /// representations (each flip changes the result etag and the
-    /// InvaliDB subscription).
+    /// representations (each flip changes the result etag and flags the
+    /// cached copies).
     bool has_chosen_representation = false;
     ttl::ResultRepresentation chosen_representation =
         ttl::ResultRepresentation::kObjectList;
     Micros representation_chosen_at = 0;
-    /// Event mask of the query's InvaliDB registration; outage recovery
-    /// registers the query again with it.
-    invalidb::EventMask registered_events = invalidb::kEventsObjectList;
-    /// Events a change stream subscribed to (ActivateQuery); 0 if none.
-    /// Every registration includes them, and eviction or a representation
-    /// switch leaves a registration that covers them in place.
-    invalidb::EventMask stream_events{};
+    /// A change stream subscribed (ActivateQuery): every notification
+    /// passes the filter, and eviction keeps the registration.
+    bool streamed = false;
   };
 
   static constexpr Micros kRepresentationDecisionInterval =
       5 * kMicrosPerSecond;
 
   /// Sticky wrapper around ChooseRepresentationFor. Sets `*need_switch`
-  /// if the decision changed for an already-registered query (the caller
-  /// must re-register with the new event mask).
+  /// if the decision changed for a query that already had one (the caller
+  /// flags the key's cached copies of the old representation).
   ttl::ResultRepresentation DecideRepresentation(const std::string& query_key,
                                                  size_t result_size,
                                                  bool* need_switch);
@@ -380,28 +372,17 @@ class QuaestorServer : public webcache::Origin {
   webcache::HttpResponse FetchQuery(const webcache::HttpRequest& request,
                                     const db::Query& query);
 
-  /// Registers `query` (key `key`) on the pipeline with `events` plus its
-  /// stream interest: a stateless query with its result (`*result`,
-  /// consumed, when the caller just executed it; a fresh execution
-  /// otherwise), a stateful one with its unwindowed predicate set. On
-  /// success records the mask in the query's QueryMeta and marks the key
-  /// registered. Caller holds registration_mu_.
+  /// Registers `query` (key `key`) on the pipeline: a stateless query
+  /// with its result (`*result`, consumed, when the caller just executed
+  /// it; a fresh execution otherwise), a stateful one with its unwindowed
+  /// predicate set. On success marks the key registered. Caller holds
+  /// registration_mu_.
   Status RegisterLocked(const std::string& key, const db::Query& query,
-                        invalidb::EventMask events,
                         std::vector<db::Document>* result);
 
-  /// Registers `key` anew with `events`; the caller then flags its cached
-  /// copies (changes in between reach no matcher). Caller holds
-  /// registration_mu_.
-  Status ReregisterLocked(const std::string& key, const db::Query& query,
-                          invalidb::EventMask events);
-
-  /// True if a change stream subscribed to `key` and the key's
-  /// registration delivers at least `events`: the cache side then keeps
-  /// the registration instead of dropping it (which would cut the stream
-  /// off). Caller holds registration_mu_.
-  bool StreamKeepsRegistration(const std::string& key,
-                               invalidb::EventMask events) const;
+  /// The representation of `meta`'s cached copies: the sticky kAuto
+  /// decision, else the fixed policy's. Caller holds meta_mu_.
+  ttl::ResultRepresentation CachedRepresentation(const QueryMeta& meta) const;
 
   /// Outage recovery: deregisters every registered query and registers it
   /// again with a fresh evaluation, so the matchers forget membership that
@@ -502,18 +483,17 @@ class QuaestorServer : public webcache::Origin {
   AccessController auth_;
 
   /// Serializes every InvaliDB registration decision: first registration
-  /// (fetches and change streams), deregistration on eviction or
-  /// representation switch, and recovery's re-registration. A key's
-  /// pipeline registration then always matches its
-  /// QueryMeta::registered_events. Taken before meta_mu_; the
-  /// notification path never takes it.
+  /// (fetches and change streams), deregistration on eviction or on the
+  /// last unsubscribe, and recovery's re-registration. A key is then
+  /// registered on the pipeline exactly when ActiveList::registered says
+  /// so. Taken before meta_mu_; the notification path never takes it.
   std::mutex registration_mu_;
   mutable std::mutex meta_mu_;
   std::unordered_map<std::string, QueryMeta> query_meta_;
 
   mutable std::mutex purge_mu_;
   std::vector<PurgeTarget> purge_targets_;
-  std::vector<invalidb::NotificationSink> notification_taps_;
+  std::vector<invalidb::NotificationBatchSink> notification_taps_;
 
   static constexpr size_t kMemoShards = 16;
   mutable std::array<MemoShard, kMemoShards> body_memo_;

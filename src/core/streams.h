@@ -55,17 +55,18 @@ class ChangeStreamHub {
   Result<uint64_t> Subscribe(const db::Query& query, StreamCallback callback,
                              std::vector<db::Document>* initial_result);
 
-  /// Cancels a subscription. When it was the query's last one, the
-  /// query's registration drops back to what caching needs: narrowed if
-  /// the query is cached, gone if not.
+  /// Cancels a subscription. When it was the query's last one, the query
+  /// is no longer streamed: the server's filter goes back to the cached
+  /// representation's events, and a query the cache does not maintain is
+  /// deregistered.
   void Unsubscribe(uint64_t subscription_id);
 
   size_t SubscriberCount(const std::string& query_key) const;
   size_t TotalSubscriptions() const;
 
  private:
-  /// Wired into the server's notification tap.
-  void OnNotification(const invalidb::Notification& n);
+  /// Wired into the server's notification tap: one lock per delivery.
+  void OnNotificationBatch(const std::vector<invalidb::Notification>& batch);
 
   QuaestorServer* server_;
   /// Orders a query's activation by a new subscriber against its release

@@ -238,28 +238,20 @@ void InvalidbCluster::ExecuteTask(Node& node, Task& task,
 void InvalidbCluster::Translate(Notification& n,
                                 const db::Document& after_image,
                                 NotifyScratch& scratch) {
-  EventMask mask;
   bool stateful;
   {
-    // Only the mask and statefulness are needed here — copying the whole
-    // Subscription would deep-copy its query filter per notification.
+    // Only statefulness is needed here — copying the whole Subscription
+    // would deep-copy its query filter per notification.
     std::lock_guard<std::mutex> lock(subs_mu_);
     auto it = subscriptions_.find(n.query_key);
     if (it == subscriptions_.end()) return;  // deregistered meanwhile
-    mask = it->second.mask;
     stateful = it->second.stateful;
   }
   if (stateful) {
     // Translate raw membership events into windowed events.
-    scratch.windowed.clear();
     sorted_layer_.OnRawEvent(n.query_key, n.type, after_image, n.event_time,
-                             &scratch.windowed);
-    for (Notification& w : scratch.windowed) {
-      if (mask & EventBit(w.type)) {
-        scratch.deliverable.push_back(std::move(w));
-      }
-    }
-  } else if (mask & EventBit(n.type)) {
+                             &scratch.deliverable);
+  } else {
     scratch.deliverable.push_back(std::move(n));
   }
 }
@@ -326,7 +318,7 @@ void InvalidbCluster::DispatchBatch(NotifyScratch& scratch,
 
 Status InvalidbCluster::RegisterQuery(
     const db::Query& query, const std::vector<db::Document>& initial_result,
-    EventMask events, Micros evaluated_at) {
+    Micros evaluated_at) {
   // Held across the whole registration so the column/row computation and
   // the submissions target the same topology (a concurrent Resize would
   // otherwise re-shard between them). Resize re-installs everything in
@@ -340,7 +332,7 @@ Status InvalidbCluster::RegisterQuery(
     if (subscriptions_.count(key) > 0) {
       return Status::AlreadyExists(key);
     }
-    subscriptions_[key] = Subscription{events, stateful, query};
+    subscriptions_[key] = Subscription{stateful, query};
   }
   if (stateful) {
     sorted_layer_.AddQuery(query, key, initial_result);

@@ -93,9 +93,9 @@ struct ClusterStats {
 /// in-process Pipeline.
 class InvalidbCluster : public Pipeline {
  public:
-  /// `sink` receives the subscribed notifications of each matching
-  /// dispatch in one call (commit order within the call). In threaded mode
-  /// it is invoked from worker threads, concurrently across nodes.
+  /// `sink` receives the notifications of each matching dispatch in one
+  /// call (commit order within the call). In threaded mode it is invoked
+  /// from worker threads, concurrently across nodes.
   InvalidbCluster(Clock* clock, InvalidbOptions options,
                   NotificationBatchSink sink);
   ~InvalidbCluster() override;
@@ -105,16 +105,17 @@ class InvalidbCluster : public Pipeline {
 
   /// Activates a query. `initial_result` must be the query's current
   /// matching set evaluated by Quaestor — for stateful queries (ORDER
-  /// BY/LIMIT/OFFSET) the *unwindowed* predicate-matching set. `events`
-  /// selects which notifications are delivered (id-list results subscribe
-  /// to add/remove; object-lists also to change, §4.1).
+  /// BY/LIMIT/OFFSET) the *unwindowed* predicate-matching set. The query
+  /// is delivered every event it can emit (raw add/remove/change for a
+  /// stateless query, the sorted layer's windowed events for a stateful
+  /// one).
   ///
   /// `evaluated_at` is the time the initial result was computed; recent
   /// change events committed after it are replayed against the new query
   /// to close the activation race (§4.1). Defaults to "now".
   Status RegisterQuery(const db::Query& query,
                        const std::vector<db::Document>& initial_result,
-                       EventMask events, Micros evaluated_at = -1) override;
+                       Micros evaluated_at = -1) override;
 
   /// Deactivates a query.
   void DeregisterQuery(const std::string& query_key) override;
@@ -253,7 +254,6 @@ class InvalidbCluster : public Pipeline {
   /// one MatchBatch plus one dispatch per change task per node).
   struct NotifyScratch {
     std::vector<Notification> deliverable;
-    std::vector<Notification> windowed;
     /// Batch matching: all notifications of one MatchBatch plus the
     /// per-event slice boundaries.
     std::vector<Notification> batch_raw;
@@ -261,7 +261,6 @@ class InvalidbCluster : public Pipeline {
   };
 
   struct Subscription {
-    EventMask mask;
     bool stateful;
     /// The full (windowed) query — an evaluator Resize needs it to
     /// re-evaluate results and re-seed the sorted layer after a crash.
@@ -291,8 +290,9 @@ class InvalidbCluster : public Pipeline {
   void DispatchBatch(NotifyScratch& scratch,
                      const std::vector<db::ChangeEvent>& events,
                      const std::vector<size_t>& offsets);
-  /// Translates one raw notification through the subscription filter and
-  /// (for stateful queries) the sorted layer into scratch.deliverable.
+  /// Appends one raw notification (for stateful queries, its windowed
+  /// translation by the sorted layer) to scratch.deliverable, unless the
+  /// query was deregistered meanwhile.
   void Translate(Notification& n, const db::Document& after_image,
                  NotifyScratch& scratch);
   /// Accounts scratch.deliverable under one sink_mu_ acquisition, then

@@ -24,9 +24,12 @@ enum class NotificationType : uint8_t {
 
 std::string_view NotificationTypeName(NotificationType t);
 
-/// Bitmask of subscribed events. Id-list results only need membership
-/// changes (add/remove); object-list results additionally need change
-/// (§4.1: "only two combinations of event notifications are useful").
+/// Bitmask of notification events. A registration delivers every event
+/// its query can emit; the server's filter (CacheEvents in
+/// core/server.cc) applies the paper's "only two combinations of event
+/// notifications are useful" (§4.1) per cached copy: id-list results only
+/// need membership changes (add/remove), object-list results additionally
+/// need change, and sorted results also need changeIndex.
 enum EventMask : uint8_t {
   kEventAdd = 1 << 0,
   kEventRemove = 1 << 1,
@@ -35,7 +38,6 @@ enum EventMask : uint8_t {
 
   kEventsIdList = kEventAdd | kEventRemove,
   kEventsObjectList = kEventAdd | kEventRemove | kEventChange,
-  kEventsAll = kEventAdd | kEventRemove | kEventChange | kEventChangeIndex,
 };
 
 constexpr EventMask operator|(EventMask a, EventMask b) {
@@ -68,8 +70,6 @@ struct Notification {
   /// For changeIndex: the new position of the record in the sorted result.
   int64_t new_index = -1;
 };
-
-using NotificationSink = std::function<void(const Notification&)>;
 
 /// Receives the notifications of one delivery (one matching dispatch, one
 /// decoded notify_batch envelope) in a single call, in emission order.

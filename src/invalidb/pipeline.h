@@ -24,10 +24,12 @@ class Pipeline {
 
   /// Activates a query with its current matching set (for stateful
   /// queries the unwindowed predicate set) evaluated at `evaluated_at`
-  /// (-1: now); `events` selects the notifications delivered.
+  /// (-1: now). Every event the query can emit is delivered: a stateless
+  /// query's add/remove/change, a stateful one's windowed events; the
+  /// server decides which of them invalidate a cached copy.
   virtual Status RegisterQuery(const db::Query& query,
                                const std::vector<db::Document>& initial_result,
-                               EventMask events, Micros evaluated_at = -1) = 0;
+                               Micros evaluated_at = -1) = 0;
 
   /// Deactivates a query.
   virtual void DeregisterQuery(const std::string& query_key) = 0;

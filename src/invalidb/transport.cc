@@ -273,13 +273,11 @@ Result<std::vector<db::ChangeEvent>> DecodeChangeBatch(
 
 std::string EncodeRegister(const db::Query& query,
                            const std::vector<db::Document>& initial_result,
-                           EventMask events, Micros evaluated_at) {
+                           Micros evaluated_at) {
   std::string out;
   out.reserve(128 + 160 * initial_result.size());
   out += "{\"evaluated_at\":";
   out += std::to_string(static_cast<int64_t>(evaluated_at));
-  out += ",\"events\":";
-  out += std::to_string(static_cast<int64_t>(events));
   out += ",\"initial\":[";
   for (size_t i = 0; i < initial_result.size(); ++i) {
     if (i > 0) out += ',';
@@ -421,13 +419,12 @@ void InvalidbRemote::FlushChanges() { staged_.Ship(&flushes_manual_, 1); }
 
 Status InvalidbRemote::RegisterQuery(
     const db::Query& query, const std::vector<db::Document>& initial_result,
-    EventMask events, Micros evaluated_at) {
+    Micros evaluated_at) {
   // Barrier: a change buffered before this call must be matched before the
   // registration installs (otherwise the worker would replay it against
   // the fresh query as a spurious post-activation event).
   staged_.Ship(&flushes_barrier_, 1);
-  sender_.Send(transport::EncodeRegister(query, initial_result, events,
-                                         evaluated_at));
+  sender_.Send(transport::EncodeRegister(query, initial_result, evaluated_at));
   return Status::OK();
 }
 
@@ -524,11 +521,9 @@ void InvalidbWorker::HandleMessage(const std::string& message) {
   }
   if (op->as_string() == "register") {
     const db::Value* query_spec = msg.Find("query");
-    const db::Value* events = msg.Find("events");
     const db::Value* initial = msg.Find("initial");
     const db::Value* evaluated_at = msg.Find("evaluated_at");
-    if (query_spec == nullptr || events == nullptr || !events->is_int() ||
-        initial == nullptr || !initial->is_array()) {
+    if (query_spec == nullptr || initial == nullptr || !initial->is_array()) {
       decode_errors_++;
       return;
     }
@@ -547,7 +542,7 @@ void InvalidbWorker::HandleMessage(const std::string& message) {
       docs.push_back(std::move(doc).value());
     }
     (void)cluster_->RegisterQuery(
-        query.value(), docs, static_cast<EventMask>(events->as_int()),
+        query.value(), docs,
         evaluated_at != nullptr && evaluated_at->is_int()
             ? evaluated_at->as_int()
             : -1);

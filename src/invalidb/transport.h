@@ -58,7 +58,7 @@ inline constexpr BatchFraming kNotifyBatch{R"({"notifications":[)",
 std::string EncodeChangeBatch(const std::vector<db::ChangeEvent>& events);
 std::string EncodeRegister(const db::Query& query,
                            const std::vector<db::Document>& initial_result,
-                           EventMask events, Micros evaluated_at);
+                           Micros evaluated_at);
 std::string EncodeDeregister(const std::string& query_key);
 std::string EncodeResize(size_t query_partitions, size_t object_partitions);
 std::string EncodeNotificationBatch(const std::vector<Notification>& batch);
@@ -249,7 +249,7 @@ class InvalidbRemote : public TransportEndpoint, public Pipeline {
   /// Always OK: the worker's answer travels back asynchronously.
   Status RegisterQuery(const db::Query& query,
                        const std::vector<db::Document>& initial_result,
-                       EventMask events, Micros evaluated_at = -1) override;
+                       Micros evaluated_at = -1) override;
   void DeregisterQuery(const std::string& query_key) override;
   void OnChange(const db::ChangeEvent& event) override;
   /// Always true: a silent worker is not detected yet.

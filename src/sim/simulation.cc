@@ -37,9 +37,12 @@ Simulation::Simulation(workload::WorkloadOptions workload_options,
   }
 
   // Record invalidation times per query for the TTL-quality analysis.
-  server_->AddNotificationTap([this](const invalidb::Notification& n) {
-    invalidations_[n.query_key].push_back(clock_.NowMicros());
-  });
+  server_->AddNotificationTap(
+      [this](const std::vector<invalidb::Notification>& batch) {
+        for (const invalidb::Notification& n : batch) {
+          invalidations_[n.query_key].push_back(clock_.NowMicros());
+        }
+      });
 
   // Ground-truth commit tracking per table (staleness checks key on this;
   // the InvaliDB notification stream is not reliable under fault

@@ -359,7 +359,7 @@ db::Value Doc2(const char* json) {
 // EBF. The write response is cacheable (the writer keeps it for
 // read-your-writes), so the server must track an issued TTL for it —
 // otherwise a subsequent foreign write cannot flag the key and the
-// writer's session violates ∆-atomicity for up to own_write_ttl.
+// writer's session violates ∆-atomicity for up to kOwnWriteTtl.
 TEST(OwnWriteCoverageTest, ForeignWriteFlagsOwnWriteCacheEntry) {
   SimulatedClock clock(0);
   db::Database db(&clock);

@@ -203,7 +203,7 @@ TEST(SimPurgeLatencyTest, SlowerPurgesMeanMoreCdnStaleness) {
 }
 
 // ---------------------------------------------------------------------------
-// Server: write_response_ttl contract
+// Server: kOwnWriteTtl contract
 // ---------------------------------------------------------------------------
 
 TEST(WriteResponseTtlTest, WriteTracksTtlEvenWithoutReads) {
@@ -220,7 +220,7 @@ TEST(WriteResponseTtlTest, WriteTracksTtlEvenWithoutReads) {
   ASSERT_TRUE(server.Update("t", "x", u).ok());
   EXPECT_TRUE(server.ebf().IsStale("t/x"));
   // And after the write-response TTL passes, the key drains out.
-  clock.Advance(server.options().write_response_ttl + kMicrosPerSecond);
+  clock.Advance(core::kOwnWriteTtl + kMicrosPerSecond);
   server.ebf().Partition("t")->Maintain();
   EXPECT_FALSE(server.ebf().IsStale("t/x"));
 }
@@ -230,7 +230,7 @@ TEST(WriteResponseTtlTest, DeleteDoesNotTrackATtl) {
   db::Database db(&clock);
   core::QuaestorServer server(&clock, &db);
   ASSERT_TRUE(server.Insert("t", "x", Doc(R"({"v":1})")).ok());
-  clock.Advance(server.options().write_response_ttl + kMicrosPerSecond);
+  clock.Advance(core::kOwnWriteTtl + kMicrosPerSecond);
   server.ebf().Partition("t")->Maintain();
   ASSERT_TRUE(server.Delete("t", "x").ok());
   // Deletes return no cacheable body; nothing new to track.

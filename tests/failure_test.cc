@@ -55,7 +55,7 @@ TEST(FailureTest, ThreadedClusterWithTinyQueuesBackpressures) {
         delivered += batch.size();
       });
   db::Query q = Q("t", R"({"n":{"$gte":0}})");
-  ASSERT_TRUE(cluster.RegisterQuery(q, {}, invalidb::kEventsAll).ok());
+  ASSERT_TRUE(cluster.RegisterQuery(q, {}).ok());
   cluster.Flush();
   constexpr int kEvents = 300;
   for (int i = 0; i < kEvents; ++i) {
@@ -80,7 +80,7 @@ TEST(FailureTest, DeregisterWhileEventsInFlight) {
         delivered += batch.size();
       });
   db::Query q = Q("t", R"({"n":{"$gte":0}})");
-  ASSERT_TRUE(cluster.RegisterQuery(q, {}, invalidb::kEventsAll).ok());
+  ASSERT_TRUE(cluster.RegisterQuery(q, {}).ok());
   std::thread producer([&] {
     for (int i = 0; i < 200; ++i) {
       db::ChangeEvent ev;
@@ -111,7 +111,7 @@ TEST(FailureTest, ConcurrentRegistrationsAndChanges) {
   std::thread registrar([&] {
     for (int i = 0; i < 50; ++i) {
       db::Query q = Q("t", ("{\"g\":" + std::to_string(i) + "}").c_str());
-      (void)cluster.RegisterQuery(q, {}, invalidb::kEventsAll);
+      (void)cluster.RegisterQuery(q, {});
     }
   });
   std::thread producer([&] {
@@ -415,7 +415,7 @@ std::vector<std::string> RunTransportScript(SimulatedClock* clock,
   to_remote.Attach(&remote);
 
   db::Query q = Q("posts", R"({"g":{"$gte":1}})");
-  remote.RegisterQuery(q, {}, invalidb::kEventsAll);
+  remote.RegisterQuery(q, {});
   for (int i = 0; i < 60; ++i) {
     remote.OnChange(ChaosChange("d" + std::to_string(i), 1 + (i % 3),
                                 clock->NowMicros()));
@@ -518,7 +518,7 @@ TEST(ChaosTest, PollerCrashAndRestartLosesNothing) {
   };
 
   db::Query q = Q("posts", R"({"g":{"$gte":1}})");
-  remote.RegisterQuery(q, {}, invalidb::kEventsAll);
+  remote.RegisterQuery(q, {});
   start_polling();
   for (int i = 0; i < 10; ++i) {
     remote.OnChange(ChaosChange("a" + std::to_string(i), 1, 0));

@@ -299,7 +299,7 @@ class ClusterTest : public ::testing::Test {
 TEST_F(ClusterTest, SingleNodeEndToEnd) {
   MakeCluster({});
   db::Query q = Q("posts", R"({"g":1})");
-  ASSERT_TRUE(cluster_->RegisterQuery(q, {}, kEventsObjectList).ok());
+  ASSERT_TRUE(cluster_->RegisterQuery(q, {}).ok());
   EXPECT_TRUE(cluster_->IsRegistered(q.NormalizedKey()));
   cluster_->OnChangeBatch({Change("posts", "p1", R"({"g":1})", 5)});
   auto ns = TakeNotifications();
@@ -311,31 +311,14 @@ TEST_F(ClusterTest, SingleNodeEndToEnd) {
 TEST_F(ClusterTest, DuplicateRegistrationFails) {
   MakeCluster({});
   db::Query q = Q("posts", R"({"g":1})");
-  ASSERT_TRUE(cluster_->RegisterQuery(q, {}, kEventsIdList).ok());
-  EXPECT_TRUE(
-      cluster_->RegisterQuery(q, {}, kEventsIdList).IsAlreadyExists());
-}
-
-TEST_F(ClusterTest, SubscriptionMaskFiltersChangeEvents) {
-  MakeCluster({});
-  db::Query q = Q("posts", R"({"g":1})");
-  // Id-list subscription: add/remove only.
-  db::Document init = MakeDoc("p1", R"({"g":1})");
-  ASSERT_TRUE(cluster_->RegisterQuery(q, {init}, kEventsIdList).ok());
-  // In-place change: filtered.
-  cluster_->OnChangeBatch({Change("posts", "p1", R"({"g":1,"views":5})")});
-  EXPECT_TRUE(TakeNotifications().empty());
-  // Membership change: delivered.
-  cluster_->OnChangeBatch({Change("posts", "p1", R"({"g":2})")});
-  auto ns = TakeNotifications();
-  ASSERT_EQ(ns.size(), 1u);
-  EXPECT_EQ(ns[0].type, NotificationType::kRemove);
+  ASSERT_TRUE(cluster_->RegisterQuery(q, {}).ok());
+  EXPECT_TRUE(cluster_->RegisterQuery(q, {}).IsAlreadyExists());
 }
 
 TEST_F(ClusterTest, DeregisteredQueryIsSilent) {
   MakeCluster({});
   db::Query q = Q("posts", R"({"g":1})");
-  ASSERT_TRUE(cluster_->RegisterQuery(q, {}, kEventsAll).ok());
+  ASSERT_TRUE(cluster_->RegisterQuery(q, {}).ok());
   cluster_->DeregisterQuery(q.NormalizedKey());
   EXPECT_FALSE(cluster_->IsRegistered(q.NormalizedKey()));
   cluster_->OnChangeBatch({Change("posts", "p1", R"({"g":1})")});
@@ -357,7 +340,7 @@ TEST_F(ClusterTest, GridPartitioningDeliversExactlyOnce) {
     // Make each query distinct via a different threshold field.
     q = Q("posts", ("{\"n\":{\"$gte\":" + std::to_string(-g - 1) + "}}")
                        .c_str());
-    ASSERT_TRUE(cluster_->RegisterQuery(q, {}, kEventsAll).ok());
+    ASSERT_TRUE(cluster_->RegisterQuery(q, {}).ok());
     keys.push_back(q.NormalizedKey());
   }
   for (int i = 0; i < 20; ++i) {
@@ -379,7 +362,7 @@ TEST_F(ClusterTest, ReplayClosesActivationRace) {
   // The write arrives BEFORE the query is activated (between Quaestor's
   // initial evaluation and installation) — replay must catch it.
   cluster_->OnChangeBatch({Change("posts", "p1", R"({"g":1})", 3)});
-  ASSERT_TRUE(cluster_->RegisterQuery(q, {}, kEventsAll).ok());
+  ASSERT_TRUE(cluster_->RegisterQuery(q, {}).ok());
   auto ns = TakeNotifications();
   ASSERT_EQ(ns.size(), 1u);
   EXPECT_EQ(ns[0].type, NotificationType::kAdd);
@@ -393,7 +376,7 @@ TEST_F(ClusterTest, ReplayDoesNotDuplicateInitialResult) {
   // replaying the same after-image must yield change, not add.
   cluster_->OnChangeBatch({Change("posts", "p1", R"({"g":1})", 3)});
   db::Document init = MakeDoc("p1", R"({"g":1})");
-  ASSERT_TRUE(cluster_->RegisterQuery(q, {init}, kEventsAll).ok());
+  ASSERT_TRUE(cluster_->RegisterQuery(q, {init}).ok());
   auto ns = TakeNotifications();
   ASSERT_EQ(ns.size(), 1u);
   EXPECT_EQ(ns[0].type, NotificationType::kChange);
@@ -406,7 +389,7 @@ TEST_F(ClusterTest, StatefulQueryEmitsWindowEvents) {
   std::vector<db::Document> init = {MakeDoc("a", R"({"score":30})"),
                                     MakeDoc("b", R"({"score":20})"),
                                     MakeDoc("c", R"({"score":10})")};
-  ASSERT_TRUE(cluster_->RegisterQuery(q, init, kEventsAll).ok());
+  ASSERT_TRUE(cluster_->RegisterQuery(q, init).ok());
   EXPECT_EQ(cluster_->SortedWindow(q.NormalizedKey()),
             (std::vector<std::string>{"a", "b"}));
   // A new high scorer enters the window.
@@ -424,23 +407,10 @@ TEST_F(ClusterTest, StatefulQueryEmitsWindowEvents) {
             (std::vector<std::string>{"d", "a"}));
 }
 
-TEST_F(ClusterTest, StatefulChangeIndexFiltered) {
-  MakeCluster({});
-  db::Query q = Q("posts", "{}");
-  q.SetOrderBy({{"score", false}}).SetLimit(2);
-  std::vector<db::Document> init = {MakeDoc("a", R"({"score":30})"),
-                                    MakeDoc("b", R"({"score":20})")};
-  // Subscribe without changeIndex.
-  ASSERT_TRUE(cluster_->RegisterQuery(q, init, kEventsIdList).ok());
-  cluster_->OnChangeBatch({Change("posts", "b", R"({"score":50})")});
-  // The reorder yields only changeIndex events → filtered out.
-  EXPECT_TRUE(TakeNotifications().empty());
-}
-
 TEST_F(ClusterTest, StatsCountMatchChecks) {
   MakeCluster({});
   db::Query q = Q("posts", R"({"g":1})");
-  ASSERT_TRUE(cluster_->RegisterQuery(q, {}, kEventsAll).ok());
+  ASSERT_TRUE(cluster_->RegisterQuery(q, {}).ok());
   // Non-candidate changes: the query index rules them out without a single
   // predicate evaluation, while the pre-index cost shows up as "naive".
   cluster_->OnChangeBatch({Change("posts", "p1", R"({"g":9})")});
@@ -464,7 +434,7 @@ TEST_F(ClusterTest, BruteForceModeMatchesEveryQuery) {
   opts.indexed_matching = false;
   MakeCluster(opts);
   db::Query q = Q("posts", R"({"g":1})");
-  ASSERT_TRUE(cluster_->RegisterQuery(q, {}, kEventsAll).ok());
+  ASSERT_TRUE(cluster_->RegisterQuery(q, {}).ok());
   cluster_->OnChangeBatch({Change("posts", "p1", R"({"g":9})")});
   cluster_->OnChangeBatch({Change("posts", "p2", R"({"g":1})")});
   const ClusterStats stats = cluster_->stats();
@@ -489,7 +459,7 @@ TEST(ClusterThreadedTest, DeliversAllNotifications) {
                             count += batch.size();
                           });
   db::Query q = Q("posts", R"({"g":{"$gte":0}})");
-  ASSERT_TRUE(cluster.RegisterQuery(q, {}, kEventsAll).ok());
+  ASSERT_TRUE(cluster.RegisterQuery(q, {}).ok());
   cluster.Flush();
   constexpr int kChanges = 500;
   for (int i = 0; i < kChanges; ++i) {
@@ -513,7 +483,7 @@ TEST(ClusterThreadedTest, ShutdownWithPendingWorkIsClean) {
                      count += batch.size();
                    });
   db::Query q = Q("posts", R"({"g":1})");
-  ASSERT_TRUE(cluster->RegisterQuery(q, {}, kEventsAll).ok());
+  ASSERT_TRUE(cluster->RegisterQuery(q, {}).ok());
   for (int i = 0; i < 100; ++i) {
     cluster->OnChangeBatch({Change("posts", "p", R"({"g":1})")});
   }
@@ -545,7 +515,7 @@ TEST(ClusterRoutingTest, ObjectPartitionRowsShareQueryState) {
                             ns.insert(ns.end(), batch.begin(), batch.end());
                           });
   db::Query q = db::Query::ParseJson("t", R"({"g":1})").value();
-  ASSERT_TRUE(cluster.RegisterQuery(q, {}, kEventsAll).ok());
+  ASSERT_TRUE(cluster.RegisterQuery(q, {}).ok());
 
   // 40 records enter, then leave, the result set.
   for (int i = 0; i < 40; ++i) {
@@ -600,8 +570,7 @@ TEST(ClusterRoutingTest, ReplayBufferIsBounded) {
     cluster.OnChangeBatch({ev});
   }
   db::Query q = db::Query::ParseJson("t", R"({"g":1})").value();
-  ASSERT_TRUE(cluster.RegisterQuery(q, {}, kEventsAll, /*evaluated_at=*/0)
-                  .ok());
+  ASSERT_TRUE(cluster.RegisterQuery(q, {}, /*evaluated_at=*/0).ok());
   EXPECT_EQ(ns.size(), 4u);  // d6..d9 replayed
   EXPECT_EQ(ns[0].record_id, "d6");
 }
@@ -627,8 +596,7 @@ TEST(ClusterRoutingTest, ReplaySkipsEventsBeforeEvaluation) {
   cluster.OnChangeBatch({after});
 
   db::Query q = db::Query::ParseJson("t", R"({"g":1})").value();
-  ASSERT_TRUE(cluster.RegisterQuery(q, {}, kEventsAll, /*evaluated_at=*/600)
-                  .ok());
+  ASSERT_TRUE(cluster.RegisterQuery(q, {}, /*evaluated_at=*/600).ok());
   ASSERT_EQ(ns.size(), 1u);
   EXPECT_EQ(ns[0].record_id, "new");
 }
@@ -647,7 +615,7 @@ TEST(ClusterResizeTest, HandoffCarriesMembershipToNewShape) {
                             ns.insert(ns.end(), batch.begin(), batch.end());
                           });
   db::Query q = Q("t", R"({"g":1})");
-  ASSERT_TRUE(cluster.RegisterQuery(q, {}, kEventsAll).ok());
+  ASSERT_TRUE(cluster.RegisterQuery(q, {}).ok());
   cluster.OnChangeBatch({Change("t", "a", R"({"g":1})", 10)});
   ASSERT_EQ(ns.size(), 1u);
   EXPECT_EQ(ns[0].type, NotificationType::kAdd);
@@ -687,7 +655,7 @@ TEST(ClusterResizeTest, DrainedEventsNeverReplayEvenIfClockLags) {
                             ns.insert(ns.end(), batch.begin(), batch.end());
                           });
   db::Query q = Q("t", R"({"g":1})");
-  ASSERT_TRUE(cluster.RegisterQuery(q, {}, kEventsAll).ok());
+  ASSERT_TRUE(cluster.RegisterQuery(q, {}).ok());
   cluster.OnChangeBatch({Change("t", "a", R"({"g":1})", /*at=*/1000000)});
   ASSERT_EQ(ns.size(), 1u);
   EXPECT_EQ(cluster.Resize(2, 2), 1u);

@@ -272,7 +272,7 @@ TEST(MatchingEquivalenceTest, ClusterResizeMidUpdatesMatchesBruteForce) {
         ids.push_back(id);
       }
     }
-    if (!cluster.RegisterQuery(q, initial, kEventsAll).ok()) continue;
+    if (!cluster.RegisterQuery(q, initial).ok()) continue;
     brute.AddQuery(q, q.NormalizedKey(), std::move(ids));
     ++installed;
   }
@@ -552,7 +552,7 @@ std::vector<std::string> RunBatchedCluster(const BatchWorkload& w,
                           });
   for (size_t i = 0; i < w.queries.size(); ++i) {
     EXPECT_TRUE(
-        cluster.RegisterQuery(w.queries[i], w.initial[i], kEventsAll).ok());
+        cluster.RegisterQuery(w.queries[i], w.initial[i]).ok());
   }
   bool resized = false;
   for (size_t i = 0; i < w.stream.size(); i += batch) {
@@ -635,7 +635,7 @@ TEST(MatchingEquivalenceTest, BatchedSortedLayerSingleRowByteIdentical) {
                               }
                             });
     EXPECT_TRUE(
-        cluster.RegisterQuery(w.queries[0], w.initial[0], kEventsAll).ok());
+        cluster.RegisterQuery(w.queries[0], w.initial[0]).ok());
     for (size_t i = 0; i < w.stream.size(); i += batch) {
       const size_t end = std::min(i + batch, w.stream.size());
       cluster.OnChangeBatch(std::vector<ChangeEvent>(w.stream.begin() + i,
@@ -687,7 +687,7 @@ std::vector<std::string> RunBatchedTransport(const BatchWorkload& w,
   to_remote.Attach(&remote);
 
   for (size_t i = 0; i < w.queries.size(); ++i) {
-    remote.RegisterQuery(w.queries[i], w.initial[i], kEventsAll);
+    remote.RegisterQuery(w.queries[i], w.initial[i]);
   }
   for (const ChangeEvent& ev : w.stream) remote.OnChange(ev);
   remote.FlushChanges();

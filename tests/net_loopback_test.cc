@@ -81,10 +81,11 @@ class LoopbackStack : public ::testing::Test {
   void Start(Micros delta = 100 * kMicrosPerMilli) {
     server_ = std::make_unique<core::QuaestorServer>(&clock_, &db_,
                                                      core::ServerOptions());
-    server_->AddNotificationTap([this](const invalidb::Notification& n) {
-      std::lock_guard<std::mutex> lock(seen_mu_);
-      notified_.push_back(n);
-    });
+    server_->AddNotificationTap(
+        [this](const std::vector<invalidb::Notification>& batch) {
+          std::lock_guard<std::mutex> lock(seen_mu_);
+          notified_.insert(notified_.end(), batch.begin(), batch.end());
+        });
 
     // Oracle listens to the raw commit stream. Commits happen on the
     // server's event-loop thread while checks run on the test thread,
@@ -489,7 +490,9 @@ TEST(LoopbackShutdownTest, StopWorkerThenServerUnderLoadTwentyTimes) {
     core::QuaestorServer server(&clock, &db, core::ServerOptions());
     std::atomic<uint64_t> notified{0};
     server.AddNotificationTap(
-        [&notified](const invalidb::Notification&) { notified++; });
+        [&notified](const std::vector<invalidb::Notification>& batch) {
+          notified += batch.size();
+        });
     auto net = std::make_unique<NetServer>(&clock, &server, nopts);
     ASSERT_TRUE(net->Start());
     auto worker = std::make_unique<NetWorker>(&clock, net->frame_port(), nopts);

@@ -1070,7 +1070,7 @@ TEST_F(FrameFixture, SeededFaultsOverSocketsDeliverEachNotificationOnce) {
   constexpr int kWrites = 40;
   auto q = db::Query::ParseJson("posts", R"({"g":1})");
   ASSERT_TRUE(q.ok());
-  remote.RegisterQuery(q.value(), {}, invalidb::kEventsAll);
+  remote.RegisterQuery(q.value(), {});
   for (int i = 0; i < kWrites; ++i) {
     db::ChangeEvent ev;
     ev.kind = db::WriteKind::kInsert;

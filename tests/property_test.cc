@@ -200,7 +200,7 @@ TEST(PropertyTest, InvalidbTracksGroundTruthUnderRandomTrace) {
         }
       });
   for (const db::Query& q : queries) {
-    ASSERT_TRUE(cluster.RegisterQuery(q, {}, invalidb::kEventsAll).ok());
+    ASSERT_TRUE(cluster.RegisterQuery(q, {}).ok());
     tracked[q.NormalizedKey()] = {};
   }
 
@@ -249,7 +249,7 @@ TEST(PropertyTest, SortedWindowTracksGroundTruth) {
 
   invalidb::InvalidbCluster cluster(
       &clock, {}, [](const std::vector<invalidb::Notification>&) {});
-  ASSERT_TRUE(cluster.RegisterQuery(q, {}, invalidb::kEventsAll).ok());
+  ASSERT_TRUE(cluster.RegisterQuery(q, {}).ok());
 
   for (int step = 0; step < 300; ++step) {
     clock.Advance(1000);

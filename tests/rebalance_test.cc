@@ -113,7 +113,7 @@ std::vector<std::string> RunResizingCluster(
         for (const invalidb::Notification& n : batch) sigs.push_back(Sig(n));
       });
   for (const db::Query& q : TestQueries()) {
-    EXPECT_TRUE(cluster.RegisterQuery(q, {}, invalidb::kEventsAll).ok());
+    EXPECT_TRUE(cluster.RegisterQuery(q, {}).ok());
   }
   size_t next = 0;
   for (size_t i = 0; i < stream.size(); ++i) {
@@ -196,7 +196,7 @@ std::vector<std::string> RunTransportResizeScript(
   to_remote.Attach(&remote);
 
   for (const db::Query& q : TestQueries()) {
-    remote.RegisterQuery(q, {}, invalidb::kEventsAll);
+    remote.RegisterQuery(q, {});
   }
   size_t next = 0;
   for (size_t i = 0; i < stream.size(); ++i) {
@@ -304,7 +304,7 @@ TEST(RebalanceTest, EvaluatorResizeRecoversStateLostToDeadNodes) {
           received.insert(received.end(), batch.begin(), batch.end());
         });
     db::Query q = Q("posts", R"({"g":{"$gte":1}})");
-    ASSERT_TRUE(cluster.RegisterQuery(q, {}, invalidb::kEventsAll).ok());
+    ASSERT_TRUE(cluster.RegisterQuery(q, {}).ok());
 
     auto commit = [&](const std::string& id, int g) {
       auto r = db.Upsert(
@@ -385,7 +385,7 @@ TEST(RebalanceTest, EvaluatorResizeRebuildsThreadedGridKilledMidStream) {
         for (const invalidb::Notification& n : batch) got.push_back(Sig(n));
       });
   for (const db::Query& q : TestQueries()) {
-    ASSERT_TRUE(cluster.RegisterQuery(q, {}, invalidb::kEventsAll).ok());
+    ASSERT_TRUE(cluster.RegisterQuery(q, {}).ok());
   }
   std::vector<invalidb::InvalidbCluster*> targets = {&cluster};
   db.AddChangeListener([&](const db::ChangeEvent& ev) {
@@ -429,8 +429,7 @@ TEST(RebalanceTest, EvaluatorResizeRebuildsThreadedGridKilledMidStream) {
   for (const db::Query& q : TestQueries()) {
     ASSERT_TRUE(reference
                     .RegisterQuery(q,
-                                   db.Execute(db::Query(q.table(), q.filter())),
-                                   invalidb::kEventsAll)
+                                   db.Execute(db::Query(q.table(), q.filter())))
                     .ok());
   }
   targets.push_back(&reference);
@@ -567,7 +566,7 @@ TEST(RebalanceTest, ThreadedResizeUnderLoadLosesAndDuplicatesNothing) {
         delivered += batch.size();
       });
   db::Query q = Q("t", R"({"n":{"$gte":0}})");
-  ASSERT_TRUE(cluster.RegisterQuery(q, {}, invalidb::kEventsAll).ok());
+  ASSERT_TRUE(cluster.RegisterQuery(q, {}).ok());
   cluster.Flush();
 
   constexpr int kEvents = 400;
@@ -636,7 +635,7 @@ TEST(RebalanceTest, SameShapeResizeRebuildsInPlace) {
         received.insert(received.end(), batch.begin(), batch.end());
       });
   db::Query q = Q("posts", R"({"g":1})");
-  ASSERT_TRUE(cluster.RegisterQuery(q, {}, invalidb::kEventsAll).ok());
+  ASSERT_TRUE(cluster.RegisterQuery(q, {}).ok());
   clock.Advance(kMicrosPerMilli);
   cluster.OnChangeBatch({Change("d1", 1, 0, clock.NowMicros())});
   ASSERT_EQ(received.size(), 1u);

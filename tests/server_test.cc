@@ -306,7 +306,7 @@ class QueryReuseTest : public ServerTest {
   /// Accepts every call and never answers.
   struct SilentPipeline : invalidb::Pipeline {
     Status RegisterQuery(const db::Query&, const std::vector<db::Document>&,
-                         invalidb::EventMask, Micros) override {
+                         Micros) override {
       return Status::OK();
     }
     void DeregisterQuery(const std::string&) override {}
@@ -741,6 +741,95 @@ TEST_F(ServerTest, QueryReuseFallsBackOnRepresentationSwitch) {
   EXPECT_TRUE(server_->invalidb().IsRegistered(q.NormalizedKey()));
 }
 
+// A query is registered with every event it can emit, and the server's
+// filter decides which of them invalidate a cached copy: an id-list copy
+// is not flagged by an in-place member change, only by an add or a remove,
+// and a sorted id-list copy also by a move inside its window.
+TEST_F(ServerTest, IdListCopyIgnoresInPlaceChangesButNotMembershipOrMoves) {
+  ServerOptions opts;
+  opts.representation = RepresentationPolicy::kAlwaysIdList;
+  MakeServer(opts);
+  ASSERT_TRUE(server_->Insert("t", "1", Doc(R"({"g":1})")).ok());
+  ASSERT_TRUE(server_->Insert("t", "2", Doc(R"({"g":2})")).ok());
+  for (int i = 0; i < 3; ++i) {
+    const std::string body = "{\"n\":" + std::to_string(i * 10) + "}";
+    ASSERT_TRUE(server_->Insert("s", std::to_string(i), Doc(body.c_str())).ok());
+  }
+  const db::Query adds = Q("t", R"({"g":1})");
+  const db::Query removes = Q("t", R"({"g":2})");
+  db::Query top = Q("s", "{}");
+  top.SetOrderBy({{"n", false}}).SetLimit(2);  // window {s/2, s/1}
+  for (const db::Query& q : {adds, removes, top}) {
+    auto resp = GetQuery(q);
+    ASSERT_EQ(QueryResponse::FromJson(resp.body)->representation,
+              ttl::ResultRepresentation::kIdList);
+  }
+  clock_.Advance(kSecond);
+  const auto set = [&](const char* table, const char* id, const char* field,
+                       int64_t value) {
+    ASSERT_TRUE(
+        server_->Update(table, id, db::Update().Set(field, db::Value(value)))
+            .ok());
+  };
+  const auto stale = [&](const db::Query& q) {
+    return server_->ebf().IsStale(q.NormalizedKey());
+  };
+
+  set("t", "1", "x", 1);
+  set("t", "2", "x", 1);
+  set("s", "1", "x", 1);  // a window member changes but keeps its place
+  EXPECT_FALSE(stale(adds));
+  EXPECT_FALSE(stale(removes));
+  EXPECT_FALSE(stale(top));
+
+  ASSERT_TRUE(server_->Insert("t", "3", Doc(R"({"g":1})")).ok());
+  EXPECT_TRUE(stale(adds));
+  set("t", "2", "g", 3);
+  EXPECT_TRUE(stale(removes));
+  set("s", "1", "n", 30);  // s/1 overtakes s/2 inside the window
+  EXPECT_TRUE(stale(top));
+}
+
+// kAuto sees every in-place change, also after it switched a query to
+// id-lists (the filter, not the registration, keeps those changes from
+// invalidating the id-list). The change rate it weighs against the read
+// rate therefore stays true, and the decision does not drift back to
+// object-lists while the members keep changing.
+TEST_F(ServerTest, AutoIdListStaysWhileMembersKeepChangingInPlace) {
+  ServerOptions opts;
+  opts.representation = RepresentationPolicy::kAuto;
+  MakeServer(opts);
+  constexpr int kMembers = 20;
+  for (int i = 0; i < kMembers; ++i) {
+    ASSERT_TRUE(
+        server_->Insert("t", std::to_string(i), Doc(R"({"g":1})")).ok());
+  }
+  const db::Query q = Q("t", R"({"g":1})");
+  const auto representation = [&] {
+    return QueryResponse::FromJson(GetQuery(q).body)->representation;
+  };
+  const auto change_in_place = [&](int round) {
+    ASSERT_TRUE(server_
+                    ->Update("t", std::to_string(round % kMembers),
+                             db::Update().Set("x", db::Value(int64_t{round})))
+                    .ok());
+  };
+  ASSERT_EQ(representation(), ttl::ResultRepresentation::kObjectList);
+  change_in_place(0);
+  clock_.Advance(6 * kSecond);
+  ASSERT_EQ(representation(), ttl::ResultRepresentation::kIdList);
+  // One in-place change per decision interval against 60 reads: far more
+  // change cost than an id-list's assembly cost, as long as the changes
+  // are counted.
+  for (int round = 1; round <= 6; ++round) {
+    change_in_place(round);
+    for (int r = 0; r < 60; ++r) ASSERT_TRUE(GetQuery(q).ok);
+    clock_.Advance(6 * kSecond);
+    EXPECT_EQ(representation(), ttl::ResultRepresentation::kIdList)
+        << "decision interval " << round;
+  }
+}
+
 TEST_F(ServerTest, QueryReuseFallsBackAfterEviction) {
   ServerOptions opts;
   opts.query_capacity = 1;
@@ -886,7 +975,9 @@ TEST_F(ServerTest, NotificationBatchCoalescesPerDistinctKey) {
   MakeServer();
   std::vector<invalidb::Notification> taps;
   server_->AddNotificationTap(
-      [&](const invalidb::Notification& n) { taps.push_back(n); });
+      [&](const std::vector<invalidb::Notification>& batch) {
+        taps.insert(taps.end(), batch.begin(), batch.end());
+      });
   ASSERT_TRUE(server_->Insert("t", "1", Doc(R"({"g":1})")).ok());
   ASSERT_TRUE(server_->Insert("t", "2", Doc(R"({"g":2})")).ok());
   const std::string a = Q("t", R"({"g":1})").NormalizedKey();
@@ -1146,7 +1237,9 @@ TEST_F(ServerTest, NotificationTapObservesInvalidations) {
   MakeServer();
   std::vector<invalidb::Notification> taps;
   server_->AddNotificationTap(
-      [&](const invalidb::Notification& n) { taps.push_back(n); });
+      [&](const std::vector<invalidb::Notification>& batch) {
+        taps.insert(taps.end(), batch.begin(), batch.end());
+      });
   ASSERT_TRUE(server_->Insert("t", "1", Doc(R"({"g":1})")).ok());
   db::Query q = Q("t", R"({"g":1})");
   (void)GetQuery(q);

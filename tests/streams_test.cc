@@ -181,9 +181,8 @@ void StreamsTest::CheckSortedStream() {
   }
   EXPECT_TRUE(saw_add_at_zero);
 
-  // Outage recovery registers the stream's query again with its full
-  // event set: p2 overtaking p9 inside the window {p9, p2} still arrives
-  // as a changeIndex event.
+  // Outage recovery registers the stream's query again: p2 overtaking p9
+  // inside the window {p9, p2} still arrives as a changeIndex event.
   server_->SetPipelineDown(true);
   server_->SetPipelineDown(false);
   EXPECT_TRUE(MovedToTop(&events, "p2", 1000));
@@ -196,8 +195,8 @@ TEST_F(StreamsTest, SortedStreamEmitsWindowEventsOnInstalledPipeline) {
   CheckSortedStream();
 }
 
-// A fetch registers a sorted query without changeIndex; a stream that
-// subscribes afterwards widens the registration.
+// A fetch registers a sorted query with every event it can emit; a stream
+// that subscribes afterwards gets changeIndex from that registration.
 TEST_F(StreamsTest, SubscribeAfterFetchGetsChangeIndex) {
   const db::Query top = InsertTopTwo();
   ASSERT_TRUE(FetchQuery(top).ok);
@@ -208,7 +207,7 @@ TEST_F(StreamsTest, SubscribeAfterFetchGetsChangeIndex) {
                       nullptr)
                   .ok());
   EXPECT_TRUE(MovedToTop(&events, "p1", 30));
-  // The widened registration still invalidates the cached result.
+  // The move also invalidates the cached result.
   EXPECT_TRUE(server_->ebf().IsStale(top.NormalizedKey()));
 }
 
@@ -227,8 +226,8 @@ TEST_F(StreamsTest, FetchedSortedResultInvalidatedByMoveInsideWindow) {
   EXPECT_TRUE(server_->ebf().IsStale(top.NormalizedKey()));
 }
 
-// A kAuto switch to id-lists re-registers the cache side with add/remove
-// only; a streamed query keeps its full registration.
+// A kAuto switch to id-lists leaves the registration in place, and the
+// server's filter passes every event of a streamed query.
 TEST_F(StreamsTest, StreamSurvivesRepresentationSwitch) {
   ServerOptions opts;
   opts.representation = RepresentationPolicy::kAuto;
@@ -322,9 +321,8 @@ TEST_F(StreamsTest, LastUnsubscribeReleasesStreamOnlyRegistration) {
   EXPECT_FALSE(server_->active_list().IsRegistered(q.NormalizedKey()));
 }
 
-// A cached query keeps a registration when its last subscriber leaves,
-// narrowed to what the cache needs, and its cached result still gets
-// invalidated.
+// A cached query keeps its registration when its last subscriber leaves,
+// and its cached result still gets invalidated.
 TEST_F(StreamsTest, LastUnsubscribeKeepsCachedQueryRegistered) {
   const db::Query q = Q("posts", R"({"g":1})");
   ASSERT_TRUE(FetchQuery(q).ok);
@@ -338,9 +336,9 @@ TEST_F(StreamsTest, LastUnsubscribeKeepsCachedQueryRegistered) {
   EXPECT_TRUE(server_->ebf().IsStale(q.NormalizedKey()));
 }
 
-// A stateless query never emits changeIndex, so subscribing to one a fetch
-// registered keeps that registration, and neither the subscribe nor the
-// last unsubscribe flags its cached copies without a write.
+// Subscribing to a query a fetch registered keeps that registration, and
+// neither the subscribe nor the last unsubscribe flags its cached copies
+// without a write.
 TEST_F(StreamsTest, StreamOnCachedStatelessQueryLeavesCacheFresh) {
   ASSERT_TRUE(server_->Insert("posts", "p1", Doc(R"({"g":1})")).ok());
   const db::Query q = Q("posts", R"({"g":1})");

@@ -84,7 +84,7 @@ std::vector<std::string> ValidWireMessages() {
   init.table = "posts";
   init.id = "p1";
   init.body = Doc(R"({"g":2})");
-  msgs.push_back(transport::EncodeRegister(q, {init}, kEventsAll, 7));
+  msgs.push_back(transport::EncodeRegister(q, {init}, 7));
   msgs.push_back(transport::EncodeDeregister(q.NormalizedKey()));
   msgs.push_back(transport::EncodeResize(3, 2));
 
@@ -179,8 +179,7 @@ TEST(TransportFuzzTest, WorkerSurvivesGarbageOnItsRequestQueue) {
 
   // The worker still functions after the garbage storm.
   db::Query q = Q("posts", R"({"g":1})");
-  to_worker.Send("fz:requests",
-                 transport::EncodeRegister(q, {}, kEventsAll, 0));
+  to_worker.Send("fz:requests", transport::EncodeRegister(q, {}, 0));
   to_worker.Pump();
   EXPECT_TRUE(worker.cluster().IsRegistered(q.NormalizedKey()));
 }
@@ -203,7 +202,7 @@ TEST(TransportFuzzTest, WorkerDropsTornBatchesWhole) {
   to_worker.Attach(&worker);
   to_remote.Attach(&remote);
   db::Query q = Q("posts", R"({"g":1})");
-  to_worker.Send("tb:requests", transport::EncodeRegister(q, {}, kEventsAll, 0));
+  to_worker.Send("tb:requests", transport::EncodeRegister(q, {}, 0));
 
   std::vector<db::ChangeEvent> events;
   for (int i = 0; i < 3; ++i) {

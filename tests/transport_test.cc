@@ -456,7 +456,7 @@ class TransportTest : public ::testing::Test {
 
 TEST_F(TransportTest, RegisterMatchNotifyRoundTrip) {
   db::Query q = Q("posts", R"({"g":1})");
-  remote_.RegisterQuery(q, {}, kEventsAll);
+  remote_.RegisterQuery(q, {});
   remote_.OnChange(Change("posts", "p1", R"({"g":1})", 42));
   EXPECT_EQ(to_worker_.Pump(), 2u);
   EXPECT_EQ(to_remote_.Pump(), 1u);
@@ -473,7 +473,7 @@ TEST_F(TransportTest, InitialResultShipsOverTheWire) {
   init.table = "posts";
   init.id = "p1";
   init.body = Doc(R"({"g":1})");
-  remote_.RegisterQuery(q, {init}, kEventsAll);
+  remote_.RegisterQuery(q, {init});
   // In-place change of a shipped member: change, not add.
   remote_.OnChange(Change("posts", "p1", R"({"g":1,"views":1})"));
   to_worker_.Pump();
@@ -484,7 +484,7 @@ TEST_F(TransportTest, InitialResultShipsOverTheWire) {
 
 TEST_F(TransportTest, DeregisterOverTheWire) {
   db::Query q = Q("posts", R"({"g":1})");
-  remote_.RegisterQuery(q, {}, kEventsAll);
+  remote_.RegisterQuery(q, {});
   to_worker_.Pump();
   EXPECT_TRUE(worker_.cluster().IsRegistered(q.NormalizedKey()));
   remote_.DeregisterQuery(q.NormalizedKey());
@@ -501,7 +501,7 @@ TEST_F(TransportTest, StatefulQueryOverTheWire) {
   a.table = "posts";
   a.id = "a";
   a.body = Doc(R"({"score":10})");
-  remote_.RegisterQuery(q, {a}, kEventsAll);
+  remote_.RegisterQuery(q, {a});
   remote_.OnChange(Change("posts", "b", R"({"score":99})"));
   to_worker_.Pump();
   to_remote_.Pump();
@@ -518,7 +518,7 @@ TEST_F(TransportTest, MalformedMessagesCountedAndSkipped) {
   to_worker_.Send("invalidb:requests", R"({"op":"unknown"})");
   to_worker_.Send("invalidb:requests", R"({"op":"register"})");
   db::Query q = Q("posts", R"({"g":1})");
-  remote_.RegisterQuery(q, {}, kEventsAll);
+  remote_.RegisterQuery(q, {});
   // The retired per-event forms: a lone change request that would match
   // the query, and a bare notification spec. Changes and notifications
   // only travel inside batch envelopes, so both are decode errors.
@@ -565,7 +565,7 @@ TEST_F(TransportTest, BackgroundThreadsDeliver) {
   });
 
   db::Query q = Q("posts", R"({"g":{"$gte":0}})");
-  remote.RegisterQuery(q, {}, kEventsAll);
+  remote.RegisterQuery(q, {});
   for (int i = 0; i < 50; ++i) {
     remote.OnChange(Change("posts", ("p" + std::to_string(i)).c_str(),
                            R"({"g":1})"));
@@ -624,7 +624,7 @@ class BatchedTransportTest : public ::testing::Test {
 
 TEST_F(BatchedTransportTest, SizeTriggeredFlushShipsOneEnvelope) {
   db::Query q = Q("posts", R"({"g":{"$gte":0}})");
-  remote_.RegisterQuery(q, {}, kEventsAll);
+  remote_.RegisterQuery(q, {});
   to_worker_.Pump();
 
   for (int i = 0; i < 3; ++i) {
@@ -653,7 +653,7 @@ TEST_F(BatchedTransportTest, SizeTriggeredFlushShipsOneEnvelope) {
 
 TEST_F(BatchedTransportTest, ControlRequestsBarrierFlushTheBuffer) {
   db::Query q = Q("posts", R"({"g":1})");
-  remote_.RegisterQuery(q, {}, kEventsAll);
+  remote_.RegisterQuery(q, {});
   remote_.OnChange(Change("posts", "p1", R"({"g":1})", 1));
   EXPECT_EQ(remote_.buffered_changes(), 1u);
   // Deregister must not overtake the buffered change: the change flushes
@@ -671,7 +671,7 @@ TEST_F(BatchedTransportTest, ControlRequestsBarrierFlushTheBuffer) {
 
 TEST_F(BatchedTransportTest, PartialBatchAgesOutOnTick) {
   db::Query q = Q("posts", R"({"g":1})");
-  remote_.RegisterQuery(q, {}, kEventsAll);
+  remote_.RegisterQuery(q, {});
   remote_.OnChange(Change("posts", "p1", R"({"g":1})", 1));
   remote_.Tick();  // younger than flush_interval: stays buffered
   EXPECT_EQ(remote_.buffered_changes(), 1u);
@@ -694,7 +694,7 @@ TEST_F(BatchedTransportTest, NotificationsCoalesceIntoOneEnvelope) {
   for (int g = 0; g < 3; ++g) {
     remote_.RegisterQuery(
         Q("posts", ("{\"g\":{\"$gte\":" + std::to_string(-g) + "}}").c_str()),
-        {}, kEventsAll);
+        {});
   }
   remote_.OnChange(Change("posts", "p1", R"({"g":1})", 9));
   remote_.FlushChanges();
@@ -741,7 +741,7 @@ TEST_F(BatchedTransportTest, ReliableLinkCountsEveryDroppedMessage) {
 }
 
 TEST_F(BatchedTransportTest, StatsExportCoversBatchingCounters) {
-  remote_.RegisterQuery(Q("posts", R"({"g":1})"), {}, kEventsAll);
+  remote_.RegisterQuery(Q("posts", R"({"g":1})"), {});
   for (int i = 0; i < 5; ++i) {  // one size flush (4) + one buffered
     remote_.OnChange(Change("posts", "p1", R"({"g":1})", i + 1));
   }
