@@ -476,9 +476,7 @@ webcache::HttpResponse QuaestorServer::FetchRecord(
   resp.last_modified = current->write_time;
   {
     obs::ScopedSpan ttl_span(tracer_, "ttl.estimate");
-    resp.ttl = options_.cache_records && cacheable_table
-                   ? ttl_estimator_.RecordTtl(request.key)
-                   : 0;
+    resp.ttl = cacheable_table ? ttl_estimator_.RecordTtl(request.key) : 0;
   }
   const Micros uncapped_ttl = resp.ttl;
   resp.ttl = CapTtl(resp.ttl);
@@ -607,7 +605,7 @@ webcache::HttpResponse QuaestorServer::FetchQuery(
   // admitted; a displaced query is evicted from the cached set.
   capacity_.OnRead(key);
   bool admitted = false;
-  if (options_.cache_queries && cacheable_table) {
+  if (cacheable_table) {
     std::optional<std::string> evicted;
     admitted = capacity_.Admit(key, &evicted);
     if (evicted.has_value()) EvictQuery(*evicted);
@@ -781,9 +779,7 @@ webcache::HttpResponse QuaestorServer::FetchQuery(
       for (size_t i = 0; i < docs.size(); ++i) {
         qr.docs.push_back(docs[i].body);
         const Micros record_ttl =
-            CapTtl(options_.cache_records && cacheable_table
-                       ? ttl_estimator_.RecordTtl(qr.ids[i])
-                       : 0);
+            CapTtl(cacheable_table ? ttl_estimator_.RecordTtl(qr.ids[i]) : 0);
         qr.record_ttls.push_back(record_ttl);
         // The response implicitly issues per-record TTLs (results are
         // inserted into caches as individual entries, §6.2).

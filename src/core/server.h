@@ -59,9 +59,6 @@ struct ServerOptions {
   /// (the InvaliDB capacity management model, §4.1).
   size_t query_capacity = 0;
   RepresentationPolicy representation = RepresentationPolicy::kAlwaysObjectList;
-  /// Disable caching entirely for records/queries (baselines).
-  bool cache_records = true;
-  bool cache_queries = true;
 
   /// Fault injection (testing only): stop tracking issued record-read TTLs
   /// in the EBF. Writes then see no outstanding copy and never flag the

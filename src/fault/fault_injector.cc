@@ -4,17 +4,6 @@
 
 namespace quaestor::fault {
 
-void FaultStats::ExportTo(obs::MetricsRegistry* registry,
-                          const obs::Labels& labels) const {
-  registry->Count("fault_decisions", labels, decisions);
-  registry->Count("fault_dropped", labels, dropped);
-  registry->Count("fault_duplicated", labels, duplicated);
-  registry->Count("fault_reordered", labels, reordered);
-  registry->Count("fault_delayed", labels, delayed);
-  registry->Count("fault_corrupted", labels, corrupted);
-  registry->Count("fault_latency_spikes", labels, latency_spikes);
-}
-
 bool FaultInjector::ShouldDrop() {
   std::lock_guard<std::mutex> lock(mu_);
   stats_.decisions++;

@@ -8,7 +8,6 @@
 
 #include "common/clock.h"
 #include "common/random.h"
-#include "obs/metrics.h"
 
 namespace quaestor::fault {
 
@@ -43,10 +42,6 @@ struct FaultStats {
   uint64_t delayed = 0;
   uint64_t corrupted = 0;
   uint64_t latency_spikes = 0;
-
-  /// Adds these totals into `fault_*` registry counters.
-  void ExportTo(obs::MetricsRegistry* registry,
-                const obs::Labels& labels = {}) const;
 };
 
 /// A seeded source of fault decisions: every randomized choice in the

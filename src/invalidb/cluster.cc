@@ -79,7 +79,7 @@ InvalidbCluster::InvalidbCluster(Clock* clock, InvalidbOptions options,
   const size_t n = options_.query_partitions * options_.object_partitions;
   nodes_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    auto node = std::make_unique<Node>(options_.indexed_matching);
+    auto node = std::make_unique<Node>();
     if (options_.threaded) {
       node->queue =
           std::make_unique<BoundedQueue<Task>>(options_.node_queue_capacity);
@@ -407,7 +407,7 @@ void InvalidbCluster::OnChangeBatch(std::vector<db::ChangeEvent> events) {
                  prev, event.commit_time, std::memory_order_relaxed)) {
       }
     }
-    while (replay_buffer_.size() > options_.replay_buffer_size) {
+    while (replay_buffer_.size() > kReplayBufferSize) {
       replay_buffer_.pop_front();
     }
   }
@@ -461,7 +461,7 @@ size_t InvalidbCluster::Resize(size_t new_query_partitions,
   std::vector<std::unique_ptr<Node>> fresh;
   fresh.reserve(new_n);
   for (size_t i = 0; i < new_n; ++i) {
-    auto node = std::make_unique<Node>(options_.indexed_matching);
+    auto node = std::make_unique<Node>();
     if (options_.threaded) {
       node->queue =
           std::make_unique<BoundedQueue<Task>>(options_.node_queue_capacity);

@@ -29,6 +29,10 @@
 
 namespace quaestor::invalidb {
 
+/// How many recent change events are replayed to a newly activated query
+/// to close the activation race (§4.1).
+inline constexpr size_t kReplayBufferSize = 128;
+
 /// Deployment shape of an InvaliDB cluster (Figure 6): a grid of
 /// `query_partitions` columns × `object_partitions` rows of matching
 /// nodes. Every query lives in one column (all of its rows); every record
@@ -43,14 +47,6 @@ struct InvalidbOptions {
   /// the simulation.
   bool threaded = false;
   size_t node_queue_capacity = 1 << 14;
-  /// How many recent change events are replayed to a newly activated query
-  /// to close the activation race (§4.1).
-  size_t replay_buffer_size = 128;
-  /// If true (default), each node files installed queries in a predicate
-  /// index and only evaluates candidate queries per change event. False
-  /// selects the brute-force every-query-per-event path (reference /
-  /// comparison benchmarks).
-  bool indexed_matching = true;
 };
 
 /// Per-cluster activity counters.
@@ -241,7 +237,6 @@ class InvalidbCluster : public Pipeline {
       std::variant<RegisterTask, DeregisterTask, ChangeBatchTask, KillTask>;
 
   struct Node {
-    explicit Node(bool indexed) : matcher(indexed) {}
     MatchingNode matcher;
     std::unique_ptr<BoundedQueue<Task>> queue;  // threaded mode only
     std::thread worker;

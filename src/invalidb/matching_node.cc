@@ -100,7 +100,6 @@ void MatchingNode::MatchQuery(QueryState& st, const db::ChangeEvent& event,
       if (rec->second.empty()) by_record_.erase(rec);
     }
   }
-  emitted_.fetch_add(1, std::memory_order_relaxed);
   out->push_back(std::move(n));
 }
 
@@ -117,8 +116,6 @@ MatchingNode::MatchStats MatchingNode::Match(const db::ChangeEvent& event,
     MatchQuery(st, event, record_key, out);
   }
   stats.checked = stats.installed;
-  match_checks_.fetch_add(stats.checked, std::memory_order_relaxed);
-  match_checks_naive_.fetch_add(stats.installed, std::memory_order_relaxed);
   return stats;
 }
 
@@ -166,8 +163,6 @@ MatchingNode::MatchStats MatchingNode::MatchIndexed(
     MatchQuery(*st, event, record_key, out);
   }
   stats.checked = candidates_.size();
-  match_checks_.fetch_add(stats.checked, std::memory_order_relaxed);
-  match_checks_naive_.fetch_add(stats.installed, std::memory_order_relaxed);
   return stats;
 }
 

@@ -106,17 +106,6 @@ class MatchingNode {
   uint64_t processed_ops() const {
     return processed_ops_.load(std::memory_order_relaxed);
   }
-  uint64_t emitted_notifications() const {
-    return emitted_.load(std::memory_order_relaxed);
-  }
-  /// Queries evaluated across all Match calls (the reduced number).
-  uint64_t match_checks() const {
-    return match_checks_.load(std::memory_order_relaxed);
-  }
-  /// Queries a brute-force scan would have evaluated.
-  uint64_t match_checks_naive() const {
-    return match_checks_naive_.load(std::memory_order_relaxed);
-  }
   /// Installed queries with no indexable conjunct.
   size_t ResidualQueryCount() const { return index_.residual_size(); }
 
@@ -164,9 +153,6 @@ class MatchingNode {
 
   std::atomic<size_t> query_count_{0};
   std::atomic<uint64_t> processed_ops_{0};
-  std::atomic<uint64_t> emitted_{0};
-  std::atomic<uint64_t> match_checks_{0};
-  std::atomic<uint64_t> match_checks_naive_{0};
 };
 
 }  // namespace quaestor::invalidb

@@ -122,19 +122,14 @@ Micros ReliableSender::JitteredLocked(Micros backoff) {
                              rng_.NextDouble());
 }
 
-Status ReliableSender::Send(std::string payload) {
+void ReliableSender::Send(std::string payload) {
   if (!options_.enabled) {
     send_(queue_, std::move(payload));
-    return Status::OK();
+    return;
   }
   std::string wire;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (options_.max_inflight > 0 &&
-        unacked_.size() >= options_.max_inflight) {
-      inflight_rejections_++;
-      return Status::ResourceExhausted("reliable sender in-flight window full");
-    }
     const uint64_t seq = next_seq_++;
     wire = reliable::Encode(sender_id_, seq, payload);
     Pending p;
@@ -145,7 +140,6 @@ Status ReliableSender::Send(std::string payload) {
     unacked_.emplace(seq, std::move(p));
   }
   send_(queue_, std::move(wire));
-  return Status::OK();
 }
 
 void ReliableSender::OnAck(const std::string& message) {
@@ -194,11 +188,6 @@ size_t ReliableSender::unacked() const {
 uint64_t ReliableSender::redeliveries() const {
   std::lock_guard<std::mutex> lock(mu_);
   return redeliveries_;
-}
-
-uint64_t ReliableSender::inflight_rejections() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return inflight_rejections_;
 }
 
 uint64_t ReliableSender::retransmit_scans() const {

@@ -31,11 +31,6 @@ struct ReliableOptions {
   /// retransmit storms).
   double jitter = 0.2;
   uint64_t seed = 1;
-  /// Backpressure: Send rejects (kResourceExhausted) while this many
-  /// messages are in flight unacked. 0 = unlimited — the default, because
-  /// the transport's call sites ignore Send's status and must keep the
-  /// seed's fire-and-forget semantics.
-  size_t max_inflight = 0;
 };
 
 /// Ships `message` on the named queue: over sockets one frame, in process
@@ -82,11 +77,9 @@ class ReliableSender {
   ReliableSender(const ReliableSender&) = delete;
   ReliableSender& operator=(const ReliableSender&) = delete;
 
-  /// Ships one payload. Raw push when the reliable layer is disabled.
-  /// kResourceExhausted (payload NOT enqueued) when the unacked window is
-  /// at max_inflight — the sender is outrunning the receiver and piling
-  /// more onto the queue only feeds the retransmit storm.
-  Status Send(std::string payload);
+  /// Ships one payload. Raw push when the reliable layer is disabled;
+  /// otherwise the payload stays buffered until acked.
+  void Send(std::string payload);
 
   /// Takes one message from the ack queue ("<queue>:acks") and forgets
   /// the message it acks. Foreign or malformed acks are ignored.
@@ -108,8 +101,6 @@ class ReliableSender {
 
   size_t unacked() const;
   uint64_t redeliveries() const;
-  /// Sends rejected by the max_inflight window.
-  uint64_t inflight_rejections() const;
   /// Full scans of the unacked map performed by RetransmitDue (ticks that
   /// early-out on the deadline check do not count).
   uint64_t retransmit_scans() const;
@@ -146,7 +137,6 @@ class ReliableSender {
   /// that would trigger a needless full scan on the next tick.
   std::multiset<Micros> deadlines_;
   uint64_t retransmit_scans_ = 0;
-  uint64_t inflight_rejections_ = 0;
 };
 
 /// The receiving half. On a reliable link it acks every envelope

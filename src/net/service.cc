@@ -12,6 +12,15 @@ constexpr uint8_t kPriCritical = 0;
 constexpr uint8_t kPriHigh = 1;
 constexpr uint8_t kPriNormal = 2;
 
+/// Per-connection write-buffer bounds of the frame hub: past the soft
+/// limit only kCritical/kHigh frames still queue, at the hard limit
+/// everything sheds. A reliable link retransmits what was shed; on a raw
+/// link (the default) a shed frame is lost.
+constexpr size_t kWriteBufferSoftLimit = 256u << 10;
+constexpr size_t kWriteBufferHardLimit = 1u << 20;
+/// Queue-name prefix of the InvaliDB transport on both ends of a link.
+constexpr char kInvalidbPrefix[] = "invalidb";
+
 /// How often an endpoint's loop calls its Tick: retransmits need 10 ms;
 /// a batch age-out needs about one flush_interval.
 Micros TickPeriod(const invalidb::BatchOptions& b) {
@@ -44,12 +53,12 @@ NetServer::~NetServer() { Stop(); }
 bool NetServer::Start() {
   if (!options_.enabled || started_) return false;
   if (!loop_.Start()) return false;
-  hub_ = std::make_unique<FrameHub>(&loop_, options_.write_buffer_soft_limit,
-                                    options_.write_buffer_hard_limit);
+  hub_ = std::make_unique<FrameHub>(&loop_, kWriteBufferSoftLimit,
+                                    kWriteBufferHardLimit);
   http_ = std::make_unique<HttpFrontend>(&loop_, server_);
 
   if (options_.remote_invalidb) {
-    const std::string& p = options_.invalidb_prefix;
+    const std::string p = kInvalidbPrefix;
     FrameHub* hub = hub_.get();
     const std::string requests = p + ":requests";
     remote_ = std::make_unique<invalidb::InvalidbRemote>(
@@ -123,7 +132,7 @@ NetWorker::~NetWorker() { Stop(); }
 bool NetWorker::Start() {
   if (started_) return false;
   if (!loop_.Start()) return false;
-  const std::string& p = options_.invalidb_prefix;
+  const std::string p = kInvalidbPrefix;
   client_ = std::make_unique<FrameClient>(
       &loop_, frame_port_, options_.reconnect_backoff);
   FrameClient* client = client_.get();
@@ -131,8 +140,10 @@ bool NetWorker::Start() {
   worker_ = std::make_unique<invalidb::InvalidbWorker>(
       clock_,
       // Worker-side sends: notifications are the sheddable class under
-      // backpressure (the reliable sender retransmits them); request acks
-      // stay high so the origin's sender retires state promptly.
+      // backpressure, as is every frame sent while disconnected. A
+      // reliable link retransmits them; on a raw link (the default) the
+      // notification is lost and the server does not notice. Request
+      // acks stay high so the origin's sender retires state promptly.
       invalidb::QueueSend([client, notifications](const std::string& queue,
                                                   std::string message) {
         client->Send(queue, message,

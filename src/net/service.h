@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "common/clock.h"
 #include "core/server.h"
@@ -22,16 +21,10 @@ struct NetOptions {
   /// for tests sharing a machine.
   uint16_t http_port = 0;
   uint16_t frame_port = 0;
-  /// Per-connection write-buffer bounds: past `soft` only kCritical/kHigh
-  /// frames still queue, at `hard` everything sheds (the reliable queue
-  /// retransmits what matters).
-  size_t write_buffer_soft_limit = 256u << 10;
-  size_t write_buffer_hard_limit = 1u << 20;
   Micros reconnect_backoff = 20 * kMicrosPerMilli;
   /// Route the InvaliDB data path to workers over TCP (NetWorker peers)
   /// instead of the in-process cluster.
   bool remote_invalidb = false;
-  std::string invalidb_prefix = "invalidb";
   invalidb::TransportOptions transport;
 };
 

@@ -4,6 +4,13 @@
 
 namespace quaestor::sim {
 
+namespace {
+
+/// Per-operation CPU cost at a client instance (capacity model).
+constexpr Micros kClientCpu = MillisToMicros(0.06);
+
+}  // namespace
+
 Simulation::Simulation(workload::WorkloadOptions workload_options,
                        SimOptions options)
     : workload_options_(workload_options),
@@ -21,7 +28,6 @@ Simulation::Simulation(workload::WorkloadOptions workload_options,
 
   if (options_.trace) {
     obs::TracerOptions topts;
-    topts.max_spans = options_.trace_max_spans;
     topts.deterministic_ids = true;
     tracer_ = std::make_unique<obs::Tracer>(&clock_, topts);
     server_->set_tracer(tracer_.get());
@@ -60,14 +66,14 @@ Simulation::Simulation(workload::WorkloadOptions workload_options,
   for (size_t i = 0; i < options_.num_client_instances; ++i) {
     ClientInstance ci;
     if (options_.arch.client_cache) {
-      ci.cache = std::make_unique<webcache::ExpirationCache>(
-          &clock_, options_.client_cache_entries);
+      // Browser caches are unbounded.
+      ci.cache = std::make_unique<webcache::ExpirationCache>(&clock_);
     }
     ci.client = std::make_unique<client::QuaestorClient>(
         &clock_, server_.get(), ci.cache.get(), cdn_.get(), copts,
         options_.latency);
     if (tracer_ != nullptr) ci.client->set_tracer(tracer_.get());
-    ci.cpu = std::make_unique<QueueingResource>(1, options_.client_cpu);
+    ci.cpu = std::make_unique<QueueingResource>(1, kClientCpu);
     clients_.push_back(std::move(ci));
   }
 

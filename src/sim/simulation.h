@@ -56,14 +56,9 @@ struct SimOptions {
   /// actually dropping the entry.
   Micros cdn_purge_latency = MillisToMicros(50.0);
 
-  /// Capacity model: per-op CPU cost at a client instance and per-origin-
-  /// request service time at the backend pool.
-  Micros client_cpu = MillisToMicros(0.06);
+  /// Capacity model: per-origin-request service time at the backend pool.
   Micros server_service = MillisToMicros(0.2);
   size_t num_servers = 3;
-
-  /// LRU bound for each client's browser cache (0 = unbounded).
-  size_t client_cache_entries = 0;
 
   /// Pause between operations on one connection (models real browsers
   /// that issue requests at human pace rather than in a closed loop).
@@ -74,7 +69,6 @@ struct SimOptions {
   /// same-seed runs export byte-identical Chrome-trace JSON). Off by
   /// default — tracing every op of a long run costs memory.
   bool trace = false;
-  size_t trace_max_spans = 1 << 20;
 
   /// Elastic scale-out events: at simulated time `at`, the server
   /// live-repartitions its InvaliDB grid to the given shape (rides the

@@ -450,34 +450,6 @@ TEST(ReliableQueueTest, ExponentialBackoffCapped) {
   EXPECT_GE(redeliveries, 10u);
 }
 
-TEST(ReliableQueueTest, MaxInflightWindowRejectsNewSends) {
-  SimulatedClock clock(0);
-  Channel ch;
-  invalidb::ReliableOptions opts = Reliable();
-  opts.max_inflight = 3;
-  invalidb::ReliableSender sender(&clock, ch.wire.sender(), "q", "s",
-                                  opts);
-  EXPECT_TRUE(sender.Send("a").ok());
-  EXPECT_TRUE(sender.Send("b").ok());
-  EXPECT_TRUE(sender.Send("c").ok());
-  EXPECT_TRUE(sender.Send("d").IsResourceExhausted());
-  EXPECT_EQ(sender.unacked(), 3u);
-  EXPECT_EQ(sender.inflight_rejections(), 1u);
-  EXPECT_EQ(ch.wire.pending(), 3u);  // the rejected payload never hit the wire
-
-  // Acks open the window again.
-  invalidb::ReliableReceiver receiver(ch.acks.sender(), "q",
-                                      /*enabled=*/true);
-  Poll(&ch, &receiver, [](const std::string&) {});
-  Pump(&ch, &sender);
-  EXPECT_EQ(sender.unacked(), 0u);
-  EXPECT_TRUE(sender.Send("d").ok());
-
-  // The default stays unlimited: transport call sites ignore Send's
-  // status, so a bound must be opted into.
-  EXPECT_EQ(invalidb::ReliableOptions().max_inflight, 0u);
-}
-
 // ---------------------------------------------------------------------------
 // Client retry on 503
 // ---------------------------------------------------------------------------

@@ -429,20 +429,6 @@ TEST_F(ClusterTest, StatsCountMatchChecks) {
   EXPECT_EQ(stats.notifications_delivered, 1u);
 }
 
-TEST_F(ClusterTest, BruteForceModeMatchesEveryQuery) {
-  InvalidbOptions opts;
-  opts.indexed_matching = false;
-  MakeCluster(opts);
-  db::Query q = Q("posts", R"({"g":1})");
-  ASSERT_TRUE(cluster_->RegisterQuery(q, {}).ok());
-  cluster_->OnChangeBatch({Change("posts", "p1", R"({"g":9})")});
-  cluster_->OnChangeBatch({Change("posts", "p2", R"({"g":1})")});
-  const ClusterStats stats = cluster_->stats();
-  EXPECT_EQ(stats.match_checks, 2u);
-  EXPECT_EQ(stats.match_checks_naive, 2u);
-  EXPECT_EQ(stats.notifications_delivered, 1u);
-}
-
 // ---------------------------------------------------------------------------
 // Threaded mode
 // ---------------------------------------------------------------------------
@@ -553,14 +539,15 @@ TEST(ClusterRoutingTest, ObjectPartitionRowsShareQueryState) {
 TEST(ClusterRoutingTest, ReplayBufferIsBounded) {
   SimulatedClock clock(0);
   InvalidbOptions opts;
-  opts.replay_buffer_size = 4;
   std::vector<Notification> ns;
   InvalidbCluster cluster(&clock, opts,
                           [&](const std::vector<Notification>& batch) {
                             ns.insert(ns.end(), batch.begin(), batch.end());
                           });
-  // 10 events before any query exists; only the last 4 are replayable.
-  for (int i = 0; i < 10; ++i) {
+  // kReplayBufferSize + 6 events before any query exists; only the last
+  // kReplayBufferSize are replayable.
+  const int events = static_cast<int>(kReplayBufferSize) + 6;
+  for (int i = 0; i < events; ++i) {
     db::ChangeEvent ev;
     ev.kind = db::WriteKind::kUpdate;
     ev.after.table = "t";
@@ -571,8 +558,9 @@ TEST(ClusterRoutingTest, ReplayBufferIsBounded) {
   }
   db::Query q = db::Query::ParseJson("t", R"({"g":1})").value();
   ASSERT_TRUE(cluster.RegisterQuery(q, {}, /*evaluated_at=*/0).ok());
-  EXPECT_EQ(ns.size(), 4u);  // d6..d9 replayed
-  EXPECT_EQ(ns[0].record_id, "d6");
+  ASSERT_EQ(ns.size(), kReplayBufferSize);
+  EXPECT_EQ(ns.front().record_id, "d6");
+  EXPECT_EQ(ns.back().record_id, "d" + std::to_string(events - 1));
 }
 
 TEST(ClusterRoutingTest, ReplaySkipsEventsBeforeEvaluation) {

@@ -124,6 +124,20 @@ class LoopbackStack : public ::testing::Test {
 
     // Worker + purge subscriber both dialed in.
     ASSERT_TRUE(WaitFor([this] { return net_->hub()->connections() == 2; }));
+    // The hub counts a peer when it accepts it, before the peer's
+    // subscribe frame is handled. A reliable link retransmits what it
+    // sends before then; a raw link loses it, so wait until a change
+    // really reaches the worker.
+    if (!nopts_.transport.reliable.enabled) {
+      int probe = 0;
+      ASSERT_TRUE(WaitFor([&] {
+        EXPECT_TRUE(server_
+                        ->Insert("probe", std::to_string(probe++),
+                                 Doc(R"({"p":1})"))
+                        .ok());
+        return worker_->worker()->cluster().stats().changes_ingested > 0;
+      }));
+    }
     delta_ = delta;
   }
 
@@ -191,6 +205,150 @@ class LoopbackStack : public ::testing::Test {
     return purged ? purged_at : -1;
   }
 
+  void CheckRecordWritesReadsAndInvalidation() {
+    std::unique_ptr<webcache::ExpirationCache> b1, b2;
+    std::unique_ptr<HttpBackend> be1, be2;
+    auto c1 = Session(&b1, &be1);
+    auto c2 = Session(&b2, &be2);
+
+    // Write through HTTP, then read-your-writes from the session cache.
+    ASSERT_TRUE(c1->Insert("t", "1", Doc(R"({"x":1})")).ok());
+    client::ReadResult r1 = c1->Read("t", "1");
+    ASSERT_TRUE(r1.status.ok());
+    EXPECT_EQ(r1.doc.Find("x")->as_int(), 1);
+    {
+      std::lock_guard<std::mutex> lock(oracle_mu_);
+      oracle_->CheckRead("c1", "t/1", r1.status.ok(), r1.version);
+    }
+
+    // A second session's cold read crosses the wire to the origin and
+    // warms the shared CDN.
+    client::ReadResult r2 = c2->Read("t", "1");
+    ASSERT_TRUE(r2.status.ok());
+    EXPECT_EQ(r2.doc.Find("x")->as_int(), 1);
+    {
+      std::lock_guard<std::mutex> lock(oracle_mu_);
+      oracle_->CheckRead("c2", "t/1", r2.status.ok(), r2.version);
+    }
+
+    // c1 updates; the origin's purge crosses the frame protocol to the
+    // CDN node, and c2 converges once its EBF window forces a
+    // revalidation. Every intermediate read is oracle-checked.
+    db::Update u;
+    u.Set("x", db::Value(2));
+    auto updated = c1->Update("t", "1", u);
+    ASSERT_TRUE(updated.ok());
+    const uint64_t fresh_version = updated.value().version;
+
+    ASSERT_TRUE(WaitFor([&] {
+      client::ReadResult r = c2->Read("t", "1");
+      {
+        std::lock_guard<std::mutex> lock(oracle_mu_);
+        oracle_->CheckRead("c2", "t/1", r.status.ok(), r.version);
+      }
+      return r.status.ok() && r.version >= fresh_version;
+    }));
+    // The purge really arrived over the socket (origin-side fan-out → the
+    // subscribed CDN), not just via TTL expiry.
+    EXPECT_TRUE(WaitFor([&] { return cdn_->PurgeCount() > 0; }));
+    ExpectNoViolations();
+  }
+
+  void CheckQueryNotificationFlows() {
+    std::unique_ptr<webcache::ExpirationCache> b1, b2;
+    std::unique_ptr<HttpBackend> be1, be2;
+    auto c1 = Session(&b1, &be1);
+    auto c2 = Session(&b2, &be2);
+
+    ASSERT_TRUE(c1->Insert("t", "1", Doc(R"({"g":1})")).ok());
+    ASSERT_TRUE(c1->Insert("t", "2", Doc(R"({"g":2})")).ok());
+
+    const db::Query q = Q("t", R"({"g":1})");
+    {
+      std::lock_guard<std::mutex> lock(oracle_mu_);
+      oracle_->TrackQuery(q);
+    }
+
+    // First execution registers the query with the matching cluster over
+    // the frame link. A reliable link retransmits it past a slow worker
+    // handshake; a raw link relies on Start having seen the worker
+    // subscribed.
+    client::QueryResult qr = c1->ExecuteQuery(q);
+    ASSERT_TRUE(qr.status.ok());
+    EXPECT_EQ(qr.ids.size(), 1u);
+    {
+      std::lock_guard<std::mutex> lock(oracle_mu_);
+      oracle_->CheckQuery("c1", q, qr.status.ok(), qr.etag, qr.representation);
+    }
+
+    // A write that moves t/2 into the result: the change event travels
+    // origin → worker over TCP, the match comes back as a notification,
+    // and the origin purges the cached result. Poll until both sessions
+    // observe the two-element result.
+    db::Update u;
+    u.Set("g", db::Value(1));
+    ASSERT_TRUE(c2->Update("t", "2", u).ok());
+
+    for (auto* session : {c1.get(), c2.get()}) {
+      const char* name = session == c1.get() ? "c1" : "c2";
+      ASSERT_TRUE(WaitFor([&] {
+        client::QueryResult r = session->ExecuteQuery(q);
+        {
+          std::lock_guard<std::mutex> lock(oracle_mu_);
+          oracle_->CheckQuery(name, q, r.status.ok(), r.etag,
+                              r.representation);
+        }
+        return r.status.ok() && r.ids.size() == 2;
+      })) << name;
+    }
+
+    // The notification data path really ran remotely: the worker's
+    // cluster did the matching on the far side of the socket, and its
+    // notification reached the server.
+    EXPECT_TRUE(WaitFor([&] { return Notified() > 0; }));
+    EXPECT_GT(worker_->bridged_kv()->deliveries(), 0u);
+    EXPECT_GT(net_->bridged_kv()->deliveries(), 0u);
+    ExpectNoViolations();
+  }
+
+  void CheckConditionalFetchRevalidates() {
+    std::unique_ptr<webcache::ExpirationCache> b1;
+    std::unique_ptr<HttpBackend> be1;
+    auto c1 = Session(&b1, &be1);
+    ASSERT_TRUE(c1->Insert("t", "1", Doc(R"({"x":1})")).ok());
+
+    // Unconditional fetch yields the body + etag; revalidating with that
+    // etag yields 304 with no body — the exact webcache::http.h contract,
+    // over a real socket.
+    HttpBackend direct(net_->http_port());
+    webcache::HttpRequest req;
+    req.key = "t/1";
+    webcache::HttpResponse full = direct.Fetch(req);
+    {
+      std::lock_guard<std::mutex> lock(oracle_mu_);
+      oracle_->CheckRead("direct", "t/1", full.ok, full.etag);
+    }
+    ASSERT_TRUE(full.ok);
+    ASSERT_NE(full.etag, 0u);
+    EXPECT_FALSE(full.body.empty());
+    EXPECT_GT(full.ttl, 0);
+    EXPECT_GT(full.last_modified, 0);
+
+    req.has_if_none_match = true;
+    req.if_none_match = full.etag;
+    webcache::HttpResponse revalidated = direct.Fetch(req);
+    EXPECT_TRUE(revalidated.not_modified);
+    EXPECT_TRUE(revalidated.body.empty());
+
+    // A missing record is a plain miss, not a transport error.
+    webcache::HttpRequest missing;
+    missing.key = "t/no-such";
+    webcache::HttpResponse miss = direct.Fetch(missing);
+    EXPECT_FALSE(miss.ok);
+    EXPECT_FALSE(miss.unavailable);
+    ExpectNoViolations();
+  }
+
   void ExpectNoViolations() {
     std::lock_guard<std::mutex> lock(oracle_mu_);
     for (const auto& v : oracle_->violations()) {
@@ -218,142 +376,41 @@ class LoopbackStack : public ::testing::Test {
   std::vector<std::pair<std::string, int64_t>> purged_;
 };
 
+/// The same deployment on the default transport, which perfbench runs:
+/// raw frames with no retransmission, one change per envelope.
+class RawLinkStack : public LoopbackStack {
+ protected:
+  RawLinkStack() { nopts_.transport = invalidb::TransportOptions(); }
+};
+
 TEST_F(LoopbackStack, RecordWritesReadsAndInvalidationAcrossTheWire) {
   Start();
-  std::unique_ptr<webcache::ExpirationCache> b1, b2;
-  std::unique_ptr<HttpBackend> be1, be2;
-  auto c1 = Session(&b1, &be1);
-  auto c2 = Session(&b2, &be2);
-
-  // Write through HTTP, then read-your-writes from the session cache.
-  ASSERT_TRUE(c1->Insert("t", "1", Doc(R"({"x":1})")).ok());
-  client::ReadResult r1 = c1->Read("t", "1");
-  ASSERT_TRUE(r1.status.ok());
-  EXPECT_EQ(r1.doc.Find("x")->as_int(), 1);
-  {
-    std::lock_guard<std::mutex> lock(oracle_mu_);
-    oracle_->CheckRead("c1", "t/1", r1.status.ok(), r1.version);
-  }
-
-  // A second session's cold read crosses the wire to the origin and
-  // warms the shared CDN.
-  client::ReadResult r2 = c2->Read("t", "1");
-  ASSERT_TRUE(r2.status.ok());
-  EXPECT_EQ(r2.doc.Find("x")->as_int(), 1);
-  {
-    std::lock_guard<std::mutex> lock(oracle_mu_);
-    oracle_->CheckRead("c2", "t/1", r2.status.ok(), r2.version);
-  }
-
-  // c1 updates; the origin's purge crosses the frame protocol to the
-  // CDN node, and c2 converges once its EBF window forces a
-  // revalidation. Every intermediate read is oracle-checked.
-  db::Update u;
-  u.Set("x", db::Value(2));
-  auto updated = c1->Update("t", "1", u);
-  ASSERT_TRUE(updated.ok());
-  const uint64_t fresh_version = updated.value().version;
-
-  ASSERT_TRUE(WaitFor([&] {
-    client::ReadResult r = c2->Read("t", "1");
-    {
-      std::lock_guard<std::mutex> lock(oracle_mu_);
-      oracle_->CheckRead("c2", "t/1", r.status.ok(), r.version);
-    }
-    return r.status.ok() && r.version >= fresh_version;
-  }));
-  // The purge really arrived over the socket (origin-side fan-out → the
-  // subscribed CDN), not just via TTL expiry.
-  EXPECT_TRUE(WaitFor([&] { return cdn_->PurgeCount() > 0; }));
-  ExpectNoViolations();
+  CheckRecordWritesReadsAndInvalidation();
 }
 
 TEST_F(LoopbackStack, QueryNotificationFlowsInvalidbOverTcp) {
   Start();
-  std::unique_ptr<webcache::ExpirationCache> b1, b2;
-  std::unique_ptr<HttpBackend> be1, be2;
-  auto c1 = Session(&b1, &be1);
-  auto c2 = Session(&b2, &be2);
-
-  ASSERT_TRUE(c1->Insert("t", "1", Doc(R"({"g":1})")).ok());
-  ASSERT_TRUE(c1->Insert("t", "2", Doc(R"({"g":2})")).ok());
-
-  const db::Query q = Q("t", R"({"g":1})");
-  {
-    std::lock_guard<std::mutex> lock(oracle_mu_);
-    oracle_->TrackQuery(q);
-  }
-
-  // First execution registers the query with the matching cluster over
-  // the frame link (reliable, so a slow worker handshake cannot lose
-  // the registration).
-  client::QueryResult qr = c1->ExecuteQuery(q);
-  ASSERT_TRUE(qr.status.ok());
-  EXPECT_EQ(qr.ids.size(), 1u);
-  {
-    std::lock_guard<std::mutex> lock(oracle_mu_);
-    oracle_->CheckQuery("c1", q, qr.status.ok(), qr.etag, qr.representation);
-  }
-
-  // A write that moves t/2 into the result: the change event travels
-  // origin → worker over TCP, the match comes back as a notification,
-  // and the origin purges the cached result. Poll until both sessions
-  // observe the two-element result.
-  db::Update u;
-  u.Set("g", db::Value(1));
-  ASSERT_TRUE(c2->Update("t", "2", u).ok());
-
-  for (auto* session : {c1.get(), c2.get()}) {
-    const char* name = session == c1.get() ? "c1" : "c2";
-    ASSERT_TRUE(WaitFor([&] {
-      client::QueryResult r = session->ExecuteQuery(q);
-      {
-        std::lock_guard<std::mutex> lock(oracle_mu_);
-        oracle_->CheckQuery(name, q, r.status.ok(), r.etag, r.representation);
-      }
-      return r.status.ok() && r.ids.size() == 2;
-    })) << name;
-  }
-
-  // The notification data path really ran remotely: the worker's
-  // cluster did the matching on the far side of the socket.
-  EXPECT_GT(worker_->bridged_kv()->deliveries(), 0u);
-  EXPECT_GT(net_->bridged_kv()->deliveries(), 0u);
-  ExpectNoViolations();
+  CheckQueryNotificationFlows();
 }
 
 TEST_F(LoopbackStack, ConditionalFetchRevalidatesWith304OverTheWire) {
   Start();
-  std::unique_ptr<webcache::ExpirationCache> b1;
-  std::unique_ptr<HttpBackend> be1;
-  auto c1 = Session(&b1, &be1);
-  ASSERT_TRUE(c1->Insert("t", "1", Doc(R"({"x":1})")).ok());
+  CheckConditionalFetchRevalidates();
+}
 
-  // Unconditional fetch yields the body + etag; revalidating with that
-  // etag yields 304 with no body — the exact webcache::http.h contract,
-  // over a real socket.
-  HttpBackend direct(net_->http_port());
-  webcache::HttpRequest req;
-  req.key = "t/1";
-  webcache::HttpResponse full = direct.Fetch(req);
-  ASSERT_TRUE(full.ok);
-  ASSERT_NE(full.etag, 0u);
-  EXPECT_FALSE(full.body.empty());
-  EXPECT_GT(full.ttl, 0);
-  EXPECT_GT(full.last_modified, 0);
+TEST_F(RawLinkStack, RecordWritesReadsAndInvalidationAcrossTheWire) {
+  Start();
+  CheckRecordWritesReadsAndInvalidation();
+}
 
-  req.has_if_none_match = true;
-  req.if_none_match = full.etag;
-  webcache::HttpResponse revalidated = direct.Fetch(req);
-  EXPECT_TRUE(revalidated.not_modified);
-  EXPECT_TRUE(revalidated.body.empty());
+TEST_F(RawLinkStack, QueryNotificationFlowsInvalidbOverTcp) {
+  Start();
+  CheckQueryNotificationFlows();
+}
 
-  // A missing record is a plain miss, not a transport error.
-  webcache::HttpRequest missing;
-  missing.key = "t/no-such";
-  webcache::HttpResponse miss = direct.Fetch(missing);
-  EXPECT_FALSE(miss.ok);
-  EXPECT_FALSE(miss.unavailable);
+TEST_F(RawLinkStack, ConditionalFetchRevalidatesWith304OverTheWire) {
+  Start();
+  CheckConditionalFetchRevalidates();
 }
 
 TEST_F(LoopbackStack, WriteErrorsCarryExactStatusCodesAcrossHttp) {

@@ -878,15 +878,25 @@ TEST_F(ServerTest, IdListPolicyServesIds) {
   EXPECT_TRUE(qr->docs.empty());
 }
 
+// A table whose reads are not public is served uncacheable: records and
+// queries get TTL 0, and no query is registered in InvaliDB.
 TEST_F(ServerTest, CachingDisabledYieldsZeroTtl) {
-  ServerOptions opts;
-  opts.cache_records = false;
-  opts.cache_queries = false;
-  MakeServer(opts);
+  MakeServer();
+  server_->auth().ProtectTable("t", "reader");
+  server_->auth().RegisterSession("tok", Credentials::User({"reader"}));
   ASSERT_TRUE(server_->Insert("t", "1", Doc(R"({"g":1})")).ok());
-  EXPECT_EQ(Get("t/1").ttl, 0);
-  EXPECT_EQ(GetQuery(Q("t", R"({"g":1})")).ttl, 0);
-  // Nothing registered in InvaliDB for uncacheable queries.
+  webcache::HttpRequest req;
+  req.auth_token = "tok";
+  req.key = "t/1";
+  const auto record = server_->Fetch(req);
+  ASSERT_TRUE(record.ok);
+  EXPECT_EQ(record.ttl, 0);
+  const db::Query q = Q("t", R"({"g":1})");
+  server_->RegisterQueryShape(q);
+  req.key = q.NormalizedKey();
+  const auto query = server_->Fetch(req);
+  ASSERT_TRUE(query.ok);
+  EXPECT_EQ(query.ttl, 0);
   EXPECT_EQ(server_->invalidb().RegisteredCount(), 0u);
 }
 
