@@ -29,6 +29,27 @@ struct Document {
   std::string ToJson() const { return body.ToJson(); }
 };
 
+/// Appends the whole record as one canonical JSON object: the keys body,
+/// deleted, id, table, version, write_time in the sorted order the
+/// equivalent db::Object serializes in, so the bytes equal
+/// `Value(Object{...}).ToJson()` without building the object (the InvaliDB
+/// wire's document spec and the HTTP write response).
+inline void AppendDocumentJson(std::string* out, const Document& doc) {
+  *out += "{\"body\":";
+  doc.body.AppendJson(out);
+  *out += ",\"deleted\":";
+  *out += doc.deleted ? "true" : "false";
+  *out += ",\"id\":";
+  AppendJsonEscaped(out, doc.id);
+  *out += ",\"table\":";
+  AppendJsonEscaped(out, doc.table);
+  *out += ",\"version\":";
+  *out += std::to_string(static_cast<int64_t>(doc.version));
+  *out += ",\"write_time\":";
+  *out += std::to_string(static_cast<int64_t>(doc.write_time));
+  *out += '}';
+}
+
 /// What a point lookup reports without copying the document: the live
 /// version (the record's ETag) and its commit time.
 struct DocumentVersion {

@@ -1,13 +1,60 @@
 #include "db/value.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
 
 namespace quaestor::db {
+
+Object::Object(std::initializer_list<value_type> init) {
+  members_.reserve(init.size());
+  for (const value_type& m : init) try_emplace(m.first, m.second);
+}
+
+Object::const_iterator Object::LowerBound(std::string_view key) const {
+  if (members_.empty() || std::string_view(members_.back().first) < key) {
+    return members_.end();
+  }
+  return std::lower_bound(members_.begin(), members_.end(), key,
+                          [](const value_type& m, std::string_view k) {
+                            return std::string_view(m.first) < k;
+                          });
+}
+
+Object::iterator Object::find(std::string_view key) {
+  auto pos = members_.begin() + (LowerBound(key) - members_.cbegin());
+  return pos != members_.end() && pos->first == key ? pos : members_.end();
+}
+
+Object::const_iterator Object::find(std::string_view key) const {
+  auto pos = LowerBound(key);
+  return pos != members_.end() && pos->first == key ? pos : members_.end();
+}
+
+Value& Object::at(std::string_view key) {
+  auto it = find(key);
+  if (it == end()) throw std::out_of_range("db::Object::at");
+  return it->second;
+}
+
+const Value& Object::at(std::string_view key) const {
+  auto it = find(key);
+  if (it == end()) throw std::out_of_range("db::Object::at");
+  return it->second;
+}
+
+Value& Object::operator[](std::string_view key) {
+  return try_emplace(key).first->second;
+}
+
+bool operator==(const Object& a, const Object& b) {
+  return a.members_ == b.members_;
+}
 
 Value::Type Value::type() const {
   switch (data_.index()) {
@@ -44,7 +91,7 @@ const Value* Value::Find(std::string_view path) const {
     if (seg.empty()) return nullptr;
     if (cur->is_object()) {
       const Object& obj = cur->as_object();
-      auto it = obj.find(std::string(seg));
+      auto it = obj.find(seg);
       if (it == obj.end()) return nullptr;
       cur = &it->second;
     } else if (cur->is_array()) {
@@ -71,18 +118,20 @@ Status Value::SetPath(std::string_view path, Value v) {
   size_t start = 0;
   for (;;) {
     size_t dot = path.find('.', start);
-    std::string seg(path.substr(
+    std::string_view seg = path.substr(
         start, dot == std::string_view::npos ? std::string_view::npos
-                                             : dot - start));
+                                             : dot - start);
     if (seg.empty()) return Status::InvalidArgument("empty path segment");
     Object& obj = cur->as_object();
     if (dot == std::string_view::npos) {
       obj[seg] = std::move(v);
       return Status::OK();
     }
+    // The insert can move obj's members, but cur is re-pointed into the
+    // child before anything is inserted into it.
     auto [it, inserted] = obj.try_emplace(seg, Object{});
     if (!inserted && !it->second.is_object()) {
-      return Status::InvalidArgument("path segment '" + seg +
+      return Status::InvalidArgument("path segment '" + std::string(seg) +
                                      "' is not an object");
     }
     cur = &it->second;
@@ -96,9 +145,9 @@ bool Value::RemovePath(std::string_view path) {
   size_t start = 0;
   for (;;) {
     size_t dot = path.find('.', start);
-    std::string seg(path.substr(
+    std::string_view seg = path.substr(
         start, dot == std::string_view::npos ? std::string_view::npos
-                                             : dot - start));
+                                             : dot - start);
     if (!cur->is_object()) return false;
     Object& obj = cur->as_object();
     auto it = obj.find(seg);
@@ -427,23 +476,37 @@ class JsonParser {
 
   Result<Value> ParseObject() {
     Consume('{');
-    Object obj;
+    // Members collect on a per-thread stack (a nested object's above its
+    // parent's) so each object is built once, at its exact size.
+    thread_local std::vector<Object::value_type> stack;
+    struct PopToBase {
+      std::vector<Object::value_type>& stack;
+      size_t base;
+      ~PopToBase() { stack.erase(stack.begin() + base, stack.end()); }
+    } members{stack, stack.size()};
     SkipWs();
-    if (Consume('}')) return Value(std::move(obj));
-    for (;;) {
-      SkipWs();
-      auto k = ParseString();
-      if (!k.ok()) return k.status();
-      SkipWs();
-      if (!Consume(':')) return Err("expected ':'");
-      SkipWs();
-      auto v = ParseValue();
-      if (!v.ok()) return v;
-      obj[std::move(k).value()] = std::move(v).value();
-      SkipWs();
-      if (Consume('}')) return Value(std::move(obj));
-      if (!Consume(',')) return Err("expected ',' or '}'");
+    if (!Consume('}')) {
+      for (;;) {
+        SkipWs();
+        auto k = ParseString();
+        if (!k.ok()) return k.status();
+        SkipWs();
+        if (!Consume(':')) return Err("expected ':'");
+        SkipWs();
+        auto v = ParseValue();
+        if (!v.ok()) return v;
+        stack.emplace_back(std::move(k).value(), std::move(v).value());
+        SkipWs();
+        if (Consume('}')) break;
+        if (!Consume(',')) return Err("expected ',' or '}'");
+      }
     }
+    Object obj;
+    obj.reserve(stack.size() - members.base);
+    for (size_t i = members.base; i < stack.size(); ++i) {
+      obj[stack[i].first] = std::move(stack[i].second);  // last key wins
+    }
+    return Value(std::move(obj));
   }
 
   std::string_view text_;

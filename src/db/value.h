@@ -2,10 +2,12 @@
 #define QUAESTOR_DB_VALUE_H_
 
 #include <cstdint>
-#include <map>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -17,9 +19,58 @@ class Value;
 
 /// Array of values.
 using Array = std::vector<Value>;
+
 /// Object with sorted keys (sorted order makes serialization canonical,
-/// which Quaestor relies on for normalized query cache keys).
-using Object = std::map<std::string, Value>;
+/// which Quaestor relies on for normalized query cache keys). The members
+/// live in one vector kept sorted by key, so a document's fields share one
+/// heap block and iterate in the order a `std::map` would give. Lookups
+/// take a `std::string_view` and binary-search. An insert appends in O(1)
+/// when its key sorts after every present key (the order canonical JSON
+/// arrives in) and shifts the tail otherwise. Inserting or erasing
+/// invalidates iterators and references to this object's members.
+class Object {
+ public:
+  using value_type = std::pair<std::string, Value>;
+  using iterator = std::vector<value_type>::iterator;
+  using const_iterator = std::vector<value_type>::const_iterator;
+
+  Object() = default;
+  /// Like `std::map`, the first of two equal keys wins.
+  Object(std::initializer_list<value_type> init);
+
+  // Member bodies that need a complete Value follow Value's definition.
+  iterator begin();
+  iterator end();
+  const_iterator begin() const;
+  const_iterator end() const;
+  size_t size() const;
+  bool empty() const;
+  void reserve(size_t n);
+
+  iterator find(std::string_view key);
+  const_iterator find(std::string_view key) const;
+  size_t count(std::string_view key) const;
+  /// Throws std::out_of_range when `key` is absent, as `std::map::at` does.
+  Value& at(std::string_view key);
+  const Value& at(std::string_view key) const;
+
+  /// The value under `key`, inserting a null one when absent.
+  Value& operator[](std::string_view key);
+  /// Inserts `key` with a value built from `args` unless present; returns
+  /// the member and whether it was inserted.
+  template <typename... Args>
+  std::pair<iterator, bool> try_emplace(std::string_view key, Args&&... args);
+  iterator erase(const_iterator pos);
+
+  friend bool operator==(const Object& a, const Object& b);
+  friend bool operator!=(const Object& a, const Object& b);
+
+ private:
+  /// First member whose key is not less than `key`.
+  const_iterator LowerBound(std::string_view key) const;
+
+  std::vector<value_type> members_;
+};
 
 /// A JSON-like dynamic value: the unit of data in the document store.
 /// Numbers are stored as int64 or double; comparisons treat them as one
@@ -109,6 +160,32 @@ class Value {
                Object>
       data_;
 };
+
+inline Object::iterator Object::begin() { return members_.begin(); }
+inline Object::iterator Object::end() { return members_.end(); }
+inline Object::const_iterator Object::begin() const { return members_.begin(); }
+inline Object::const_iterator Object::end() const { return members_.end(); }
+inline size_t Object::size() const { return members_.size(); }
+inline bool Object::empty() const { return members_.empty(); }
+inline void Object::reserve(size_t n) { members_.reserve(n); }
+inline size_t Object::count(std::string_view key) const {
+  return find(key) == end() ? 0 : 1;
+}
+inline Object::iterator Object::erase(const_iterator pos) {
+  return members_.erase(pos);
+}
+inline bool operator!=(const Object& a, const Object& b) { return !(a == b); }
+
+template <typename... Args>
+std::pair<Object::iterator, bool> Object::try_emplace(std::string_view key,
+                                                      Args&&... args) {
+  auto pos = members_.begin() + (LowerBound(key) - members_.cbegin());
+  if (pos != members_.end() && pos->first == key) return {pos, false};
+  pos = members_.emplace(pos, std::piecewise_construct,
+                         std::forward_as_tuple(key),
+                         std::forward_as_tuple(std::forward<Args>(args)...));
+  return {pos, true};
+}
 
 /// Appends `s` to *out as a JSON string literal (quoted and escaped) —
 /// the escaping Value::AppendJson applies to string values, exposed for

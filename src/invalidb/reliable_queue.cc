@@ -26,9 +26,9 @@ uint64_t Checksum(const std::string& sender, uint64_t seq,
 
 std::string Encode(const std::string& sender, uint64_t seq,
                    const std::string& payload) {
-  // Single-pass serialization, keys in sorted order — byte-identical to
-  // the db::Object (std::map) construction this replaces, without the
-  // tree build and payload copy per envelope.
+  // Single-pass serialization, keys in sorted order: byte-identical to
+  // building a db::Object and serializing it, without the object build
+  // and payload copy per envelope.
   std::string out;
   out.reserve(payload.size() + sender.size() + 64);
   out += "{\"rc\":";

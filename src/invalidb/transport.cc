@@ -35,25 +35,6 @@ using db::Value;
 
 namespace {
 
-/// Single-pass canonical document spec. Key order (body, deleted, id,
-/// table, version, write_time) is the sorted order a db::Object would
-/// serialize in — golden-tested against the tree encoder.
-void AppendDocumentSpec(std::string* out, const db::Document& doc) {
-  *out += "{\"body\":";
-  doc.body.AppendJson(out);
-  *out += ",\"deleted\":";
-  *out += doc.deleted ? "true" : "false";
-  *out += ",\"id\":";
-  db::AppendJsonEscaped(out, doc.id);
-  *out += ",\"table\":";
-  db::AppendJsonEscaped(out, doc.table);
-  *out += ",\"version\":";
-  *out += std::to_string(static_cast<int64_t>(doc.version));
-  *out += ",\"write_time\":";
-  *out += std::to_string(static_cast<int64_t>(doc.write_time));
-  *out += '}';
-}
-
 /// One batch envelope: the framing's open bytes, the items' specs
 /// comma-separated, the close bytes.
 template <typename Item, typename AppendSpec>
@@ -77,7 +58,7 @@ std::string EncodeBatch(BatchFraming framing, const std::vector<Item>& items,
 /// of a change_batch envelope. Keys: after, commit_time, kind.
 void AppendChangeEventSpec(std::string* out, const db::ChangeEvent& event) {
   *out += "{\"after\":";
-  AppendDocumentSpec(out, event.after);
+  db::AppendDocumentJson(out, event.after);
   *out += ",\"commit_time\":";
   *out += std::to_string(static_cast<int64_t>(event.commit_time));
   *out += ",\"kind\":";
@@ -281,7 +262,7 @@ std::string EncodeRegister(const db::Query& query,
   out += ",\"initial\":[";
   for (size_t i = 0; i < initial_result.size(); ++i) {
     if (i > 0) out += ',';
-    AppendDocumentSpec(&out, initial_result[i]);
+    db::AppendDocumentJson(&out, initial_result[i]);
   }
   out += "],\"op\":\"register\",\"query\":";
   query.ToSpec().AppendJson(&out);

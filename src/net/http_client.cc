@@ -176,7 +176,7 @@ Result<db::Document> HttpBackend::Write(const std::string& op,
   if (!parsed->is_object()) {
     return Status::Internal("write response is not an object");
   }
-  const db::Object& obj = parsed->as_object();
+  db::Object& obj = parsed->as_object();
   db::Document doc;
   auto str = [&](const char* field) -> std::string {
     auto it = obj.find(field);
@@ -195,7 +195,7 @@ Result<db::Document> HttpBackend::Write(const std::string& op,
   doc.deleted = deleted != obj.end() && deleted->second.is_bool() &&
                 deleted->second.as_bool();
   auto body_it = obj.find("body");
-  if (body_it != obj.end()) doc.body = body_it->second;
+  if (body_it != obj.end()) doc.body = std::move(body_it->second);
   return doc;
 }
 

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "db/document.h"
 #include "db/query.h"
 #include "db/update.h"
 #include "db/value.h"
@@ -31,16 +32,9 @@ HttpMessage StatusResponse(const Status& st) {
 }
 
 HttpMessage DocumentResponse(const db::Document& doc) {
-  db::Object out;
-  out["table"] = doc.table;
-  out["id"] = doc.id;
-  out["version"] = static_cast<int64_t>(doc.version);
-  out["write_time"] = doc.write_time;
-  out["deleted"] = doc.deleted;
-  out["body"] = doc.body;
   HttpMessage msg;
   msg.status = 200;
-  msg.body = db::Value(std::move(out)).ToJson();
+  db::AppendDocumentJson(&msg.body, doc);
   return msg;
 }
 

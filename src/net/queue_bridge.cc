@@ -137,7 +137,9 @@ uint64_t FrameHub::frames_shed_low_priority() const {
 size_t FrameHub::connections() const {
   // peers_ is loop-thread state; snapshot via a sync hop.
   size_t n = 0;
-  loop_->RunInLoopSync([&] { n = peers_.size(); });
+  loop_->RunInLoopSync([&] {
+    for (const auto& [id, peer] : peers_) n += peer.prefixes.empty() ? 0 : 1;
+  });
   return n;
 }
 
@@ -207,13 +209,17 @@ void FrameClient::HandleConnected() {
     if (handshake_done_) ++reconnects_;
     handshake_done_ = true;
   }
-  if (!conn) return;
-  // Replay subscriptions. On a still-in-progress connect these buffer
-  // and flush when the socket turns writable; on failure the error
-  // surfaces as a close and we retry.
+  if (!conn || subs_.empty()) return;
+  // Replay subscriptions in one write, so the hub installs them together
+  // and counts this peer ready with all of them in place. On a
+  // still-in-progress connect the write buffers and flushes when the
+  // socket turns writable; on failure the error surfaces as a close and
+  // we retry.
+  std::string wire;
   for (auto& [prefix, handler] : subs_) {
-    conn->Send(EncodeFrame(Frame{0, std::string(kSubscribeChannel), prefix}));
+    AppendFrame(&wire, Frame{0, std::string(kSubscribeChannel), prefix});
   }
+  conn->Send(wire);
 }
 
 void FrameClient::HandleFrames() {

@@ -54,6 +54,9 @@ class FrameHub {
 
   uint64_t frames_shed() const;
   uint64_t frames_shed_low_priority() const;
+  /// Peers whose subscription is installed. A peer counts once the hub
+  /// has handled its first subscribe frame, not when it is accepted, so a
+  /// Send issued after this count covers a peer reaches it.
   size_t connections() const;
 
  private:

@@ -8,10 +8,14 @@ namespace quaestor::ttl {
 void WriteRateEstimator::RecordWrite(std::string_view key) {
   const Micros now = clock_->NowMicros();
   std::lock_guard<std::mutex> lock(mu_);
-  std::deque<Micros>& s = samples_[std::string(key)];
-  s.push_back(now);
-  while (s.size() > options_.max_samples_per_key) s.pop_front();
-  while (!s.empty() && s.front() < now - options_.rate_window) s.pop_front();
+  std::vector<Micros>& s = samples_[std::string(key)];
+  // Drop what the cap and the window push out before appending, so the
+  // vector never holds more than max_samples_per_key.
+  const size_t cap = options_.max_samples_per_key;
+  size_t drop = s.size() + 1 > cap ? s.size() + 1 - cap : 0;
+  while (drop < s.size() && s[drop] < now - options_.rate_window) ++drop;
+  s.erase(s.begin(), s.begin() + std::min(drop, s.size()));
+  if (cap > 0) s.push_back(now);
 }
 
 double WriteRateEstimator::RateOf(std::string_view key) const {
@@ -24,7 +28,7 @@ double WriteRateEstimator::RateLocked(std::string_view key,
                                       Micros now) const {
   auto it = samples_.find(key);
   if (it == samples_.end()) return 0.0;
-  const std::deque<Micros>& s = it->second;
+  const std::vector<Micros>& s = it->second;
   // Count samples within the window (entries are pruned lazily on write,
   // so re-filter here).
   const Micros cutoff = now - options_.rate_window;

@@ -2,7 +2,6 @@
 #define QUAESTOR_TTL_TTL_ESTIMATOR_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -69,7 +68,8 @@ class WriteRateEstimator {
   Clock* clock_;
   TtlOptions options_;
   mutable std::mutex mu_;
-  std::unordered_map<std::string, std::deque<Micros>, StringViewHash,
+  // Oldest first, at most max_samples_per_key per key.
+  std::unordered_map<std::string, std::vector<Micros>, StringViewHash,
                      std::equal_to<>>
       samples_;
 };

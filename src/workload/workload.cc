@@ -58,6 +58,7 @@ db::Query WorkloadGenerator::MakeQuery(size_t table_index,
 db::Value WorkloadGenerator::MakeDoc(size_t table_index,
                                      size_t doc_index) const {
   db::Object obj;
+  obj.reserve(5);  // the five fields below, in one exact-size block
   obj["group"] = db::Value(static_cast<int64_t>(GroupOf(doc_index)));
   obj["title"] = db::Value("Post " + std::to_string(doc_index) + " in " +
                            TableName(table_index));

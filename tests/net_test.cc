@@ -558,6 +558,40 @@ TEST(HttpBackendTest, ConditionalFetchWithMatchingEtagIsOkAndNotModified) {
   net.Stop();
 }
 
+TEST(HttpFrontendTest, WriteResponseIsTheRecordsCanonicalJson) {
+  // The write response is appended straight from the committed record;
+  // its bytes must equal the canonical JSON of the same record built as a
+  // db::Object.
+  SystemClock clock;
+  db::Database db(&clock);
+  core::QuaestorServer server(&clock, &db);
+  NetOptions nopts;
+  nopts.enabled = true;
+  NetServer net(&clock, &server, nopts);
+  ASSERT_TRUE(net.Start());
+
+  SyncHttpChannel channel(net.http_port());
+  HttpMessage request;
+  request.method = "POST";
+  request.target = "/write?op=insert&table=t&id=a%22b";
+  request.body = R"({"z":[1,2.5,"s\n"],"a":{"y":null,"b":true}})";
+  const Result<HttpMessage> response = channel.RoundTrip(request);
+  ASSERT_TRUE(response.ok());
+  ASSERT_EQ(response->status, 200);
+
+  const db::Document doc = db.Get("t", "a\"b").value();
+  const db::Value expected(db::Object{
+      {"table", db::Value(doc.table)},
+      {"id", db::Value(doc.id)},
+      {"version", db::Value(static_cast<int64_t>(doc.version))},
+      {"write_time", db::Value(doc.write_time)},
+      {"deleted", db::Value(doc.deleted)},
+      {"body", doc.body},
+  });
+  EXPECT_EQ(response->body, expected.ToJson());
+  net.Stop();
+}
+
 // ---------------------------------------------------------------------------
 // Event loop
 
@@ -787,6 +821,11 @@ TEST_F(FrameFixture, GarbageStreamDropsThePeer) {
   ASSERT_TRUE(hub.Listen(0));
   const int fd = DialLoopbackBlocking(hub.port());
   ASSERT_GE(fd, 0);
+  // The hub counts a peer once it has subscribed, so subscribe first:
+  // the drop below must be seen as the count falling back to 0.
+  const std::string sub =
+      EncodeFrame(Frame{0, std::string(kSubscribeChannel), "g"});
+  ASSERT_EQ(write(fd, sub.data(), sub.size()), static_cast<ssize_t>(sub.size()));
   ASSERT_TRUE(WaitFor([&] { return hub.connections() == 1; }));
   // An impossible length prefix is protocol breakage: the hub closes the
   // connection instead of waiting for gigabytes.
@@ -794,6 +833,34 @@ TEST_F(FrameFixture, GarbageStreamDropsThePeer) {
   ASSERT_EQ(write(fd, garbage, sizeof(garbage)),
             static_cast<ssize_t>(sizeof(garbage)));
   EXPECT_TRUE(WaitFor([&] { return hub.connections() == 0; }));
+  close(fd);
+  hub.Close();
+}
+
+TEST_F(FrameFixture, PeerCountsAsConnectedOnlyOnceSubscribed) {
+  FrameHub hub(&loop_, 256u << 10, 1u << 20);
+  ASSERT_TRUE(hub.Listen(0));
+  const int fd = DialLoopbackBlocking(hub.port());
+  ASSERT_GE(fd, 0);
+  // Accepted but silent: not a peer a Send could reach, so not counted.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(hub.connections(), 0u);
+
+  const std::string sub =
+      EncodeFrame(Frame{0, std::string(kSubscribeChannel), "ready"});
+  ASSERT_EQ(write(fd, sub.data(), sub.size()), static_cast<ssize_t>(sub.size()));
+  ASSERT_TRUE(WaitFor([&] { return hub.connections() == 1; }));
+
+  // One Send, no retry: once counted, the peer gets the frame.
+  hub.Send("ready:1", "first", 2);
+  SetNonBlocking(fd);  // polled reads; never block the test thread
+  std::string got;
+  ASSERT_TRUE(WaitFor([&] {
+    char buf[256];
+    const ssize_t n = read(fd, buf, sizeof(buf));
+    if (n > 0) got.append(buf, static_cast<size_t>(n));
+    return got == EncodeFrame(Frame{2, "ready:1", "first"});
+  }));
   close(fd);
   hub.Close();
 }

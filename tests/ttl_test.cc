@@ -135,6 +135,21 @@ TEST(WriteRateTest, FullRingUsesObservedSpan) {
   EXPECT_NEAR(per_second, 10.0, 2.0);
 }
 
+TEST(WriteRateTest, KeepsOnlyTheNewestSamplesPerKey) {
+  SimulatedClock clock(0);
+  TtlOptions opts;  // max_samples_per_key = 32
+  opts.rate_window = 1000 * kSecond;
+  WriteRateEstimator est(&clock, opts);
+  // 40 writes 250 ms apart at t = 0 .. 9.75 s; the clock ends at 10 s.
+  for (int i = 0; i < 40; ++i) {
+    est.RecordWrite("k");
+    clock.Advance(kSecond / 4);
+  }
+  // The newest 32 are writes 8 .. 39: oldest at 2 s, so 32 samples over
+  // the 8 s span up to now.
+  EXPECT_DOUBLE_EQ(est.RateOf("k"), 32.0 / static_cast<double>(8 * kSecond));
+}
+
 // ---------------------------------------------------------------------------
 // Quantile formula (Equation 1)
 // ---------------------------------------------------------------------------
