@@ -56,7 +56,7 @@ class BoundedQueue {
   /// Non-blocking drain: moves every queued item into `out` (appending,
   /// FIFO order) under a single lock acquisition. Returns how many items
   /// were moved. Consumers that process items in bulk use this instead of
-  /// paying one lock round-trip per TryPop.
+  /// paying one lock round-trip per item.
   size_t TryPopAll(std::vector<T>* out) {
     std::lock_guard<std::mutex> lock(mu_);
     const size_t n = items_.size();
@@ -66,16 +66,6 @@ class BoundedQueue {
     items_.clear();
     not_full_.notify_all();
     return n;
-  }
-
-  /// Non-blocking pop.
-  std::optional<T> TryPop() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    not_full_.notify_one();
-    return item;
   }
 
   /// Closes the queue: pending Pops drain remaining items then see nullopt;
@@ -90,11 +80,6 @@ class BoundedQueue {
   size_t Size() const {
     std::lock_guard<std::mutex> lock(mu_);
     return items_.size();
-  }
-
-  bool IsClosed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
   }
 
  private:

@@ -51,8 +51,6 @@ class TableSchema {
   /// Validates a full document body.
   Status Validate(const Value& body) const;
 
-  size_t FieldCount() const { return fields_.size(); }
-
  private:
   std::map<std::string, FieldSpec> fields_;
   bool allow_unknown_ = true;

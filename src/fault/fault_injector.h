@@ -25,12 +25,6 @@ struct FaultProfile {
   /// neighbours at the origin during overload experiments).
   double latency_spike_rate = 0.0;
   Micros max_latency_spike = 0;
-
-  bool Lossless() const {
-    return drop_rate == 0.0 && duplicate_rate == 0.0 && reorder_rate == 0.0 &&
-           delay_rate == 0.0 && corrupt_rate == 0.0 &&
-           latency_spike_rate == 0.0;
-  }
 };
 
 /// Counters for what the injector actually did.

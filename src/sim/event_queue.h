@@ -50,7 +50,6 @@ class EventQueue {
 
   bool empty() const { return heap_.empty(); }
   size_t size() const { return heap_.size(); }
-  Micros Now() const { return clock_->NowMicros(); }
 
  private:
   struct Event {

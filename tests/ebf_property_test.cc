@@ -1,10 +1,10 @@
 // Property tests for the Expiring Bloom Filter family (§3.3):
 //  1. No false negatives, ever: every key the server tracks as stale must
 //     be reported stale by the client-facing Bloom snapshot — across
-//     randomized read/write/advance traces for the in-process EBF, the
-//     KV-backed SharedEbf, and the per-table PartitionedEbf.
-//  2. The SharedEbf's exact stale set behaves identically to the
-//     in-process EBF under the same trace.
+//     randomized read/write/advance traces for the in-process EBF and the
+//     per-table PartitionedEbf.
+//  2. The in-process EBF's stale count matches an exact recount of the
+//     keys it reports stale after every step of those traces.
 //  3. The measured false-positive rate of the flat filter stays within 2x
 //     of the analytic bound across fill levels.
 //  4. The in-process EBF queues at most one expiration deadline per
@@ -20,21 +20,18 @@
 #include "common/random.h"
 #include "ebf/bloom_filter.h"
 #include "ebf/expiring_bloom_filter.h"
-#include "ebf/shared_ebf.h"
-#include "kv/kv_store.h"
 
 namespace quaestor::ebf {
 namespace {
 
 std::string KeyName(uint64_t i) { return "items/k" + std::to_string(i); }
 
-/// One randomized step against both EBF variants plus a model `universe`
-/// of every key ever touched.
+/// One randomized step against the EBF plus a model `universe` of every
+/// key ever touched.
 struct Trace {
   explicit Trace(uint64_t seed) : rng(seed) {}
 
-  void Step(SimulatedClock& clock, ExpiringBloomFilter& ebf,
-            SharedEbf& shared) {
+  void Step(SimulatedClock& clock, ExpiringBloomFilter& ebf) {
     const double roll = rng.NextDouble();
     const std::string key = KeyName(rng.NextUint64(40));
     universe.insert(key);
@@ -43,10 +40,8 @@ struct Trace {
                          static_cast<Micros>(rng.NextUint64(
                              static_cast<uint64_t>(SecondsToMicros(2.0))));
       ebf.ReportRead(key, ttl);
-      shared.ReportRead(key, ttl);
     } else if (roll < 0.80) {
       ebf.ReportWrite(key);
-      shared.ReportWrite(key);
     } else {
       clock.Advance(static_cast<Micros>(
           rng.NextUint64(static_cast<uint64_t>(SecondsToMicros(0.5)))));
@@ -57,24 +52,19 @@ struct Trace {
   std::set<std::string> universe;
 };
 
-TEST(EbfPropertyTest, NoFalseNegativesAndSharedAgreesWithInProcess) {
+TEST(EbfPropertyTest, NoFalseNegativesOnRandomTraces) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     SimulatedClock clock(0);
-    kv::KvStore kv;
     ExpiringBloomFilter ebf(&clock);
-    SharedEbf shared(&clock, &kv);
     Trace trace(seed);
     for (int step = 0; step < 400; ++step) {
-      trace.Step(clock, ebf, shared);
+      trace.Step(clock, ebf);
 
-      // The two implementations must agree on the exact stale set. Sweep
-      // expirations first: StaleCount reports the post-maintenance view.
+      // Sweep expirations first: StaleCount reports the post-maintenance
+      // view, which must equal an exact recount of the stale keys.
       ebf.Maintain();
-      shared.Maintain();
       size_t stale = 0;
       for (const std::string& key : trace.universe) {
-        ASSERT_EQ(ebf.IsStale(key), shared.IsStale(key))
-            << "seed " << seed << " step " << step << " key " << key;
         stale += ebf.IsStale(key) ? 1 : 0;
       }
       ASSERT_EQ(ebf.StaleCount(), stale);
@@ -86,12 +76,10 @@ TEST(EbfPropertyTest, NoFalseNegativesAndSharedAgreesWithInProcess) {
       // serve provably stale data as fresh.
       if (step % 25 != 0) continue;
       BloomFilter snapshot = ebf.Snapshot();
-      BloomFilter shared_snapshot = shared.Snapshot();
       for (const std::string& key : trace.universe) {
         if (!ebf.IsStale(key)) continue;
         EXPECT_TRUE(ebf.MaybeStale(key)) << key;
         EXPECT_TRUE(snapshot.MaybeContains(key)) << key;
-        EXPECT_TRUE(shared_snapshot.MaybeContains(key)) << key;
       }
     }
   }

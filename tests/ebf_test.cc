@@ -5,8 +5,6 @@
 
 #include "common/clock.h"
 #include "ebf/expiring_bloom_filter.h"
-#include "ebf/shared_ebf.h"
-#include "kv/kv_store.h"
 
 namespace quaestor::ebf {
 namespace {
@@ -265,76 +263,6 @@ TEST(PartitionedEbfTest, ReportReadsMatchesOneReportReadPerKey) {
     EXPECT_EQ(part->TrackedCount(), 0u);
     clock.SetTime(0);
   }
-}
-
-// ---------------------------------------------------------------------------
-// SharedEbf (kv-backed) — behavioural equivalence with the in-memory EBF
-// ---------------------------------------------------------------------------
-
-class SharedEbfTest : public ::testing::Test {
- protected:
-  SharedEbfTest() : clock_(0), ebf_(&clock_, &kv_) {}
-  SimulatedClock clock_;
-  kv::KvStore kv_;
-  SharedEbf ebf_;
-};
-
-TEST_F(SharedEbfTest, BasicStaleLifecycle) {
-  ebf_.ReportRead("t/x", 10 * kSecond);
-  clock_.Advance(1 * kSecond);
-  EXPECT_TRUE(ebf_.ReportWrite("t/x"));
-  EXPECT_TRUE(ebf_.IsStale("t/x"));
-  EXPECT_TRUE(ebf_.Snapshot().MaybeContains("t/x"));
-  clock_.Advance(10 * kSecond);
-  ebf_.Maintain();
-  EXPECT_FALSE(ebf_.IsStale("t/x"));
-  EXPECT_FALSE(ebf_.Snapshot().MaybeContains("t/x"));
-}
-
-TEST_F(SharedEbfTest, WriteWithoutTtlNotStale) {
-  EXPECT_FALSE(ebf_.ReportWrite("t/x"));
-  EXPECT_FALSE(ebf_.IsStale("t/x"));
-}
-
-TEST_F(SharedEbfTest, MatchesInMemoryVariantOnRandomTrace) {
-  // Drive both implementations with an identical trace; their observable
-  // stale sets must agree at every step.
-  ExpiringBloomFilter reference(&clock_);
-  const int kKeys = 20;
-  uint64_t state = 12345;
-  auto next = [&state] {
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    return state >> 33;
-  };
-  for (int step = 0; step < 400; ++step) {
-    const std::string key = "t/k" + std::to_string(next() % kKeys);
-    switch (next() % 3) {
-      case 0: {
-        const Micros ttl = static_cast<Micros>(next() % 10 + 1) * kSecond;
-        ebf_.ReportRead(key, ttl);
-        reference.ReportRead(key, ttl);
-        break;
-      }
-      case 1:
-        EXPECT_EQ(ebf_.ReportWrite(key), reference.ReportWrite(key))
-            << "step " << step;
-        break;
-      default:
-        clock_.Advance(static_cast<Micros>(next() % 3) * kSecond);
-        break;
-    }
-    EXPECT_EQ(ebf_.IsStale(key), reference.IsStale(key)) << "step " << step;
-  }
-}
-
-TEST_F(SharedEbfTest, StateLivesInKvStore) {
-  ebf_.ReportRead("t/x", 10 * kSecond);
-  clock_.Advance(1 * kSecond);
-  ebf_.ReportWrite("t/x");
-  // Another SharedEbf over the same KV store observes the same state.
-  SharedEbf other(&clock_, &kv_);
-  EXPECT_TRUE(other.IsStale("t/x"));
-  EXPECT_TRUE(other.Snapshot().MaybeContains("t/x"));
 }
 
 }  // namespace
