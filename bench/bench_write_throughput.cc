@@ -85,7 +85,6 @@ RunResult Run(size_t batch, size_t num_events, double match_rate) {
   LoopbackLink to_remote;
 
   TransportOptions topts;
-  topts.reliable.enabled = true;
   topts.batching.max_batch = batch;
   // Size- and barrier-triggered flushes only: the pump cadence, not the
   // wall clock, decides when partial batches ship.

@@ -1,10 +1,11 @@
 #include "invalidb/reliable_queue.h"
 
 #include <algorithm>
+#include <charconv>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
-#include "db/value.h"
 
 namespace quaestor::invalidb {
 
@@ -12,90 +13,71 @@ namespace reliable {
 
 namespace {
 
-uint64_t Checksum(const std::string& sender, uint64_t seq,
-                  const std::string& payload) {
-  std::string buf = sender;
-  buf.push_back('\x1f');
-  buf += std::to_string(seq);
-  buf.push_back('\x1f');
-  buf += payload;
-  return Hash64(buf, /*seed=*/0xfa17);
+uint64_t Checksum(std::string_view sender, uint64_t seq,
+                  std::string_view payload) {
+  return Hash64(payload, Hash64(seq, Hash64(sender, /*seed=*/0xfa17)));
+}
+
+/// Reads the decimal number that `text` starts with, up to the separator
+/// `sep`, and drops both from `text`. False on an empty or non-digit
+/// field, a missing separator, or a value that overflows uint64_t.
+bool TakeNumber(std::string_view* text, char sep, uint64_t* out) {
+  const char* begin = text->data();
+  const char* end = begin + text->size();
+  const auto [ptr, ec] = std::from_chars(begin, end, *out);
+  if (ec != std::errc() || ptr == end || *ptr != sep) return false;
+  text->remove_prefix(static_cast<size_t>(ptr - begin) + 1);
+  return true;
 }
 
 }  // namespace
 
 std::string Encode(const std::string& sender, uint64_t seq,
                    const std::string& payload) {
-  // Single-pass serialization, keys in sorted order: byte-identical to
-  // building a db::Object and serializing it, without the object build
-  // and payload copy per envelope.
   std::string out;
-  out.reserve(payload.size() + sender.size() + 64);
-  out += "{\"rc\":";
-  out += std::to_string(
-      static_cast<int64_t>(Checksum(sender, seq, payload)));
-  out += ",\"rn\":";
-  out += std::to_string(static_cast<int64_t>(seq));
-  out += ",\"rp\":";
-  db::AppendJsonEscaped(&out, payload);
-  out += ",\"rs\":";
-  db::AppendJsonEscaped(&out, sender);
-  out += '}';
+  out.reserve(payload.size() + sender.size() + 43);  // 2 x 20 digits + 3
+  out += std::to_string(seq);
+  out += ' ';
+  out += std::to_string(Checksum(sender, seq, payload));
+  out += ' ';
+  out += sender;
+  out += '\n';
+  out += payload;
   return out;
 }
 
-Result<Envelope> Decode(const std::string& message) {
-  auto parsed = db::Value::FromJson(message);
-  if (!parsed.ok() || !parsed->is_object()) {
-    return Status::Corruption("not an envelope");
+Result<Envelope> Decode(std::string_view message) {
+  uint64_t seq = 0;
+  uint64_t checksum = 0;
+  if (!TakeNumber(&message, ' ', &seq) ||
+      !TakeNumber(&message, ' ', &checksum) || seq == 0) {
+    return Status::Corruption("malformed envelope header");
   }
-  const db::Value& msg = parsed.value();
-  const db::Value* sender = msg.Find("rs");
-  const db::Value* seq = msg.Find("rn");
-  const db::Value* checksum = msg.Find("rc");
-  const db::Value* payload = msg.Find("rp");
-  if (sender == nullptr || !sender->is_string() || seq == nullptr ||
-      !seq->is_int() || checksum == nullptr || !checksum->is_int() ||
-      payload == nullptr || !payload->is_string() || seq->as_int() <= 0) {
-    return Status::Corruption("malformed envelope");
+  const size_t newline = message.find('\n');
+  if (newline == std::string_view::npos) {
+    return Status::Corruption("envelope header without newline");
   }
-  Envelope env;
-  env.sender = sender->as_string();
-  env.seq = static_cast<uint64_t>(seq->as_int());
-  env.payload = payload->as_string();
-  if (static_cast<uint64_t>(checksum->as_int()) !=
-      Checksum(env.sender, env.seq, env.payload)) {
+  const std::string_view sender = message.substr(0, newline);
+  const std::string_view payload = message.substr(newline + 1);
+  if (checksum != Checksum(sender, seq, payload)) {
     return Status::Corruption("envelope checksum mismatch");
   }
-  return env;
+  return Envelope{std::string(sender), seq, std::string(payload)};
 }
 
-std::string EncodeAck(const std::string& sender, uint64_t seq) {
-  std::string out;
-  out.reserve(sender.size() + 32);
-  out += "{\"ra\":";
-  out += std::to_string(static_cast<int64_t>(seq));
-  out += ",\"rs\":";
-  db::AppendJsonEscaped(&out, sender);
-  out += '}';
+std::string EncodeAck(const std::string& sender, uint64_t floor) {
+  std::string out = std::to_string(floor);
+  out += ' ';
+  out += sender;
   return out;
 }
 
-Result<Envelope> DecodeAck(const std::string& message) {
-  auto parsed = db::Value::FromJson(message);
-  if (!parsed.ok() || !parsed->is_object()) {
+Result<Envelope> DecodeAck(std::string_view message) {
+  uint64_t floor = 0;
+  if (!TakeNumber(&message, ' ', &floor) || floor == 0) {
     return Status::Corruption("malformed ack");
   }
-  const db::Value* sender = parsed->Find("rs");
-  const db::Value* seq = parsed->Find("ra");
-  if (sender == nullptr || !sender->is_string() || seq == nullptr ||
-      !seq->is_int() || seq->as_int() <= 0) {
-    return Status::Corruption("malformed ack");
-  }
-  Envelope env;
-  env.sender = sender->as_string();
-  env.seq = static_cast<uint64_t>(seq->as_int());
-  return env;
+  return Envelope{std::string(message), floor, {}};
 }
 
 }  // namespace reliable
@@ -122,59 +104,57 @@ Micros ReliableSender::JitteredLocked(Micros backoff) {
                              rng_.NextDouble());
 }
 
+void ReliableSender::RestartTimerLocked(Micros now) {
+  backoff_ = options_.retransmit_timeout;
+  deadline_ = now + JitteredLocked(backoff_);
+}
+
 void ReliableSender::Send(std::string payload) {
-  if (!options_.enabled) {
-    send_(queue_, std::move(payload));
-    return;
-  }
   std::string wire;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const uint64_t seq = next_seq_++;
-    wire = reliable::Encode(sender_id_, seq, payload);
-    Pending p;
-    p.payload = std::move(payload);
-    p.backoff = options_.retransmit_timeout;
-    p.next_retransmit = clock_->NowMicros() + JitteredLocked(p.backoff);
-    deadlines_.insert(p.next_retransmit);
-    unacked_.emplace(seq, std::move(p));
+    wire = reliable::Encode(sender_id_, next_seq_++, payload);
+    if (unacked_.empty()) RestartTimerLocked(clock_->NowMicros());
+    unacked_.push_back(std::move(payload));
   }
   send_(queue_, std::move(wire));
 }
 
-void ReliableSender::OnAck(const std::string& message) {
+void ReliableSender::OnAck(std::string_view message) {
   auto ack = reliable::DecodeAck(message);
   if (!ack.ok() || ack->sender != sender_id_) return;
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = unacked_.find(ack->seq);
-  if (it == unacked_.end()) return;
-  // Retire the acked message's retransmit deadline with it — if it held
-  // the earliest deadline, the idle-tick early-out must see the next
-  // one, not a stale minimum.
-  auto dl = deadlines_.find(it->second.next_retransmit);
-  if (dl != deadlines_.end()) deadlines_.erase(dl);
-  unacked_.erase(it);
+  if (ack->seq < first_seq_) return;  // nothing new retired
+  const uint64_t retired =
+      std::min<uint64_t>(ack->seq - first_seq_ + 1, unacked_.size());
+  unacked_.erase(unacked_.begin(),
+                 unacked_.begin() + static_cast<ptrdiff_t>(retired));
+  first_seq_ += retired;
+  if (unacked_.empty()) {
+    deadline_ = kNoDeadline;
+  } else {
+    RestartTimerLocked(clock_->NowMicros());
+  }
 }
 
-size_t ReliableSender::RetransmitDue() {
+size_t ReliableSender::Tick() {
   std::vector<std::string> resend;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const Micros now = clock_->NowMicros();
-    const Micros earliest =
-        deadlines_.empty() ? kNoDeadline : *deadlines_.begin();
-    if (now < earliest) return 0;  // nothing can be due yet
+    if (now < deadline_) return 0;  // nothing can be due yet
     retransmit_scans_++;
-    for (auto& [seq, p] : unacked_) {
-      if (now < p.next_retransmit) continue;
-      resend.push_back(reliable::Encode(sender_id_, seq, p.payload));
-      auto dl = deadlines_.find(p.next_retransmit);
-      if (dl != deadlines_.end()) deadlines_.erase(dl);
-      p.backoff = std::min(p.backoff * 2, options_.max_backoff);
-      p.next_retransmit = now + JitteredLocked(p.backoff);
-      deadlines_.insert(p.next_retransmit);
-      redeliveries_++;
+    // A cumulative ack stops at the first gap, so everything from the
+    // oldest unacked message on goes again; the receiver drops what it
+    // already has.
+    resend.reserve(unacked_.size());
+    uint64_t seq = first_seq_;
+    for (const std::string& payload : unacked_) {
+      resend.push_back(reliable::Encode(sender_id_, seq++, payload));
     }
+    redeliveries_ += resend.size();
+    backoff_ = std::min(backoff_ * 2, options_.max_backoff);
+    deadline_ = now + JitteredLocked(backoff_);
   }
   for (std::string& m : resend) send_(queue_, std::move(m));
   return resend.size();
@@ -199,31 +179,25 @@ uint64_t ReliableSender::retransmit_scans() const {
 // ReliableReceiver
 // ---------------------------------------------------------------------------
 
-ReliableReceiver::ReliableReceiver(QueueSend send, std::string queue,
-                                   bool enabled)
-    : send_(std::move(send)),
-      ack_queue_(std::move(queue) + ":acks"),
-      enabled_(enabled) {}
+ReliableReceiver::ReliableReceiver(Clock* clock, QueueSend send,
+                                   std::string queue)
+    : clock_(clock),
+      send_(std::move(send)),
+      ack_queue_(std::move(queue) + ":acks") {}
 
-Result<size_t> ReliableReceiver::Accept(const std::string& message,
+Result<size_t> ReliableReceiver::Accept(std::string_view message,
                                         const Handler& handler) {
-  if (!enabled_) {
-    handler(message);
-    return size_t{1};
-  }
   // A message that is no intact envelope is dropped *without* an ack: the
   // sender's retransmit is the recovery path, so the payload is never
   // lost.
   auto env = reliable::Decode(message);
   if (!env.ok()) return env.status();
-  // Ack unconditionally — the sender may be retransmitting because the
-  // first ack was lost.
-  send_(ack_queue_, reliable::EncodeAck(env->sender, env->seq));
 
   std::vector<std::string> deliverable;
   {
     std::lock_guard<std::mutex> lock(mu_);
     SenderState& st = senders_[env->sender];
+    st.ack_owed = true;
     if (env->seq <= st.floor || st.pending.count(env->seq) > 0) {
       duplicates_dropped_++;
       return size_t{0};
@@ -241,6 +215,25 @@ Result<size_t> ReliableReceiver::Accept(const std::string& message,
   }
   for (const std::string& p : deliverable) handler(p);
   return deliverable.size();
+}
+
+size_t ReliableReceiver::SendAcks() {
+  std::vector<std::string> acks;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const Micros now = clock_->NowMicros();
+    if (now < acks_sent_at_ + kAckInterval) return 0;
+    for (auto& [sender, st] : senders_) {
+      if (!st.ack_owed) continue;
+      st.ack_owed = false;
+      // Floor 0 (only out-of-order arrivals so far) acks nothing.
+      if (st.floor > 0) acks.push_back(reliable::EncodeAck(sender, st.floor));
+    }
+    if (acks.empty()) return 0;
+    acks_sent_at_ = now;
+  }
+  for (std::string& a : acks) send_(ack_queue_, std::move(a));
+  return acks.size();
 }
 
 uint64_t ReliableReceiver::duplicates_dropped() const {

@@ -348,7 +348,7 @@ TransportEndpoint::TransportEndpoint(Clock* clock, QueueSend send,
       incoming_(std::move(incoming)),
       sender_(clock, send, std::move(outgoing), std::move(sender_id),
               reliable),
-      receiver_(std::move(send), incoming_, reliable.enabled),
+      receiver_(clock, std::move(send), incoming_),
       staged_(clock, &sender_, outgoing_framing) {}
 
 size_t TransportEndpoint::Receive(const std::string& queue,
@@ -438,6 +438,7 @@ size_t InvalidbRemote::Handle(const std::string& payload) {
 void InvalidbRemote::Tick() {
   staged_.Ship(&flushes_interval_, 1, options_.batching.flush_interval);
   sender_.Tick();
+  receiver_.SendAcks();
 }
 
 // ---------------------------------------------------------------------------
@@ -556,6 +557,7 @@ void InvalidbWorker::Tick() {
   sender_.Tick();
   cluster_->Flush();
   staged_.Ship(&flushes_manual_, 1);
+  receiver_.SendAcks();
 }
 
 // ---------------------------------------------------------------------------

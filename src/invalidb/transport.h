@@ -30,8 +30,8 @@ namespace quaestor::invalidb {
 /// another. Messages are self-describing JSON.
 ///
 /// Queue names (namespaced by `prefix`): <prefix>:requests and
-/// <prefix>:notifications. With the reliable layer enabled each direction
-/// additionally uses "<queue>:acks" for delivery confirmations.
+/// <prefix>:notifications. Each direction also uses "<queue>:acks" for
+/// the reliable layer's cumulative delivery confirmations.
 namespace transport {
 
 /// The open and close bytes of one batch envelope kind; the inner specs
@@ -99,9 +99,8 @@ struct BatchOptions {
 };
 
 /// Transport configuration: both queue directions share the reliable-
-/// delivery settings (disabled by default). Both ends of a link must run
-/// the same mode: a reliable receiver drops every message that is not an
-/// envelope, and a raw one hands envelopes to the handler unopened.
+/// delivery settings. Every message travels in a reliable envelope, and a
+/// receiver drops every message that is not one.
 struct TransportOptions {
   ReliableOptions reliable;
   BatchOptions batching;
@@ -109,9 +108,9 @@ struct TransportOptions {
 
 /// Delivery-quality counters for one transport endpoint.
 struct TransportStats {
-  /// Messages dropped as corrupt: on a reliable link an envelope that
-  /// fails its checksum or a message that is no envelope, and on any link
-  /// a payload whose decode returned Status::Corruption.
+  /// Messages dropped as corrupt: an envelope that fails its checksum, a
+  /// message that is no envelope, or a payload whose decode returned
+  /// Status::Corruption.
   uint64_t decode_errors = 0;
   /// Envelopes discarded because their sequence number was already
   /// delivered (at-least-once duplicates).
@@ -198,16 +197,16 @@ class TransportEndpoint {
   TransportEndpoint& operator=(const TransportEndpoint&) = delete;
 
   /// The receive path for one message that arrived on `queue`: an ack
-  /// retires one of this endpoint's sends; a message on the incoming
-  /// queue goes through the reliable receiver (on a reliable link its
-  /// decode, ack, dedup and reorder step; on a raw link straight through)
-  /// to the endpoint's handler, and a message the receiver drops counts in
-  /// decode_errors(). Returns how many notifications (remote) or requests
-  /// (worker) were handled.
+  /// retires this endpoint's sends up to its floor; a message on the
+  /// incoming queue goes through the reliable receiver (decode, dedup and
+  /// reorder; its ack waits for Tick) to the endpoint's handler, and a
+  /// message the receiver drops counts in decode_errors(). Returns how
+  /// many notifications (remote) or requests (worker) were handled.
   size_t Receive(const std::string& queue, const std::string& message);
 
-  /// Ends one pump cycle: retransmits what is due and ships what is staged
-  /// (see the overrides). Loop timers and LoopbackLink::Pump call it.
+  /// Ends one pump cycle: retransmits what is due, ships what is staged
+  /// (see the overrides) and sends the owed acks, at most once per
+  /// kAckInterval. Loop timers and LoopbackLink::Pump call it.
   virtual void Tick() = 0;
 
   uint64_t decode_errors() const { return decode_errors_.load(); }
@@ -268,10 +267,10 @@ class InvalidbRemote : public TransportEndpoint, public Pipeline {
   void FlushChanges();
 
   /// Ships the change batch once its oldest event is flush_interval old,
-  /// and retransmits the requests whose ack is overdue.
+  /// retransmits the requests whose ack is overdue and acks notifications.
   void Tick() override;
 
-  /// Request messages awaiting a worker ack (0 when reliability is off).
+  /// Request messages awaiting a worker ack.
   size_t unacked_requests() const { return sender_.unacked(); }
   /// Out-of-order notifications parked until their gap fills.
   size_t pending_notifications() const { return receiver_.pending(); }
@@ -297,10 +296,13 @@ class InvalidbWorker : public TransportEndpoint {
 
   /// The worker's pump cycle, the same on every medium: retransmits the
   /// notifications whose ack is overdue, waits for the cluster's in-flight
-  /// matching (threaded mode) and ships the staged notifications.
+  /// matching (threaded mode), ships the staged notifications and acks
+  /// requests.
   void Tick() override;
 
   InvalidbCluster& cluster() { return *cluster_; }
+  /// Notification messages awaiting a remote ack.
+  size_t unacked_notifications() const { return sender_.unacked(); }
 
  private:
   /// Every request counts as handled, a malformed one included.

@@ -85,10 +85,8 @@ class FrameHub {
 
 /// Client side: dials a FrameHub, replays its subscriptions on every
 /// (re)connect, and reconnects with a fixed backoff when the connection
-/// drops. Send() while disconnected sheds and buffers nothing. A reliable
-/// link (ReliableOptions::enabled) retransmits the shed frame; on a raw
-/// link, the default, the frame is lost and the receiver never learns of
-/// it.
+/// drops. Send() while disconnected sheds and buffers nothing; the
+/// InvaliDB transport's reliable layer retransmits the shed frame.
 class FrameClient {
  public:
   using Handler = std::function<void(const Frame&)>;

@@ -14,15 +14,15 @@ constexpr uint8_t kPriNormal = 2;
 
 /// Per-connection write-buffer bounds of the frame hub: past the soft
 /// limit only kCritical/kHigh frames still queue, at the hard limit
-/// everything sheds. A reliable link retransmits what was shed; on a raw
-/// link (the default) a shed frame is lost.
+/// everything sheds. The InvaliDB link's reliable layer retransmits what
+/// was shed.
 constexpr size_t kWriteBufferSoftLimit = 256u << 10;
 constexpr size_t kWriteBufferHardLimit = 1u << 20;
 /// Queue-name prefix of the InvaliDB transport on both ends of a link.
 constexpr char kInvalidbPrefix[] = "invalidb";
 
-/// How often an endpoint's loop calls its Tick: retransmits need 10 ms;
-/// a batch age-out needs about one flush_interval.
+/// How often an endpoint's loop calls its Tick: retransmits and owed acks
+/// need 10 ms; a batch age-out needs about one flush_interval.
 Micros TickPeriod(const invalidb::BatchOptions& b) {
   constexpr Micros kTick = 10 * kMicrosPerMilli;
   return b.max_batch <= 1 ? kTick
@@ -140,10 +140,9 @@ bool NetWorker::Start() {
   worker_ = std::make_unique<invalidb::InvalidbWorker>(
       clock_,
       // Worker-side sends: notifications are the sheddable class under
-      // backpressure, as is every frame sent while disconnected. A
-      // reliable link retransmits them; on a raw link (the default) the
-      // notification is lost and the server does not notice. Request
-      // acks stay high so the origin's sender retires state promptly.
+      // backpressure, as is every frame sent while disconnected; the
+      // reliable layer retransmits them. Request acks stay high so the
+      // origin's sender retires state promptly.
       invalidb::QueueSend([client, notifications](const std::string& queue,
                                                   std::string message) {
         client->Send(queue, message,

@@ -394,7 +394,6 @@ db::ChangeEvent ChaosChange(const std::string& id, int g, Micros at) {
 std::vector<std::string> RunTransportScript(SimulatedClock* clock,
                                             fault::FaultInjector* injector) {
   invalidb::TransportOptions topts;
-  topts.reliable.enabled = true;
   topts.reliable.seed = 0xabc;
   invalidb::LoopbackLink to_worker;
   invalidb::LoopbackLink to_remote;
@@ -436,6 +435,7 @@ std::vector<std::string> RunTransportScript(SimulatedClock* clock,
     remote.Tick();
     const bool drained =
         remote.unacked_requests() == 0 && remote.pending_notifications() == 0 &&
+        worker.unacked_notifications() == 0 &&
         to_worker.pending() + to_remote.pending() + remote_send.held_count() +
                 worker_send.held_count() ==
             0;

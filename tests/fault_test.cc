@@ -193,7 +193,6 @@ TEST_F(FaultySendTest, FlushHeldReleasesEverything) {
 
 invalidb::ReliableOptions Reliable(uint64_t seed = 9) {
   invalidb::ReliableOptions r;
-  r.enabled = true;
   r.seed = seed;
   return r;
 }
@@ -233,16 +232,34 @@ TEST(ReliableQueueTest, EnvelopeRoundTripAndCorruptionDetected) {
   EXPECT_EQ(env->sender, "s1");
   EXPECT_EQ(env->seq, 7u);
   EXPECT_EQ(env->payload, "payload");
-  // A message that is no envelope is Corruption.
-  EXPECT_TRUE(invalidb::reliable::Decode(R"({"op":"change"})")
-                  .status()
-                  .IsCorruption());
+  // A message that is no envelope is Corruption: here JSON, a non-digit
+  // or negative seq, a header cut short or without its newline, and seq
+  // 0, which is never sent, even under a matching checksum.
+  const std::string rest = wire.substr(wire.find(' '));  // " <sum> s1\n..."
+  for (const std::string& bad :
+       {std::string(R"({"op":"change"})"), "x" + rest, "-7" + rest,
+        std::string("7"), wire.substr(0, wire.find('\n')),
+        invalidb::reliable::Encode("s1", 0, "payload")}) {
+    EXPECT_TRUE(invalidb::reliable::Decode(bad).status().IsCorruption())
+        << bad;
+  }
   // So is a mutated payload, which fails the checksum.
   std::string mutated = wire;
   const size_t pos = mutated.find("payload");
   ASSERT_NE(pos, std::string::npos);
   mutated[pos] = 'P';
   EXPECT_TRUE(invalidb::reliable::Decode(mutated).status().IsCorruption());
+
+  auto ack = invalidb::reliable::DecodeAck(
+      invalidb::reliable::EncodeAck("s1", 12));
+  ASSERT_TRUE(ack.ok());
+  EXPECT_EQ(ack->sender, "s1");
+  EXPECT_EQ(ack->seq, 12u);
+  for (const char* bad : {"", "12", "12s1", "x s1", "0 s1",
+                          "18446744073709551616 s1"}) {
+    EXPECT_TRUE(invalidb::reliable::DecodeAck(bad).status().IsCorruption())
+        << bad;
+  }
 }
 
 TEST(ReliableQueueTest, InOrderDeliveryWithAcks) {
@@ -250,8 +267,7 @@ TEST(ReliableQueueTest, InOrderDeliveryWithAcks) {
   Channel ch;
   invalidb::ReliableSender sender(&clock, ch.wire.sender(), "q", "s",
                                   Reliable());
-  invalidb::ReliableReceiver receiver(ch.acks.sender(), "q",
-                                      /*enabled=*/true);
+  invalidb::ReliableReceiver receiver(&clock, ch.acks.sender(), "q");
   sender.Send("m1");
   sender.Send("m2");
   sender.Send("m3");
@@ -259,15 +275,17 @@ TEST(ReliableQueueTest, InOrderDeliveryWithAcks) {
   std::vector<std::string> got;
   Poll(&ch, &receiver, [&](const std::string& p) { got.push_back(p); });
   EXPECT_EQ(got, (std::vector<std::string>{"m1", "m2", "m3"}));
-  Pump(&ch, &sender);  // consume acks
+  EXPECT_EQ(ch.acks.pending(), 0u);  // acks wait for SendAcks
+  EXPECT_EQ(receiver.SendAcks(), 1u);
+  Pump(&ch, &sender);  // consume the ack
   EXPECT_EQ(sender.unacked(), 0u);
   EXPECT_EQ(sender.redeliveries(), 0u);
 }
 
 TEST(ReliableQueueTest, DuplicatesDroppedReordersBuffered) {
+  SimulatedClock clock(0);
   Channel ch;
-  invalidb::ReliableReceiver receiver(ch.acks.sender(), "q",
-                                      /*enabled=*/true);
+  invalidb::ReliableReceiver receiver(&clock, ch.acks.sender(), "q");
   // Deliver seq 2 before seq 1, then seq 1 twice.
   ch.wire.Send("q", invalidb::reliable::Encode("s", 2, "b"));
   std::vector<std::string> got;
@@ -275,14 +293,64 @@ TEST(ReliableQueueTest, DuplicatesDroppedReordersBuffered) {
   Poll(&ch, &receiver, h);
   EXPECT_TRUE(got.empty());  // gap: parked
   EXPECT_EQ(receiver.pending(), 1u);
+  // Nothing is delivered contiguously yet, so there is no floor to ack.
+  EXPECT_EQ(receiver.SendAcks(), 0u);
   ch.wire.Send("q", invalidb::reliable::Encode("s", 1, "a"));
   ch.wire.Send("q", invalidb::reliable::Encode("s", 1, "a"));
   Poll(&ch, &receiver, h);
   EXPECT_EQ(got, (std::vector<std::string>{"a", "b"}));
   EXPECT_EQ(receiver.duplicates_dropped(), 1u);
   EXPECT_EQ(receiver.pending(), 0u);
-  // Every envelope was acked, duplicates included.
-  EXPECT_EQ(ch.acks.pending(), 3u);
+  // One cumulative ack covers the released run.
+  EXPECT_EQ(receiver.SendAcks(), 1u);
+  std::vector<std::string> acks = TakeAll(&ch.acks);
+  ASSERT_EQ(acks.size(), 1u);
+  auto ack = invalidb::reliable::DecodeAck(acks[0]);
+  ASSERT_TRUE(ack.ok());
+  EXPECT_EQ(ack->sender, "s");
+  EXPECT_EQ(ack->seq, 2u);
+}
+
+// Every envelope delivered inside one kAckInterval shares one ack, which
+// retires all of them; a redelivered duplicate owes one more, since the
+// ack for its first copy may have been lost.
+TEST(ReliableQueueTest, AcksCoalesceWithinOneInterval) {
+  SimulatedClock clock(0);
+  Channel ch;
+  invalidb::ReliableSender sender(&clock, ch.wire.sender(), "q", "s",
+                                  Reliable());
+  invalidb::ReliableReceiver receiver(&clock, ch.acks.sender(), "q");
+  const auto ignore = [](const std::string&) {};
+  // The first ack goes out at once and opens an interval.
+  sender.Send("m0");
+  Poll(&ch, &receiver, ignore);
+  EXPECT_EQ(receiver.SendAcks(), 1u);
+  TakeAcks(&ch, &sender);
+  ASSERT_EQ(sender.unacked(), 0u);
+
+  constexpr int kN = 8;
+  for (int i = 1; i <= kN; ++i) {
+    clock.Advance(invalidb::kAckInterval / (kN + 1));
+    sender.Send("m" + std::to_string(i));
+    Poll(&ch, &receiver, ignore);
+    EXPECT_EQ(receiver.SendAcks(), 0u) << i;  // a pump cycle's tick
+  }
+  EXPECT_EQ(ch.acks.pending(), 0u);
+  EXPECT_EQ(sender.unacked(), static_cast<size_t>(kN));
+
+  clock.Advance(invalidb::kAckInterval);
+  EXPECT_EQ(receiver.SendAcks(), 1u);
+  EXPECT_EQ(ch.acks.pending(), 1u);
+  TakeAcks(&ch, &sender);
+  EXPECT_EQ(sender.unacked(), 0u);
+  EXPECT_EQ(receiver.SendAcks(), 0u);  // nothing owed
+
+  ch.wire.Send("q", invalidb::reliable::Encode("s", kN, "m8"));
+  Poll(&ch, &receiver, ignore);
+  EXPECT_EQ(receiver.duplicates_dropped(), 1u);
+  clock.Advance(invalidb::kAckInterval);
+  EXPECT_EQ(receiver.SendAcks(), 1u);
+  EXPECT_EQ(ch.acks.pending(), 1u);
 }
 
 TEST(ReliableQueueTest, LostMessageRetransmittedUntilAcked) {
@@ -291,8 +359,7 @@ TEST(ReliableQueueTest, LostMessageRetransmittedUntilAcked) {
   invalidb::ReliableOptions opts = Reliable();
   invalidb::ReliableSender sender(&clock, ch.wire.sender(), "q", "s",
                                   opts);
-  invalidb::ReliableReceiver receiver(ch.acks.sender(), "q",
-                                      /*enabled=*/true);
+  invalidb::ReliableReceiver receiver(&clock, ch.acks.sender(), "q");
   sender.Send("precious");
   // The channel eats the message.
   ASSERT_EQ(TakeAll(&ch.wire).size(), 1u);
@@ -305,6 +372,7 @@ TEST(ReliableQueueTest, LostMessageRetransmittedUntilAcked) {
   std::vector<std::string> got;
   Poll(&ch, &receiver, [&](const std::string& p) { got.push_back(p); });
   EXPECT_EQ(got, (std::vector<std::string>{"precious"}));
+  receiver.SendAcks();
   Pump(&ch, &sender);
   EXPECT_EQ(sender.unacked(), 0u);
 }
@@ -315,8 +383,7 @@ TEST(ReliableQueueTest, CorruptedEnvelopeNotAckedThenRecovered) {
   invalidb::ReliableOptions opts = Reliable();
   invalidb::ReliableSender sender(&clock, ch.wire.sender(), "q", "s",
                                   opts);
-  invalidb::ReliableReceiver receiver(ch.acks.sender(), "q",
-                                      /*enabled=*/true);
+  invalidb::ReliableReceiver receiver(&clock, ch.acks.sender(), "q");
   sender.Send("fragile");
   // Corrupt the in-flight envelope's payload (the checksum must catch it).
   std::string wire = TakeAll(&ch.wire).at(0);
@@ -326,21 +393,23 @@ TEST(ReliableQueueTest, CorruptedEnvelopeNotAckedThenRecovered) {
   ch.wire.Send("q", wire);
   std::vector<std::string> got;
   Poll(&ch, &receiver, [&](const std::string& p) { got.push_back(p); });
-  EXPECT_TRUE(got.empty());        // rejected
-  EXPECT_EQ(ch.acks.pending(), 0u);  // and NOT acked
+  EXPECT_TRUE(got.empty());              // rejected
+  EXPECT_EQ(receiver.SendAcks(), 0u);    // and NOT acked
+  EXPECT_EQ(ch.acks.pending(), 0u);
   // The sender's retransmission delivers the intact copy.
   clock.Advance(opts.retransmit_timeout * 2);
   Pump(&ch, &sender);
   Poll(&ch, &receiver, [&](const std::string& p) { got.push_back(p); });
   EXPECT_EQ(got, (std::vector<std::string>{"fragile"}));
+  EXPECT_EQ(receiver.SendAcks(), 1u);
   Pump(&ch, &sender);
   EXPECT_EQ(sender.unacked(), 0u);
 }
 
-// Tick must be O(1) while nothing is due: the sender tracks the earliest
-// retransmit deadline and skips the scan of the unacked map entirely
+// Tick must be O(1) while nothing is due: the sender compares the clock
+// with the oldest unacked message's deadline and touches nothing else
 // until the clock reaches it. With frequent Ticks (every pump) and deep
-// unacked queues, the scan — not the retransmits — used to dominate.
+// unacked queues, a scan per tick would dominate.
 TEST(ReliableQueueTest, TickSkipsRetransmitScanUntilDeadline) {
   SimulatedClock clock(0);
   Channel ch;
@@ -360,7 +429,7 @@ TEST(ReliableQueueTest, TickSkipsRetransmitScanUntilDeadline) {
   EXPECT_EQ(sender.retransmit_scans(), scans_before);
   EXPECT_EQ(sender.redeliveries(), 0u);
 
-  // Cross the deadline: exactly one scan retransmits everything due,
+  // Cross the deadline: exactly one scan retransmits the unacked run,
   // then the early-out holds again until the next (backed-off) deadline.
   clock.Advance(opts.retransmit_timeout);
   Pump(&ch, &sender);
@@ -369,63 +438,20 @@ TEST(ReliableQueueTest, TickSkipsRetransmitScanUntilDeadline) {
   for (int i = 0; i < 100; ++i) Pump(&ch, &sender);
   EXPECT_EQ(sender.retransmit_scans(), scans_before + 1);
 
-  // Acks clear the queue and retire the deadlines with the messages: an
-  // idle sender never scans again — not even one lazy-expiry scan.
+  // One ack clears the queue and disarms the timer: an idle sender never
+  // scans again.
   std::vector<std::string> got;
-  invalidb::ReliableReceiver receiver(ch.acks.sender(), "q",
-                                      /*enabled=*/true);
+  invalidb::ReliableReceiver receiver(&clock, ch.acks.sender(), "q");
   Poll(&ch, &receiver, [&](const std::string& p) { got.push_back(p); });
   EXPECT_EQ(got.size(), 50u);
-  Pump(&ch, &sender);  // consume acks
+  EXPECT_EQ(receiver.SendAcks(), 1u);
+  Pump(&ch, &sender);  // consume the ack
   ASSERT_EQ(sender.unacked(), 0u);
   const uint64_t idle_scans = sender.retransmit_scans();
   clock.Advance(opts.max_backoff * 8);
   for (int i = 0; i < 100; ++i) Pump(&ch, &sender);
   EXPECT_EQ(sender.retransmit_scans(), idle_scans);
   EXPECT_EQ(sender.redeliveries(), 50u);  // nothing re-sent after acks
-}
-
-// Regression: acking the message that held the earliest retransmit
-// deadline must retire that deadline with it. The sender used to cache a
-// scalar minimum that went stale-low on ack, so the next Tick between
-// the dead deadline and the real one paid a full (empty) scan of the
-// unacked map for a message that was already gone.
-TEST(ReliableQueueTest, AckRetiresEarliestDeadlineWithoutScan) {
-  SimulatedClock clock(0);
-  Channel ch;
-  invalidb::ReliableOptions opts = Reliable();
-  opts.jitter = 0.0;
-  invalidb::ReliableSender sender(&clock, ch.wire.sender(), "q", "s",
-                                  opts);
-  invalidb::ReliableReceiver receiver(ch.acks.sender(), "q",
-                                      /*enabled=*/true);
-
-  sender.Send("m1");  // deadline: t0 + timeout
-  clock.Advance(opts.retransmit_timeout / 2);
-  sender.Send("m2");  // deadline: t0 + 1.5 * timeout
-  // The channel delivers m1 but eats m2, so only m1 gets acked.
-  const std::vector<std::string> sent = TakeAll(&ch.wire);
-  ASSERT_EQ(sent.size(), 2u);
-  const std::string& m1_wire = sent[0];
-  ch.wire.Send("q", m1_wire);
-  Poll(&ch, &receiver, [](const std::string&) {});
-  TakeAcks(&ch, &sender);
-  ASSERT_EQ(sender.unacked(), 1u);  // only m2 remains
-
-  // Between m1's retired deadline and m2's live one nothing is due, so
-  // the O(1) early-out must hold — a scan here means the ack left the
-  // earliest-deadline tracking stale.
-  const uint64_t scans = sender.retransmit_scans();
-  clock.Advance(3 * opts.retransmit_timeout / 4);  // t0 + 1.25 * timeout
-  Pump(&ch, &sender);
-  EXPECT_EQ(sender.retransmit_scans(), scans);
-  EXPECT_EQ(sender.redeliveries(), 0u);
-
-  // m2's own deadline still fires on time.
-  clock.Advance(opts.retransmit_timeout / 2);  // t0 + 1.75 * timeout
-  Pump(&ch, &sender);
-  EXPECT_EQ(sender.retransmit_scans(), scans + 1);
-  EXPECT_EQ(sender.redeliveries(), 1u);
 }
 
 TEST(ReliableQueueTest, ExponentialBackoffCapped) {

@@ -671,7 +671,6 @@ std::vector<std::string> RunBatchedTransport(const BatchWorkload& w,
                                              size_t batch, SimulatedClock* clock,
                                              fault::FaultInjector* injector) {
   TransportOptions topts;
-  topts.reliable.enabled = true;
   topts.reliable.seed = 0xba7c ^ batch;
   topts.batching.max_batch = batch;
   std::vector<std::string> sigs;
@@ -709,6 +708,7 @@ std::vector<std::string> RunBatchedTransport(const BatchWorkload& w,
     const bool drained =
         remote.unacked_requests() == 0 &&
         remote.pending_notifications() == 0 &&
+        worker.unacked_notifications() == 0 &&
         remote.buffered_changes() == 0 &&
         to_worker.pending() + to_remote.pending() + remote_send.held_count() +
                 worker_send.held_count() ==

@@ -66,7 +66,6 @@ NetOptions LoopbackOptions() {
   nopts.enabled = true;
   nopts.remote_invalidb = true;
   nopts.reconnect_backoff = 5 * kMicrosPerMilli;
-  nopts.transport.reliable.enabled = true;
   nopts.transport.reliable.retransmit_timeout = 30 * kMicrosPerMilli;
   return nopts;
 }
@@ -124,7 +123,7 @@ class LoopbackStack : public ::testing::Test {
 
     // Worker + purge subscriber both dialed in and subscribed: the hub
     // counts a peer only once its subscription is installed, so nothing
-    // sent from here on is lost, on a raw link either.
+    // sent from here on waits for a retransmit.
     ASSERT_TRUE(WaitFor([this] { return net_->hub()->connections() == 2; }));
     delta_ = delta;
   }
@@ -258,9 +257,8 @@ class LoopbackStack : public ::testing::Test {
     }
 
     // First execution registers the query with the matching cluster over
-    // the frame link. A reliable link retransmits it past a slow worker
-    // handshake; a raw link relies on Start having seen the worker
-    // subscribed.
+    // the frame link; the reliable layer retransmits it past a slow
+    // worker handshake.
     client::QueryResult qr = c1->ExecuteQuery(q);
     ASSERT_TRUE(qr.status.ok());
     EXPECT_EQ(qr.ids.size(), 1u);
@@ -364,13 +362,6 @@ class LoopbackStack : public ::testing::Test {
   std::vector<std::pair<std::string, int64_t>> purged_;
 };
 
-/// The same deployment on the default transport, which perfbench runs:
-/// raw frames with no retransmission, one change per envelope.
-class RawLinkStack : public LoopbackStack {
- protected:
-  RawLinkStack() { nopts_.transport = invalidb::TransportOptions(); }
-};
-
 TEST_F(LoopbackStack, RecordWritesReadsAndInvalidationAcrossTheWire) {
   Start();
   CheckRecordWritesReadsAndInvalidation();
@@ -382,21 +373,6 @@ TEST_F(LoopbackStack, QueryNotificationFlowsInvalidbOverTcp) {
 }
 
 TEST_F(LoopbackStack, ConditionalFetchRevalidatesWith304OverTheWire) {
-  Start();
-  CheckConditionalFetchRevalidates();
-}
-
-TEST_F(RawLinkStack, RecordWritesReadsAndInvalidationAcrossTheWire) {
-  Start();
-  CheckRecordWritesReadsAndInvalidation();
-}
-
-TEST_F(RawLinkStack, QueryNotificationFlowsInvalidbOverTcp) {
-  Start();
-  CheckQueryNotificationFlows();
-}
-
-TEST_F(RawLinkStack, ConditionalFetchRevalidatesWith304OverTheWire) {
   Start();
   CheckConditionalFetchRevalidates();
 }

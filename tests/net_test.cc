@@ -963,8 +963,8 @@ TEST_F(FrameFixture, SlowReaderShedsLowPriorityButKeepsCritical) {
 }
 
 TEST_F(FrameFixture, SendWhileDisconnectedShedsInsteadOfBuffering) {
-  // No hub listening at all: the client sheds and reports it. Only a
-  // reliable link retransmits the frame; on a raw link it is lost.
+  // No hub listening at all: the client sheds and reports it; the
+  // reliable layer above it retransmits the frame.
   FrameClient client(&loop_, 1, 5 * kMicrosPerMilli);  // port 1: never ours
   EXPECT_FALSE(client.Send("notif", "lost", 2));
   EXPECT_GE(client.frames_shed(), 1u);
@@ -977,19 +977,19 @@ TEST_F(FrameFixture, SendWhileDisconnectedShedsInsteadOfBuffering) {
 TEST_F(FrameFixture, ConnectionResetDuringBatchedNotifyRedeliversExactlyOnce) {
   SystemClock clock;
   invalidb::ReliableOptions ropts;
-  ropts.enabled = true;
   ropts.retransmit_timeout = 30 * kMicrosPerMilli;
   ropts.max_backoff = 200 * kMicrosPerMilli;
   FrameHub hub(&loop_, 256u << 10, 1u << 20);
 
   // Receiver (origin side): frames arriving on the notifications queue
-  // go straight into its receive path on the hub's loop thread; its acks
-  // go back out over the hub.
+  // go straight into its receive path on the hub's loop thread; the test
+  // thread's ticks send its acks back out over the hub.
   invalidb::ReliableReceiver receiver(
+      &clock,
       [&](const std::string& queue, std::string message) {
         hub.Send(queue, message, 1);
       },
-      "notif", /*enabled=*/true);
+      "notif");
   std::mutex mu;
   std::vector<std::string> delivered;
   hub.Subscribe("notif", [&](const Frame& f) {
@@ -1033,6 +1033,7 @@ TEST_F(FrameFixture, ConnectionResetDuringBatchedNotifyRedeliversExactlyOnce) {
   ASSERT_TRUE(WaitFor(
       [&] {
         sender.Tick();
+        receiver.SendAcks();
         std::lock_guard<std::mutex> lock(mu);
         return delivered.size() >= 20;
       },
@@ -1040,6 +1041,7 @@ TEST_F(FrameFixture, ConnectionResetDuringBatchedNotifyRedeliversExactlyOnce) {
   // Let any trailing retransmits land, then assert exactly-once.
   for (int i = 0; i < 10; ++i) {
     sender.Tick();
+    receiver.SendAcks();
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   std::lock_guard<std::mutex> lock(mu);
@@ -1071,7 +1073,6 @@ TEST_F(FrameFixture, SeededFaultsOverSocketsDeliverEachNotificationOnce) {
   profile.reorder_rate = 0.10;
   fault::FaultInjector injector(0x50c4e7, profile);
   invalidb::TransportOptions topts;
-  topts.reliable.enabled = true;
   topts.reliable.retransmit_timeout = 30 * kMicrosPerMilli;
   topts.reliable.max_backoff = 200 * kMicrosPerMilli;
 

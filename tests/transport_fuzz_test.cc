@@ -137,11 +137,20 @@ TEST(TransportFuzzTest, CorruptedEnvelopesNeverDeliverMutatedPayloads) {
     auto env = reliable::Decode(mutated);
     if (env.ok()) {
       // A mutation that still decodes must have left the envelope's
-      // protected content intact (e.g. whitespace-only splice).
+      // protected content intact (e.g. zeros spliced before the seq).
       EXPECT_EQ(env->payload, payload);
       EXPECT_EQ(env->sender, "s");
       EXPECT_EQ(env->seq, 1u);
     }
+  }
+  // Two header mutations a random splice rarely hits: a seq that
+  // overflows uint64_t, and a header cut before its newline.
+  const std::string overflow = "18446744073709551617" + wire.substr(1);
+  const std::string no_newline = wire.substr(0, wire.find('\n'));
+  for (const std::string& mutated : {overflow, no_newline}) {
+    EXPECT_TRUE(reliable::Decode(mutated).status().IsCorruption())
+        << mutated;
+    ExerciseDecoders(mutated);
   }
 }
 
@@ -167,11 +176,11 @@ TEST(TransportFuzzTest, WorkerSurvivesGarbageOnItsRequestQueue) {
       msg = valid[rng.NextUint64(valid.size())];
       injector.Corrupt(&msg);
     }
-    to_worker.Send("fz:requests", msg);
-    pushed++;
+    // In an intact envelope, so the garbage reaches the worker's decoders.
+    to_worker.Send("fz:requests", reliable::Encode("fuzz", ++pushed, msg));
   }
-  // A raw link hands every message to the worker, which counts each one
-  // as handled, a malformed one included; the queue must drain.
+  // The worker counts every delivered request as handled, a malformed one
+  // included; the queue must drain.
   const size_t handled = to_worker.Pump();
   EXPECT_EQ(handled, pushed);
   EXPECT_EQ(to_worker.pending(), 0u);
@@ -179,7 +188,9 @@ TEST(TransportFuzzTest, WorkerSurvivesGarbageOnItsRequestQueue) {
 
   // The worker still functions after the garbage storm.
   db::Query q = Q("posts", R"({"g":1})");
-  to_worker.Send("fz:requests", transport::EncodeRegister(q, {}, 0));
+  to_worker.Send("fz:requests", reliable::Encode("fuzz", ++pushed,
+                                                 transport::EncodeRegister(
+                                                     q, {}, 0)));
   to_worker.Pump();
   EXPECT_TRUE(worker.cluster().IsRegistered(q.NormalizedKey()));
 }
@@ -201,8 +212,12 @@ TEST(TransportFuzzTest, WorkerDropsTornBatchesWhole) {
                         });
   to_worker.Attach(&worker);
   to_remote.Attach(&remote);
+  uint64_t seq = 0;
+  const auto send = [&](const std::string& request) {
+    to_worker.Send("tb:requests", reliable::Encode("test", ++seq, request));
+  };
   db::Query q = Q("posts", R"({"g":1})");
-  to_worker.Send("tb:requests", transport::EncodeRegister(q, {}, 0));
+  send(transport::EncodeRegister(q, {}, 0));
 
   std::vector<db::ChangeEvent> events;
   for (int i = 0; i < 3; ++i) {
@@ -219,13 +234,13 @@ TEST(TransportFuzzTest, WorkerDropsTornBatchesWhole) {
 
   // Truncated batch: even though the first two event specs are intact,
   // none of the three may be matched.
-  to_worker.Send("tb:requests", whole.substr(0, whole.size() - 12));
+  send(whole.substr(0, whole.size() - 12));
   // Corrupt inner event (second of three): same all-or-nothing rule.
   std::string corrupt = whole;
   corrupt.replace(corrupt.find("\"id\":\"p1\""), 9, "\"id\":12345");
-  to_worker.Send("tb:requests", corrupt);
+  send(corrupt);
   // Empty batch: decodes fine, applies nothing.
-  to_worker.Send("tb:requests", transport::EncodeChangeBatch({}));
+  send(transport::EncodeChangeBatch({}));
   to_worker.Pump();
   to_remote.Pump();
   EXPECT_EQ(worker.decode_errors(), 2u);
@@ -233,7 +248,7 @@ TEST(TransportFuzzTest, WorkerDropsTornBatchesWhole) {
   EXPECT_EQ(worker.cluster().stats().changes_ingested, 0u);
 
   // The intact batch still flows after the torn ones were dropped.
-  to_worker.Send("tb:requests", whole);
+  send(whole);
   to_worker.Pump();
   to_remote.Pump();
   EXPECT_EQ(received.size(), 3u);
@@ -252,15 +267,21 @@ TEST(TransportFuzzTest, RemoteSurvivesGarbageOnItsNotificationQueue) {
                         });
   to_remote.Attach(&remote);
 
+  // Garbage both around the envelope and inside intact ones.
   Rng rng(0xdead);
+  uint64_t seq = 0;
   for (int i = 0; i < 300; ++i) {
-    to_remote.Send("fz:notifications", RandomBytes(&rng, 48));
+    std::string garbage = RandomBytes(&rng, 48);
+    if (i % 2 == 0) garbage = reliable::Encode("invalidb", ++seq, garbage);
+    to_remote.Send("fz:notifications", garbage);
   }
   Notification n;
   n.type = NotificationType::kAdd;
   n.query_key = "k";
   n.record_id = "r";
-  to_remote.Send("fz:notifications", transport::EncodeNotificationBatch({n}));
+  to_remote.Send("fz:notifications",
+                 reliable::Encode("invalidb", ++seq,
+                                  transport::EncodeNotificationBatch({n})));
   to_remote.Pump();
   ASSERT_EQ(received.size(), 1u);
   EXPECT_EQ(received[0].record_id, "r");

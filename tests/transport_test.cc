@@ -343,67 +343,31 @@ TEST(TransportCodecTest, NonCanonicalBatchIsCorruption) {
                   .IsCorruption());
 }
 
-// reliable::Decode reads the envelope as JSON, so an envelope spelled
-// differently from Encode's bytes still decodes.
-TEST(ReliableEnvelopeTest, KeyReorderedEnvelopeStillDecodes) {
-  const std::string canonical = reliable::Encode("node-1", 7, "payload");
-  auto parsed = db::Value::FromJson(canonical);
-  ASSERT_TRUE(parsed.ok());
-  const std::string reordered =
-      "{ \"rs\": \"node-1\", \"rn\": 7, \"rp\": \"payload\", \"rc\": " +
-      parsed->Find("rc")->ToJson() + " }";
-  ASSERT_NE(reordered, canonical);
-  auto env = reliable::Decode(reordered);
-  ASSERT_TRUE(env.ok()) << env.status().ToString();
-  EXPECT_EQ(env->sender, "node-1");
-  EXPECT_EQ(env->seq, 7u);
-  EXPECT_EQ(env->payload, "payload");
-}
-
-TEST(ReliableEnvelopeTest, EscapedPayloadKeyStillDecodes) {
-  std::string escaped = reliable::Encode("node-1", 8, "payload");
-  const size_t at = escaped.find("\"rp\"");
-  ASSERT_NE(at, std::string::npos);
-  escaped.replace(at, 4, "\"\\u0072p\"");  // the same key, "rp"
-  ASSERT_EQ(escaped.find("\"rp\""), std::string::npos);
-  auto env = reliable::Decode(escaped);
-  ASSERT_TRUE(env.ok()) << env.status().ToString();
-  EXPECT_EQ(env->seq, 8u);
-  EXPECT_EQ(env->payload, "payload");
-}
-
-// A link's mode, not the message, decides whether it is an envelope: a
-// raw receiver hands even envelope bytes through unopened, and a reliable
-// one rejects a raw batch, even one whose body spells envelope keys.
-TEST(ReliableEnvelopeTest, LinkModeDecidesEnvelopeHandling) {
+// A receiver rejects every message that is no envelope, even a batch
+// whose body spells envelope-like text, and acks only the envelope.
+TEST(ReliableEnvelopeTest, ReceiverRejectsMessagesThatAreNoEnvelope) {
   const std::string raw = transport::EncodeChangeBatch(
-      {Change("t", "a", R"({"rp":"\"rp\"","rs":"x","rn":1})")});
+      {Change("t", "a", R"({"rp":"1 2 s\n","rs":"x","rn":1})")});
   const std::string envelope = reliable::Encode("s", 1, raw);
-  for (const bool enabled : {false, true}) {
-    std::vector<std::string> acks;
-    ReliableReceiver receiver(
-        [&](const std::string& queue, std::string message) {
-          acks.push_back(queue + " " + message);
-        },
-        "changes", enabled);
-    std::vector<std::string> delivered;
-    const auto handler = [&](const std::string& payload) {
-      delivered.push_back(payload);
-    };
-    auto first = receiver.Accept(raw, handler);
-    auto second = receiver.Accept(envelope, handler);
-    if (enabled) {
-      EXPECT_TRUE(first.status().IsCorruption());
-      EXPECT_EQ(second.value_or(0), 1u);
-      EXPECT_EQ(delivered, std::vector<std::string>{raw});
-      EXPECT_EQ(acks.size(), 1u);  // the envelope's, not the raw batch's
-    } else {
-      EXPECT_EQ(first.value_or(0), 1u);
-      EXPECT_EQ(second.value_or(0), 1u);
-      EXPECT_EQ(delivered, (std::vector<std::string>{raw, envelope}));
-      EXPECT_TRUE(acks.empty());  // a raw link never acks
-    }
-  }
+  SimulatedClock clock(0);
+  std::vector<std::string> acks;
+  ReliableReceiver receiver(
+      &clock,
+      [&](const std::string& queue, std::string message) {
+        acks.push_back(queue + " " + message);
+      },
+      "changes");
+  std::vector<std::string> delivered;
+  const auto handler = [&](const std::string& payload) {
+    delivered.push_back(payload);
+  };
+  EXPECT_TRUE(receiver.Accept(raw, handler).status().IsCorruption());
+  EXPECT_EQ(receiver.SendAcks(), 0u);
+  EXPECT_EQ(receiver.Accept(envelope, handler).value_or(0), 1u);
+  EXPECT_EQ(delivered, std::vector<std::string>{raw});
+  EXPECT_EQ(receiver.SendAcks(), 1u);  // the envelope's, not the raw batch's
+  EXPECT_EQ(acks, std::vector<std::string>{"changes:acks " +
+                                           reliable::EncodeAck("s", 1)});
 }
 
 TEST(TransportCodecTest, BatchDecodeRejectsTornEnvelopes) {
@@ -513,22 +477,30 @@ TEST_F(TransportTest, StatefulQueryOverTheWire) {
   EXPECT_EQ(received_[1].new_index, 0);
 }
 
+// Malformed payloads in intact reliable envelopes reach the endpoints'
+// decoders, which count and skip each one.
 TEST_F(TransportTest, MalformedMessagesCountedAndSkipped) {
-  to_worker_.Send("invalidb:requests", "garbage");
-  to_worker_.Send("invalidb:requests", R"({"op":"unknown"})");
-  to_worker_.Send("invalidb:requests", R"({"op":"register"})");
+  uint64_t seq = 0;
+  const auto inject = [&seq](LoopbackLink* link, const char* queue,
+                             const std::string& payload) {
+    link->Send(queue, reliable::Encode("test", ++seq, payload));
+  };
+  inject(&to_worker_, "invalidb:requests", "garbage");
+  inject(&to_worker_, "invalidb:requests", R"({"op":"unknown"})");
+  inject(&to_worker_, "invalidb:requests", R"({"op":"register"})");
   db::Query q = Q("posts", R"({"g":1})");
   remote_.RegisterQuery(q, {});
   // The retired per-event forms: a lone change request that would match
   // the query, and a bare notification spec. Changes and notifications
   // only travel inside batch envelopes, so both are decode errors.
-  to_worker_.Send("invalidb:requests",
-                  R"({"after":{"body":{"g":1},"deleted":false,"id":"p1",)"
-                  R"("table":"posts","version":1,"write_time":5},)"
-                  R"("commit_time":5,"kind":1,"op":"change"})");
-  to_remote_.Send("invalidb:notifications",
-                  R"({"event_time":5,"new_index":-1,"query_key":"k",)"
-                  R"("record_id":"p1","type":0})");
+  inject(&to_worker_, "invalidb:requests",
+         R"({"after":{"body":{"g":1},"deleted":false,"id":"p1",)"
+         R"("table":"posts","version":1,"write_time":5},)"
+         R"("commit_time":5,"kind":1,"op":"change"})");
+  seq = 0;
+  inject(&to_remote_, "invalidb:notifications",
+         R"({"event_time":5,"new_index":-1,"query_key":"k",)"
+         R"("record_id":"p1","type":0})");
   EXPECT_EQ(to_worker_.Pump(), 5u);
   EXPECT_EQ(worker_.decode_errors(), 4u);
   EXPECT_TRUE(worker_.cluster().IsRegistered(q.NormalizedKey()));
@@ -588,7 +560,6 @@ class BatchedTransportTest : public ::testing::Test {
  protected:
   static TransportOptions Topts() {
     TransportOptions topts;
-    topts.reliable.enabled = true;
     topts.batching.max_batch = 4;
     topts.batching.flush_interval = 5 * kMicrosPerMilli;
     return topts;
@@ -731,12 +702,14 @@ TEST_F(BatchedTransportTest, ReliableLinkCountsEveryDroppedMessage) {
   EXPECT_EQ(remote_.Receive("bt:notifications", batch), 0u);
   EXPECT_EQ(remote_.decode_errors(), 2u);
   EXPECT_TRUE(received_.empty());
+  remote_.Tick();
   EXPECT_EQ(to_worker_.pending("bt:notifications:acks"), 0u);
 
   EXPECT_EQ(remote_.Receive("bt:notifications", envelope), 1u);
   EXPECT_EQ(remote_.decode_errors(), 2u);
   ASSERT_EQ(received_.size(), 1u);
   EXPECT_EQ(received_[0].record_id, "rec42");
+  remote_.Tick();
   EXPECT_EQ(to_worker_.pending("bt:notifications:acks"), 1u);
 }
 
