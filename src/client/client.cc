@@ -322,7 +322,9 @@ QueryResult QuaestorClient::ExecuteQuery(const db::Query& query) {
   const std::string key = query.NormalizedKey();
   obs::ScopedSpan span(tracer_, "client.query");
   span.Annotate("key", key);
-  // The HTTP URL carries the query; the server can always decode it.
+  // The fetch carries only the normalized key. The server answers a "q:"
+  // key from the query it registered under that key, and fails one it
+  // has never seen, so register the query's shape first.
   backend_->RegisterQueryShape(query);
   stats_.queries++;
   QueryResult result;

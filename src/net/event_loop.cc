@@ -77,6 +77,17 @@ void EventLoop::RunInLoop(std::function<void()> fn) {
   Wake();
 }
 
+void EventLoop::QueueInLoop(std::function<void()> fn) {
+  if (!InLoopThread()) {
+    RunInLoop(std::move(fn));
+    return;
+  }
+  // The loop is awake (it is running this caller), and WaitTimeoutMs
+  // keeps it from sleeping while pending_ is non-empty: no wake needed.
+  std::lock_guard<std::mutex> lock(mu_);
+  pending_.push_back(std::move(fn));
+}
+
 void EventLoop::RunInLoopSync(std::function<void()> fn) {
   if (InLoopThread() || !running_.load()) {
     fn();
@@ -95,29 +106,15 @@ void EventLoop::RunInLoopSync(std::function<void()> fn) {
   done_cv.wait(lock, [&] { return done; });
 }
 
-EventLoop::TimerId EventLoop::AddTimer(int64_t delay_us,
-                                       std::function<void()> fn) {
+void EventLoop::AddTimer(int64_t delay_us, std::function<void()> fn) {
   const int64_t deadline = MonotonicNow() + (delay_us < 0 ? 0 : delay_us);
-  TimerId id;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    id = next_timer_id_++;
-    timers_.emplace(deadline, std::make_pair(id, std::move(fn)));
+    timers_.emplace(deadline, std::move(fn));
   }
   // The loop may be sleeping past the new deadline; on the loop thread it
   // recomputes its wait before sleeping again.
   if (!InLoopThread()) Wake();
-  return id;
-}
-
-void EventLoop::CancelTimer(TimerId id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = timers_.begin(); it != timers_.end(); ++it) {
-    if (it->second.first == id) {
-      timers_.erase(it);
-      return;
-    }
-  }
 }
 
 bool EventLoop::AddFd(int fd, uint32_t events, FdHandler handler) {
@@ -141,34 +138,38 @@ void EventLoop::RemoveFd(int fd) {
   handlers_.erase(fd);
 }
 
-void EventLoop::DrainPending() {
+bool EventLoop::DrainPending() {
   std::vector<std::function<void()>> batch;
   {
     std::lock_guard<std::mutex> lock(mu_);
     batch.swap(pending_);
   }
   for (auto& fn : batch) fn();
+  return !batch.empty();
 }
 
 void EventLoop::FireDueTimers() {
   const int64_t now = MonotonicNow();
-  // Pop due timers one at a time so a timer callback adding or
-  // cancelling timers never races an in-progress snapshot.
+  // Pop due timers one at a time so a timer callback adding timers never
+  // races an in-progress snapshot.
   for (;;) {
     std::function<void()> fn;
     {
       std::lock_guard<std::mutex> lock(mu_);
       auto it = timers_.begin();
       if (it == timers_.end() || it->first > now) break;
-      fn = std::move(it->second.second);
+      fn = std::move(it->second);
       timers_.erase(it);
     }
     fn();
   }
 }
 
-int64_t EventLoop::NextTimerDelayMs() {
+int64_t EventLoop::WaitTimeoutMs() {
   std::lock_guard<std::mutex> lock(mu_);
+  // Work queued by a timer or a posted task waits for no fd: poll, run
+  // it, and only then sleep.
+  if (!pending_.empty()) return 0;
   if (timers_.empty()) return -1;  // epoll: wait indefinitely
   const int64_t delta_us = timers_.begin()->first - MonotonicNow();
   if (delta_us <= 0) return 0;
@@ -181,7 +182,7 @@ void EventLoop::Run() {
     DrainPending();
     FireDueTimers();
     if (!running_.load()) break;
-    const int timeout_ms = static_cast<int>(NextTimerDelayMs());
+    const int timeout_ms = static_cast<int>(WaitTimeoutMs());
     const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms);
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
@@ -198,7 +199,9 @@ void EventLoop::Run() {
       handler(events[i].events);
     }
   }
-  DrainPending();
+  // A task run while the loop winds down may queue more; run them all.
+  while (DrainPending()) {
+  }
 }
 
 }  // namespace quaestor::net

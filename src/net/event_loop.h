@@ -15,14 +15,13 @@ namespace quaestor::net {
 
 /// Single-threaded epoll reactor. One background thread owns every fd;
 /// all fd and connection mutation happens on that thread, either from an
-/// fd handler or a function posted via RunInLoop(). The loop never holds
-/// a lock while invoking user callbacks, so handlers may freely call
-/// into server code that takes its own locks (see DESIGN.md §"Network
-/// layer" for how this composes with the lock hierarchy).
+/// fd handler or a function posted via RunInLoop() or QueueInLoop(). The
+/// loop never holds a lock while invoking user callbacks, so handlers may
+/// freely call into server code that takes its own locks (see DESIGN.md
+/// §"Network layer" for how this composes with the lock hierarchy).
 class EventLoop {
  public:
   using FdHandler = std::function<void(uint32_t epoll_events)>;
-  using TimerId = uint64_t;
 
   EventLoop();
   ~EventLoop();
@@ -41,6 +40,12 @@ class EventLoop {
   /// called on the loop thread itself, runs `fn` immediately.
   void RunInLoop(std::function<void()> fn);
 
+  /// On the loop thread, queues `fn` to run after the current callback
+  /// returns and before the loop next sleeps, in one FIFO with the tasks
+  /// other threads post. Queueing writes no eventfd and is not a
+  /// cross-thread post. Called from another thread, it is RunInLoop.
+  void QueueInLoop(std::function<void()> fn);
+
   /// Runs `fn` on the loop thread and blocks until it returns. Used for
   /// setup calls (Listen, Close) issued from the owning thread. Must NOT
   /// be called from the loop thread's own callbacks via another thread's
@@ -48,9 +53,8 @@ class EventLoop {
   void RunInLoopSync(std::function<void()> fn);
 
   /// One-shot timer after `delay_us` of monotonic time. Loop thread or
-  /// any thread. Returns an id usable with CancelTimer.
-  TimerId AddTimer(int64_t delay_us, std::function<void()> fn);
-  void CancelTimer(TimerId id);
+  /// any thread.
+  void AddTimer(int64_t delay_us, std::function<void()> fn);
 
   /// fd registration — loop thread only (call via RunInLoop).
   bool AddFd(int fd, uint32_t events, FdHandler handler);
@@ -59,9 +63,9 @@ class EventLoop {
 
   bool InLoopThread() const;
 
-  /// Tasks posted from other threads: RunInLoop / RunInLoopSync calls
-  /// made off the loop thread while it runs. Each is one cross-thread
-  /// hand-off (a wake-up of this loop by another thread).
+  /// Tasks posted from other threads: RunInLoop / RunInLoopSync /
+  /// QueueInLoop calls made off the loop thread while it runs. Each is one
+  /// cross-thread hand-off (a wake-up of this loop by another thread).
   uint64_t cross_thread_posts() const {
     return cross_thread_posts_.load(std::memory_order_relaxed);
   }
@@ -72,9 +76,12 @@ class EventLoop {
  private:
   void Run();
   void Wake();
-  void DrainPending();
+  /// Runs the tasks pending now; returns whether there were any.
+  bool DrainPending();
   void FireDueTimers();
-  int64_t NextTimerDelayMs();
+  /// epoll_wait's timeout: 0 while tasks are pending, else until the
+  /// next timer (-1: none).
+  int64_t WaitTimeoutMs();
 
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
@@ -83,10 +90,10 @@ class EventLoop {
   std::thread thread_;
 
   std::mutex mu_;
+  // Posted and queued tasks, drained FIFO before the loop sleeps.
   std::vector<std::function<void()>> pending_;
   // Timers ordered by absolute monotonic deadline.
-  std::multimap<int64_t, std::pair<TimerId, std::function<void()>>> timers_;
-  uint64_t next_timer_id_ = 1;
+  std::multimap<int64_t, std::function<void()>> timers_;
 
   // Loop-thread-only: fd -> handler. Dispatch re-looks-up by fd so a
   // handler may RemoveFd (even itself) mid-dispatch without a dangling

@@ -100,7 +100,7 @@ void FrameHub::HandleFrames(uint64_t peer_id) {
 void FrameHub::Send(const std::string& channel, const std::string& payload,
                     uint8_t priority) {
   std::string wire = EncodeFrame(Frame{priority, channel, payload});
-  loop_->RunInLoop([this, channel, wire = std::move(wire), priority] {
+  loop_->QueueInLoop([this, channel, wire = std::move(wire), priority] {
     for (auto it = peers_.begin(); it != peers_.end();) {
       const Peer& peer = (it++)->second;
       if (!MatchesAny(peer.prefixes, channel)) continue;

@@ -48,7 +48,9 @@ class FrameHub {
   void Subscribe(const std::string& prefix, Handler handler);
 
   /// Ships one frame to every connected peer subscribed to `channel`.
-  /// Safe from any thread.
+  /// Safe from any thread. On the loop thread the frame leaves after the
+  /// current callback returns (EventLoop::QueueInLoop), so an HTTP
+  /// response written by that callback goes first.
   void Send(const std::string& channel, const std::string& payload,
             uint8_t priority);
 

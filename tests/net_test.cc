@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -592,10 +594,84 @@ TEST(HttpFrontendTest, WriteResponseIsTheRecordsCanonicalJson) {
   net.Stop();
 }
 
+// A write answers its client before the frames it produced leave: the
+// record purge is queued behind the HTTP callback. Two observations: a
+// purge target running inside the write (after the hub's own target)
+// sees no purge frame at the subscriber yet, and once the subscriber has
+// the frame, the response is already on the client's socket.
+TEST(HttpFrontendTest, WriteResponseLeavesBeforeItsPurgeFrame) {
+  SystemClock clock;
+  db::Database db(&clock);
+  core::QuaestorServer server(&clock, &db);
+  NetOptions nopts;
+  nopts.enabled = true;
+  NetServer net(&clock, &server, nopts);
+  ASSERT_TRUE(net.Start());
+
+  const int purge_fd = DialLoopbackBlocking(net.frame_port());
+  ASSERT_GE(purge_fd, 0);
+  const std::string sub =
+      EncodeFrame(Frame{0, std::string(kSubscribeChannel), "purge"});
+  ASSERT_EQ(write(purge_fd, sub.data(), sub.size()),
+            static_cast<ssize_t>(sub.size()));
+  ASSERT_TRUE(WaitFor([&] { return net.hub()->connections() == 1; }));
+
+  std::atomic<int> purge_seen_inside_write{-1};
+  server.AddPurgeTarget([&](const std::string& key) {
+    if (key != "t/1") return;
+    pollfd pfd{purge_fd, POLLIN, 0};
+    purge_seen_inside_write = poll(&pfd, 1, 50);
+  });
+
+  const int client_fd = DialLoopbackBlocking(net.http_port());
+  ASSERT_GE(client_fd, 0);
+  HttpMessage request;
+  request.method = "POST";
+  request.target = "/write?op=insert&table=t&id=1";
+  request.body = R"({"x":1})";
+  const std::string wire = EncodeHttpRequest(request);
+  ASSERT_EQ(write(client_fd, wire.data(), wire.size()),
+            static_cast<ssize_t>(wire.size()));
+
+  pollfd pfd{purge_fd, POLLIN, 0};
+  ASSERT_EQ(poll(&pfd, 1, 5000), 1) << "no purge frame";
+  char peek;
+  EXPECT_EQ(recv(client_fd, &peek, 1, MSG_PEEK | MSG_DONTWAIT), 1)
+      << "the purge frame reached its subscriber before the response";
+  EXPECT_EQ(purge_seen_inside_write.load(), 0)
+      << "the purge frame left inside the write's callback";
+
+  std::string frames;
+  Frame frame;
+  size_t consumed = 0;
+  while (DecodeFrame(frames, &frame, &consumed) == FrameDecode::kNeedMore) {
+    char buf[256];
+    const ssize_t n = read(purge_fd, buf, sizeof(buf));
+    ASSERT_GT(n, 0);
+    frames.append(buf, static_cast<size_t>(n));
+  }
+  EXPECT_EQ(frame.channel, "purge");
+  EXPECT_EQ(frame.payload, "t/1");
+
+  std::string bytes;
+  HttpMessage response;
+  while (DecodeHttpResponse(bytes, &response, &consumed) ==
+         HttpDecode::kNeedMore) {
+    char buf[512];
+    const ssize_t n = read(client_fd, buf, sizeof(buf));
+    ASSERT_GT(n, 0);
+    bytes.append(buf, static_cast<size_t>(n));
+  }
+  EXPECT_EQ(response.status, 200);
+  close(client_fd);
+  close(purge_fd);
+  net.Stop();
+}
+
 // ---------------------------------------------------------------------------
 // Event loop
 
-TEST(EventLoopTest, PostedFunctionsTimersAndCancellation) {
+TEST(EventLoopTest, PostedFunctionsAndTimers) {
   EventLoop loop;
   ASSERT_TRUE(loop.Start());
 
@@ -607,17 +683,78 @@ TEST(EventLoopTest, PostedFunctionsTimersAndCancellation) {
   loop.AddTimer(2000, [&] { fired = true; });
   EXPECT_TRUE(WaitFor([&] { return fired.load(); }));
 
-  std::atomic<bool> cancelled_fired{false};
-  const EventLoop::TimerId id =
-      loop.AddTimer(20 * 1000, [&] { cancelled_fired = true; });
-  loop.CancelTimer(id);
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  EXPECT_FALSE(cancelled_fired.load());
-
   // Posting from inside the loop runs inline (no self-deadlock).
   std::atomic<bool> nested{false};
   loop.RunInLoopSync([&] { loop.RunInLoop([&] { nested = true; }); });
   EXPECT_TRUE(WaitFor([&] { return nested.load(); }));
+  loop.Stop();
+}
+
+// Work queued on the loop thread runs after the callback that queued it,
+// whichever kind of callback that is, and in one FIFO with the tasks
+// other threads post meanwhile. Queueing is not a cross-thread post.
+TEST(EventLoopTest, QueuedWorkRunsAfterItsCallbackInFifoWithPosts) {
+  EventLoop loop;
+  ASSERT_TRUE(loop.Start());
+  std::mutex mu;
+  std::vector<std::string> log;
+  const auto note = [&](const std::string& entry) {
+    std::lock_guard<std::mutex> lock(mu);
+    log.push_back(entry);
+  };
+  const auto entries = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return log;
+  };
+  // The body of each callback: queue, post from another thread, queue,
+  // then note that the callback itself has finished.
+  std::atomic<uint64_t> posts_by_queueing{0};
+  const auto callback = [&](const std::string& tag) {
+    const uint64_t before = loop.cross_thread_posts();
+    loop.QueueInLoop([&, tag] { note(tag + ":queued1"); });
+    std::thread([&, tag] {
+      loop.RunInLoop([&, tag] { note(tag + ":posted"); });
+    }).join();
+    loop.QueueInLoop([&, tag] { note(tag + ":queued2"); });
+    posts_by_queueing += loop.cross_thread_posts() - before - 1;
+    note(tag + ":returned");
+  };
+  const auto expect_order = [&](const std::string& tag) {
+    ASSERT_TRUE(WaitFor([&] { return entries().size() == 4; })) << tag;
+    EXPECT_EQ(entries(),
+              (std::vector<std::string>{tag + ":returned", tag + ":queued1",
+                                        tag + ":posted", tag + ":queued2"}));
+    std::lock_guard<std::mutex> lock(mu);
+    log.clear();
+  };
+
+  // An fd handler.
+  int pipe_fds[2];
+  ASSERT_EQ(pipe(pipe_fds), 0);
+  SetNonBlocking(pipe_fds[0]);
+  loop.RunInLoopSync([&] {
+    loop.AddFd(pipe_fds[0], EPOLLIN, [&](uint32_t) {
+      char byte;
+      while (read(pipe_fds[0], &byte, 1) > 0) {
+      }
+      callback("fd");
+    });
+  });
+  ASSERT_EQ(write(pipe_fds[1], "x", 1), 1);
+  expect_order("fd");
+
+  // A timer callback.
+  loop.AddTimer(0, [&] { callback("timer"); });
+  expect_order("timer");
+
+  // A task posted from another thread.
+  loop.RunInLoop([&] { callback("task"); });
+  expect_order("task");
+
+  EXPECT_EQ(posts_by_queueing.load(), 0u);
+  loop.RunInLoopSync([&] { loop.RemoveFd(pipe_fds[0]); });
+  close(pipe_fds[0]);
+  close(pipe_fds[1]);
   loop.Stop();
 }
 
@@ -861,6 +998,41 @@ TEST_F(FrameFixture, PeerCountsAsConnectedOnlyOnceSubscribed) {
     if (n > 0) got.append(buf, static_cast<size_t>(n));
     return got == EncodeFrame(Frame{2, "ready:1", "first"});
   }));
+  close(fd);
+  hub.Close();
+}
+
+// A frame sent from a timer (as the origin's Tick sends acks) or from a
+// posted task is queued behind that callback; the loop must run the
+// queue before it sleeps, so the frame leaves with no fd activity or
+// later timer to wake the loop.
+TEST_F(FrameFixture, FrameQueuedByATimerOrTaskLeavesWithoutAnotherWakeUp) {
+  FrameHub hub(&loop_, 256u << 10, 1u << 20);
+  ASSERT_TRUE(hub.Listen(0));
+  const int fd = DialLoopbackBlocking(hub.port());
+  ASSERT_GE(fd, 0);
+  const std::string sub =
+      EncodeFrame(Frame{0, std::string(kSubscribeChannel), "tick"});
+  ASSERT_EQ(write(fd, sub.data(), sub.size()), static_cast<ssize_t>(sub.size()));
+  ASSERT_TRUE(WaitFor([&] { return hub.connections() == 1; }));
+  SetNonBlocking(fd);  // polled reads; never block the test thread
+  std::string got;
+  const auto received = [&](const std::string& expected) {
+    return WaitFor([&] {
+      char buf[256];
+      const ssize_t n = read(fd, buf, sizeof(buf));
+      if (n > 0) got.append(buf, static_cast<size_t>(n));
+      return got == expected;
+    });
+  };
+
+  loop_.AddTimer(0, [&] { hub.Send("tick:ack", "from-timer", 1); });
+  std::string expected = EncodeFrame(Frame{1, "tick:ack", "from-timer"});
+  ASSERT_TRUE(received(expected));
+
+  loop_.RunInLoop([&] { hub.Send("tick:ack", "from-task", 1); });
+  expected += EncodeFrame(Frame{1, "tick:ack", "from-task"});
+  ASSERT_TRUE(received(expected));
   close(fd);
   hub.Close();
 }
