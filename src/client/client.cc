@@ -324,14 +324,23 @@ QueryResult QuaestorClient::ExecuteQuery(const db::Query& query) {
   span.Annotate("key", key);
   // The fetch carries only the normalized key. The server answers a "q:"
   // key from the query it registered under that key, and fails one it
-  // has never seen, so register the query's shape first.
-  backend_->RegisterQueryShape(query);
+  // has never seen, so the session registers each shape before its first
+  // fetch, and only then.
+  const bool known_shape = !registered_shapes_.insert(key).second;
+  if (!known_shape) backend_->RegisterQueryShape(query);
   stats_.queries++;
   QueryResult result;
   webcache::FetchMode mode = DecideMode(key, &result.outcome);
   if (result.outcome.revalidated) stats_.revalidations++;
 
   webcache::FetchOutcome fo = FetchWithRetry(key, mode, &result.outcome);
+  if (known_shape && !fo.ok && !fo.unavailable && !fo.shed &&
+      !fo.deadline_exceeded) {
+    // A plain miss is what an origin that lost the shape (a restarted
+    // one) answers: register it again and retry once.
+    backend_->RegisterQueryShape(query);
+    fo = FetchWithRetry(key, mode, &result.outcome);
+  }
   NoteServedBy(fo, &result.outcome);
   if (!fo.ok) {
     result.status = FailureStatus(fo, key);

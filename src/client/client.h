@@ -8,6 +8,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "client/backend.h"
@@ -332,6 +333,9 @@ class QuaestorClient {
   /// regressions are detected via the result's Last-Modified instead
   /// (highest seen per query key).
   std::unordered_map<std::string, Micros> seen_result_times_;
+  /// Normalized keys of the query shapes this session has registered with
+  /// the origin (ExecuteQuery registers each once).
+  std::unordered_set<std::string> registered_shapes_;
   /// Causal mode: a read newer than the EBF was observed; reads must
   /// revalidate until the next refresh (§3.2 Opt-in Consistency).
   bool read_newer_than_ebf_ = false;

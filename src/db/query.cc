@@ -405,7 +405,8 @@ Result<Predicate> ParsePredicate(const Value& spec) {
     return Status::InvalidArgument("filter must be an object");
   }
   std::vector<Predicate> clauses;
-  for (const auto& [key, val] : spec.as_object()) {
+  for (const auto& [k, val] : spec.as_object()) {
+    const std::string_view key = k;
     if (key == "$and" || key == "$or") {
       auto p = ParseLogicalArray(val, key == "$and");
       if (!p.ok()) return p;
@@ -415,18 +416,21 @@ Result<Predicate> ParsePredicate(const Value& spec) {
       if (!p.ok()) return p;
       clauses.push_back(Predicate::Not(std::move(p).value()));
     } else if (!key.empty() && key[0] == '$') {
-      return Status::InvalidArgument("unknown top-level operator: " + key);
+      return Status::InvalidArgument("unknown top-level operator: " +
+                                     std::string(key));
     } else if (val.is_object() && !val.as_object().empty() &&
-               val.as_object().begin()->first.starts_with("$")) {
+               val.as_object().begin()->first.view().starts_with("$")) {
       // Operator object: {"age": {"$gte": 21, "$lt": 65}}
       for (const auto& [opname, operand] : val.as_object()) {
         auto op = OpFromName(opname);
         if (!op.ok()) return op.status();
-        clauses.push_back(Predicate::Compare(key, op.value(), operand));
+        clauses.push_back(
+            Predicate::Compare(std::string(key), op.value(), operand));
       }
     } else {
       // Bare literal: equality.
-      clauses.push_back(Predicate::Compare(key, CompareOp::kEq, val));
+      clauses.push_back(
+          Predicate::Compare(std::string(key), CompareOp::kEq, val));
     }
   }
   if (clauses.empty()) return Predicate::True();

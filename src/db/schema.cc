@@ -76,7 +76,8 @@ Status TableSchema::Validate(const Value& body) const {
     }
   }
   if (!allow_unknown_) {
-    for (const auto& [key, v] : body.as_object()) {
+    for (const auto& [k, v] : body.as_object()) {
+      const std::string_view key = k;
       // Unknown check applies to top-level names; declared dot-paths
       // implicitly declare their first segment.
       bool declared = false;
@@ -89,7 +90,7 @@ Status TableSchema::Validate(const Value& body) const {
         }
       }
       if (!declared) {
-        return Status::InvalidArgument("unknown field: " + key);
+        return Status::InvalidArgument("unknown field: " + std::string(key));
       }
     }
   }

@@ -63,7 +63,7 @@ void Table::TouchSlotsLocked(const SecondaryIndex& index,
   }
 }
 
-void Table::AddToIndexLocked(const std::string& id,
+void Table::AddToIndexLocked(const Entry* entry,
                              const std::vector<const Value*>& keys,
                              SecondaryIndex* index) {
   if (keys.empty()) {
@@ -71,10 +71,10 @@ void Table::AddToIndexLocked(const std::string& id,
   } else if (keys.size() > 1) {
     index->multikey_docs++;
   }
-  for (const Value* k : keys) index->buckets[*k].insert(id);
+  for (const Value* k : keys) index->buckets[*k].insert(entry);
 }
 
-void Table::RemoveFromIndexLocked(const std::string& id,
+void Table::RemoveFromIndexLocked(const Entry* entry,
                                   const std::vector<const Value*>& keys,
                                   SecondaryIndex* index) {
   if (keys.empty()) {
@@ -85,12 +85,12 @@ void Table::RemoveFromIndexLocked(const std::string& id,
   for (const Value* k : keys) {
     auto it = index->buckets.find(*k);
     if (it == index->buckets.end()) continue;
-    it->second.erase(id);
+    it->second.erase(entry);
     if (it->second.empty()) index->buckets.erase(it);
   }
 }
 
-void Table::CommitWriteLocked(const std::string& id, const Value* before,
+void Table::CommitWriteLocked(const Entry& entry, const Value* before,
                               const Value* after) {
   const uint64_t commit = commits_.load(std::memory_order_relaxed) + 1;
   std::vector<const Value*> old_keys;
@@ -109,8 +109,8 @@ void Table::CommitWriteLocked(const std::string& id, const Value* before,
                    });
     if (same_keys) continue;  // e.g. a counter bump: buckets stay as they are
     TouchSlotsLocked(index, new_keys, commit);
-    if (before != nullptr) RemoveFromIndexLocked(id, old_keys, &index);
-    if (after != nullptr) AddToIndexLocked(id, new_keys, &index);
+    if (before != nullptr) RemoveFromIndexLocked(&entry, old_keys, &index);
+    if (after != nullptr) AddToIndexLocked(&entry, new_keys, &index);
   }
   commits_.store(commit, std::memory_order_release);
 }
@@ -130,11 +130,11 @@ void Table::CreateIndex(const std::string& path) {
   SecondaryIndex& index = indexes_[path];
   index.path_hash = Hash64(path);
   std::vector<const Value*> keys;
-  for (const auto& [id, doc] : docs_) {
-    if (doc.deleted) continue;
+  for (const Entry& entry : docs_) {
+    if (entry.second.deleted) continue;
     keys.clear();
-    IndexKeysFor(doc.body, path, &keys);
-    AddToIndexLocked(id, keys, &index);
+    IndexKeysFor(entry.second.body, path, &keys);
+    AddToIndexLocked(&entry, keys, &index);
   }
   CommitDdlLocked();
 }
@@ -202,24 +202,23 @@ Result<Document> Table::Upsert(const std::string& id, Value body, Micros now) {
   return PutLocked(docs_.find(id), id, std::move(body), now);
 }
 
+Document Table::ToDocument(const Entry& entry) const {
+  const StoredDoc& doc = entry.second;
+  return Document{name_, entry.first, doc.version, doc.write_time,
+                  doc.deleted, doc.body};
+}
+
 Document Table::PutLocked(DocMap::iterator it, const std::string& id,
                           Value body, Micros now) {
-  Document doc;
-  doc.table = name_;
-  doc.id = id;
-  doc.version = (it != docs_.end()) ? it->second.version + 1 : 1;
+  if (it == docs_.end()) it = docs_.try_emplace(id).first;
+  StoredDoc& doc = it->second;
+  const bool was_live = !doc.deleted;
+  const Value before = std::exchange(doc.body, std::move(body));
+  doc.version++;
   doc.write_time = now;
   doc.deleted = false;
-  doc.body = std::move(body);
-  if (it == docs_.end()) {
-    it = docs_.emplace(id, std::move(doc)).first;
-    CommitWriteLocked(id, nullptr, &it->second.body);
-  } else {
-    const Document before = std::exchange(it->second, std::move(doc));
-    CommitWriteLocked(id, before.deleted ? nullptr : &before.body,
-                      &it->second.body);
-  }
-  return it->second;
+  CommitWriteLocked(*it, was_live ? &before : nullptr, &doc.body);
+  return ToDocument(*it);
 }
 
 Result<Document> Table::Apply(const std::string& id, const Update& update,
@@ -229,14 +228,14 @@ Result<Document> Table::Apply(const std::string& id, const Update& update,
   if (it == docs_.end() || it->second.deleted) {
     return Status::NotFound(name_ + "/" + id);
   }
-  Document& doc = it->second;
+  StoredDoc& doc = it->second;
   // The commit's one copy of the body; the before-image moves out.
   QUAESTOR_ASSIGN_OR_RETURN(Value after, update.Applied(doc.body));
   const Value before = std::exchange(doc.body, std::move(after));
   doc.version++;
   doc.write_time = now;
-  CommitWriteLocked(id, &before, &doc.body);
-  return doc;
+  CommitWriteLocked(*it, &before, &doc.body);
+  return ToDocument(*it);
 }
 
 Result<Document> Table::Delete(const std::string& id, Micros now) {
@@ -245,12 +244,12 @@ Result<Document> Table::Delete(const std::string& id, Micros now) {
   if (it == docs_.end() || it->second.deleted) {
     return Status::NotFound(name_ + "/" + id);
   }
-  Document& doc = it->second;
-  CommitWriteLocked(id, &doc.body, nullptr);
+  StoredDoc& doc = it->second;
+  CommitWriteLocked(*it, &doc.body, nullptr);
   doc.version++;
   doc.write_time = now;
   doc.deleted = true;
-  return doc;
+  return ToDocument(*it);
 }
 
 Result<Document> Table::Get(const std::string& id) const {
@@ -259,7 +258,7 @@ Result<Document> Table::Get(const std::string& id) const {
   if (it == docs_.end() || it->second.deleted) {
     return Status::NotFound(name_ + "/" + id);
   }
-  return it->second;
+  return ToDocument(*it);
 }
 
 Result<DocumentVersion> Table::GetVersion(const std::string& id) const {
@@ -272,7 +271,7 @@ Result<DocumentVersion> Table::GetVersion(const std::string& id) const {
 }
 
 void Table::ExecuteEqLocked(const Query& query, const Predicate& conjunct,
-                            std::vector<const Document*>* out,
+                            std::vector<const Entry*>* out,
                             StampSlots* slots) const {
   const SecondaryIndex& index = indexes_.at(conjunct.path);
   // The looked-up keys: the operand, or each element of a $in.
@@ -294,16 +293,14 @@ void Table::ExecuteEqLocked(const Query& query, const Predicate& conjunct,
     }
   }
   // A $in is the union of the element buckets; a multikey doc can sit in
-  // several, so dedup by id.
-  std::unordered_set<std::string_view> seen;
+  // several, so dedup. Buckets hold live entries only.
+  std::unordered_set<const Entry*> seen;
   for (size_t i = 0; i < num_keys; ++i) {
     auto bucket = index.buckets.find(keys[i]);
     if (bucket == index.buckets.end()) continue;
-    for (const std::string& id : bucket->second) {
-      if (in && !seen.insert(id).second) continue;
-      auto it = docs_.find(id);
-      if (it == docs_.end() || it->second.deleted) continue;
-      if (query.Matches(it->second.body)) out->push_back(&it->second);
+    for (const Entry* entry : bucket->second) {
+      if (in && !seen.insert(entry).second) continue;
+      if (query.Matches(entry->second.body)) out->push_back(entry);
     }
   }
 }
@@ -311,7 +308,7 @@ void Table::ExecuteEqLocked(const Query& query, const Predicate& conjunct,
 void Table::ExecuteRangeLocked(const Query& query, const std::string& path,
                                const Value* lo, bool lo_incl, const Value* hi,
                                bool hi_incl,
-                               std::vector<const Document*>* out) const {
+                               std::vector<const Entry*>* out) const {
   const SecondaryIndex& index = indexes_.at(path);
   const int cls = RangeClassOf(lo != nullptr ? *lo : *hi);
   const Value class_min = RangeClassMin(cls);
@@ -326,10 +323,8 @@ void Table::ExecuteRangeLocked(const Query& query, const std::string& path,
       const int c = Value::Compare(it->first, *hi);
       if (c > 0 || (c == 0 && !hi_incl)) break;
     }
-    for (const std::string& id : it->second) {
-      auto doc = docs_.find(id);
-      if (doc == docs_.end() || doc->second.deleted) continue;
-      if (query.Matches(doc->second.body)) out->push_back(&doc->second);
+    for (const Entry* entry : it->second) {
+      if (query.Matches(entry->second.body)) out->push_back(entry);
     }
   }
   // Multikey docs can land in the scanned window via several array
@@ -339,7 +334,7 @@ void Table::ExecuteRangeLocked(const Query& query, const std::string& path,
 }
 
 bool Table::ExecuteTopKLocked(const Query& query,
-                              std::vector<const Document*>* out) const {
+                              std::vector<const Entry*>* out) const {
   if (query.order_by().size() != 1 || query.limit() < 0) return false;
   auto idx = indexes_.find(query.order_by()[0].path);
   if (idx == indexes_.end()) return false;
@@ -353,24 +348,21 @@ bool Table::ExecuteTopKLocked(const Query& query,
   const size_t want = static_cast<size_t>(query.limit());
   if (want == 0) return true;  // LIMIT 0 → empty result, nothing to scan
   size_t skipped = 0;
-  std::vector<const std::string*> bucket_ids;
-  auto emit_bucket = [&](const std::unordered_set<std::string>& ids) {
+  std::vector<const Entry*> sorted;
+  auto emit_bucket = [&](const std::unordered_set<const Entry*>& bucket) {
     // Within one bucket the sort key compares equal → tie-break by id asc.
-    bucket_ids.clear();
-    for (const std::string& id : ids) bucket_ids.push_back(&id);
-    std::sort(bucket_ids.begin(), bucket_ids.end(),
-              [](const std::string* a, const std::string* b) {
-                return *a < *b;
+    sorted.assign(bucket.begin(), bucket.end());
+    std::sort(sorted.begin(), sorted.end(),
+              [](const Entry* a, const Entry* b) {
+                return a->first < b->first;
               });
-    for (const std::string* id : bucket_ids) {
-      auto doc = docs_.find(*id);
-      if (doc == docs_.end() || doc->second.deleted) continue;
-      if (!query.Matches(doc->second.body)) continue;
+    for (const Entry* entry : sorted) {
+      if (!query.Matches(entry->second.body)) continue;
       if (skipped < skip) {
         skipped++;
         continue;
       }
-      out->push_back(&doc->second);
+      out->push_back(entry);
       if (out->size() >= want) return true;  // early termination
     }
     return false;
@@ -395,7 +387,7 @@ std::vector<Document> Table::Execute(const Query& query,
     *stamp = ResultStamp();
     stamp->commit = commits_.load(std::memory_order_relaxed);
   }
-  std::vector<const Document*> matches;
+  std::vector<const Entry*> matches;
 
   // Plan selection over the top-level conjuncts.
   std::vector<const Predicate*> conjuncts;
@@ -510,9 +502,9 @@ std::vector<Document> Table::Execute(const Query& query,
     } else {
       // (4) Full predicate scan.
       full_scans_.fetch_add(1, std::memory_order_relaxed);
-      for (const auto& [id, doc] : docs_) {
-        if (doc.deleted) continue;
-        if (query.Matches(doc.body)) matches.push_back(&doc);
+      for (const Entry& entry : docs_) {
+        if (entry.second.deleted) continue;
+        if (query.Matches(entry.second.body)) matches.push_back(&entry);
       }
     }
   }
@@ -520,16 +512,17 @@ std::vector<Document> Table::Execute(const Query& query,
   if (!windowed_in_order) {
     if (!query.order_by().empty()) {
       std::sort(matches.begin(), matches.end(),
-                [&query](const Document* a, const Document* b) {
-                  return query.OrderedBefore(a->body, a->id, b->body, b->id);
+                [&query](const Entry* a, const Entry* b) {
+                  return query.OrderedBefore(a->second.body, a->first,
+                                             b->second.body, b->first);
                 });
     } else {
       // Deterministic order even without ORDER BY (scan order of a hash
       // map is arbitrary; id order keeps results and result-based cache
       // entries stable).
       std::sort(matches.begin(), matches.end(),
-                [](const Document* a, const Document* b) {
-                  return a->id < b->id;
+                [](const Entry* a, const Entry* b) {
+                  return a->first < b->first;
                 });
     }
     // OFFSET / LIMIT window over the pointers; only survivors are copied.
@@ -545,7 +538,7 @@ std::vector<Document> Table::Execute(const Query& query,
   }
 
   out.reserve(matches.size());
-  for (const Document* doc : matches) out.push_back(*doc);
+  for (const Entry* entry : matches) out.push_back(ToDocument(*entry));
   return out;
 }
 

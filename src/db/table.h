@@ -147,12 +147,29 @@ class Table {
                     kStampSlots - 1 <= UINT16_MAX,
                 "slots are picked by mask and named by StampSlots' uint16_t");
 
-  /// Ordered multikey index: value → ids holding that value at the path
-  /// (arrays contribute each element and the whole array).
+  /// What the table stores per id. The id is the map key and the table
+  /// name is the table's, so neither is repeated per document: they are
+  /// filled in when a Document leaves the table (see ToDocument).
+  struct StoredDoc {
+    uint64_t version = 0;
+    Micros write_time = 0;
+    bool deleted = true;  // a new entry is a version-0 tombstone
+    Value body;
+  };
+  using DocMap = std::unordered_map<std::string, StoredDoc>;
+  /// One stored document with its id. Entries are never erased (a delete
+  /// leaves a tombstone) and unordered_map nodes do not move on a rehash,
+  /// so an Entry* stays valid for the table's lifetime: index buckets and
+  /// query plans hold them instead of ids.
+  using Entry = DocMap::value_type;
+
+  /// Ordered multikey index: value → the live entries holding that value
+  /// at the path (arrays contribute each element and the whole array). A
+  /// delete takes its entry out of every bucket.
   struct SecondaryIndex {
     /// Seeds the commit-slot hash of this index's keys.
     uint64_t path_hash = 0;
-    std::map<Value, std::unordered_set<std::string>, ValueLess> buckets;
+    std::map<Value, std::unordered_set<const Entry*>, ValueLess> buckets;
     /// Live docs contributing more than one key (array values). The top-k
     /// plan requires 0: a multikey doc would appear at several positions.
     size_t multikey_docs = 0;
@@ -176,13 +193,13 @@ class Table {
   void TouchSlotsLocked(const SecondaryIndex& index,
                         const std::vector<const Value*>& keys,
                         uint64_t commit);
-  void AddToIndexLocked(const std::string& id,
-                        const std::vector<const Value*>& keys,
-                        SecondaryIndex* index);
-  void RemoveFromIndexLocked(const std::string& id,
-                             const std::vector<const Value*>& keys,
-                             SecondaryIndex* index);
-  /// Commits one write of `id` (caller holds the exclusive lock): moves
+  static void AddToIndexLocked(const Entry* entry,
+                               const std::vector<const Value*>& keys,
+                               SecondaryIndex* index);
+  static void RemoveFromIndexLocked(const Entry* entry,
+                                    const std::vector<const Value*>& keys,
+                                    SecondaryIndex* index);
+  /// Commits one write of `entry` (caller holds the exclusive lock): moves
   /// it in every index from the keys of `before` to those of `after`
   /// (null: not live, i.e. an insert or a delete), stamps the slots of
   /// both key sets with the write's commit number, and only then
@@ -190,13 +207,15 @@ class Table {
   /// count also sees the slots. An index whose keys did not change keeps
   /// its buckets; its slots are still stamped, because the document's
   /// content changed.
-  void CommitWriteLocked(const std::string& id, const Value* before,
+  void CommitWriteLocked(const Entry& entry, const Value* before,
                          const Value* after);
   /// Commits index DDL: a table-wide commit (caller holds the exclusive
   /// lock).
   void CommitDdlLocked();
 
-  using DocMap = std::unordered_map<std::string, Document>;
+  /// The document `entry` holds, as it leaves the table.
+  Document ToDocument(const Entry& entry) const;
+
   /// Stores `body` as the next version of `id` (`it` is its docs_ entry or
   /// end(); a live entry is replaced) and commits the write. Returns the
   /// after-image.
@@ -204,11 +223,11 @@ class Table {
                      Micros now);
 
   /// Appends live matching docs via an eq/$in bucket plan. `conjunct` must
-  /// be an indexable equality. Ids reaching `out` satisfy the full query
-  /// predicate. If `slots` is set, it receives the looked-up keys' slots
-  /// (left empty past StampSlots::kMax keys or for a NaN key).
+  /// be an indexable equality. Entries reaching `out` satisfy the full
+  /// query predicate. If `slots` is set, it receives the looked-up keys'
+  /// slots (left empty past StampSlots::kMax keys or for a NaN key).
   void ExecuteEqLocked(const Query& query, const Predicate& conjunct,
-                       std::vector<const Document*>* out,
+                       std::vector<const Entry*>* out,
                        StampSlots* slots) const;
 
   /// Appends live matching docs via an ordered range scan over `path`'s
@@ -216,13 +235,13 @@ class Table {
   void ExecuteRangeLocked(const Query& query, const std::string& path,
                           const Value* lo, bool lo_incl, const Value* hi,
                           bool hi_incl,
-                          std::vector<const Document*>* out) const;
+                          std::vector<const Entry*>* out) const;
 
   /// Top-k via the ORDER BY path's index: emits up to offset+limit
   /// matching docs already in query order, stopping early. Returns false
   /// if the plan is inapplicable (multikey/absent docs, no index).
   bool ExecuteTopKLocked(const Query& query,
-                         std::vector<const Document*>* out) const;
+                         std::vector<const Entry*>* out) const;
 
   std::string name_;
   /// Readers shared, writers exclusive. Ordered after the database's

@@ -111,21 +111,23 @@ Result<Update> Update::Parse(const Value& spec) {
   Update u;
   for (const auto& [opname, fields] : spec.as_object()) {
     if (!fields.is_object()) {
-      return Status::InvalidArgument(opname + " requires an object");
+      return Status::InvalidArgument(std::string(opname) +
+                                     " requires an object");
     }
     for (const auto& [path, operand] : fields.as_object()) {
       if (opname == "$set") {
-        u.Set(path, operand);
+        u.Set(std::string(path), operand);
       } else if (opname == "$unset") {
-        u.Unset(path);
+        u.Unset(std::string(path));
       } else if (opname == "$inc") {
-        u.Inc(path, operand);
+        u.Inc(std::string(path), operand);
       } else if (opname == "$push") {
-        u.Push(path, operand);
+        u.Push(std::string(path), operand);
       } else if (opname == "$pull") {
-        u.Pull(path, operand);
+        u.Pull(std::string(path), operand);
       } else {
-        return Status::InvalidArgument("unknown update operator: " + opname);
+        return Status::InvalidArgument("unknown update operator: " +
+                                       std::string(opname));
       }
     }
   }

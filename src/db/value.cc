@@ -11,6 +11,36 @@
 
 namespace quaestor::db {
 
+ObjectKey::ObjectKey(std::string_view s) { Init(s); }
+
+ObjectKey::ObjectKey(const ObjectKey& other) {
+  if (other.on_heap()) {
+    Init(other.view());
+  } else {
+    std::memcpy(bytes_, other.bytes_, sizeof bytes_);
+  }
+}
+
+void ObjectKey::Init(std::string_view s) {
+  if (s.size() <= kInlineCapacity) {
+    std::copy(s.begin(), s.end(), bytes_);
+    bytes_[kTag] = static_cast<char>(s.size());
+    return;
+  }
+  if (s.size() > UINT32_MAX) throw std::length_error("db::ObjectKey");
+  char* p = new char[s.size()];
+  std::copy(s.begin(), s.end(), p);
+  const uint32_t n = static_cast<uint32_t>(s.size());
+  std::memcpy(bytes_, &p, sizeof p);
+  std::memcpy(bytes_ + sizeof p, &n, sizeof n);
+  bytes_[kTag] = static_cast<char>(kHeapTag);
+}
+
+ObjectKey::ObjectKey(ObjectKey&& other) noexcept {
+  std::memcpy(bytes_, other.bytes_, sizeof bytes_);
+  other.bytes_[kTag] = 0;
+}
+
 Object::Object(std::initializer_list<value_type> init) {
   members_.reserve(init.size());
   for (const value_type& m : init) try_emplace(m.first, m.second);
@@ -477,10 +507,11 @@ class JsonParser {
   Result<Value> ParseObject() {
     Consume('{');
     // Members collect on a per-thread stack (a nested object's above its
-    // parent's) so each object is built once, at its exact size.
-    thread_local std::vector<Object::value_type> stack;
+    // parent's) so each object is built once, at its exact size. The stack
+    // keeps the parsed strings, so a key is copied into the object once.
+    thread_local std::vector<std::pair<std::string, Value>> stack;
     struct PopToBase {
-      std::vector<Object::value_type>& stack;
+      std::vector<std::pair<std::string, Value>>& stack;
       size_t base;
       ~PopToBase() { stack.erase(stack.begin() + base, stack.end()); }
     } members{stack, stack.size()};

@@ -1,7 +1,9 @@
 #ifndef QUAESTOR_DB_VALUE_H_
 #define QUAESTOR_DB_VALUE_H_
 
+#include <compare>
 #include <cstdint>
+#include <cstring>
 #include <initializer_list>
 #include <memory>
 #include <string>
@@ -20,17 +22,87 @@ class Value;
 /// Array of values.
 using Array = std::vector<Value>;
 
+/// An object member's key in 16 bytes: keys of up to kInlineCapacity bytes
+/// are held inline (the last byte is their length), longer ones on the
+/// heap. It compares, orders and converts like a `std::string` holding the
+/// same bytes, embedded NULs included. Keys are copied, not interned: a
+/// process-wide intern table would grow with every distinct key a client
+/// sends.
+class ObjectKey {
+ public:
+  static constexpr size_t kInlineCapacity = 15;
+
+  ObjectKey() = default;
+  ObjectKey(std::string_view s);  // NOLINT: implicit, like std::string
+  ObjectKey(const char* s) : ObjectKey(std::string_view(s)) {}  // NOLINT
+  ObjectKey(const std::string& s) : ObjectKey(std::string_view(s)) {}  // NOLINT
+  ObjectKey(const ObjectKey& other);
+  ObjectKey(ObjectKey&& other) noexcept;
+  ObjectKey& operator=(ObjectKey other) noexcept {
+    std::swap(bytes_, other.bytes_);
+    return *this;
+  }
+  ~ObjectKey() {
+    if (on_heap()) delete[] heap_data();
+  }
+
+  std::string_view view() const {
+    return on_heap() ? std::string_view(heap_data(), heap_size())
+                     : std::string_view(bytes_, inline_size());
+  }
+  operator std::string_view() const { return view(); }  // NOLINT
+  size_t size() const { return view().size(); }
+  bool empty() const { return size() == 0; }
+  int compare(std::string_view s) const { return view().compare(s); }
+
+  friend bool operator==(const ObjectKey& a, std::string_view b) {
+    return a.view() == b;
+  }
+  friend std::strong_ordering operator<=>(const ObjectKey& a,
+                                          std::string_view b) {
+    return a.view() <=> b;
+  }
+
+ private:
+  /// bytes_[kTag] is an inline key's length, or kHeapTag. A heap key
+  /// keeps its pointer in bytes_[0, 8) and its length in bytes_[8, 12).
+  static constexpr size_t kTag = kInlineCapacity;
+  static constexpr unsigned char kHeapTag = 0xFF;
+
+  /// Fills a default-constructed key with `s`.
+  void Init(std::string_view s);
+  bool on_heap() const {
+    return static_cast<unsigned char>(bytes_[kTag]) == kHeapTag;
+  }
+  size_t inline_size() const {
+    return static_cast<unsigned char>(bytes_[kTag]);
+  }
+  char* heap_data() const {
+    char* p;
+    std::memcpy(&p, bytes_, sizeof p);
+    return p;
+  }
+  size_t heap_size() const {
+    uint32_t n;
+    std::memcpy(&n, bytes_ + sizeof(char*), sizeof n);
+    return n;
+  }
+
+  alignas(8) char bytes_[16] = {};
+};
+
 /// Object with sorted keys (sorted order makes serialization canonical,
 /// which Quaestor relies on for normalized query cache keys). The members
 /// live in one vector kept sorted by key, so a document's fields share one
-/// heap block and iterate in the order a `std::map` would give. Lookups
-/// take a `std::string_view` and binary-search. An insert appends in O(1)
-/// when its key sorts after every present key (the order canonical JSON
-/// arrives in) and shifts the tail otherwise. Inserting or erasing
-/// invalidates iterators and references to this object's members.
+/// heap block and iterate in the order a `std::map` would give. A member
+/// is an ObjectKey and a Value: 56 bytes. Lookups take a
+/// `std::string_view` and binary-search. An insert appends in O(1) when its
+/// key sorts after every present key (the order canonical JSON arrives in)
+/// and shifts the tail otherwise. Inserting or erasing invalidates
+/// iterators and references to this object's members.
 class Object {
  public:
-  using value_type = std::pair<std::string, Value>;
+  using value_type = std::pair<ObjectKey, Value>;
   using iterator = std::vector<value_type>::iterator;
   using const_iterator = std::vector<value_type>::const_iterator;
 

@@ -504,5 +504,94 @@ TEST_F(ClientTest, RevalidationAndStaleServeSuccessesRefillBudget) {
   EXPECT_DOUBLE_EQ(other->retry_tokens(), 1.0);
 }
 
+/// An in-process backend whose server can be swapped (an origin restart)
+/// and which counts query-shape registrations.
+class CountingBackend final : public Backend, public webcache::Origin {
+ public:
+  explicit CountingBackend(core::QuaestorServer* server) : server_(server) {}
+
+  void set_server(core::QuaestorServer* server) { server_ = server; }
+  int registrations() const { return registrations_; }
+
+  webcache::Origin* origin() override { return this; }
+  webcache::HttpResponse Fetch(const webcache::HttpRequest& request) override {
+    return server_->Fetch(request);
+  }
+  ebf::BloomFilter BloomSnapshot() override {
+    return server_->BloomSnapshot();
+  }
+  ebf::BloomFilter BloomSnapshotForTable(const std::string& table) override {
+    return server_->BloomSnapshotForTable(table);
+  }
+  void RegisterQueryShape(const db::Query& query) override {
+    ++registrations_;
+    server_->RegisterQueryShape(query);
+  }
+  Result<db::Document> Insert(const std::string& auth_token,
+                              const std::string& table, const std::string& id,
+                              db::Value body,
+                              const RequestContext& ctx) override {
+    return LocalBackend(server_).Insert(auth_token, table, id,
+                                        std::move(body), ctx);
+  }
+  Result<db::Document> Update(const std::string& auth_token,
+                              const std::string& table, const std::string& id,
+                              const db::Update& update,
+                              const RequestContext& ctx) override {
+    return LocalBackend(server_).Update(auth_token, table, id, update, ctx);
+  }
+  Result<db::Document> Delete(const std::string& auth_token,
+                              const std::string& table, const std::string& id,
+                              const RequestContext& ctx) override {
+    return LocalBackend(server_).Delete(auth_token, table, id, ctx);
+  }
+
+ private:
+  core::QuaestorServer* server_;
+  int registrations_ = 0;
+};
+
+TEST_F(ClientTest, RepeatedQueryRegistersItsShapeOnce) {
+  MakeStack();
+  CountingBackend backend(server_.get());
+  QuaestorClient client(&clock_, &backend, browser_.get(), cdn_.get());
+  client.Connect();
+  ASSERT_TRUE(db_.Insert("t", "1", Doc(R"({"g":1})")).ok());
+  for (int i = 0; i < 3; ++i) {
+    QueryResult qr = client.ExecuteQuery(Q("t", R"({"g":1})"));
+    ASSERT_TRUE(qr.status.ok());
+    EXPECT_EQ(qr.docs.size(), 1u);
+    EXPECT_EQ(qr.outcome.served_by, i == 0 ? webcache::ServedBy::kOrigin
+                                           : webcache::ServedBy::kClientCache);
+  }
+  EXPECT_EQ(backend.registrations(), 1);
+  ASSERT_TRUE(client.ExecuteQuery(Q("t", R"({"g":2})")).status.ok());
+  EXPECT_EQ(backend.registrations(), 2);
+}
+
+TEST_F(ClientTest, KnownShapeIsRegisteredAgainWithAFreshOrigin) {
+  MakeStack();
+  CountingBackend backend(server_.get());
+  // No caches: every query reaches the origin.
+  QuaestorClient client(&clock_, &backend, nullptr, nullptr);
+  client.Connect();
+  ASSERT_TRUE(db_.Insert("t", "1", Doc(R"({"g":1})")).ok());
+  ASSERT_TRUE(client.ExecuteQuery(Q("t", R"({"g":1})")).status.ok());
+  ASSERT_EQ(backend.registrations(), 1);
+
+  // A restarted origin over the same data has never seen the shape.
+  core::QuaestorServer fresh(&clock_, &db_);
+  backend.set_server(&fresh);
+  QueryResult qr = client.ExecuteQuery(Q("t", R"({"g":1})"));
+  ASSERT_TRUE(qr.status.ok());
+  ASSERT_EQ(qr.docs.size(), 1u);
+  EXPECT_EQ(qr.docs[0].Find("g")->as_int(), 1);
+  EXPECT_EQ(qr.outcome.served_by, webcache::ServedBy::kOrigin);
+  EXPECT_EQ(backend.registrations(), 2);
+  // Registered again, the shape is known to the new origin too.
+  ASSERT_TRUE(client.ExecuteQuery(Q("t", R"({"g":1})")).status.ok());
+  EXPECT_EQ(backend.registrations(), 2);
+}
+
 }  // namespace
 }  // namespace quaestor::client

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "common/clock.h"
+#include "common/random.h"
 #include "db/table.h"
 
 namespace quaestor::db {
@@ -269,6 +275,175 @@ TEST_F(IndexTest, OrderByStillAppliedOnIndexPath) {
   ASSERT_EQ(res.size(), 3u);
   EXPECT_EQ(res[0].body.Find("n")->as_int(), 93);
   EXPECT_EQ(res[1].body.Find("n")->as_int(), 83);
+}
+
+TEST(IndexEntryTest, DeleteReinsertThenIndexCreatedAfterTheDeletes) {
+  Table t("t");
+  for (int i = 0; i < 20; ++i) {
+    const std::string body = "{\"g\":" + std::to_string(i % 4) + "}";
+    ASSERT_TRUE(t.Insert("d" + std::to_string(i), Doc(body.c_str()), 1).ok());
+  }
+  ASSERT_TRUE(t.Delete("d3", 2).ok());
+  ASSERT_TRUE(t.Delete("d7", 2).ok());
+  ASSERT_TRUE(t.Delete("d11", 2).ok());
+  ASSERT_TRUE(t.Insert("d3", Doc(R"({"g":9})"), 3).ok());
+  t.CreateIndex("g");
+
+  auto ids = [&t](const char* filter) {
+    std::vector<std::string> out;
+    for (const Document& d : t.Execute(Q(filter))) {
+      EXPECT_EQ(d.table, "t");
+      out.push_back(d.id);
+    }
+    return out;
+  };
+  EXPECT_EQ(ids(R"({"g":3})"), (std::vector<std::string>{"d15", "d19"}));
+  EXPECT_EQ(ids(R"({"g":9})"), (std::vector<std::string>{"d3"}));
+  EXPECT_EQ(t.Get("d3")->version, 3u);  // insert, delete, re-insert
+
+  // A tombstone re-inserted after the index exists joins its bucket; a
+  // second delete leaves it again.
+  ASSERT_TRUE(t.Insert("d7", Doc(R"({"g":9})"), 4).ok());
+  EXPECT_EQ(ids(R"({"g":9})"), (std::vector<std::string>{"d3", "d7"}));
+  ASSERT_TRUE(t.Delete("d3", 5).ok());
+  EXPECT_EQ(ids(R"({"g":{"$in":[3,9]}})"),
+            (std::vector<std::string>{"d15", "d19", "d7"}));
+  EXPECT_EQ(t.index_stats().full_scans, 0u);
+}
+
+/// What Execute must return, computed without indexes: every live body of
+/// `model` (id → body) that matches, in query order, windowed.
+std::vector<std::pair<std::string, std::string>> NaiveExecute(
+    const Query& q, const std::map<std::string, Value>& model) {
+  std::vector<const std::pair<const std::string, Value>*> hits;
+  for (const auto& entry : model) {
+    if (q.Matches(entry.second)) hits.push_back(&entry);
+  }
+  std::stable_sort(hits.begin(), hits.end(), [&q](auto* a, auto* b) {
+    return q.order_by().empty()
+               ? a->first < b->first
+               : q.OrderedBefore(a->second, a->first, b->second, b->first);
+  });
+  const size_t begin = std::min(
+      hits.size(), static_cast<size_t>(std::max<int64_t>(0, q.offset())));
+  size_t end = hits.size();
+  if (q.limit() >= 0) {
+    end = std::min(end, begin + static_cast<size_t>(q.limit()));
+  }
+  std::vector<std::pair<std::string, std::string>> out;
+  for (size_t i = begin; i < end; ++i) {
+    out.emplace_back(hits[i]->first, hits[i]->second.ToJson());
+  }
+  return out;
+}
+
+TEST(IndexEntryTest, EveryPlanReturnsWhatANaiveScanReturns) {
+  TableIndexStats plans;
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    Table t("t");
+    std::map<std::string, Value> model;
+    // g: a small int, sometimes an array of two (multikey); n: an int
+    // every document has (the top-k path); s: a short string.
+    auto body = [&rng] {
+      Object o;
+      if (rng.NextBool(0.2)) {
+        o["g"] = Array{Value(static_cast<int64_t>(rng.NextUint64(6))),
+                       Value(static_cast<int64_t>(rng.NextUint64(6)))};
+      } else {
+        o["g"] = static_cast<int64_t>(rng.NextUint64(6));
+      }
+      o["n"] = static_cast<int64_t>(rng.NextUint64(50));
+      o["s"] = std::string(1, static_cast<char>('a' + rng.NextUint64(3))) +
+               std::to_string(rng.NextUint64(10));
+      return Value(std::move(o));
+    };
+    auto check = [&] {
+      const int64_t g = static_cast<int64_t>(rng.NextUint64(6));
+      const int64_t lo = static_cast<int64_t>(rng.NextUint64(50));
+      std::vector<Query> queries = {
+          Q(("{\"g\":" + std::to_string(g) + "}").c_str()),
+          Q(("{\"g\":{\"$in\":[" + std::to_string(g) + "," +
+             std::to_string((g + 1) % 6) + "]}}")
+                .c_str()),
+          Q(("{\"n\":{\"$gte\":" + std::to_string(lo) +
+             ",\"$lt\":" + std::to_string(lo + 10) + "}}")
+                .c_str()),
+          Q(R"({"s":{"$prefix":"b"}})"),
+          Q(R"({"$or":[{"g":1},{"n":{"$lt":5}}]})"),
+      };
+      Query top = Q("{}");
+      top.SetOrderBy({{"n", rng.NextBool(0.5)}})
+          .SetLimit(static_cast<int64_t>(rng.NextUint64(8)))
+          .SetOffset(static_cast<int64_t>(rng.NextUint64(3)));
+      queries.push_back(top);
+      Query sorted = Q(R"({"g":{"$in":[0,2,4]}})");
+      sorted.SetOrderBy({{"s", false}, {"n", true}}).SetLimit(6);
+      queries.push_back(sorted);
+      for (const Query& q : queries) {
+        std::vector<std::pair<std::string, std::string>> got;
+        for (const Document& d : t.Execute(q)) {
+          EXPECT_EQ(d.table, "t");
+          EXPECT_FALSE(d.deleted);
+          got.emplace_back(d.id, d.body.ToJson());
+        }
+        EXPECT_EQ(got, NaiveExecute(q, model)) << q.NormalizedKey();
+      }
+    };
+    for (int step = 0; step < 400; ++step) {
+      const std::string id = "d" + std::to_string(rng.NextUint64(60));
+      switch (rng.NextUint64(4)) {
+        case 0: {
+          Value b = body();
+          const bool live = model.count(id) > 0;
+          EXPECT_EQ(t.Insert(id, b, step).ok(), !live);
+          if (!live) model[id] = std::move(b);
+          break;
+        }
+        case 1: {
+          Value b = body();
+          ASSERT_TRUE(t.Upsert(id, b, step).ok());
+          model[id] = std::move(b);
+          break;
+        }
+        case 2: {
+          Update u;
+          if (rng.NextBool(0.5)) {
+            u.Set("g", Value(static_cast<int64_t>(rng.NextUint64(6))));
+          } else {
+            u.Inc("n", Value(static_cast<int64_t>(1)));
+          }
+          auto it = model.find(id);
+          const auto r = t.Apply(id, u, step);
+          EXPECT_EQ(r.ok(), it != model.end());
+          if (r.ok()) it->second = r->body;
+          break;
+        }
+        default:
+          EXPECT_EQ(t.Delete(id, step).ok(), model.erase(id) > 0);
+          break;
+      }
+      // The indexes come after a quarter of the writes, deletes included.
+      if (step == 100) {
+        t.CreateIndex("g");
+        t.CreateIndex("n");
+        t.CreateIndex("s");
+      }
+      if (step % 20 == 19) check();
+      if (::testing::Test::HasFailure()) return;
+    }
+    const TableIndexStats s = t.index_stats();
+    plans.eq_lookups += s.eq_lookups;
+    plans.range_scans += s.range_scans;
+    plans.order_scans += s.order_scans;
+    plans.full_scans += s.full_scans;
+  }
+  // Every plan ran.
+  EXPECT_GT(plans.eq_lookups, 0u);
+  EXPECT_GT(plans.range_scans, 0u);
+  EXPECT_GT(plans.order_scans, 0u);
+  EXPECT_GT(plans.full_scans, 0u);
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
-// db::Object: one sorted vector of members. Layout (size, heap blocks per
-// document copy), the std::map behaviour it keeps, and a randomized
+// db::Object: one sorted vector of members with 16-byte inline keys.
+// Layout (size, heap blocks per document copy), the keys' std::string
+// behaviour, the std::map behaviour the object keeps, and a randomized
 // comparison against a std::map reference model.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <new>
@@ -34,14 +36,24 @@ void* operator new(std::size_t n) {
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
   std::free(p);
 }
+// Array forms too: sanitizer runtimes supply their own, which would not
+// count.
+void* operator new[](std::size_t n) { return operator new(n); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace quaestor::db {
 namespace {
 
 static_assert(sizeof(Value) <= 40,
               "a Value is a string-sized payload plus the variant index");
+static_assert(sizeof(ObjectKey) == 16, "a key is 15 inline bytes and a tag");
+static_assert(sizeof(Object::value_type) <= 56,
+              "a member is a 16-byte key and a Value");
 
-TEST(ObjectLayoutTest, CopyOfAWorkloadDocumentTakesAtMostThreeBlocks) {
+TEST(ObjectLayoutTest, CopyOfAWorkloadDocumentTakesAtMostTwoBlocks) {
   workload::WorkloadGenerator gen(workload::WorkloadOptions(), 1);
   const Value doc = gen.MakeDoc(0, 1234);
   ASSERT_EQ(doc.as_object().size(), 5u);
@@ -49,9 +61,110 @@ TEST(ObjectLayoutTest, CopyOfAWorkloadDocumentTakesAtMostThreeBlocks) {
   g_counting = true;
   const Value copy = doc;  // NOLINT(performance-unnecessary-copy-initialization)
   g_counting = false;
-  // The member vector, the tags array and at most one long string.
-  EXPECT_LE(g_allocations, 3);
+  // The member vector and the tags array: the keys are inline and the
+  // strings fit std::string's small buffer.
+  EXPECT_LE(g_allocations, 2);
   EXPECT_EQ(copy, doc);
+}
+
+// ---------------------------------------------------------------------------
+// ObjectKey: inline up to 15 bytes, heap beyond, std::string semantics.
+
+TEST(ObjectKeyTest, KeysOfEveryLengthKeepTheirBytes) {
+  for (size_t n : {0, 1, 15, 16, 300}) {
+    SCOPED_TRACE("length " + std::to_string(n));
+    std::string bytes(n, 'x');
+    for (size_t i = 0; i < n; ++i) bytes[i] = static_cast<char>('a' + i % 26);
+    g_allocations = 0;
+    g_counting = true;
+    ObjectKey key(bytes);
+    g_counting = false;
+    EXPECT_EQ(g_allocations, n > ObjectKey::kInlineCapacity ? 1 : 0);
+    EXPECT_EQ(key.size(), n);
+    EXPECT_EQ(key.empty(), n == 0);
+    EXPECT_EQ(key.view(), bytes);
+    EXPECT_EQ(key, bytes);
+
+    const ObjectKey copy = key;  // NOLINT(performance-unnecessary-copy-*)
+    EXPECT_EQ(copy.view(), bytes);
+    ObjectKey moved = std::move(key);
+    EXPECT_EQ(moved.view(), bytes);
+    EXPECT_TRUE(key.empty());  // NOLINT(bugprone-use-after-move)
+    key = moved;
+    EXPECT_EQ(key.view(), bytes);
+    moved = ObjectKey("short");
+    EXPECT_EQ(moved.view(), "short");
+
+    Object o;
+    o[bytes] = Value(static_cast<int64_t>(n));
+    o["m"] = Value(0);
+    ASSERT_NE(o.find(bytes), o.end());
+    EXPECT_EQ(o.at(bytes), Value(static_cast<int64_t>(n)));
+    const Value parsed = Value::FromJson(Value(o).ToJson()).value();
+    EXPECT_EQ(parsed, Value(o));
+  }
+}
+
+TEST(ObjectKeyTest, EmbeddedNulAndUtf8BytesAreKeyBytes) {
+  const std::string nul("a\0b", 3);
+  const std::string long_nul = std::string(20, 'k') + std::string("\0z", 2);
+  const std::string utf8 = "caf\xc3\xa9-\xe2\x82\xac";  // "café-€"
+  Object o;
+  o[nul] = 1;
+  o["a"] = 2;
+  o[long_nul] = 3;
+  o[utf8] = 4;
+  EXPECT_EQ(o.size(), 4u);
+  EXPECT_EQ(o.at(nul), Value(1));
+  EXPECT_EQ(o.at("a"), Value(2));
+  EXPECT_EQ(o.count(std::string_view("a\0c", 3)), 0u);
+  EXPECT_EQ(o.at(long_nul), Value(3));
+  EXPECT_EQ(o.at(utf8), Value(4));
+  EXPECT_EQ(ObjectKey(nul).size(), 3u);
+  EXPECT_EQ(ObjectKey(long_nul).size(), 22u);
+  // Serialized keys escape the NUL and keep the UTF-8 bytes, and parse
+  // back to the same keys.
+  const std::string json = Value(o).ToJson();
+  EXPECT_NE(json.find("\"a\\u0000b\""), std::string::npos) << json;
+  EXPECT_NE(json.find(utf8), std::string::npos) << json;
+  EXPECT_EQ(Value::FromJson(json).value(), Value(o));
+}
+
+TEST(ObjectKeyTest, OrderIsStdStringOrderOverRandomKeys) {
+  Rng rng(7);
+  // Few distinct bytes, so keys share long prefixes across the inline
+  // limit; the high byte checks the unsigned comparison.
+  const char kBytes[] = {'\0', 'a', 'b', '\x7f', '\xff'};
+  auto random_key = [&] {
+    std::string k(rng.NextUint64(41), 'a');
+    for (char& c : k) c = kBytes[rng.NextUint64(sizeof kBytes)];
+    return k;
+  };
+  std::vector<std::string> keys;
+  for (int i = 0; i < 400; ++i) keys.push_back(random_key());
+  for (size_t i = 0; i + 1 < keys.size(); ++i) {
+    const std::string& a = keys[i];
+    const std::string& b = keys[i + 1];
+    const ObjectKey ka(a);
+    const ObjectKey kb(b);
+    EXPECT_EQ(ka < kb.view(), a < b);
+    EXPECT_EQ(ka == kb.view(), a == b);
+    EXPECT_EQ(ka.compare(b) < 0, a.compare(b) < 0);
+    EXPECT_EQ(ka.compare(b) == 0, a.compare(b) == 0);
+  }
+  Object o;
+  std::map<std::string, int64_t> model;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    o[keys[i]] = static_cast<int64_t>(i);
+    model[keys[i]] = static_cast<int64_t>(i);
+  }
+  ASSERT_EQ(o.size(), model.size());
+  auto m = model.begin();
+  for (const auto& [k, v] : o) {
+    EXPECT_EQ(k.view(), m->first);
+    EXPECT_EQ(v, Value(m->second));
+    ++m;
+  }
 }
 
 TEST(ObjectTest, IteratesInKeyOrderWhateverTheInsertOrder) {
@@ -62,7 +175,7 @@ TEST(ObjectTest, IteratesInKeyOrderWhateverTheInsertOrder) {
   o["a"] = 4;
   o["ab"] = 5;
   std::vector<std::string> keys;
-  for (const auto& [k, v] : o) keys.push_back(k);
+  for (const auto& [k, v] : o) keys.emplace_back(k);
   EXPECT_EQ(keys, (std::vector<std::string>{"a", "ab", "b", "m", "z"}));
   EXPECT_EQ(Value(o).ToJson(), R"({"a":4,"ab":5,"b":2,"m":1,"z":3})");
 }
@@ -212,14 +325,19 @@ class ObjectModel {
  public:
   explicit ObjectModel(uint64_t seed) : rng_(seed) {}
 
+  /// Half the keys come from a small pool, so members are overwritten;
+  /// the rest are runs of 0–40 equal bytes, which cross the 15-byte
+  /// inline limit and share prefixes across it.
   std::string Key() {
     static const char* const kKeys[] = {"a",  "b",  "c",  "ab", "ba",
                                         "a0", "zz", "", "b\"q"};
-    return kKeys[rng_.NextUint64(9)];
+    if (rng_.NextBool(0.5)) return kKeys[rng_.NextUint64(9)];
+    return std::string(rng_.NextUint64(41), rng_.NextBool(0.5) ? 'a' : 'b');
   }
   std::string PathKey() {  // no empty key and no dot: a valid segment
     static const char* const kKeys[] = {"a", "b", "c", "ab", "ba", "zz"};
-    return kKeys[rng_.NextUint64(6)];
+    if (rng_.NextBool(0.5)) return kKeys[rng_.NextUint64(6)];
+    return std::string(1 + rng_.NextUint64(40), rng_.NextBool(0.5) ? 'a' : 'b');
   }
   std::string Path() {
     std::string p = PathKey();

@@ -38,6 +38,44 @@ TEST(TableTest, InsertGetRoundTrip) {
   EXPECT_EQ(got->body.Find("title")->as_string(), "hello");
 }
 
+TEST(TableTest, DocumentsLeavingTheTableCarryItsNameAndTheirId) {
+  // The table stores neither per document; each copy that leaves must
+  // have both filled in.
+  Table t("posts");
+  auto expect_named = [](const Result<Document>& d, const char* id,
+                         uint64_t version, bool deleted) {
+    ASSERT_TRUE(d.ok());
+    EXPECT_EQ(d->table, "posts");
+    EXPECT_EQ(d->id, id);
+    EXPECT_EQ(d->version, version);
+    EXPECT_EQ(d->deleted, deleted);
+  };
+  expect_named(t.Insert("p1", Doc(R"({"g":1})"), 10), "p1", 1, false);
+  expect_named(t.Upsert("p2", Doc(R"({"g":1})"), 11), "p2", 1, false);
+  expect_named(t.Upsert("p2", Doc(R"({"g":2})"), 12), "p2", 2, false);
+  Update inc;
+  inc.Inc("g", Value(1));
+  expect_named(t.Apply("p1", inc, 13), "p1", 2, false);
+  expect_named(t.Delete("p2", 14), "p2", 3, true);
+  expect_named(t.Insert("p2", Doc(R"({"g":5})"), 15), "p2", 4, false);
+  expect_named(t.Get("p1"), "p1", 2, false);
+  EXPECT_EQ(t.Get("p1")->write_time, 13);
+  EXPECT_EQ(t.Get("p1")->body, Doc(R"({"g":2})"));
+
+  for (bool indexed : {false, true}) {
+    if (indexed) t.CreateIndex("g");
+    const std::vector<Document> all = t.Execute(Q("posts", "{}"));
+    ASSERT_EQ(all.size(), 2u);
+    EXPECT_EQ(all[0].Key(), "posts/p1");
+    EXPECT_EQ(all[1].Key(), "posts/p2");
+    const std::vector<Document> one = t.Execute(Q("posts", R"({"g":5})"));
+    ASSERT_EQ(one.size(), 1u);
+    EXPECT_EQ(one[0].Key(), "posts/p2");
+    EXPECT_EQ(one[0].version, 4u);
+    EXPECT_EQ(one[0].write_time, 15);
+  }
+}
+
 TEST(TableTest, GetVersionReportsVersionAndTimeWithoutTheBody) {
   Table t("posts");
   ASSERT_TRUE(t.Insert("p1", Doc(R"({"n":1})"), 100).ok());
@@ -351,6 +389,7 @@ TEST(DatabaseTest, ChangeListenerReceivesAfterImages) {
   EXPECT_EQ(events[1].after.body.Find("n")->as_int(), 2);
   EXPECT_EQ(events[2].kind, WriteKind::kDelete);
   EXPECT_TRUE(events[2].after.deleted);
+  for (const ChangeEvent& ev : events) EXPECT_EQ(ev.after.Key(), "t/1");
 }
 
 TEST(DatabaseTest, FailedWritesDoNotNotify) {
